@@ -10,10 +10,10 @@ metric suite used to verify everything at desk scale.
 from .autoencoder import (AutoencoderConfig, ConvAutoencoder, extract_patches,
                           train_autoencoder)
 from .ensemble import EnsembleSelection, ensemble_select
-from .gcn import GcnConfig, GcnModel, cross_validate, train_gcn
+from .gcn import GcnConfig, GcnModel, train_gcn
 from .graph import (EllipseKernel, EllipticalGraph, build_graph, build_kernel,
                     laplacian, normalized_laplacian, rbf_adjacency,
-                    sad_adjacency, stack_features, tile_centroids)
+                    sad_adjacency, tile_centroids)
 from .hsi import (GroundTruth, HsiCube, SceneSpec, load_cube, normalize,
                   save_abundance_maps, save_cube, synthesize_scene)
 from .metrics import MetricsReport, PermutationMatch, match_endmembers, rmse, sad
@@ -26,10 +26,9 @@ __all__ = [
     "AutoencoderConfig", "ConvAutoencoder", "EllipseKernel", "EllipticalGraph",
     "EnsembleSelection", "GcnConfig", "GcnModel", "GroundTruth", "HsiCube",
     "MetricsReport", "PermutationMatch", "RunConfig", "SceneSpec", "SplitMix64",
-    "build_graph", "build_kernel", "cross_validate", "ensemble_select",
-    "extract_patches", "laplacian", "load_cube", "match_endmembers", "normalize",
-    "normalized_laplacian", "parse_config", "rbf_adjacency", "rmse", "run_pipeline",
-    "run_repeated", "sad", "sad_adjacency", "save_abundance_maps", "save_cube",
-    "stack_features", "synthesize_scene", "tile_centroids", "train_autoencoder",
-    "train_gcn", "write_config",
+    "build_graph", "build_kernel", "ensemble_select", "extract_patches", "laplacian",
+    "load_cube", "match_endmembers", "normalize", "normalized_laplacian",
+    "parse_config", "rbf_adjacency", "rmse", "run_pipeline", "run_repeated", "sad",
+    "sad_adjacency", "save_abundance_maps", "save_cube", "synthesize_scene",
+    "tile_centroids", "train_autoencoder", "train_gcn", "write_config",
 ]

@@ -194,16 +194,16 @@ class ConvAutoencoder:
                 out = ad.leaky_relu(out, 0.01)
         return ad.scaled_softmax(out, self.config.softmax_scale, axis=1)
 
-    def decode(self, abundance, train: bool = False) -> ad.Tensor:
+    def decode(self, abundance) -> ad.Tensor:
         """Abundance batch (N, P, h, w) -> reconstruction (N, L, h, w).
 
         Exactly linear: a pixel with zero abundance reconstructs to zero.
         """
         return ad.conv2d(ad.as_tensor(abundance), self.dec_weight, None, padding="same")
 
-    def forward(self, x, train: bool) -> tuple[ad.Tensor, ad.Tensor]:
+    def forward(self, x) -> tuple[ad.Tensor, ad.Tensor]:
         a = self.encode(x)
-        return a, self.decode(a, train)
+        return a, self.decode(a)
 
     def clamp_decoder(self) -> None:
         np.maximum(self.dec_weight.data, 0.0, out=self.dec_weight.data)
@@ -286,7 +286,7 @@ def endmembers_from_decoder(model: ConvAutoencoder) -> np.ndarray:
     for j in range(p):
         fields[j, j] = 1.0
     with ad.no_grad():
-        out = model.decode(fields, train=False)
+        out = model.decode(fields)
     c = ps // 2
     return np.maximum(out.data[:, :, c, c].T, 0.0)
 
@@ -318,7 +318,7 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
                 sel = centers[order[start : start + config.batch_size]]
                 batch = ad.Tensor(np.ascontiguousarray(win[sel[:, 0], sel[:, 1]]))
                 valid = masks[sel[:, 0], sel[:, 1]][:, None]
-                _, recon = model.forward(batch, train=True)
+                _, recon = model.forward(batch)
                 loss = reconstruction_loss(batch, recon, config.loss,
                                            config.mse_weight, valid)
                 grads = ad.backward(loss)

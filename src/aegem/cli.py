@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: synth (scene generator), run (full eight-stage pipeline),
-eval (re-score saved artifacts), graph (build and serialize the graph
-only), ae (autoencoder only).  Exit codes: 0 success, 1 usage or I/O
-error, 2 pipeline-stage failure.
+Subcommands: synth (scene generator), run (every pipeline stage: load,
+autoencoder, graph, gcn, ensemble), eval (re-score saved artifacts),
+graph (the load and graph stages), ae (the load and autoencoder
+stages).  Exit codes: 0 success, 1 usage or I/O error, 2 pipeline-stage
+failure.
 
 The AEGEM_THREADS environment variable caps worker threads; it is
 applied to the BLAS thread pools before numpy loads.
@@ -91,8 +92,6 @@ def _cmd_synth(args) -> int:
 
     spec = SceneSpec(height=args.h, width=args.w, bands=args.l, endmembers=args.p,
                      smoothness=args.smoothness, snr_db=args.snr, seed=args.seed)
-    if args.p > 6:
-        raise ValueError("scene generator supports at most 6 endmembers")
     cube, truth = synthesize_scene(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -132,74 +131,31 @@ def _cmd_eval(args) -> int:
 def _cmd_graph(args) -> int:
     from pathlib import Path
 
-    from .graph import build_graph, write_graph_csv
-    from .hsi import load_cube, normalize, synthesize_scene
-    from .pipeline import PipelineStageError
+    from .pipeline import graph_stage, load_stage
 
     rc = _resolved_config(args)
-    stage = "load"
-    try:
-        if rc.scene is not None:
-            from dataclasses import replace
-            cube, _ = synthesize_scene(replace(rc.scene, seed=rc.seed))
-        else:
-            if not Path(rc.input_path).exists():
-                raise FileNotFoundError(f"input file not found: {rc.input_path}")
-            cube = load_cube(rc.input_path, rc.input_format)
-        stage = "normalize"
-        cube = normalize(cube, "global_max")
-        stage = "graph"
-        graph = build_graph(cube, rc.kernel_a, rc.kernel_b, rc.stride_r, rc.stride_c,
-                            paper_literal=rc.paper_literal_adjacency)
-        out = Path(rc.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_graph_csv(graph, out / "graph.csv")
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
-    print(f"wrote graph.csv ({len(graph.senders)} centroids, "
-          f"{len(graph.edges)} edges) to {out}")
+    if rc.sad_on == "abundance":
+        raise ValueError("[kernel] sad_on = abundance weights the graph by the "
+                         "autoencoder's abundances, so only `aegem run` can build it; "
+                         "use sad_on = spectra here")
+    out = Path(rc.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    cube, _ = load_stage(rc, out, print)
+    graph_stage(rc, cube, None, out, print)
+    print(f"wrote graph.csv to {out}")
     return 0
 
 
 def _cmd_ae(args) -> int:
-    from dataclasses import replace
     from pathlib import Path
 
-    from .autoencoder import save_autoencoder, train_autoencoder
-    from .hsi import (load_cube, normalize, save_abundance_maps, synthesize_scene,
-                      write_abundance_csv, write_endmember_csv)
-    from .pipeline import PipelineStageError
+    from .pipeline import autoencoder_stage, load_stage
 
     rc = _resolved_config(args)
-    stage = "load"
-    try:
-        if rc.scene is not None:
-            cube, _ = synthesize_scene(replace(rc.scene, seed=rc.seed))
-        else:
-            if not Path(rc.input_path).exists():
-                raise FileNotFoundError(f"input file not found: {rc.input_path}")
-            cube = load_cube(rc.input_path, rc.input_format)
-        stage = "normalize"
-        cube = normalize(cube, "global_max")
-        stage = "autoencoder"
-        ae_cfg = replace(rc.ae, seed=rc.seed + 1, decoder_filters=cube.bands)
-        endmembers, stack, history, model = train_autoencoder(cube, ae_cfg)
-        out = Path(rc.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_endmember_csv(endmembers, out / "ae_endmembers.csv")
-        write_abundance_csv(stack, out / "ae_abundances.csv")
-        save_abundance_maps(stack, out / "maps")
-        save_autoencoder(model, out / "checkpoint_ae.aew")
-        with open(out / "ae_loss.csv", "w", encoding="utf-8") as f:
-            f.write("epoch,loss\n")
-            for i, v in enumerate(history):
-                f.write(f"{i},{v!r}\n")
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
+    out = Path(rc.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    cube, truth = load_stage(rc, out, print)
+    autoencoder_stage(rc, cube, truth, out, print)
     print(f"wrote autoencoder artifacts to {out}")
     return 0
 

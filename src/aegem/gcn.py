@@ -9,7 +9,7 @@ for production output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,6 @@ class GcnConfig:
     epochs: int = 200
     learning_rate: float = 0.001
     label_fraction: float = 0.1
-    folds: int = 10
     seed: int = 0
     features: str = "abundance"  # abundance | abundance+spectrum_pca
     pca_components: int = 8
@@ -152,54 +151,6 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
         optimizer.step(grads)
         history.append((epoch, train_bce, val_bce))
     return model, history
-
-
-@dataclass
-class CrossValResult:
-    best_config: GcnConfig
-    best_index: int
-    fold_losses: np.ndarray  # (n_configs, folds)
-
-    @property
-    def mean_losses(self) -> np.ndarray:
-        return self.fold_losses.mean(axis=1)
-
-
-def cross_validate(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarray,
-                   label_targets: np.ndarray, configs: list[GcnConfig]) -> CrossValResult:
-    """K-fold validation BCE per config; argmin with (hidden, lr) tie-break.
-
-    Folds partition the labeled set by a seeded shuffle taken from the
-    first config; every config trains once per fold on the other folds.
-    """
-    if not configs:
-        raise ValueError("no configurations to validate")
-    folds = configs[0].folds
-    n_lab = label_idx.size
-    if n_lab < folds:
-        raise ValueError(
-            f"{n_lab} labeled nodes cannot fill {folds} folds; use fewer folds"
-        )
-    order = SplitMix64(configs[0].seed).split(7).permutation(n_lab)
-    fold_of = np.empty(n_lab, dtype=int)
-    for pos, row in enumerate(order):
-        fold_of[row] = pos % folds
-    losses = np.zeros((len(configs), folds))
-    for ci, config in enumerate(configs):
-        for f in range(folds):
-            tr, va = fold_of != f, fold_of == f
-            try:
-                model, _ = train_gcn(graph, features, label_idx[tr],
-                                     label_targets[tr], config)
-                with ad.no_grad():
-                    z = model.logits(features).data[label_idx[va]]
-                losses[ci, f] = _bce_value(z, label_targets[va])
-            except DivergenceError:
-                losses[ci, f] = np.inf
-    means = losses.mean(axis=1)
-    best = min(range(len(configs)),
-               key=lambda i: (means[i], configs[i].hidden, configs[i].learning_rate))
-    return CrossValResult(configs[best], best, losses)
 
 
 # -- optional spectral features --------------------------------------------------

@@ -12,7 +12,7 @@ Laplacian, and its symmetric normalization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,14 +67,10 @@ class EllipticalGraph:
     senders: np.ndarray  # (n_centroids, 2) pixel coordinates
     edges: np.ndarray  # (n_edges, 2) flat (sender, receiver) pixel indices
     edge_weights: np.ndarray | None = None  # spectral angles, filled by sad_adjacency
-    centroid_mean_sad: np.ndarray | None = None
 
     @property
     def n_pixels(self) -> int:
         return self.height * self.width
-
-    def coords(self, flat: np.ndarray) -> np.ndarray:
-        return np.stack(np.divmod(flat, self.width), axis=-1)
 
 
 def build_star_edges(height: int, width: int, kernel: EllipseKernel,
@@ -108,12 +104,11 @@ def build_star_edges(height: int, width: int, kernel: EllipseKernel,
 
 def sad_adjacency(cube: HsiCube, graph: EllipticalGraph,
                   paper_literal: bool = False) -> np.ndarray:
-    """Per-edge spectral angles plus the per-centroid neighborhood mean.
+    """Per-edge spectral angles, stored on the graph and returned.
 
     The literal variant replaces the sender/receiver inner product with
     the sender's self inner product (kept for comparison runs; it reduces
-    the cosine to a norm ratio).  Weights and per-centroid means are
-    stored on the graph and the weights returned.
+    the cosine to a norm ratio).
     """
     spectra = cube.spectra()
     norms = np.linalg.norm(spectra, axis=1)
@@ -130,17 +125,7 @@ def sad_adjacency(cube: HsiCube, graph: EllipticalGraph,
         b = spectra[r] / norms[r, None]
         weights = 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1),
                                    np.linalg.norm(a + b, axis=1))
-
-    sender_flat = graph.senders[:, 0] * graph.width + graph.senders[:, 1]
-    order = {int(f): i for i, f in enumerate(sender_flat)}
-    sums = np.zeros(len(sender_flat))
-    counts = np.ones(len(sender_flat))  # the centroid itself, angle 0
-    for e, w in zip(s, weights):
-        i = order[int(e)]
-        sums[i] += w
-        counts[i] += 1
     graph.edge_weights = weights
-    graph.centroid_mean_sad = sums / counts
     return weights
 
 
@@ -154,39 +139,6 @@ def build_graph(cube: HsiCube, a: int = 3, b: int = 5,
     graph = EllipticalGraph(cube.height, cube.width, kernel, centroids, edges)
     sad_adjacency(cube, graph, paper_literal=paper_literal)
     return graph
-
-
-# -- stacked features ---------------------------------------------------------
-
-@dataclass
-class StackedFeatures:
-    """Per-node abundance features and per-edge stacked records.
-
-    edge_matrix rows are (sender features, receiver features, angle),
-    one row per directed edge in graph order.
-    """
-
-    node_features: np.ndarray  # (n_pixels, P)
-    edge_matrix: np.ndarray  # (n_edges, 2P + 1)
-    endmembers: np.ndarray  # (L, P), context for serialization
-
-
-def stack_features(graph: EllipticalGraph, abundance: np.ndarray,
-                   endmembers: np.ndarray) -> StackedFeatures:
-    """Assemble node features and the per-edge stacked matrix."""
-    if graph.edge_weights is None:
-        raise ValueError("graph has no edge weights; run sad_adjacency first")
-    h, w, p = abundance.shape
-    if (h, w) != (graph.height, graph.width):
-        raise ValueError(f"abundance {h}x{w} does not match graph {graph.height}x{graph.width}")
-    if endmembers.shape[1] != p:
-        raise ValueError("endmember count does not match abundance channels")
-    nodes = abundance.reshape(-1, p)
-    m = np.concatenate(
-        [nodes[graph.edges[:, 0]], nodes[graph.edges[:, 1]], graph.edge_weights[:, None]],
-        axis=1,
-    )
-    return StackedFeatures(nodes, m, endmembers)
 
 
 # -- general graph utilities ---------------------------------------------------
@@ -244,20 +196,3 @@ def read_graph_csv(path) -> tuple[np.ndarray, np.ndarray]:
     coords = np.asarray([[int(v) for v in r[:4]] for r in rows], dtype=np.int64)
     weights = np.asarray([float(r[4]) for r in rows])
     return coords, weights
-
-
-def write_stacked_features_csv(features: StackedFeatures, path) -> None:
-    """Serialize the edge matrix M at full precision (lossless round-trip)."""
-    p = features.node_features.shape[1]
-    cols = [f"sf{i}" for i in range(p)] + [f"rf{i}" for i in range(p)] + ["sad"]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(cols) + "\n")
-        for row in features.edge_matrix:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_stacked_features_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as f:
-        f.readline()
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    return np.asarray([[float(v) for v in r] for r in rows])

@@ -169,7 +169,7 @@ def test_criterion_2_constraint_suite():
             sel = centers[order[s : s + cfg.batch_size]]
             batch = ad.Tensor(np.ascontiguousarray(win[sel[:, 0], sel[:, 1]]))
             valid = masks[sel[:, 0], sel[:, 1]][:, None]
-            _, recon = model.forward(batch, train=True)
+            _, recon = model.forward(batch)
             loss = reconstruction_loss(batch, recon, cfg.loss, cfg.mse_weight, valid)
             opt.step(ad.backward(loss))
             model.clamp_decoder()

@@ -207,7 +207,7 @@ def test_reconstruction_error_small_after_training(trained):
     ncube, gt, _, _, _, model = trained
     patches, _ = extract_patches(ncube, 9, stride=3)
     with ad.no_grad():
-        _, recon = model.forward(patches, train=False)
+        _, recon = model.forward(patches)
     c = patches.shape[2] // 2
     mse = float(np.mean((recon.data[:, :, c, c] - patches[:, :, c, c]) ** 2))
     assert mse < 1e-3
@@ -233,7 +233,7 @@ def test_gradient_flow_through_full_loss():
 
     def full_loss():
         batch = ad.Tensor(x)
-        _, recon = model.forward(batch, train=True)
+        _, recon = model.forward(batch)
         return reconstruction_loss(batch, recon, "sad_plus_mse", 0.5)
 
     grads = ad.backward(full_loss())

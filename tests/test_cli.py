@@ -85,7 +85,11 @@ def test_config_roundtrip_file_input(tmp_path):
 def test_config_without_autoencoder_keys_takes_the_dataclass_defaults(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[input]\nheight = 8\nwidth = 8\nbands = 6\nendmembers = 3\n")
-    assert parse_config(path).ae == AutoencoderConfig()
+    rc = parse_config(path)
+    assert rc.ae == AutoencoderConfig()
+    assert rc.gcn == GcnConfig()
+    assert (rc.kernel_a, rc.kernel_b, rc.sad_on) == (RunConfig.kernel_a, RunConfig.kernel_b,
+                                                     RunConfig.sad_on)
 
 
 def test_run_with_abundance_edge_features(tmp_path):
@@ -273,27 +277,52 @@ def test_eval_dimension_mismatch(tmp_path):
 
 # -- graph / ae subcommands ------------------------------------------------------------
 
-def test_graph_subcommand(tmp_path):
-    rc = tiny_run_config(tmp_path / "g", seed=5)
+def test_graph_subcommand(completed_run, tmp_path):
+    rc, _, run_dir = completed_run
     cfg = tmp_path / "c.ini"
     write_config(rc, cfg)
     assert main(["graph", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 0
-    lines = (tmp_path / "g" / "graph.csv").read_text().splitlines()
+    graph_csv = (tmp_path / "g" / "graph.csv").read_bytes()
+    lines = graph_csv.decode().splitlines()
     assert lines[0] == "sender_row,sender_col,recv_row,recv_col,sad"
     assert len(lines) > 10
+    # the same config and seed give the graph the full run wrote
+    assert graph_csv == (run_dir / "graph.csv").read_bytes()
 
 
-def test_ae_subcommand(tmp_path):
-    rc = replace(tiny_run_config(tmp_path / "a", seed=6),
-                 ae=AutoencoderConfig(encoder_filters=(6, 4, 4, 2),
-                                      encoder_kernels=(5, 3, 3, 1),
-                                      epochs=2, batch_size=256))
+def test_graph_subcommand_rejects_abundance_edge_weights(tmp_path, capsys):
+    # that graph is weighted by the autoencoder's abundances, which this
+    # subcommand does not train
+    rc = replace(tiny_run_config(tmp_path / "g", seed=5), sad_on="abundance")
+    cfg = tmp_path / "c.ini"
+    write_config(rc, cfg)
+    assert main(["graph", "--config", str(cfg)]) == 1
+    assert "sad_on" in capsys.readouterr().err
+    assert not (tmp_path / "g" / "graph.csv").exists()
+
+
+def test_ae_subcommand(completed_run, tmp_path):
+    rc, _, run_dir = completed_run
     cfg = tmp_path / "c.ini"
     write_config(rc, cfg)
     assert main(["ae", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-    for name in ("ae_endmembers.csv", "ae_abundances.csv", "ae_loss.csv",
-                 "checkpoint_ae.aew"):
-        assert (tmp_path / "a" / name).exists()
+    assert (tmp_path / "a" / "checkpoint_ae.aew").exists()
+    # the same config and seed give the artifacts the full run wrote
+    for name in ("ae_endmembers.csv", "ae_abundances.csv", "ae_loss.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_ae_subcommand_takes_the_endmember_count_from_the_truth(tmp_path):
+    # a 2-endmember scene; the configured encoder ends in 3 channels
+    rc = replace(tiny_run_config(tmp_path / "a", seed=6),
+                 ae=AutoencoderConfig(encoder_filters=(6, 4, 4, 3),
+                                      encoder_kernels=(5, 3, 3, 1),
+                                      epochs=1, batch_size=256))
+    cfg = tmp_path / "c.ini"
+    write_config(rc, cfg)
+    assert main(["ae", "--config", str(cfg)]) == 0
+    em, _ = read_endmember_csv(tmp_path / "a" / "ae_endmembers.csv")
+    assert em.shape == (10, 2)
 
 
 def test_paper_literal_flags_accepted(tmp_path):

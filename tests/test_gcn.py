@@ -1,12 +1,12 @@
-"""Normalized operator, GCN forward/training, cross-validation, PCA features."""
+"""Normalized operator, GCN forward/training, PCA features, checkpoints."""
 import numpy as np
 import pytest
 
 from aegem import autodiff as ad
 from aegem.autoencoder import DivergenceError
 from aegem.gcn import (GcnConfig, GcnModel, bce_with_logits, build_node_features,
-                       cross_validate, forward, load_gcn, normalized_operator,
-                       pca_features, sample_labels, save_gcn, train_gcn)
+                       forward, load_gcn, normalized_operator, pca_features,
+                       sample_labels, save_gcn, train_gcn)
 from aegem.graph import EllipticalGraph, build_graph, build_kernel
 from aegem.hsi import HsiCube, SceneSpec, synthesize_scene, normalize
 from aegem.rng import SplitMix64
@@ -24,7 +24,7 @@ def single_node_graph():
     kernel = build_kernel(1, 1)
     return EllipticalGraph(1, 1, kernel, np.array([[0, 0]]),
                            np.empty((0, 2), dtype=np.int64),
-                           edge_weights=np.empty(0), centroid_mean_sad=np.zeros(1))
+                           edge_weights=np.empty(0))
 
 
 # -- normalized operator -------------------------------------------------------------
@@ -249,57 +249,6 @@ def test_build_node_features_modes():
                                                     pca_components=5))
     assert combo.shape == (36, 8)
     assert np.array_equal(combo[:, :3], plain)
-
-
-# -- cross-validation -------------------------------------------------------------------------
-
-def test_cross_validate_single_config_trivial():
-    cube, gt, graph, features = _scene_setup(seed=21)
-    idx, targets = sample_labels(gt.abundances, 0.3, SplitMix64(22))
-    config = GcnConfig(hidden=8, epochs=30, folds=5, seed=23)
-    result = cross_validate(graph, features, idx, targets, [config])
-    assert result.best_index == 0
-    assert result.fold_losses.shape == (1, 5)
-    assert np.all(np.isfinite(result.fold_losses))
-
-
-def test_cross_validate_folds_partition():
-    n_lab = 40
-    order = SplitMix64(23).split(7).permutation(n_lab)
-    fold_of = np.empty(n_lab, dtype=int)
-    for pos, row in enumerate(order):
-        fold_of[row] = pos % 5
-    sizes = [np.sum(fold_of == f) for f in range(5)]
-    assert sum(sizes) == n_lab and max(sizes) - min(sizes) <= 1
-
-
-def test_cross_validate_prefers_stable_config():
-    cube, gt, graph, features = _scene_setup(seed=24)
-    idx, targets = sample_labels(gt.abundances, 0.4, SplitMix64(25))
-    stable = GcnConfig(hidden=128, epochs=150, learning_rate=1e-3, folds=4, seed=26)
-    # 10^13 times the stable rate: weights fly off and the fit never recovers
-    wild = GcnConfig(hidden=128, epochs=150, learning_rate=1e10, folds=4, seed=26)
-    result = cross_validate(graph, features, idx, targets, [wild, stable])
-    assert result.best_config is stable
-    assert result.mean_losses[1] < result.mean_losses[0]
-
-
-def test_cross_validate_needs_enough_labels():
-    cube, gt, graph, features = _scene_setup(seed=27)
-    idx, targets = sample_labels(gt.abundances, 0.03, SplitMix64(28))
-    with pytest.raises(ValueError, match="fewer folds"):
-        cross_validate(graph, features, idx, targets,
-                       [GcnConfig(hidden=4, epochs=5, folds=10)])
-
-
-def test_cross_validate_tie_breaks_smaller_lr():
-    cube, gt, graph, features = _scene_setup(seed=29)
-    idx, targets = sample_labels(gt.abundances, 0.3, SplitMix64(30))
-    # equal losses (identical init, no training) -> smaller lr wins
-    fast = GcnConfig(hidden=8, epochs=0, learning_rate=1e-2, folds=4, seed=31)
-    slow = GcnConfig(hidden=8, epochs=0, learning_rate=1e-3, folds=4, seed=31)
-    result = cross_validate(graph, features, idx, targets, [fast, slow])
-    assert result.best_config is slow
 
 
 # -- checkpoints -------------------------------------------------------------------------------

@@ -4,9 +4,8 @@ import pytest
 
 from aegem.graph import (EllipticalGraph, build_graph, build_kernel,
                          build_star_edges, laplacian, normalized_laplacian,
-                         rbf_adjacency, read_graph_csv, read_stacked_features_csv,
-                         sad_adjacency, stack_features, tile_centroids,
-                         write_graph_csv, write_stacked_features_csv)
+                         rbf_adjacency, read_graph_csv, sad_adjacency,
+                         tile_centroids, write_graph_csv)
 from aegem.hsi import HsiCube
 from aegem.metrics import sad
 
@@ -140,7 +139,6 @@ def test_sad_adjacency_identical_spectra_zero():
     cube = HsiCube(np.ones((5, 5, 4)))
     g = build_graph(cube, 1, 1)
     assert np.max(np.abs(g.edge_weights)) == 0.0
-    assert np.max(np.abs(g.centroid_mean_sad)) == 0.0
 
 
 def test_sad_adjacency_orthogonal_spectra():
@@ -154,8 +152,6 @@ def test_sad_adjacency_orthogonal_spectra():
     g = EllipticalGraph(1, 2, kernel, cents, edges)
     w = sad_adjacency(cube, g)
     assert np.allclose(w, np.pi / 2)
-    # neighborhood mean counts the centroid itself (angle zero)
-    assert np.allclose(g.centroid_mean_sad, np.pi / 4)
 
 
 def test_sad_adjacency_matches_direct_formula():
@@ -209,40 +205,6 @@ def test_graph_deterministic():
     g2 = build_graph(cube, 2, 3)
     assert np.array_equal(g1.edges, g2.edges)
     assert np.array_equal(g1.edge_weights, g2.edge_weights)
-
-
-# -- stacked features ---------------------------------------------------------------
-
-def test_stack_features_lengths():
-    cube = random_cube(6, 6, 5, seed=7)
-    g = build_graph(cube, 1, 1)
-    rng = np.random.default_rng(8)
-    ab = rng.dirichlet(np.ones(3), size=(6, 6))
-    em = rng.uniform(0.1, 1, size=(5, 3))
-    feats = stack_features(g, ab, em)
-    assert feats.node_features.shape == (36, 3)
-    assert feats.edge_matrix.shape == (len(g.edges), 7)
-
-
-def test_stack_features_uniform_abundance():
-    cube = random_cube(5, 5, 4, seed=9)
-    g = build_graph(cube, 1, 1)
-    ab = np.full((5, 5, 4), 0.25)
-    em = np.ones((4, 4))
-    feats = stack_features(g, ab, em)
-    assert np.all(feats.node_features == 0.25)
-
-
-def test_stack_features_roundtrip_lossless(tmp_path):
-    cube = random_cube(6, 6, 5, seed=10)
-    g = build_graph(cube, 1, 2)
-    rng = np.random.default_rng(11)
-    ab = rng.dirichlet(np.ones(3), size=(6, 6))
-    em = rng.uniform(0.1, 1, size=(5, 3))
-    feats = stack_features(g, ab, em)
-    write_stacked_features_csv(feats, tmp_path / "m.csv")
-    back = read_stacked_features_csv(tmp_path / "m.csv")
-    assert np.array_equal(back, feats.edge_matrix)
 
 
 def test_graph_csv_roundtrip(tmp_path):
