@@ -5,12 +5,21 @@ convolutions to per-pixel abundance channels, closed by a scaled softmax
 that enforces the sum-to-one and non-negativity constraints by
 construction.  The decoder is by default a 1x1 convolution, the
 per-pixel linear mixing model: each reconstructed spectrum is the
-abundance-weighted sum of the decoder's columns.  With the default
-kernels the encoder's receptive field reaches exactly the patch
-half-width, so only the patch center is encoded without the zeros
-beyond the patch edge; a wider decoder would rebuild the center from
-neighbouring abundances whose encodings are truncated, and fit its
-weights to those.  The decoder is strictly linear in the abundances, with weights clamped
+abundance-weighted sum of the decoder's columns.
+
+The encoder's receptive-field radius, the sum of (k-1)/2 over its
+kernels, may not exceed the patch half-width (the config checks it).
+Then a patch center is encoded from the patch alone, never from the
+zeros each layer pads beyond the patch edge, so it is the only pixel
+of a patch with a full-context encoding: with the default kernels the
+radius is exactly the half-width, and every other pixel's encoding is
+truncated.  A wider decoder would rebuild the center from neighbouring
+abundances whose encodings are truncated, and fit its weights to those.
+The same condition makes inference cheap: encoding the zero-padded
+image in row strips, each with a halo as wide as the patch half-width,
+gives every pixel bit for bit the value its own patch's center gets.
+
+The decoder is strictly linear in the abundances, with weights clamped
 non-negative after every optimizer step: sum-to-one abundances span an
 affine subspace, so any normalization or bias hands the decoder an
 offset that can absorb one endmember outright and collapse a channel.
@@ -66,6 +75,12 @@ class AutoencoderConfig:
             raise ValueError("all kernels must be odd and positive")
         if self.patch_size % 2 == 0 or self.patch_size < 1:
             raise ValueError("patch_size must be odd and positive")
+        radius = sum((k - 1) // 2 for k in self.encoder_kernels)
+        if radius > self.patch_size // 2:
+            raise ValueError(
+                f"encoder receptive-field radius {radius} exceeds the patch half-width "
+                f"{self.patch_size // 2}: shrink encoder_kernels or grow patch_size"
+            )
         if self.softmax_scale <= 0:
             raise ValueError("softmax_scale must be positive")
         if self.loss not in ("sad", "mse", "sad_plus_mse"):
@@ -185,7 +200,7 @@ class ConvAutoencoder:
             self.dec_weight.data[:, j, k, k] = spectra[idx]
 
     def encode(self, x) -> ad.Tensor:
-        """Patch batch (N, L, ps, ps) -> abundance batch (N, P, ps, ps)."""
+        """Patches or image strips (N, L, h, w) -> abundances (N, P, h, w)."""
         out = ad.as_tensor(x)
         last = len(self.enc_weights) - 1
         for i, (w, b) in enumerate(zip(self.enc_weights, self.enc_biases)):
@@ -256,19 +271,28 @@ def patch_validity_masks(height: int, width: int, patch_size: int) -> np.ndarray
 # -- training ------------------------------------------------------------------
 
 def assemble_abundance_stack(model: ConvAutoencoder, cube: HsiCube,
-                             batch_size: int = 256) -> np.ndarray:
-    """Stride-1 encode of every pixel's patch, center values -> (H, W, P)."""
-    ps = model.config.patch_size
-    half = ps // 2
-    centers = patch_centers(cube.height, cube.width, 1)
-    win = _padded_windows(cube, ps)
-    rows = []
+                             strip_pixels: int = 4096) -> np.ndarray:
+    """Every pixel encoded as the center of its zero-padded patch -> (H, W, P).
+
+    The image is padded once by the patch half-width and encoded in row
+    strips of about `strip_pixels` output pixels, each with a halo of
+    half-width rows above and below; halo and padding are cropped off.
+    This equals the per-patch encode bit for bit: the receptive-field
+    radius is at most the half-width, so a center reads only values that
+    its patch holds too, and each is computed by the same arithmetic.
+    The budget bounds the strip buffers at any scene size.
+    """
+    half = model.config.patch_size // 2
+    h, w = cube.height, cube.width
+    padded = np.pad(cube.reflectance.transpose(2, 0, 1), ((0, 0), (half, half), (half, half)))
+    rows = max(1, strip_pixels // w)
+    stack = np.empty((h, w, model.config.endmembers))
     with ad.no_grad():
-        for start in range(0, len(centers), batch_size):
-            sel = centers[start : start + batch_size]
-            batch = np.ascontiguousarray(win[sel[:, 0], sel[:, 1]])
-            rows.append(model.encode(batch).data[:, :, half, half])
-    return np.concatenate(rows).reshape(cube.height, cube.width, model.config.endmembers)
+        for r0 in range(0, h, rows):
+            r1 = min(h, r0 + rows)
+            enc = model.encode(padded[None, :, r0 : r1 + 2 * half]).data[0]
+            stack[r0:r1] = enc[:, half : half + r1 - r0, half : half + w].transpose(1, 2, 0)
+    return stack
 
 
 def endmembers_from_decoder(model: ConvAutoencoder) -> np.ndarray:

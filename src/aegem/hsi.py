@@ -165,24 +165,55 @@ def _load_hsb(path) -> HsiCube:
     return HsiCube(np.transpose(bands, (1, 2, 0)).astype(np.float64))
 
 
-def _load_csv_cube(path) -> HsiCube:
+def _read_pixel_csv(path) -> tuple[np.ndarray, list[str]]:
+    """(H, W, K) raster and value-column names from a `row,col,v0,...` CSV.
+
+    H and W are one past the largest row and col.  Every pixel of that
+    raster must appear exactly once, on a line with the header's field
+    count; a short line, a duplicate or a missing pixel fails naming the
+    file and the line or pixel instead of leaving a zero in the raster.
+    """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip().split(",")
         if header[:2] != ["row", "col"] or len(header) < 3:
-            raise HsbFormatError(f"{path}: expected header 'row,col,b0,...'")
-        l = len(header) - 2
-        rows = []
-        for line in f:
+            raise ValueError(f"{path}: expected header 'row,col,v0,...'")
+        coords, values, linenos = [], [], []
+        for lineno, line in enumerate(f, start=2):
             parts = line.strip().split(",")
-            if len(parts) != l + 2:
-                raise HsbFormatError(f"{path}: row with {len(parts)} fields, expected {l + 2}")
-            rows.append([float(p) for p in parts])
-    data = np.asarray(rows)
-    h = int(data[:, 0].max()) + 1
-    w = int(data[:, 1].max()) + 1
-    refl = np.zeros((h, w, l))
-    refl[data[:, 0].astype(int), data[:, 1].astype(int)] = data[:, 2:]
-    return HsiCube(refl)
+            if parts == [""]:
+                continue
+            if len(parts) != len(header):
+                raise ValueError(f"{path}: line {lineno} has {len(parts)} fields, "
+                                 f"expected {len(header)}")
+            try:
+                coords.append((int(parts[0]), int(parts[1])))
+                values.append([float(v) for v in parts[2:]])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno} does not parse: "
+                                 f"{line.strip()!r}") from None
+            linenos.append(lineno)
+    if not coords:
+        raise ValueError(f"{path}: no pixel lines")
+    rc = np.asarray(coords)
+    if rc.min() < 0:
+        bad = int(np.argmax(rc.min(axis=1) < 0))
+        raise ValueError(f"{path}: line {linenos[bad]} has a negative row or col")
+    h, w = (int(v) + 1 for v in rc.max(axis=0))
+    flat = rc[:, 0] * w + rc[:, 1]
+    counts = np.bincount(flat, minlength=h * w)
+    if counts.max() > 1:
+        first = flat[np.argmax(counts[flat] > 1)]
+        again = np.nonzero(flat == first)[0][1]
+        r, c = divmod(int(first), w)
+        raise ValueError(f"{path}: pixel ({r}, {c}) appears again on line {linenos[again]}")
+    missing = np.nonzero(counts == 0)[0]
+    if missing.size:
+        r, c = divmod(int(missing[0]), w)
+        raise ValueError(f"{path}: pixel ({r}, {c}) is missing "
+                         f"({missing.size} of {h}x{w} pixels have no line)")
+    raster = np.empty((h, w, len(header) - 2))
+    raster[rc[:, 0], rc[:, 1]] = values
+    return raster, header[2:]
 
 
 def load_cube(path, format: str = "hsb") -> HsiCube:
@@ -190,7 +221,7 @@ def load_cube(path, format: str = "hsb") -> HsiCube:
     if format == "hsb":
         return _load_hsb(path)
     if format == "csv":
-        return _load_csv_cube(path)
+        return HsiCube(_read_pixel_csv(path)[0])
     raise ValueError(f"unknown cube format {format!r}")
 
 
@@ -368,18 +399,8 @@ def write_abundance_csv(stack: np.ndarray, path, names: list[str] | None = None)
 
 
 def read_abundance_csv(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        if header[:2] != ["row", "col"]:
-            raise ValueError(f"{path}: expected header 'row,col,...'")
-        names = header[2:]
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    data = np.asarray([[float(v) for v in r] for r in rows])
-    h = int(data[:, 0].max()) + 1
-    w = int(data[:, 1].max()) + 1
-    stack = np.zeros((h, w, len(names)))
-    stack[data[:, 0].astype(int), data[:, 1].astype(int)] = data[:, 2:]
-    return stack, names
+    """(H, W, P) stack and channel names; every pixel exactly once."""
+    return _read_pixel_csv(path)
 
 
 def write_endmember_csv(endmembers: np.ndarray, path, names: list[str] | None = None) -> None:

@@ -139,20 +139,15 @@ def write_config(rc: RunConfig, path) -> None:
         cp.write(f)
 
 
-def _get(section, key: str, default):
-    """section[key] parsed to the type of its default; the default if absent."""
-    if key not in section:
-        return default
-    raw = section[key]
-    if isinstance(default, bool):
-        return raw.lower() == "true"
-    if isinstance(default, tuple):
-        return tuple(int(v) for v in raw.split(","))
-    return type(default)(raw)
+_REQUIRED = object()
 
 
 def parse_config(path) -> RunConfig:
-    """Read a config file; every absent key takes its dataclass default."""
+    """Read a config file; every absent key takes its dataclass default.
+
+    A missing scene key or a value that does not parse fails naming the
+    file, the section and the key.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
@@ -160,40 +155,53 @@ def parse_config(path) -> RunConfig:
     cp.read(path)
     if "input" not in cp:
         raise ValueError(f"{path}: missing [input] section")
-    inp = cp["input"]
+
+    def get(section: str, key: str, default, kind=None):
+        """[section] key parsed to `kind`, by default the type of `default`."""
+        if section not in cp or key not in cp[section]:
+            if default is _REQUIRED:
+                raise ValueError(f"{path}: [{section}] {key} is required")
+            return default
+        raw = cp[section][key]
+        kind = kind or type(default)
+        try:
+            if kind is bool:
+                return cp.BOOLEAN_STATES[raw.lower()]
+            if kind is tuple:
+                return tuple(int(v) for v in raw.split(","))
+            return kind(raw)
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"{path}: [{section}] {key} = {raw!r} is not a valid {kind.__name__}"
+            ) from None
+
     scene = None
-    if "path" not in inp:
+    if "path" not in cp["input"]:
         scene = SceneSpec(
-            height=inp.getint("height"),
-            width=inp.getint("width"),
-            bands=inp.getint("bands"),
-            endmembers=inp.getint("endmembers"),
-            smoothness=_get(inp, "smoothness", SceneSpec.smoothness),
-            snr_db=_get(inp, "snr_db", SceneSpec.snr_db),
+            **{k: get("input", k, _REQUIRED, int)
+               for k in ("height", "width", "bands", "endmembers")},
+            smoothness=get("input", "smoothness", SceneSpec.smoothness),
+            snr_db=get("input", "snr_db", SceneSpec.snr_db),
         )
-    run = cp["run"] if "run" in cp else {}
-    ae_sec = cp["autoencoder"] if "autoencoder" in cp else {}
-    k_sec = cp["kernel"] if "kernel" in cp else {}
-    g_sec = cp["gcn"] if "gcn" in cp else {}
     return RunConfig(
         scene=scene,
-        input_path=inp.get("path"),
-        input_format=_get(inp, "format", RunConfig.input_format),
-        truth_endmembers=inp.get("truth_endmembers"),
-        truth_abundances=inp.get("truth_abundances"),
-        ae=AutoencoderConfig(**{k: _get(ae_sec, k, getattr(AutoencoderConfig, k))
+        input_path=get("input", "path", None, str),
+        input_format=get("input", "format", RunConfig.input_format),
+        truth_endmembers=get("input", "truth_endmembers", None, str),
+        truth_abundances=get("input", "truth_abundances", None, str),
+        ae=AutoencoderConfig(**{k: get("autoencoder", k, getattr(AutoencoderConfig, k))
                                 for k in _AE_KEYS}),
-        gcn=GcnConfig(**{k: _get(g_sec, k, getattr(GcnConfig, k)) for k in _GCN_KEYS}),
-        kernel_a=_get(k_sec, "a", RunConfig.kernel_a),
-        kernel_b=_get(k_sec, "b", RunConfig.kernel_b),
-        stride_r=int(k_sec["stride_r"]) if "stride_r" in k_sec else None,
-        stride_c=int(k_sec["stride_c"]) if "stride_c" in k_sec else None,
-        sad_on=_get(k_sec, "sad_on", RunConfig.sad_on),
-        paper_literal_adjacency=_get(k_sec, "paper_literal_adjacency",
-                                     RunConfig.paper_literal_adjacency),
-        out_dir=_get(run, "out", RunConfig.out_dir),
-        seed=_get(run, "seed", RunConfig.seed),
-        repeat=_get(run, "repeat", RunConfig.repeat),
+        gcn=GcnConfig(**{k: get("gcn", k, getattr(GcnConfig, k)) for k in _GCN_KEYS}),
+        kernel_a=get("kernel", "a", RunConfig.kernel_a),
+        kernel_b=get("kernel", "b", RunConfig.kernel_b),
+        stride_r=get("kernel", "stride_r", None, int),
+        stride_c=get("kernel", "stride_c", None, int),
+        sad_on=get("kernel", "sad_on", RunConfig.sad_on),
+        paper_literal_adjacency=get("kernel", "paper_literal_adjacency",
+                                    RunConfig.paper_literal_adjacency),
+        out_dir=get("run", "out", RunConfig.out_dir),
+        seed=get("run", "seed", RunConfig.seed),
+        repeat=get("run", "repeat", RunConfig.repeat),
     )
 
 

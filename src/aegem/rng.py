@@ -65,12 +65,20 @@ class SplitMix64:
         return int(self._raw(1)[0] % np.uint64(n))
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
+        """Fisher-Yates permutation of range(n).
+
+        Step i swaps i with j uniform in [0, i], as `integers(i + 1)`
+        would draw it; all n - 1 draws are taken at once, so the stream
+        and the result equal n - 1 single draws.
+        """
         idx = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.integers(i + 1)
-            idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        if n < 2:
+            return idx
+        picks = (self._raw(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        order = idx.tolist()
+        for i, j in zip(range(n - 1, 0, -1), picks):
+            order[i], order[j] = order[j], order[i]
+        return np.array(order, dtype=idx.dtype)
 
     def choice(self, n: int, k: int) -> np.ndarray:
         """k distinct indices sampled from range(n), in draw order."""

@@ -122,3 +122,30 @@ def fcls_abundances(spectra: np.ndarray, endmembers: np.ndarray,
     for i, y in enumerate(spectra):
         out[i], _ = nnls(m_aug, np.concatenate([y, [weight]]))
     return out
+
+
+def abundance_stack_per_patch(model, cube) -> np.ndarray:
+    """Encode every pixel's own zero-padded patch and keep its center -> (H, W, P).
+
+    The direct definition of the abundance stack, one patch per pixel.
+    """
+    ps = model.config.patch_size
+    half = ps // 2
+    padded = np.pad(cube.reflectance, ((half, half), (half, half), (0, 0)))
+    centers = [(r, c) for r in range(cube.height) for c in range(cube.width)]
+    rows = []
+    with ad.no_grad():
+        for start in range(0, len(centers), 256):
+            batch = np.stack([padded[r : r + ps, c : c + ps].transpose(2, 0, 1)
+                              for r, c in centers[start : start + 256]])
+            rows.append(model.encode(batch).data[:, :, half, half])
+    return np.concatenate(rows).reshape(cube.height, cube.width, -1)
+
+
+def permutation_fisher_yates(rng, n: int) -> np.ndarray:
+    """Fisher-Yates on range(n) with one `integers` draw per swap."""
+    idx = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.integers(i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx

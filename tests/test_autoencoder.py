@@ -11,6 +11,7 @@ from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder, DivergenceErr
 from aegem.hsi import HsiCube, SceneSpec, normalize, synthesize_scene
 from aegem.metrics import apply_match, match_endmembers, sad
 from aegem.rng import SplitMix64
+from oracles import abundance_stack_per_patch
 
 
 SMALL_CONFIG = AutoencoderConfig(
@@ -41,6 +42,9 @@ def test_config_validation():
         AutoencoderConfig(encoder_filters=(8, 3), encoder_kernels=(3, 3, 1))
     with pytest.raises(ValueError, match="loss"):
         AutoencoderConfig(loss="huber")
+    # a patch center would read the zeros each layer pads beyond the patch
+    with pytest.raises(ValueError, match="radius 5 exceeds the patch half-width 4"):
+        AutoencoderConfig(encoder_kernels=(5, 5, 3, 1), patch_size=9)
     assert AutoencoderConfig().endmembers == 3
 
 
@@ -263,10 +267,29 @@ def test_divergence_raises_with_epoch():
     assert err.value.epoch == 0
 
 
-def test_abundance_stack_matches_batched_assembly(trained):
+@pytest.mark.parametrize("filters,kernels,patch", [((8, 4, 4, 3), (5, 3, 3, 1), 9),
+                                                   ((6, 3), (3, 1), 5)])
+def test_abundance_stack_matches_per_patch_encode(filters, kernels, patch):
+    # radius 4 = half-width 4, and radius 1 < half-width 2; strips of one
+    # row, of two rows with a one-row remainder, and the whole image
+    rng = np.random.default_rng(15)
+    config = AutoencoderConfig(encoder_filters=filters, encoder_kernels=kernels,
+                               patch_size=patch)
+    model = ConvAutoencoder(config, 5, SplitMix64(16))
+    for w, b in zip(model.enc_weights, model.enc_biases):  # the last layer starts at zero
+        w.data = rng.normal(scale=0.5, size=w.shape)
+        b.data = rng.normal(scale=0.1, size=b.shape)
+    cube = HsiCube(rng.uniform(size=(13, 7, 5)))
+    reference = abundance_stack_per_patch(model, cube)
+    assert np.array_equal(assemble_abundance_stack(model, cube), reference)
+    for strip_pixels in (1, 17, 10**6):
+        stack = assemble_abundance_stack(model, cube, strip_pixels)
+        assert np.array_equal(stack, reference), strip_pixels
+
+
+def test_trained_abundance_stack_matches_per_patch_encode(trained):
     ncube, _, _, stack, _, model = trained
-    again = assemble_abundance_stack(model, ncube, batch_size=17)
-    assert np.array_equal(stack, again)
+    assert np.array_equal(stack, abundance_stack_per_patch(model, ncube))
 
 
 # -- checkpoints ---------------------------------------------------------------------------

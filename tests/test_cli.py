@@ -92,6 +92,33 @@ def test_config_without_autoencoder_keys_takes_the_dataclass_defaults(tmp_path):
                                                      RunConfig.sad_on)
 
 
+def test_config_without_a_scene_key_names_it(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[input]\nwidth = 8\nbands = 6\nendmembers = 3\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "[input] height" in err and str(cfg) in err
+
+
+def test_config_with_a_malformed_value_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    write_config(tiny_run_config(tmp_path / "o"), cfg)
+    cfg.write_text(cfg.read_text().replace("hidden = 32", "hidden = abc"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "[gcn] hidden = 'abc'" in err and str(cfg) in err
+
+
+def test_config_with_an_encoder_wider_than_the_patch_fails(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    write_config(tiny_run_config(tmp_path / "o"), cfg)
+    cfg.write_text(cfg.read_text().replace("encoder_kernels = 5,3,3,1",
+                                           "encoder_kernels = 5,5,3,1"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "radius 5 exceeds the patch half-width 4" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_with_abundance_edge_features(tmp_path):
     rc = replace(tiny_run_config(tmp_path / "sa", seed=9),
                  ae=AutoencoderConfig(encoder_filters=(6, 4, 4, 2),

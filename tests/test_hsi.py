@@ -266,6 +266,51 @@ def test_abundance_csv_header(tmp_path):
     assert first == "row,col,em0,em1,em2"
 
 
+def _write_abundances(path):
+    write_abundance_csv(np.full((3, 4, 2), 0.5), path)
+    return lambda: read_abundance_csv(path)
+
+
+def _write_csv_cube(path):
+    save_cube_csv(small_cube(11, (3, 4, 2)), path)
+    return lambda: load_cube(path, format="csv")
+
+
+PIXEL_CSVS = pytest.mark.parametrize("write", [_write_abundances, _write_csv_cube],
+                                     ids=["abundances", "cube"])
+
+
+def _edit_lines(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+
+
+@PIXEL_CSVS
+def test_pixel_csv_truncated_file_names_the_missing_pixel(tmp_path, write):
+    # 3x4 raster, header + 12 lines; the last two pixels are cut off
+    read = write(tmp_path / "t.csv")
+    _edit_lines(tmp_path / "t.csv", lambda lines: lines[:-2])
+    with pytest.raises(ValueError, match=r"t\.csv: pixel \(2, 2\) is missing"):
+        read()
+
+
+@PIXEL_CSVS
+def test_pixel_csv_duplicated_line_names_the_pixel(tmp_path, write):
+    read = write(tmp_path / "d.csv")
+    _edit_lines(tmp_path / "d.csv", lambda lines: lines[:3] + [lines[2]] + lines[3:])
+    with pytest.raises(ValueError, match=r"d\.csv: pixel \(0, 1\) appears again on line 4"):
+        read()
+
+
+@PIXEL_CSVS
+def test_pixel_csv_short_line_names_the_line(tmp_path, write):
+    read = write(tmp_path / "s.csv")
+    _edit_lines(tmp_path / "s.csv",
+                lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0] + "\n"] + lines[6:])
+    with pytest.raises(ValueError, match=r"s\.csv: line 6 has 3 fields, expected 4"):
+        read()
+
+
 def test_endmember_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(10)
     m = rng.uniform(0, 1, size=(8, 3))
