@@ -28,22 +28,26 @@ def save_tensors(tensors: dict[str, np.ndarray], path) -> None:
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
+    """Every record of the file; a record cut short fails naming the file."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not an AEW1 checkpoint (magic {raw[:4]!r})")
     out: dict[str, np.ndarray] = {}
     pos = 4
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(raw):
+            raise ValueError(f"{path}: record {len(out)} needs {pos + n} bytes, "
+                             f"the file has {len(raw)}")
+        pos += n
+        return raw[pos - n : pos]
+
     while pos < len(raw):
-        (nlen,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        name = raw[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{rank}I", raw, pos)
-        pos += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=pos)
-        pos += 8 * count
-        out[name] = arr.reshape(dims).astype(np.float64)
+        (nlen,) = struct.unpack("<I", take(4))
+        name = take(nlen).decode("utf-8")
+        (rank,) = struct.unpack("<I", take(4))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        payload = take(8 * int(np.prod(dims)))
+        out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hsi import HsiCube, fmt9
+from .hsi import HsiCube, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -174,25 +174,22 @@ def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
 
 # -- serialization -------------------------------------------------------------
 
+_EDGE_KEYS = ["sender_row", "sender_col", "recv_row", "recv_col"]
+
+
 def write_graph_csv(graph: EllipticalGraph, path) -> None:
     """Edge list CSV: sender_row,sender_col,recv_row,recv_col,sad."""
     if graph.edge_weights is None:
         raise ValueError("graph has no edge weights; run sad_adjacency first")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("sender_row,sender_col,recv_row,recv_col,sad\n")
-        for (s, r), w in zip(graph.edges, graph.edge_weights):
-            sr, sc = divmod(int(s), graph.width)
-            rr, rc = divmod(int(r), graph.width)
-            f.write(f"{sr},{sc},{rr},{rc},{fmt9(w)}\n")
+    s, r = graph.edges[:, 0], graph.edges[:, 1]
+    write_table(path, [*_EDGE_KEYS, "sad"],
+                np.column_stack([*np.divmod(s, graph.width), *np.divmod(r, graph.width)]),
+                graph.edge_weights[:, None])
 
 
 def read_graph_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read back (edge coordinate rows, weights) from write_graph_csv output."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "sender_row,sender_col,recv_row,recv_col,sad":
-            raise ValueError(f"{path}: unexpected graph CSV header")
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    coords = np.asarray([[int(v) for v in r[:4]] for r in rows], dtype=np.int64)
-    weights = np.asarray([float(r[4]) for r in rows])
-    return coords, weights
+    coords, weights, names = read_table(path, _EDGE_KEYS)
+    if names != ["sad"]:
+        raise ValueError(f"{path}: unexpected graph CSV header")
+    return coords, weights[:, 0]

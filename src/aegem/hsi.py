@@ -10,6 +10,16 @@ The synthetic scene generator draws smooth positive endmember spectra and
 blurred Dirichlet abundance fields, mixes them linearly, and adds white
 Gaussian noise scaled to a requested SNR.  It is the ground-truth source
 for every desk-scale verification run.
+
+Every CSV artifact a run writes or reads back (abundance stacks, CSV
+cubes, endmember matrices, the graph edge list, labeled pixels, loss
+logs) is one table format, written by `write_table` and parsed by
+`read_table`: a header line of comma-separated column names, then one
+line per row holding the integer key columns (`row,col`, `band`,
+`epoch`, ...) followed by the value columns, written with `%.9g`
+(9 significant digits; the loss logs keep Python's shortest round-trip
+repr).  Every line, the last one included, ends in a newline, so a file
+cut inside its last line is told apart from a complete one.
 """
 from __future__ import annotations
 
@@ -100,6 +110,8 @@ class GroundTruth:
             raise ValueError("endmembers must be L x P")
         if self.abundances.ndim != 3 or self.abundances.shape[2] != self.endmembers.shape[1]:
             raise ValueError("abundances must be H x W x P matching endmember count")
+        if not (np.all(np.isfinite(self.endmembers)) and np.all(np.isfinite(self.abundances))):
+            raise ValueError("ground truth contains non-finite values")
         if self.abundances.min() < 0:
             raise ValueError("abundance non-negativity violated")
         sums = self.abundances.sum(axis=2)
@@ -165,39 +177,80 @@ def _load_hsb(path) -> HsiCube:
     return HsiCube(np.transpose(bands, (1, 2, 0)).astype(np.float64))
 
 
+# -- CSV tables ---------------------------------------------------------------
+
+def write_table(path, header: list[str], keys, values, fmt: str = "%.9g") -> None:
+    """Write the header line, then one line per row: `keys` (N x K) as
+    integers, then `values` (N x V) with `fmt`."""
+    keys = np.asarray(keys, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    line = ",".join(["%d"] * keys.shape[1] + [fmt] * values.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        # plain ints and floats: numpy 2 scalars would print as np.float64(...)
+        f.writelines(line % (*k, *v) for k, v in zip(keys.tolist(), values.tolist()))
+
+
+def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """(N x K int keys, N x V float values, value-column names) of a table.
+
+    The header must start with `keys`; row i is on line i + 2.  A line
+    with the wrong field count, a field that does not parse, or a last
+    line without its newline (a cut file) fails naming the file and line.
+    """
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines.pop():
+        raise ValueError(f"{path}: line {len(lines) + 1} does not end in a newline")
+    header = lines[0].split(",") if lines else []
+    k = len(keys)
+    if header[:k] != keys:
+        raise ValueError(f"{path}: expected header '{','.join(keys)},...'")
+    rows = [line.split(",") for line in lines[1:]]
+    for i, parts in enumerate(rows):
+        if len(parts) != len(header):
+            raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
+                             f"expected {len(header)}")
+    ints = np.empty((len(rows), k), dtype=np.int64)
+    floats = np.empty((len(rows), len(header) - k))
+    try:
+        for j, column in enumerate(zip(*rows)):
+            if j < k:
+                ints[:, j] = list(map(int, column))
+            else:
+                floats[:, j - k] = list(map(float, column))
+    except (ValueError, OverflowError):
+        # row by row, to name the first line that does not parse
+        for i, parts in enumerate(rows):
+            try:
+                ints[i] = [int(v) for v in parts[:k]]
+                floats[i] = [float(v) for v in parts[k:]]
+            except (ValueError, OverflowError):
+                raise ValueError(f"{path}: line {i + 2} does not parse: "
+                                 f"{lines[i + 1]!r}") from None
+    return ints, floats, header[k:]
+
+
+def _pixel_keys(height: int, width: int) -> np.ndarray:
+    """(H*W, 2) row,col pairs in row-major order."""
+    return np.indices((height, width)).reshape(2, -1).T
+
+
 def _read_pixel_csv(path) -> tuple[np.ndarray, list[str]]:
     """(H, W, K) raster and value-column names from a `row,col,v0,...` CSV.
 
     H and W are one past the largest row and col.  Every pixel of that
-    raster must appear exactly once, on a line with the header's field
-    count; a short line, a duplicate or a missing pixel fails naming the
-    file and the line or pixel instead of leaving a zero in the raster.
+    raster must appear exactly once; a duplicate or a missing pixel fails
+    naming the file and the line or pixel instead of leaving a zero in
+    the raster.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        if header[:2] != ["row", "col"] or len(header) < 3:
-            raise ValueError(f"{path}: expected header 'row,col,v0,...'")
-        coords, values, linenos = [], [], []
-        for lineno, line in enumerate(f, start=2):
-            parts = line.strip().split(",")
-            if parts == [""]:
-                continue
-            if len(parts) != len(header):
-                raise ValueError(f"{path}: line {lineno} has {len(parts)} fields, "
-                                 f"expected {len(header)}")
-            try:
-                coords.append((int(parts[0]), int(parts[1])))
-                values.append([float(v) for v in parts[2:]])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno} does not parse: "
-                                 f"{line.strip()!r}") from None
-            linenos.append(lineno)
-    if not coords:
+    rc, values, names = read_table(path, ["row", "col"])
+    if not names:
+        raise ValueError(f"{path}: expected header 'row,col,v0,...'")
+    if not len(rc):
         raise ValueError(f"{path}: no pixel lines")
-    rc = np.asarray(coords)
     if rc.min() < 0:
         bad = int(np.argmax(rc.min(axis=1) < 0))
-        raise ValueError(f"{path}: line {linenos[bad]} has a negative row or col")
+        raise ValueError(f"{path}: line {bad + 2} has a negative row or col")
     h, w = (int(v) + 1 for v in rc.max(axis=0))
     flat = rc[:, 0] * w + rc[:, 1]
     counts = np.bincount(flat, minlength=h * w)
@@ -205,15 +258,15 @@ def _read_pixel_csv(path) -> tuple[np.ndarray, list[str]]:
         first = flat[np.argmax(counts[flat] > 1)]
         again = np.nonzero(flat == first)[0][1]
         r, c = divmod(int(first), w)
-        raise ValueError(f"{path}: pixel ({r}, {c}) appears again on line {linenos[again]}")
+        raise ValueError(f"{path}: pixel ({r}, {c}) appears again on line {again + 2}")
     missing = np.nonzero(counts == 0)[0]
     if missing.size:
         r, c = divmod(int(missing[0]), w)
         raise ValueError(f"{path}: pixel ({r}, {c}) is missing "
                          f"({missing.size} of {h}x{w} pixels have no line)")
-    raster = np.empty((h, w, len(header) - 2))
+    raster = np.empty((h, w, len(names)))
     raster[rc[:, 0], rc[:, 1]] = values
-    return raster, header[2:]
+    return raster, names
 
 
 def load_cube(path, format: str = "hsb") -> HsiCube:
@@ -226,13 +279,8 @@ def load_cube(path, format: str = "hsb") -> HsiCube:
 
 
 def save_cube_csv(cube: HsiCube, path) -> None:
-    header = "row,col," + ",".join(f"b{i}" for i in range(cube.bands))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        for r in range(cube.height):
-            for c in range(cube.width):
-                vals = ",".join(fmt9(v) for v in cube.reflectance[r, c])
-                f.write(f"{r},{c},{vals}\n")
+    write_table(path, ["row", "col", *(f"b{i}" for i in range(cube.bands))],
+                _pixel_keys(cube.height, cube.width), cube.spectra())
 
 
 # -- normalization ------------------------------------------------------------
@@ -391,11 +439,7 @@ def write_abundance_csv(stack: np.ndarray, path, names: list[str] | None = None)
     h, w, p = stack.shape
     if names is None:
         names = [f"em{j}" for j in range(p)]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("row,col," + ",".join(names) + "\n")
-        for r in range(h):
-            for c in range(w):
-                f.write(f"{r},{c}," + ",".join(fmt9(v) for v in stack[r, c]) + "\n")
+    write_table(path, ["row", "col", *names], _pixel_keys(h, w), stack.reshape(h * w, p))
 
 
 def read_abundance_csv(path) -> tuple[np.ndarray, list[str]]:
@@ -408,18 +452,18 @@ def write_endmember_csv(endmembers: np.ndarray, path, names: list[str] | None = 
     l, p = endmembers.shape
     if names is None:
         names = [f"em{j}" for j in range(p)]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("band," + ",".join(names) + "\n")
-        for b in range(l):
-            f.write(f"{b}," + ",".join(fmt9(v) for v in endmembers[b]) + "\n")
+    write_table(path, ["band", *names], np.arange(l)[:, None], endmembers)
 
 
 def read_endmember_csv(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        if header[0] != "band":
-            raise ValueError(f"{path}: expected header 'band,...'")
-        names = header[1:]
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    data = np.asarray([[float(v) for v in r[1:]] for r in rows])
+    """(L, P) matrix and names; the band column must count 0, 1, ..."""
+    bands, data, names = read_table(path, ["band"])
+    if not names:
+        raise ValueError(f"{path}: expected header 'band,em0,...'")
+    if not len(bands):
+        raise ValueError(f"{path}: no band lines")
+    off = np.nonzero(bands[:, 0] != np.arange(len(bands)))[0]
+    if off.size:
+        i = int(off[0])
+        raise ValueError(f"{path}: line {i + 2} has band {bands[i, 0]}, expected {i}")
     return data, names

@@ -26,9 +26,9 @@ from .ensemble import _subset_rmse, ensemble_select
 from .gcn import GcnConfig
 from .graph import EllipticalGraph, build_graph, write_graph_csv
 from .hsi import (GroundTruth, HsiCube, SceneSpec, load_cube, normalize,
-                  read_abundance_csv, read_endmember_csv, save_abundance_maps,
-                  save_cube, synthesize_scene, write_abundance_csv,
-                  write_endmember_csv)
+                  read_abundance_csv, read_endmember_csv, read_table,
+                  save_abundance_maps, save_cube, synthesize_scene,
+                  write_abundance_csv, write_endmember_csv, write_table)
 from .metrics import MetricsReport, apply_match, match_endmembers, rmse, sad
 from .rng import SplitMix64
 
@@ -104,6 +104,15 @@ _AE_KEYS = ("encoder_filters", "encoder_kernels", "patch_size", "softmax_scale",
             "mse_weight")
 _GCN_KEYS = ("hidden", "epochs", "learning_rate", "label_fraction", "features",
              "pca_components", "paper_literal_asc")
+# every key a config file may set, by section
+_KNOWN_KEYS = {
+    "run": ("seed", "repeat", "out"),
+    "input": ("height", "width", "bands", "endmembers", "smoothness", "snr_db",
+              "path", "format", "truth_endmembers", "truth_abundances"),
+    "autoencoder": _AE_KEYS,
+    "kernel": ("a", "b", "sad_on", "paper_literal_adjacency", "stride_r", "stride_c"),
+    "gcn": _GCN_KEYS,
+}
 
 
 def write_config(rc: RunConfig, path) -> None:
@@ -145,14 +154,22 @@ _REQUIRED = object()
 def parse_config(path) -> RunConfig:
     """Read a config file; every absent key takes its dataclass default.
 
-    A missing scene key or a value that does not parse fails naming the
-    file, the section and the key.
+    An unknown section or key, a missing scene key or a value that does
+    not parse fails naming the file, the section and the key.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
     cp.read(path)
+    if cp.defaults():  # configparser would copy these keys into every section
+        raise ValueError(f"{path}: unknown section [{cp.default_section}]")
+    for section in cp.sections():
+        if section not in _KNOWN_KEYS:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key in cp[section]:
+            if key not in _KNOWN_KEYS[section]:
+                raise ValueError(f"{path}: [{section}] {key} is not a known key")
     if "input" not in cp:
         raise ValueError(f"{path}: missing [input] section")
 
@@ -207,21 +224,23 @@ def parse_config(path) -> RunConfig:
 
 # -- scoring from artifacts -------------------------------------------------------
 
-def read_labels_csv(path, width: int) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "row,col":
-            raise ValueError(f"{path}: expected header 'row,col'")
-        pairs = [line.strip().split(",") for line in f if line.strip()]
-    return np.asarray([int(r) * width + int(c) for r, c in pairs], dtype=np.int64)
+def read_labels_csv(path, height: int, width: int) -> np.ndarray:
+    """Flat pixel indices of a `row,col` table; every pixel inside the image."""
+    rc, _, names = read_table(path, ["row", "col"])
+    if names:
+        raise ValueError(f"{path}: expected header 'row,col'")
+    outside = np.nonzero((rc < 0).any(axis=1) | (rc[:, 0] >= height)
+                         | (rc[:, 1] >= width))[0]
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(f"{path}: line {i + 2} has pixel ({rc[i, 0]}, {rc[i, 1]}) "
+                         f"outside the {height}x{width} image")
+    return rc[:, 0] * width + rc[:, 1]
 
 
 def write_labels_csv(label_idx: np.ndarray, width: int, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("row,col\n")
-        for flat in label_idx:
-            r, c = divmod(int(flat), width)
-            f.write(f"{r},{c}\n")
+    write_table(path, ["row", "col"], np.column_stack(np.divmod(label_idx, width)),
+                np.empty((len(label_idx), 0)))
 
 
 def score_artifacts(est_dir, truth_endmembers_csv, truth_abundances_csv,
@@ -242,7 +261,7 @@ def score_artifacts(est_dir, truth_endmembers_csv, truth_abundances_csv,
         raise ValueError(
             f"estimate maps {ae_stack.shape} do not match truth {truth_ab.shape}"
         )
-    label_idx = read_labels_csv(est_dir / "labels.csv", truth_ab.shape[1])
+    label_idx = read_labels_csv(est_dir / "labels.csv", *truth_ab.shape[:2])
 
     match = match_endmembers(est_em, truth_em)
     ae_stack, est_em = apply_match(match, ae_stack, est_em)
@@ -288,16 +307,29 @@ def _stage(name: str):
         raise PipelineStageError(name, exc) from exc
 
 
-def _load_truth_files(rc: RunConfig) -> GroundTruth:
+def _load_truth_files(rc: RunConfig, cube: HsiCube) -> GroundTruth:
+    """The truth files of a file input, checked against the cube's shape."""
     if not rc.truth_endmembers or not rc.truth_abundances:
         raise ValueError(
             "file inputs need truth_endmembers and truth_abundances for the "
             "semi-supervised refiner"
         )
     em, _ = read_endmember_csv(rc.truth_endmembers)
+    if em.shape[0] != cube.bands:
+        raise ValueError(f"{rc.truth_endmembers}: {em.shape[0]} bands, "
+                         f"the cube has {cube.bands}")
     ab, _ = read_abundance_csv(rc.truth_abundances)
+    if ab.shape[:2] != (cube.height, cube.width):
+        raise ValueError(f"{rc.truth_abundances}: {ab.shape[0]}x{ab.shape[1]} maps, "
+                         f"the cube is {cube.height}x{cube.width}")
     ab = np.clip(ab, 0.0, None)
-    ab /= ab.sum(axis=2, keepdims=True)  # repair CSV rounding before validation
+    sums = ab.sum(axis=2, keepdims=True)
+    empty = np.argwhere(sums[:, :, 0] == 0)
+    if empty.size:
+        r, c = empty[0]
+        raise ValueError(f"{rc.truth_abundances}: pixel ({r}, {c}) has no positive "
+                         f"abundance")
+    ab /= sums  # repair CSV rounding before validation
     return GroundTruth(em, ab)
 
 
@@ -316,9 +348,7 @@ def load_stage(rc: RunConfig, out: Path, note,
             if not Path(rc.input_path).exists():
                 raise FileNotFoundError(f"input file not found: {rc.input_path}")
             cube = load_cube(rc.input_path, rc.input_format)
-            truth = _load_truth_files(rc)
-        if truth.abundances.shape[:2] != (cube.height, cube.width):
-            raise ValueError("truth maps do not match cube dimensions")
+            truth = _load_truth_files(rc, cube)
         write_endmember_csv(truth.endmembers, out / "truth_endmembers.csv")
         write_abundance_csv(truth.abundances, out / "truth_abundances.csv")
         note(f"[load] cube {cube.height}x{cube.width}x{cube.bands}, "
@@ -341,10 +371,9 @@ def autoencoder_stage(rc: RunConfig, cube: HsiCube, truth: GroundTruth, out: Pat
         match = match_endmembers(em_ae, truth.endmembers)
         ae_stack, em_ae = apply_match(match, ae_stack, em_ae)
         save_autoencoder(ae_model, out / "checkpoint_ae.aew")
-        with open(out / "ae_loss.csv", "w", encoding="utf-8") as f:
-            f.write("epoch,loss\n")
-            for i, v in enumerate(ae_history):
-                f.write(f"{i},{v!r}\n")
+        write_table(out / "ae_loss.csv", ["epoch", "loss"],
+                    np.arange(len(ae_history))[:, None],
+                    np.reshape(ae_history, (-1, 1)), fmt="%r")
         write_endmember_csv(em_ae, out / "ae_endmembers.csv")
         write_abundance_csv(ae_stack, out / "ae_abundances.csv")
         note(f"[autoencoder] {ae_cfg.epochs} epochs in {time.perf_counter() - t:.1f}s, "
@@ -385,10 +414,9 @@ def gcn_stage(rc: RunConfig, cube: HsiCube, truth: GroundTruth, ae_stack: np.nda
         gcn_stack = gcn_mod.forward(model, features, gcn_cfg.paper_literal_asc)
         gcn_stack = gcn_stack.reshape(cube.height, cube.width, -1)
         gcn_mod.save_gcn(model, out / "checkpoint_gcn.aew")
-        with open(out / "gcn_loss.csv", "w", encoding="utf-8") as f:
-            f.write("epoch,train_bce,val_bce\n")
-            for e, tr, va in gcn_history:
-                f.write(f"{e},{tr!r},{va!r}\n")
+        history = np.reshape(gcn_history, (-1, 3))
+        write_table(out / "gcn_loss.csv", ["epoch", "train_bce", "val_bce"],
+                    history[:, :1], history[:, 1:], fmt="%r")
         write_labels_csv(label_idx, cube.width, out / "labels.csv")
         write_abundance_csv(gcn_stack, out / "gcn_abundances.csv")
         note(f"[gcn] {features.shape[1]}-d node features, {gcn_cfg.epochs} epochs "

@@ -149,3 +149,14 @@ def permutation_fisher_yates(rng, n: int) -> np.ndarray:
         j = rng.integers(i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     return idx
+
+
+def pixel_csv_text_per_value(stack: np.ndarray, names: list[str]) -> str:
+    """A row,col,... CSV built one value at a time with format(v, '.9g')."""
+    h, w, _ = stack.shape
+    lines = ["row,col," + ",".join(names) + "\n"]
+    for r in range(h):
+        for c in range(w):
+            lines.append(f"{r},{c}," + ",".join(format(float(v), ".9g") for v in stack[r, c])
+                         + "\n")
+    return "".join(lines)

@@ -10,8 +10,8 @@ from aegem.autoencoder import AutoencoderConfig
 from aegem.cli import main
 from aegem.gcn import GcnConfig
 from aegem.hsi import SceneSpec, read_abundance_csv, read_endmember_csv
-from aegem.pipeline import (RunConfig, parse_config, run_pipeline, score_artifacts,
-                            write_config)
+from aegem.pipeline import (RunConfig, parse_config, read_labels_csv, run_pipeline,
+                            score_artifacts, write_config)
 
 
 def tiny_run_config(out_dir, seed=0) -> RunConfig:
@@ -117,6 +117,73 @@ def test_config_with_an_encoder_wider_than_the_patch_fails(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 1
     assert "radius 5 exceeds the patch half-width 4" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_config_with_an_unknown_key_names_it(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    write_config(tiny_run_config(tmp_path / "o"), cfg)
+    cfg.write_text(cfg.read_text().replace("epochs = 6", "epoch = 7"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "[autoencoder] epoch is not a known key" in err and str(cfg) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_with_an_unknown_section_names_it(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    write_config(tiny_run_config(tmp_path / "o"), cfg)
+    text = cfg.read_text()
+    cfg.write_text(text + "\n[gnc]\nhidden = 16\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown section [gnc]" in err and str(cfg) in err
+    cfg.write_text("[DEFAULT]\nseed = 3\n" + text)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
+
+def test_config_with_the_dropped_folds_key_is_rejected(tmp_path):
+    cfg = tmp_path / "c.ini"
+    write_config(tiny_run_config(tmp_path / "o"), cfg)
+    cfg.write_text(cfg.read_text().replace("[gcn]\n", "[gcn]\nfolds = 5\n"))
+    with pytest.raises(ValueError, match=r"\[gcn\] folds is not a known key"):
+        parse_config(cfg)
+
+
+def _file_input_config(tmp_path, truth_endmembers, truth_abundances):
+    """A run config on the synth output in tmp_path/s, with the given truth files."""
+    assert main(["synth", "--h", "6", "--w", "5", "--l", "6", "--p", "2",
+                 "--seed", "3", "--out", str(tmp_path / "s")]) == 0
+    rc = replace(tiny_run_config(tmp_path / "o"), scene=None,
+                 input_path=str(tmp_path / "s" / "cube.hsb"),
+                 truth_endmembers=str(truth_endmembers),
+                 truth_abundances=str(truth_abundances))
+    cfg = tmp_path / "c.ini"
+    write_config(rc, cfg)
+    return cfg
+
+
+def test_truth_pixel_without_abundance_fails_in_the_load_stage(tmp_path, capsys):
+    bad = tmp_path / "ab.csv"
+    cfg = _file_input_config(tmp_path, tmp_path / "s" / "truth_endmembers.csv", bad)
+    lines = (tmp_path / "s" / "truth_abundances.csv").read_text().splitlines(keepends=True)
+    lines[8] = "1,2,0,0\n"
+    bad.write_text("".join(lines))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'load' failed" in err
+    assert f"{bad}: pixel (1, 2) has no positive abundance" in err
+
+
+def test_truth_endmembers_with_too_few_bands_fail_in_the_load_stage(tmp_path, capsys):
+    bad = tmp_path / "em.csv"
+    cfg = _file_input_config(tmp_path, bad, tmp_path / "s" / "truth_abundances.csv")
+    lines = (tmp_path / "s" / "truth_endmembers.csv").read_text().splitlines(keepends=True)
+    bad.write_text("".join(lines[:5]))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'load' failed" in err
+    assert f"{bad}: 4 bands, the cube has 6" in err
 
 
 def test_run_with_abundance_edge_features(tmp_path):
@@ -283,6 +350,19 @@ def test_eval_invariant_to_channel_permutation(completed_run, tmp_path):
                                run_dir / "truth_abundances.csv")
     assert np.allclose(permuted.rmse_final, report.rmse_final, atol=1e-12)
     assert np.allclose(permuted.sad_values, report.sad_values, atol=1e-12)
+
+
+def test_labels_outside_the_image_name_the_line(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("row,col\n0,0\n0,99\n")
+    with pytest.raises(ValueError, match=r"labels\.csv: line 3 has pixel \(0, 99\) "
+                                         r"outside the 4x4 image"):
+        read_labels_csv(path, 4, 4)
+    path.write_text("row,col\n0,0\n3,-1\n4,0\n")
+    with pytest.raises(ValueError, match=r"line 3 has pixel \(3, -1\)"):
+        read_labels_csv(path, 4, 4)
+    path.write_text("row,col\n3,1\n0,2\n")
+    assert read_labels_csv(path, 4, 4).tolist() == [13, 2]
 
 
 def test_eval_dimension_mismatch(tmp_path):

@@ -6,11 +6,12 @@ import pytest
 
 from aegem.hsi import (BadMagicError, DimensionError, GroundTruth, HsbFormatError,
                        HsiCube, SceneSpec, TruncatedPayloadError, load_cube,
-                       normalize, read_abundance_csv, read_endmember_csv,
+                       normalize, read_abundance_csv, read_endmember_csv, read_table,
                        save_abundance_maps, save_cube, save_cube_csv,
                        synthesize_scene, write_abundance_csv, write_endmember_csv,
-                       MIN_ENDMEMBER_SEPARATION)
+                       write_table, MIN_ENDMEMBER_SEPARATION)
 from aegem.metrics import sad
+from oracles import pixel_csv_text_per_value
 
 
 def small_cube(seed=0, shape=(2, 2, 3)):
@@ -36,6 +37,17 @@ def test_ground_truth_constraints():
         GroundTruth(np.ones((4, 2)), ab - 0.6)
     with pytest.raises(ValueError, match="sum-to-one"):
         GroundTruth(np.ones((4, 2)), ab * 1.1)
+
+
+def test_ground_truth_rejects_non_finite_values():
+    ab = np.full((2, 2, 2), 0.5)
+    ab[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        GroundTruth(np.ones((4, 2)), ab)
+    em = np.ones((4, 2))
+    em[2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        GroundTruth(em, np.full((2, 2, 2), 0.5))
 
 
 def test_scene_spec_validation():
@@ -309,6 +321,59 @@ def test_pixel_csv_short_line_names_the_line(tmp_path, write):
                 lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0] + "\n"] + lines[6:])
     with pytest.raises(ValueError, match=r"s\.csv: line 6 has 3 fields, expected 4"):
         read()
+
+
+@PIXEL_CSVS
+def test_pixel_csv_cut_inside_the_last_number_names_the_line(tmp_path, write):
+    # the last line loses its newline and the end of its last value
+    read = write(tmp_path / "c.csv")
+    (tmp_path / "c.csv").write_text((tmp_path / "c.csv").read_text()[:-3])
+    with pytest.raises(ValueError, match=r"c\.csv: line 13 does not end in a newline"):
+        read()
+
+
+@PIXEL_CSVS
+def test_pixel_csv_unparsable_value_names_the_line(tmp_path, write):
+    read = write(tmp_path / "u.csv")
+    _edit_lines(tmp_path / "u.csv",
+                lambda lines: lines[:7] + [lines[7].replace(",", ",x", 1)] + lines[8:])
+    with pytest.raises(ValueError, match=r"u\.csv: line 8 does not parse"):
+        read()
+
+
+def test_table_roundtrip_keeps_keys_values_and_names(tmp_path):
+    keys = np.array([[0, 7], [-3, 2**40]])
+    values = np.array([[0.1, -2.5e-300], [np.pi, 1e20]])
+    write_table(tmp_path / "t.csv", ["i", "j", "x", "y"], keys, values)
+    assert (tmp_path / "t.csv").read_text().splitlines()[1] == "0,7,0.1,-2.5e-300"
+    k, v, names = read_table(tmp_path / "t.csv", ["i", "j"])
+    assert names == ["x", "y"] and k.dtype == np.int64
+    assert np.array_equal(k, keys)
+    assert np.array_equal(v, [[0.1, -2.5e-300], [float("%.9g" % np.pi), 1e20]])
+
+
+def test_abundance_csv_matches_the_per_value_format(tmp_path):
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((5, 7, 3)) * 10.0 ** rng.integers(-300, 300, (5, 7, 3))
+    stack[0, 0] = [0.0, -0.0, 1.0]
+    stack[1, 1] = [np.finfo(float).max, np.finfo(float).tiny, 5e-324]
+    write_abundance_csv(stack, tmp_path / "a.csv", ["x", "y", "z"])
+    assert (tmp_path / "a.csv").read_text() == pixel_csv_text_per_value(stack, ["x", "y", "z"])
+
+
+def test_endmember_csv_band_gap_names_the_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("band,em0,em1\n0,0.1,0.2\n5,0.3,0.4\n")
+    with pytest.raises(ValueError, match=r"m\.csv: line 3 has band 5, expected 1"):
+        read_endmember_csv(path)
+
+
+def test_endmember_csv_short_line_names_the_line(tmp_path):
+    path = tmp_path / "m.csv"
+    write_endmember_csv(np.full((4, 2), 0.5), path)
+    _edit_lines(path, lambda lines: lines[:3] + ["2,0.5\n"] + lines[4:])
+    with pytest.raises(ValueError, match=r"m\.csv: line 4 has 2 fields, expected 3"):
+        read_endmember_csv(path)
 
 
 def test_endmember_csv_roundtrip(tmp_path):
