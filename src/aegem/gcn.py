@@ -6,6 +6,15 @@ operator D^{-1/2} (A + I) D^{-1/2} drives both layers.  Training is
 semi-supervised: binary cross-entropy against reference abundances on a
 labeled pixel subset, with the sigmoid head renormalized to sum-to-one
 for production output.
+
+The logits are z = A relu(A X W1) W2 for the fixed operator A and node
+features X.  Training computes only the rows the loss reads: the
+labeled rows of z need the hidden rows of the labeled pixels' one-hop
+neighbours (their receptive field N1), and those need only the same rows
+of A X, which is fixed and computed once (as in SGC, Wu et al. 2019).
+The second product is taken as A (H W2), P wide instead of hidden wide.
+This is the same function of the weights as the full-graph forward, so
+only floating-point summation order differs.
 """
 from __future__ import annotations
 
@@ -76,9 +85,26 @@ class GcnModel:
         return [self.w1, self.w2]
 
     def logits(self, features) -> ad.Tensor:
-        y = ad.as_tensor(features)
-        h = ad.relu(ad.sparse_matmul(self.operator, y, self.operator) @ self.w1)
-        return ad.sparse_matmul(self.operator, h, self.operator) @ self.w2
+        ax = ad.sparse_matmul(self.operator, ad.as_tensor(features), self.operator)
+        return _logits(self.operator, self.operator, ax, self.w1, self.w2)
+
+
+def _logits(rows_op, rows_op_t, ax, w1: ad.Tensor, w2: ad.Tensor) -> ad.Tensor:
+    """rows_op relu(ax W1) W2: the logits of the rows rows_op selects.
+
+    ax holds the rows of A X that rows_op's columns index, and rows_op_t
+    is rows_op's transpose.
+    """
+    return ad.sparse_matmul(rows_op, ad.relu(ax @ w1) @ w2, rows_op_t)
+
+
+def receptive_field(operator: sp.csr_matrix, label_idx: np.ndarray) -> np.ndarray:
+    """Sorted nodes whose hidden rows the labeled logits read (N1).
+
+    These are the columns holding a nonzero in the labeled rows of the
+    operator; self-loops put every labeled node among them.
+    """
+    return np.unique(operator[label_idx].indices)
 
 
 def forward(model: GcnModel, features: np.ndarray,
@@ -122,6 +148,13 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
     One tenth of the labeled set (at least one node when possible) is
     held out from the gradient for validation logging; history rows are
     (epoch, train_bce, val_bce).
+
+    Each epoch computes only the labeled rows of the logits, from the
+    rows of A X in the labels' receptive field (see the module
+    docstring).  Nothing outside those rows enters the loss or its
+    gradient, so the training is that of the full-graph forward.  A X is
+    still computed for every node first, so a non-finite feature
+    anywhere raises DivergenceError(0) as the full-graph forward would.
     """
     if label_idx.size == 0:
         raise ValueError("labeled pixel set is empty")
@@ -133,12 +166,19 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
     n_val = n_lab // 10 if n_lab >= 2 else 0
     order = root.split(1).permutation(n_lab)
     val_rows, train_rows = order[:n_val], order[n_val:]
+    try:
+        ax = ad.sparse_matmul(operator, ad.as_tensor(features), operator)
+    except ad.NonFiniteError as exc:
+        raise DivergenceError(0) from exc
+    field = receptive_field(operator, label_idx)
+    rows_op = operator[label_idx][:, field]
+    rows_op_t = rows_op.transpose().tocsr()
+    ax_field = ax[field]
     optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
     history: list[tuple[int, float, float]] = []
     for epoch in range(config.epochs):
         try:
-            z = model.logits(features)
-            z_lab = z[label_idx]
+            z_lab = _logits(rows_op, rows_op_t, ax_field, model.w1, model.w2)
             loss = bce_with_logits(z_lab[train_rows], label_targets[train_rows])
         except ad.NonFiniteError as exc:
             raise DivergenceError(epoch) from exc

@@ -81,25 +81,28 @@ def build_star_edges(height: int, width: int, kernel: EllipseKernel,
     pixel left uncovered is attached to its nearest centroid under the
     elliptical norm (ties broken by centroid order).
     """
+    offsets = np.array([o for o in kernel.offsets if o != (0, 0)],
+                       dtype=np.int64).reshape(-1, 2)
+    recv = centroids[:, None, :] + offsets[None, :, :]
+    inside = ((recv >= 0) & (recv < (height, width))).all(axis=2)
+    send_flat = centroids[:, 0] * width + centroids[:, 1]
+    senders = np.broadcast_to(send_flat[:, None], inside.shape)[inside]
+    receivers = recv[inside, 0] * width + recv[inside, 1]
     covered = np.zeros(height * width, dtype=bool)
-    edges = []
-    for r0, c0 in centroids:
-        covered[r0 * width + c0] = True
-        for dr, dc in kernel.offsets:
-            r, c = r0 + dr, c0 + dc
-            if (dr or dc) and 0 <= r < height and 0 <= c < width:
-                edges.append((r0 * width + c0, r * width + c))
-                covered[r * width + c] = True
+    covered[send_flat] = True
+    covered[receivers] = True
     leftovers = np.nonzero(~covered)[0]
-    if leftovers.size:
-        a2, b2 = float(kernel.a**2), float(kernel.b**2)
-        for flat in leftovers:
-            r, c = divmod(int(flat), width)
-            d = (centroids[:, 0] - r) ** 2 / a2 + (centroids[:, 1] - c) ** 2 / b2
-            k = int(np.argmin(d))
-            edges.append((centroids[k, 0] * width + centroids[k, 1], int(flat)))
-    out = np.array(sorted(edges), dtype=np.int64)
-    return out
+    nearest = np.empty(leftovers.size, dtype=np.int64)
+    a2, b2 = float(kernel.a**2), float(kernel.b**2)
+    step = max(1, (1 << 16) // len(centroids))  # a distance block of 512 KiB
+    for start in range(0, leftovers.size, step):
+        r, c = np.divmod(leftovers[start:start + step, None], width)
+        d = (centroids[:, 0] - r) ** 2 / a2 + (centroids[:, 1] - c) ** 2 / b2
+        nearest[start:start + step] = np.argmin(d, axis=1)  # first minimum wins ties
+    senders = np.concatenate([senders, send_flat[nearest]])
+    receivers = np.concatenate([receivers, leftovers])
+    order = np.lexsort((receivers, senders))
+    return np.column_stack([senders[order], receivers[order]])
 
 
 def sad_adjacency(cube: HsiCube, graph: EllipticalGraph,

@@ -116,7 +116,7 @@ _KNOWN_KEYS = {
 
 
 def write_config(rc: RunConfig, path) -> None:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["run"] = {"seed": _fmt(rc.seed), "repeat": _fmt(rc.repeat), "out": rc.out_dir}
     if rc.scene is not None:
         cp["input"] = {
@@ -160,8 +160,11 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
-    cp.read(path)
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if cp.defaults():  # configparser would copy these keys into every section
         raise ValueError(f"{path}: unknown section [{cp.default_section}]")
     for section in cp.sections():
@@ -194,21 +197,17 @@ def parse_config(path) -> RunConfig:
 
     scene = None
     if "path" not in cp["input"]:
-        scene = SceneSpec(
-            **{k: get("input", k, _REQUIRED, int)
-               for k in ("height", "width", "bands", "endmembers")},
-            smoothness=get("input", "smoothness", SceneSpec.smoothness),
-            snr_db=get("input", "snr_db", SceneSpec.snr_db),
-        )
-    return RunConfig(
-        scene=scene,
+        scene = {k: get("input", k, _REQUIRED, int)
+                 for k in ("height", "width", "bands", "endmembers")}
+        scene["smoothness"] = get("input", "smoothness", SceneSpec.smoothness)
+        scene["snr_db"] = get("input", "snr_db", SceneSpec.snr_db)
+    ae = {k: get("autoencoder", k, getattr(AutoencoderConfig, k)) for k in _AE_KEYS}
+    gcn = {k: get("gcn", k, getattr(GcnConfig, k)) for k in _GCN_KEYS}
+    fields = dict(
         input_path=get("input", "path", None, str),
         input_format=get("input", "format", RunConfig.input_format),
         truth_endmembers=get("input", "truth_endmembers", None, str),
         truth_abundances=get("input", "truth_abundances", None, str),
-        ae=AutoencoderConfig(**{k: get("autoencoder", k, getattr(AutoencoderConfig, k))
-                                for k in _AE_KEYS}),
-        gcn=GcnConfig(**{k: get("gcn", k, getattr(GcnConfig, k)) for k in _GCN_KEYS}),
         kernel_a=get("kernel", "a", RunConfig.kernel_a),
         kernel_b=get("kernel", "b", RunConfig.kernel_b),
         stride_r=get("kernel", "stride_r", None, int),
@@ -220,6 +219,12 @@ def parse_config(path) -> RunConfig:
         seed=get("run", "seed", RunConfig.seed),
         repeat=get("run", "repeat", RunConfig.repeat),
     )
+    try:  # the dataclasses' own checks, such as a patch too small for the encoder
+        return RunConfig(scene=SceneSpec(**scene) if scene else None,
+                         ae=AutoencoderConfig(**ae),
+                         gcn=GcnConfig(**gcn), **fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- scoring from artifacts -------------------------------------------------------
@@ -318,18 +323,30 @@ def _load_truth_files(rc: RunConfig, cube: HsiCube) -> GroundTruth:
     if em.shape[0] != cube.bands:
         raise ValueError(f"{rc.truth_endmembers}: {em.shape[0]} bands, "
                          f"the cube has {cube.bands}")
-    ab, _ = read_abundance_csv(rc.truth_abundances)
+    path = rc.truth_abundances
+    ab, names = read_abundance_csv(path)
     if ab.shape[:2] != (cube.height, cube.width):
-        raise ValueError(f"{rc.truth_abundances}: {ab.shape[0]}x{ab.shape[1]} maps, "
+        raise ValueError(f"{path}: {ab.shape[0]}x{ab.shape[1]} maps, "
                          f"the cube is {cube.height}x{cube.width}")
+    # repair only what 9-digit CSV rounding explains (at most 5e-10 per
+    # value); anything else fails naming the pixel
+    negative = np.argwhere(ab < -1e-9)
+    if negative.size:
+        r, c, j = negative[0]
+        raise ValueError(f"{path}: pixel ({r}, {c}) has {names[j]} = "
+                         f"{float(ab[r, c, j])!r} < 0")
     ab = np.clip(ab, 0.0, None)
     sums = ab.sum(axis=2, keepdims=True)
     empty = np.argwhere(sums[:, :, 0] == 0)
     if empty.size:
         r, c = empty[0]
-        raise ValueError(f"{rc.truth_abundances}: pixel ({r}, {c}) has no positive "
-                         f"abundance")
-    ab /= sums  # repair CSV rounding before validation
+        raise ValueError(f"{path}: pixel ({r}, {c}) has no positive abundance")
+    off = np.argwhere(np.abs(sums[:, :, 0] - 1.0) > 1e-8)
+    if off.size:
+        r, c = off[0]
+        raise ValueError(f"{path}: pixel ({r}, {c}) abundances sum to "
+                         f"{float(sums[r, c, 0])!r}, not 1")
+    ab /= sums
     return GroundTruth(em, ab)
 
 
@@ -419,8 +436,10 @@ def gcn_stage(rc: RunConfig, cube: HsiCube, truth: GroundTruth, ae_stack: np.nda
                     history[:, :1], history[:, 1:], fmt="%r")
         write_labels_csv(label_idx, cube.width, out / "labels.csv")
         write_abundance_csv(gcn_stack, out / "gcn_abundances.csv")
+        field = gcn_mod.receptive_field(model.operator, label_idx)
         note(f"[gcn] {features.shape[1]}-d node features, {gcn_cfg.epochs} epochs "
-             f"on {label_idx.size} labeled pixels in {time.perf_counter() - t:.1f}s")
+             f"on {label_idx.size} labeled pixels (receptive field {field.size} of "
+             f"{graph.n_pixels} nodes) in {time.perf_counter() - t:.1f}s")
     return gcn_stack, label_idx
 
 

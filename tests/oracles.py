@@ -10,6 +10,9 @@ import numpy as np
 from scipy.optimize import nnls
 
 from aegem import autodiff as ad
+from aegem.autoencoder import DivergenceError
+from aegem.gcn import GcnModel, bce_with_logits, normalized_operator
+from aegem.rng import SplitMix64
 
 
 def conv2d_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
@@ -160,3 +163,56 @@ def pixel_csv_text_per_value(stack: np.ndarray, names: list[str]) -> str:
             lines.append(f"{r},{c}," + ",".join(format(float(v), ".9g") for v in stack[r, c])
                          + "\n")
     return "".join(lines)
+
+
+def train_gcn_full_graph(graph, features, label_idx, label_targets, config):
+    """GCN training that computes every node's logits in every epoch.
+
+    The same seeds, split, loss and optimizer as `gcn.train_gcn`, with
+    the logits written as (A relu(A X W1)) W2 over the whole graph.
+    """
+    root = SplitMix64(config.seed)
+    op = normalized_operator(graph)
+    model = GcnModel(op, features.shape[1], config.hidden, label_targets.shape[1],
+                     root.split(0))
+    n_lab = label_idx.size
+    n_val = n_lab // 10 if n_lab >= 2 else 0
+    order = root.split(1).permutation(n_lab)
+    val_rows, train_rows = order[:n_val], order[n_val:]
+    optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
+    history = []
+    for epoch in range(config.epochs):
+        try:
+            h = ad.relu(ad.sparse_matmul(op, ad.Tensor(features), op) @ model.w1)
+            z_lab = (ad.sparse_matmul(op, h, op) @ model.w2)[label_idx]
+            loss = bce_with_logits(z_lab[train_rows], label_targets[train_rows])
+        except ad.NonFiniteError as exc:
+            raise DivergenceError(epoch) from exc
+        train_bce = loss.item()
+        val_bce = train_bce
+        if n_val:
+            z, t = z_lab.data[val_rows], label_targets[val_rows]
+            val_bce = float(np.mean(np.logaddexp(0.0, z) - t * z))
+        optimizer.step(ad.backward(loss))
+        history.append((epoch, train_bce, val_bce))
+    return model, history
+
+
+def star_edges_loops(height: int, width: int, kernel, centroids: np.ndarray) -> np.ndarray:
+    """Star edges built one centroid, offset and leftover pixel at a time."""
+    covered = np.zeros(height * width, dtype=bool)
+    edges = []
+    for r0, c0 in centroids:
+        covered[r0 * width + c0] = True
+        for dr, dc in kernel.offsets:
+            r, c = r0 + dr, c0 + dc
+            if (dr or dc) and 0 <= r < height and 0 <= c < width:
+                edges.append((r0 * width + c0, r * width + c))
+                covered[r * width + c] = True
+    a2, b2 = float(kernel.a**2), float(kernel.b**2)
+    for flat in np.nonzero(~covered)[0]:
+        r, c = divmod(int(flat), width)
+        d = (centroids[:, 0] - r) ** 2 / a2 + (centroids[:, 1] - c) ** 2 / b2
+        k = int(np.argmin(d))
+        edges.append((centroids[k, 0] * width + centroids[k, 1], int(flat)))
+    return np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)

@@ -1,17 +1,20 @@
 """Command-line workflows: synth/run/eval/graph/ae, determinism, exit codes."""
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aegem.autoencoder import AutoencoderConfig
 from aegem.cli import main
 from aegem.gcn import GcnConfig
-from aegem.hsi import SceneSpec, read_abundance_csv, read_endmember_csv
-from aegem.pipeline import (RunConfig, parse_config, read_labels_csv, run_pipeline,
-                            score_artifacts, write_config)
+from aegem.hsi import SceneSpec, load_cube, read_abundance_csv, read_endmember_csv
+from aegem.pipeline import (_KNOWN_KEYS, RunConfig, _load_truth_files, parse_config,
+                            read_labels_csv, run_pipeline, score_artifacts, write_config)
 
 
 def tiny_run_config(out_dir, seed=0) -> RunConfig:
@@ -150,6 +153,75 @@ def test_config_with_the_dropped_folds_key_is_rejected(tmp_path):
         parse_config(cfg)
 
 
+def test_config_with_percent_signs_round_trips(tmp_path):
+    rc = replace(tiny_run_config(tmp_path / "o%1"), scene=None, input_path="cube%1.hsb",
+                 truth_endmembers="em%%.csv", truth_abundances="%(ab)s.csv")
+    write_config(rc, tmp_path / "c.ini")
+    back = parse_config(tmp_path / "c.ini")
+    assert (back.out_dir, back.input_path) == (rc.out_dir, "cube%1.hsb")
+    assert (back.truth_endmembers, back.truth_abundances) == ("em%%.csv", "%(ab)s.csv")
+
+
+@pytest.mark.parametrize("text", ["seed = 3\n[input]\nheight = 4\n",
+                                  "[run]\nseed = 1\n[run]\nseed = 2\n",
+                                  "[run]\nseed = 1\nseed = 2\n"])
+def test_config_that_configparser_rejects_fails_naming_the_file(tmp_path, capsys, text):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ")
+    assert "Traceback" not in err
+
+
+# a valid config the fuzz mutates, so that most drawn files reach the value checks
+_BASE_CONFIG = {
+    "run": {"seed": "0", "repeat": "1", "out": "o"},
+    "input": {"height": "6", "width": "5", "bands": "6", "endmembers": "2",
+              "smoothness": "1.2", "snr_db": "inf"},
+    "autoencoder": {"encoder_filters": "8,4,4,2", "encoder_kernels": "5,3,3,1",
+                    "patch_size": "9", "epochs": "6", "loss": "sad_plus_mse"},
+    "kernel": {"a": "2", "b": "2", "sad_on": "spectra"},
+    "gcn": {"hidden": "32", "label_fraction": "0.15", "features": "abundance"},
+}
+_NAME = st.text(st.characters(codec="utf-8", exclude_characters="\r"), max_size=8)
+_VALUE = st.sampled_from(["0", "1", "-2", "3", "8", "0.5", "1e-3", "nan", "inf", "true",
+                          "no", "5,3,3,1", "8,3", "%1", "%(seed)s", "spectra", "abundance",
+                          "hsb", "x.csv", ""]) | _NAME
+
+
+@st.composite
+def _config_text(draw):
+    """A config file text: mostly _BASE_CONFIG with a few keys changed, or any text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=60))
+    sections = {name: dict(keys) for name, keys in _BASE_CONFIG.items()}
+    known = [(name, key) for name, keys in _KNOWN_KEYS.items() for key in keys]
+    for name, key in draw(st.lists(st.sampled_from(known), max_size=3, unique=True)):
+        sections[name][key] = draw(st.none() | _VALUE)  # None leaves the key out
+    if draw(st.integers(0, 4)) == 0:
+        name = draw(st.sampled_from(["DEFAULT", "gnc", *_KNOWN_KEYS]) | _NAME)
+        sections.setdefault(name, {})[draw(_NAME)] = draw(_VALUE)
+    lines = []
+    for name, keys in sections.items():
+        if draw(st.integers(0, 9)):  # a section may be left out
+            lines.append(f"[{name}]")
+            lines += [f"{k} = {v}" for k, v in keys.items() if v is not None]
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_config_text())
+def test_fuzzed_config_parses_or_fails_naming_the_file(tmp_path, text):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text, encoding="utf-8")
+    try:
+        parse_config(cfg)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{cfg}: "), str(exc)
+
+
 def _file_input_config(tmp_path, truth_endmembers, truth_abundances):
     """A run config on the synth output in tmp_path/s, with the given truth files."""
     assert main(["synth", "--h", "6", "--w", "5", "--l", "6", "--p", "2",
@@ -173,6 +245,36 @@ def test_truth_pixel_without_abundance_fails_in_the_load_stage(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "stage 'load' failed" in err
     assert f"{bad}: pixel (1, 2) has no positive abundance" in err
+
+
+@pytest.mark.parametrize("values, message", [
+    ("1.5,-0.5", "pixel (1, 2) has em1 = -0.5 < 0"),
+    ("0.6,0.6", "pixel (1, 2) abundances sum to 1.2, not 1"),
+])
+def test_truth_pixel_rounding_cannot_explain_fails_in_the_load_stage(
+        tmp_path, capsys, values, message):
+    bad = tmp_path / "ab.csv"
+    cfg = _file_input_config(tmp_path, tmp_path / "s" / "truth_endmembers.csv", bad)
+    lines = (tmp_path / "s" / "truth_abundances.csv").read_text().splitlines(keepends=True)
+    lines[8] = f"1,2,{values}\n"
+    bad.write_text("".join(lines))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'load' failed" in err
+    assert f"{bad}: {message}" in err
+    assert not (tmp_path / "o" / "truth_abundances.csv").exists()
+
+
+def test_truth_pixel_rounding_residue_is_renormalized(tmp_path):
+    ab_csv = tmp_path / "ab.csv"
+    cfg = _file_input_config(tmp_path, tmp_path / "s" / "truth_endmembers.csv", ab_csv)
+    lines = (tmp_path / "s" / "truth_abundances.csv").read_text().splitlines(keepends=True)
+    lines[8] = "1,2,-8e-10,1.000000004\n"
+    ab_csv.write_text("".join(lines))
+    rc = parse_config(cfg)
+    truth = _load_truth_files(rc, load_cube(rc.input_path, rc.input_format))
+    assert truth.abundances[1, 2, 0] == 0.0
+    assert truth.abundances[1, 2, 1] == 1.0
 
 
 def test_truth_endmembers_with_too_few_bands_fail_in_the_load_stage(tmp_path, capsys):
@@ -232,6 +334,16 @@ def test_run_gcn_log_layout(completed_run):
     _, _, run_dir = completed_run
     header = (run_dir / "gcn_loss.csv").read_text().splitlines()[0]
     assert header == "epoch,train_bce,val_bce"
+
+
+def test_run_log_reports_the_gcn_receptive_field(completed_run):
+    _, _, run_dir = completed_run
+    log = (run_dir / "run.log").read_text()
+    found = re.search(r"on (\d+) labeled pixels \(receptive field (\d+) of 256 nodes\)", log)
+    assert found, log
+    labeled, field = map(int, found.groups())
+    assert labeled == len(read_labels_csv(run_dir / "labels.csv", 16, 16))
+    assert labeled < field < 256
 
 
 def test_run_final_stack_satisfies_asc(completed_run):

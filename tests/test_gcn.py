@@ -6,12 +6,12 @@ from aegem import autodiff as ad
 from aegem.autoencoder import DivergenceError
 from aegem.gcn import (GcnConfig, GcnModel, bce_with_logits, build_node_features,
                        forward, load_gcn, normalized_operator, pca_features,
-                       sample_labels, save_gcn, train_gcn)
+                       receptive_field, sample_labels, save_gcn, train_gcn)
 from aegem.graph import EllipticalGraph, build_graph, build_kernel
 from aegem.hsi import HsiCube, SceneSpec, synthesize_scene, normalize
 from aegem.rng import SplitMix64
 
-from oracles import gradcheck
+from oracles import gradcheck, train_gcn_full_graph
 
 
 def small_graph(h=6, w=6, l=5, seed=0, a=1, b=1):
@@ -199,6 +199,38 @@ def test_train_gcn_divergence_reported():
     config = GcnConfig(hidden=8, epochs=100, seed=11)
     with pytest.raises(DivergenceError) as err:
         train_gcn(graph, corrupted, idx, targets, config)
+    assert err.value.epoch == 0
+
+
+@pytest.mark.parametrize("scene_seed, fraction", [(40, 0.1), (41, 0.3), (42, 1.0), (43, None)])
+def test_train_gcn_matches_full_graph_training(scene_seed, fraction):
+    cube, gt, graph, features = _scene_setup(seed=scene_seed)
+    if fraction is None:  # a single label, so no node is held out
+        idx = np.array([77])
+        targets = gt.abundances.reshape(-1, 3)[idx]
+    else:
+        idx, targets = sample_labels(gt.abundances, fraction, SplitMix64(scene_seed + 1))
+    field = receptive_field(normalized_operator(graph), idx)
+    assert np.isin(idx, field).all()
+    assert (field.size == 144) == (fraction == 1.0)
+    config = GcnConfig(hidden=16, epochs=40, learning_rate=0.01, seed=scene_seed + 2)
+    model, history = train_gcn(graph, features, idx, targets, config)
+    ref, ref_history = train_gcn_full_graph(graph, features, idx, targets, config)
+    assert np.max(np.abs(model.w1.data - ref.w1.data)) <= 1e-12
+    assert np.max(np.abs(model.w2.data - ref.w2.data)) <= 1e-12
+    assert np.max(np.abs(np.subtract(history, ref_history))) <= 1e-12
+
+
+def test_train_gcn_divergence_reported_outside_receptive_field():
+    # a feature row no labeled logit reads still fails, as the full-graph forward does
+    cube, gt, graph, features = _scene_setup(seed=45)
+    idx, targets = sample_labels(gt.abundances, 0.05, SplitMix64(46))
+    outside = np.setdiff1d(np.arange(144), receptive_field(normalized_operator(graph), idx))
+    assert outside.size
+    corrupted = features.copy()
+    corrupted[outside[0], 0] = np.nan
+    with pytest.raises(DivergenceError) as err:
+        train_gcn(graph, corrupted, idx, targets, GcnConfig(hidden=8, epochs=5, seed=47))
     assert err.value.epoch == 0
 
 

@@ -1,6 +1,8 @@
 """Ellipse kernels, centroid tiling, star edges, SAD weights, Laplacians."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aegem.graph import (EllipticalGraph, build_graph, build_kernel,
                          build_star_edges, laplacian, normalized_laplacian,
@@ -9,7 +11,7 @@ from aegem.graph import (EllipticalGraph, build_graph, build_kernel,
 from aegem.hsi import HsiCube
 from aegem.metrics import sad
 
-from oracles import ellipse_offsets_bruteforce
+from oracles import ellipse_offsets_bruteforce, star_edges_loops
 
 
 def random_cube(h, w, l, seed=0):
@@ -122,6 +124,17 @@ def test_star_edges_receivers_inside_ellipse_interior():
         if a <= rr < 20 - a and b <= rc < 20 - b:
             dr, dc = rr - sr, rc - sc
             assert dr * dr / a**2 + dc * dc / b**2 <= 1.0 + 1e-12
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(h=st.integers(1, 24), w=st.integers(1, 24), a=st.integers(1, 5), b=st.integers(1, 5),
+       stride_r=st.none() | st.integers(1, 12), stride_c=st.none() | st.integers(1, 12))
+def test_star_edges_match_the_loop_oracle(h, w, a, b, stride_r, stride_c):
+    k = build_kernel(a, b)
+    cents = tile_centroids(h, w, k, stride_r, stride_c)
+    edges = build_star_edges(h, w, k, cents)
+    assert edges.dtype == np.int64
+    assert np.array_equal(edges, star_edges_loops(h, w, k, cents))
 
 
 def test_edges_sorted_and_unique():
