@@ -6,6 +6,24 @@ and the training losses) is built on the :class:`Tensor` type defined
 here.  The recorded operation graph is single-owner and consumed by one
 :func:`backward` call; parameters are plain leaf tensors updated in place
 by :class:`Adam`.
+
+A 2-D convolution is one layout change plus GEMMs (im2col, Chellapilla
+et al. 2006).  The padded [N,Cin,Hp,Wp] input is copied pixels-last to
+(Cin, Hp, Wp, N), and the column matrix of shape (Cin*kh*kw, Ho*Wo*N)
+is gathered from it: rows in weight order (c, u, v), pixels with the
+batch innermost, so every copied run is Wo*N values long.  The forward
+pass is `W.reshape(Cout, -1) @ cols`, the weights on the left: each
+output value is then summed in the same order however many pixels a
+call holds, which keeps strip inference bit-equal to the per-patch
+encode (`cols.T @ W.T` breaks that by about 5e-15).  The output
+stays pixels-last in memory behind an [N,Cout,Ho,Wo] view, and
+:func:`pad2d` keeps that layout, so the next conv's copy is free.  The
+weight gradient rebuilds the columns from the input rather than holding
+them from the forward pass: they are kh*kw times the input, and a conv
+node keeps only its padded input and its output until `backward`.  The
+input gradient adds one (Cin x Cout) @ g product per tap into the
+shifted window of a pixels-last buffer, never a kh*kw-times-larger
+col2im matrix.
 """
 from __future__ import annotations
 
@@ -282,33 +300,63 @@ def scaled_softmax(x: Tensor, scale: float, axis: int = -1) -> Tensor:
 # -- convolution -------------------------------------------------------------
 
 def pad2d(x: Tensor, ph: int, pw: int) -> Tensor:
-    """Zero-pad the two trailing spatial axes of an [N,C,H,W] tensor."""
+    """Zero-pad the two trailing spatial axes of an [N,C,H,W] tensor.
+
+    The result keeps the input's memory layout, so a conv output stored
+    batch-innermost stays batch-innermost through padding.
+    """
     if ph == 0 and pw == 0:
         return x
-    widths = ((0, 0), (0, 0), (ph, ph), (pw, pw))
+    n, c, h, w = x.shape
+    out = np.zeros_like(x.data, shape=(n, c, h + 2 * ph, w + 2 * pw))
+    out[:, :, ph : ph + h, pw : pw + w] = x.data
 
     def vjp(g):
-        return g[:, :, ph : g.shape[2] - ph, pw : g.shape[3] - pw]
+        return g[:, :, ph : ph + h, pw : pw + w]
 
-    return Tensor._from_op(np.pad(x.data, widths), (x,), (vjp,), "pad2d")
+    return Tensor._from_op(out, (x,), (vjp,), "pad2d")
 
 
-def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    return np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+def _pixels_last(x: np.ndarray) -> np.ndarray:
+    """[N,C,H,W] -> a C-contiguous (C, H, W, N) array (a view if already so)."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+
+
+def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """im2col of an [N,Cin,Hp,Wp] array: (Cin*kh*kw, Ho*Wo*N), C-contiguous.
+
+    Row (c, u, v) holds x[:, c, i+u, j+v] for every output pixel (i, j),
+    batch innermost, so each copied run is Wo*N values long.  A 1x1
+    kernel of a pixels-last input copies nothing.
+    """
+    xt = _pixels_last(x)
+    cin, hp, wp, n = xt.shape
+    ho, wo = hp - kh + 1, wp - kw + 1
+    # (Cin, kh, kw, N, Ho, Wo) view: window (u, v) is the input shifted by (u, v)
+    shifted = np.lib.stride_tricks.sliding_window_view(xt, (ho, wo), axis=(1, 2))
+    cols = np.ascontiguousarray(shifted.transpose(0, 1, 2, 4, 5, 3))
+    return cols.reshape(cin * kh * kw, ho * wo * n)
 
 
 def _conv2d_valid(x: Tensor, w: Tensor) -> Tensor:
-    kh, kw = w.shape[2], w.shape[3]
-    win = _windows(x.data, kh, kw)
-    out = np.einsum("bchwuv,ocuv->bohw", win, w.data, optimize=True)
+    n, cin, hp, wp = x.shape
+    cout, _, kh, kw = w.shape
+    ho, wo = hp - kh + 1, wp - kw + 1
+    out = w.data.reshape(cout, -1) @ _columns(x.data, kh, kw)
+    out = out.reshape(cout, ho, wo, n).transpose(3, 0, 1, 2)
 
     def vjp_x(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        wf = w.data[:, :, ::-1, ::-1]
-        return np.einsum("bohwuv,ocuv->bchw", _windows(gp, kh, kw), wf, optimize=True)
+        g = _pixels_last(g).reshape(cout, -1)
+        taps = w.data.transpose(2, 3, 1, 0).copy()  # (kh, kw, Cin, Cout)
+        gx = np.zeros((cin, hp, wp, n))
+        for u in range(kh):
+            for v in range(kw):
+                gx[:, u : u + ho, v : v + wo] += (taps[u, v] @ g).reshape(cin, ho, wo, n)
+        return gx.transpose(3, 0, 1, 2)
 
     def vjp_w(g):
-        return np.einsum("bchwuv,bohw->ocuv", win, g, optimize=True)
+        g = _pixels_last(g).reshape(cout, -1)
+        return (g @ _columns(x.data, kh, kw).T).reshape(w.shape)
 
     return Tensor._from_op(out, (x, w), (vjp_x, vjp_w), "conv2d")
 
@@ -317,6 +365,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
     """Cross-correlation of [N,Cin,H,W] input with [Cout,Cin,kh,kw] weights.
 
     padding="same" zero-fills (k-1)/2 on each side; kernels must be odd.
+    The result is `W.reshape(Cout, -1) @ cols` for the (Cin*kh*kw, Ho*Wo*N)
+    column matrix of the padded input, batch innermost, returned as an
+    [N,Cout,Ho,Wo] view of pixels-last memory.  With the weights on the
+    left every output sums its taps in one order at any batch or strip
+    size.  The columns are rebuilt for the weight gradient, not held
+    until `backward`, where kh*kw copies of the input would pile up per
+    layer.  The module docstring gives the whole layout.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects 4-D input and weights, got {x.shape} and {w.shape}")
@@ -339,10 +394,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
     return out
 
 
-def sparse_matmul(op, x: Tensor, op_t=None) -> Tensor:
-    """Multiply a fixed scipy sparse matrix with a differentiable dense tensor."""
-    if op_t is None:
-        op_t = op.transpose().tocsr()
+def sparse_matmul(op, x: Tensor, op_t) -> Tensor:
+    """Multiply a fixed scipy sparse matrix with a differentiable dense tensor.
+
+    `op_t` is `op`'s transpose, built once by the caller for the VJP.
+    """
     return Tensor._from_op(op @ x.data, (x,), (lambda g: op_t @ g,), "sparse_matmul")
 
 
@@ -414,7 +470,8 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     result: dict[Tensor, np.ndarray] = {}
-    for node in reversed(topo):
+    while topo:  # popping frees each activation once its VJPs have run
+        node = topo.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue

@@ -115,17 +115,10 @@ def extreme_pixel_indices(spectra: np.ndarray, count: int) -> list[int]:
 
 # -- patch extraction ----------------------------------------------------------
 
-def _tile_axis(extent: int, stride: int) -> np.ndarray:
-    """Centered tiling: every pixel at stride 1, symmetric margins otherwise."""
-    n = -(-extent // stride)
-    offset = (stride - 1 - (n * stride - extent)) // 2
-    return offset + stride * np.arange(n)
-
-
-def patch_centers(height: int, width: int, stride: int = 1) -> np.ndarray:
-    rows = _tile_axis(height, stride)
-    cols = _tile_axis(width, stride)
-    return np.array([(r, c) for r in rows for c in cols], dtype=np.int64)
+def patch_centers(height: int, width: int) -> np.ndarray:
+    """(H*W, 2) row-major coordinates of every pixel: each is a patch center."""
+    rows, cols = np.divmod(np.arange(height * width), width)
+    return np.stack([rows, cols], axis=1)
 
 
 def _padded_windows(cube: HsiCube, patch_size: int) -> np.ndarray:
@@ -135,16 +128,14 @@ def _padded_windows(cube: HsiCube, patch_size: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, (patch_size, patch_size), axis=(0, 1))
 
 
-def extract_patches(cube: HsiCube, patch_size: int = 9,
-                    stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """All patches as (N, L, ps, ps) with their center coordinates.
+def extract_patches(cube: HsiCube, patch_size: int = 9) -> tuple[np.ndarray, np.ndarray]:
+    """Every pixel's patch as (H*W, L, ps, ps), with the centers in row-major order.
 
-    Borders are zero-padded so that at stride 1 every pixel is a patch
-    center; larger strides tile the image with symmetric margins.
+    Borders are zero-padded so that every pixel is a patch center.
     """
     if cube.height < 1 or cube.width < 1:
         raise ValueError("empty cube")
-    centers = patch_centers(cube.height, cube.width, stride)
+    centers = patch_centers(cube.height, cube.width)
     win = _padded_windows(cube, patch_size)
     patches = win[centers[:, 0], centers[:, 1]]  # (N, L, ps, ps)
     return np.ascontiguousarray(patches), centers
@@ -317,7 +308,7 @@ def endmembers_from_decoder(model: ConvAutoencoder) -> np.ndarray:
 
 def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
                       ) -> tuple[np.ndarray, np.ndarray, list[float], ConvAutoencoder]:
-    """Train on all stride-1 patches; returns endmembers, maps, loss history.
+    """Train on every pixel's patch; returns endmembers, maps, loss history.
 
     Deterministic per config.seed.  The abundance stack is assembled from
     final-epoch weights; per-epoch mean losses form the history.
@@ -327,7 +318,7 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
     model.seed_decoder_columns(cube.spectra())
     shuffle_rng = root.split(1)
     ps = config.patch_size
-    centers = patch_centers(cube.height, cube.width, 1)
+    centers = patch_centers(cube.height, cube.width)
     win = _padded_windows(cube, ps)
     masks = patch_validity_masks(cube.height, cube.width, ps)
     n = len(centers)

@@ -41,6 +41,26 @@ def conv2d_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     return out
 
 
+def conv2d_einsum(x: np.ndarray, w: np.ndarray, g: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Valid cross-correlation of an [N,Cin,Hp,Wp] array by einsum over its windows.
+
+    Returns the output and, for an output gradient g, the gradients of x
+    and w: the input gradient correlates the fully padded g with the
+    flipped kernel, the weight gradient contracts g against the windows.
+    """
+    kh, kw = w.shape[2], w.shape[3]
+
+    def windows(a):
+        return np.lib.stride_tricks.sliding_window_view(a, (kh, kw), axis=(2, 3))
+
+    out = np.einsum("bchwuv,ocuv->bohw", windows(x), w, optimize=True)
+    gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    gx = np.einsum("bohwuv,ocuv->bchw", windows(gp), w[:, :, ::-1, ::-1], optimize=True)
+    gw = np.einsum("bchwuv,bohw->ocuv", windows(x), g, optimize=True)
+    return out, gx, gw
+
+
 def finite_diff_grads(f, arrays: list[np.ndarray], h: float = 1e-6) -> list[np.ndarray]:
     """Central-difference gradient of scalar f(*arrays) w.r.t. each array."""
     arrays = [np.array(a, dtype=np.float64) for a in arrays]

@@ -97,14 +97,15 @@ def test_criterion_1_gradient_suite():
         # GCN layers through the sparse operator
         cube = HsiCube(g.uniform(0.05, 1, size=(3, 4, 3)))
         op = normalized_operator(build_graph(cube, 1, 1))
+        op_t = op.T.tocsr()
         y = g.uniform(-1, 1, size=(12, 3))
         t_lab = g.uniform(0.1, 0.9, size=(12, 2))
         w1 = g.uniform(-1, 1, size=(3, 4))
         w2 = g.uniform(-1, 1, size=(4, 2))
 
         def gcn_loss(w1t, w2t):
-            h = ad.relu(ad.sparse_matmul(op, ad.Tensor(y)) @ w1t)
-            return bce_with_logits(ad.sparse_matmul(op, h) @ w2t, t_lab)
+            h = ad.relu(ad.sparse_matmul(op, ad.Tensor(y), op_t) @ w1t)
+            return bce_with_logits(ad.sparse_matmul(op, h, op_t) @ w2t, t_lab)
 
         worst = max(worst, gradcheck(gcn_loss, [w1, w2]))
 
@@ -157,7 +158,7 @@ def test_criterion_2_constraint_suite():
                             epochs=5, batch_size=64, seed=6)
     model = ConvAutoencoder(cfg, 8, SplitMix64(6))
     model.seed_decoder_columns(ncube.spectra())
-    centers = patch_centers(12, 12, 1)
+    centers = patch_centers(12, 12)
     win = _padded_windows(ncube, 9)
     masks = patch_validity_masks(12, 12, 9)
     opt = ad.Adam(model.parameters(), lr=cfg.learning_rate)

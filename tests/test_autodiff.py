@@ -1,13 +1,15 @@
 """Tensor engine tests: forward values against oracles, gradients against
 central finite differences, optimizer behavior, and determinism."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aegem import autodiff as ad
 from aegem.rng import SplitMix64
 
-from oracles import (adam_scalar_reference, conv2d_loops, finite_diff_grads,
-                     gradcheck, max_rel_err)
+from oracles import (adam_scalar_reference, conv2d_einsum, conv2d_loops,
+                     finite_diff_grads, gradcheck, max_rel_err)
 
 
 def rng(seed=0):
@@ -55,6 +57,67 @@ def test_conv_linearity():
     rhs = a * ad.conv2d(ad.Tensor(x), w, None, "same").data \
         + b * ad.conv2d(ad.Tensor(y), w, None, "same").data
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def _conv_and_grads(x, w, padding, gout):
+    xt, wt = ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)
+    out = ad.conv2d(xt, wt, None, padding)
+    ad.backward((out * gout).sum())
+    return out.data, xt.grad, wt.grad
+
+
+@pytest.mark.parametrize("n", [1, 256])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("padding", ["valid", "same"])
+@pytest.mark.parametrize("cin,cout", [(6, 3), (3, 8)])
+def test_conv_and_vjps_match_einsum_oracle(n, k, padding, cin, cout):
+    # GEMM and einsum may sum in different orders: compare to round-off
+    # of each result's scale, not bit for bit
+    g = rng(20)
+    h, w_ = 7, 11
+    x = g.normal(size=(n, cin, h, w_))
+    w = g.normal(size=(cout, cin, k, k))
+    half = (k - 1) // 2 if padding == "same" else 0
+    gout = g.normal(size=(n, cout, h + 2 * half - k + 1, w_ + 2 * half - k + 1))
+    got = _conv_and_grads(x, w, padding, gout)
+    xp = np.pad(x, ((0, 0), (0, 0), (half, half), (half, half)))
+    out, gx, gw = conv2d_einsum(xp, w, gout)
+    want = (out, gx[:, :, half : half + h, half : half + w_], gw)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_conv_result_is_independent_of_input_layout():
+    # pad2d keeps a conv output's batch-innermost layout for the next
+    # conv; that input must give the same bits as a C-ordered copy
+    g = rng(21)
+    x = g.normal(size=(5, 4, 6, 8))
+    x_last = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    w = g.normal(size=(3, 4, 3, 3))
+    gout = g.normal(size=(5, 3, 6, 8))
+    for a, b in zip(_conv_and_grads(x, w, "same", gout),
+                    _conv_and_grads(x_last, w, "same", gout)):
+        assert np.array_equal(a, b)
+
+
+def test_conv2d_holds_no_columns_between_forward_and_backward():
+    # the column matrix (25x the input here) is rebuilt by vjp_w, never
+    # kept: what a conv leaves allocated is its padded input and output
+    g = rng(22)
+    x = ad.Tensor(g.normal(size=(64, 8, 9, 9)), requires_grad=True)
+    w = ad.Tensor(g.normal(size=(8, 8, 5, 5)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(x, w, None, "same")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    padded_bytes = 64 * 8 * 13 * 13 * 8
+    assert held <= out.data.nbytes + padded_bytes + 64 * 1024
+    ad.backward(out.sum())
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
 def test_conv_shape_errors():
@@ -198,6 +261,27 @@ def test_backward_accumulates_shared_parent():
     assert np.allclose(grads[x], [39.0])
 
 
+def test_backward_frees_activations_before_the_first_layer_gradient():
+    # the first conv's weight gradient, the last VJP of the sweep, builds
+    # a column matrix; the activations above it must be freed by then
+    g = rng(23)
+    tracemalloc.start()
+    try:
+        w = ad.Tensor(g.normal(size=(8, 8, 5, 5)), requires_grad=True)
+        h = ad.conv2d(ad.Tensor(g.normal(size=(16, 8, 9, 9))), w, None, "same")
+        for _ in range(20):
+            h = h * 1.0001
+        loss = h.sum()
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cols_bytes = 8 * 25 * 16 * 9 * 9 * 8
+    assert peak - start < cols_bytes
+
+
 def test_non_finite_forward_raises():
     with pytest.raises(ad.NonFiniteError):
         ad.log(ad.Tensor([0.0]))
@@ -285,7 +369,8 @@ def test_gradcheck_sparse_matmul():
     mat = (mat + mat.T).tocsr()
     y = g.uniform(-1, 1, size=(6, 3))
     proj = g.normal(size=(6, 3))
-    gradcheck(lambda t: (ad.sparse_matmul(mat, t) * proj).sum(), [y])
+    mat_t = mat.T.tocsr()
+    gradcheck(lambda t: (ad.sparse_matmul(mat, t, mat_t) * proj).sum(), [y])
 
 
 # -- Adam ------------------------------------------------------------------------------

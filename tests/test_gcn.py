@@ -129,6 +129,7 @@ def test_forward_permutation_equivariance():
 def test_gradcheck_gcn_layers_and_bce():
     cube, graph = small_graph(4, 3, 4, seed=10)
     op = normalized_operator(graph)
+    op_t = op.T.tocsr()
     rng = np.random.default_rng(11)
     y = rng.uniform(-1, 1, size=(12, 3))
     targets = rng.uniform(0.1, 0.9, size=(12, 2))
@@ -136,8 +137,8 @@ def test_gradcheck_gcn_layers_and_bce():
     w2_0 = rng.uniform(-1, 1, size=(5, 2))
 
     def loss(w1, w2):
-        h = ad.relu(ad.sparse_matmul(op, ad.Tensor(y)) @ w1)
-        z = ad.sparse_matmul(op, h) @ w2
+        h = ad.relu(ad.sparse_matmul(op, ad.Tensor(y), op_t) @ w1)
+        z = ad.sparse_matmul(op, h, op_t) @ w2
         return bce_with_logits(z, targets)
 
     gradcheck(loss, [w1_0, w2_0])
