@@ -8,22 +8,32 @@ here.  The recorded operation graph is single-owner and consumed by one
 by :class:`Adam`.
 
 A 2-D convolution is one layout change plus GEMMs (im2col, Chellapilla
-et al. 2006).  The padded [N,Cin,Hp,Wp] input is copied pixels-last to
-(Cin, Hp, Wp, N), and the column matrix of shape (Cin*kh*kw, Ho*Wo*N)
-is gathered from it: rows in weight order (c, u, v), pixels with the
-batch innermost, so every copied run is Wo*N values long.  The forward
-pass is `W.reshape(Cout, -1) @ cols`, the weights on the left: each
-output value is then summed in the same order however many pixels a
-call holds, which keeps strip inference bit-equal to the per-patch
-encode (`cols.T @ W.T` breaks that by about 5e-15).  The output
-stays pixels-last in memory behind an [N,Cout,Ho,Wo] view, and
-:func:`pad2d` keeps that layout, so the next conv's copy is free.  The
-weight gradient rebuilds the columns from the input rather than holding
-them from the forward pass: they are kh*kw times the input, and a conv
-node keeps only its padded input and its output until `backward`.  The
-input gradient adds one (Cin x Cout) @ g product per tap into the
-shifted window of a pixels-last buffer, never a kh*kw-times-larger
-col2im matrix.
+et al. 2006).  The unpadded [N,Cin,H,W] input is copied pixels-last to
+(Cin, H, W, N), and the column matrix of shape (Cin*kh*kw, Ho*Wo*N) of
+the zero-padded input is gathered from it: rows in weight order
+(c, u, v), pixels with the batch innermost, so every copied run is Wo*N
+values long.  The conv owns its padding: the columns come in blocks of
+whole output rows, each zero-filling only the rows it reads, and no
+padded copy of the input is ever made.  A block holds at most
+`_COLUMN_BLOCK_BYTES` (16 MiB), or one row if a row is larger: the
+default autoencoder's first layer on a batch of 64 9x9 Samson patches
+has 162 MB of columns: built whole, that matrix would be mapped fresh
+and page-faulted in for the forward pass and again for the weight
+gradient, while blocks under glibc's 32 MiB mmap ceiling are recycled
+through the heap.  The forward pass
+is `W.reshape(Cout, -1) @ cols` per block, the weights on the left:
+each output value is then summed in the same order however many pixels
+a call or a block holds, as far as the GEMM computes a column the same
+way at any column count (see `conv2d`).  This keeps strip
+inference bit-equal to the per-patch encode (`cols.T @ W.T` breaks that
+by about 5e-15).  The output stays pixels-last in memory behind an
+[N,Cout,Ho,Wo] view, so the next conv's layout copy is free.  A conv
+node holds only its unpadded input and its output until `backward`.
+The weight gradient sums `g[:, block] @ cols.T` over the rebuilt column
+blocks.  The input gradient is the transposed conv: the same blocked
+correlation applied to g, zero-padded by (kh-1-ph, kw-1-pw), with the
+kernel flipped and Cin and Cout swapped, so it is one GEMM with
+K = Cout*kh*kw that lands directly on the unpadded input.
 """
 from __future__ import annotations
 
@@ -299,22 +309,11 @@ def scaled_softmax(x: Tensor, scale: float, axis: int = -1) -> Tensor:
 
 # -- convolution -------------------------------------------------------------
 
-def pad2d(x: Tensor, ph: int, pw: int) -> Tensor:
-    """Zero-pad the two trailing spatial axes of an [N,C,H,W] tensor.
-
-    The result keeps the input's memory layout, so a conv output stored
-    batch-innermost stays batch-innermost through padding.
-    """
-    if ph == 0 and pw == 0:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros_like(x.data, shape=(n, c, h + 2 * ph, w + 2 * pw))
-    out[:, :, ph : ph + h, pw : pw + w] = x.data
-
-    def vjp(g):
-        return g[:, :, ph : ph + h, pw : pw + w]
-
-    return Tensor._from_op(out, (x,), (vjp,), "pad2d")
+# Cap on one block of a conv's column matrix, in bytes; a block holds at
+# least one output row.  It sits below glibc's 32 MiB mmap-threshold
+# ceiling, so a freed block returns to the heap and the next block reuses
+# that memory instead of mapping fresh pages and faulting them in again.
+_COLUMN_BLOCK_BYTES = 16 * 2**20
 
 
 def _pixels_last(x: np.ndarray) -> np.ndarray:
@@ -322,56 +321,77 @@ def _pixels_last(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
 
 
-def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """im2col of an [N,Cin,Hp,Wp] array: (Cin*kh*kw, Ho*Wo*N), C-contiguous.
+def _column_blocks(xt: np.ndarray, kh: int, kw: int, ph: int, pw: int):
+    """im2col of pixels-last xt, zero-padded by (ph, pw), in blocks of output rows.
 
-    Row (c, u, v) holds x[:, c, i+u, j+v] for every output pixel (i, j),
-    batch innermost, so each copied run is Wo*N values long.  A 1x1
-    kernel of a pixels-last input copies nothing.
+    xt is a C-contiguous (C, H, W, N) array.  Yields (span, cols) per block:
+    cols is the C-contiguous (C*kh*kw, rows*Wo*N) column matrix of the
+    block's output rows, and span slices those rows' pixels out of a
+    (.., Ho*Wo*N) pixels-last matrix.  Row (c, u, v) of cols holds the
+    padded x[c, i+u, j+v, :] for every output pixel (i, j), batch
+    innermost, so each copied run is Wo*N values long.  A block is at most
+    `_COLUMN_BLOCK_BYTES` (or one row), and only the caller holds it: a
+    caller that drops it before asking for the next keeps one block alive.
     """
-    xt = _pixels_last(x)
-    cin, hp, wp, n = xt.shape
-    ho, wo = hp - kh + 1, wp - kw + 1
-    # (Cin, kh, kw, N, Ho, Wo) view: window (u, v) is the input shifted by (u, v)
-    shifted = np.lib.stride_tricks.sliding_window_view(xt, (ho, wo), axis=(1, 2))
-    cols = np.ascontiguousarray(shifted.transpose(0, 1, 2, 4, 5, 3))
-    return cols.reshape(cin * kh * kw, ho * wo * n)
+    c, h, w, n = xt.shape
+    ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+    step = max(1, _COLUMN_BLOCK_BYTES // (c * kh * kw * wo * n * xt.itemsize))
+    for i0 in range(0, ho, step):
+        i1 = min(i0 + step, ho)
+        yield slice(i0 * wo * n, i1 * wo * n), _block_columns(xt, kh, kw, ph, pw, i0, i1)
 
 
-def _conv2d_valid(x: Tensor, w: Tensor) -> Tensor:
-    n, cin, hp, wp = x.shape
-    cout, _, kh, kw = w.shape
-    ho, wo = hp - kh + 1, wp - kw + 1
-    out = w.data.reshape(cout, -1) @ _columns(x.data, kh, kw)
-    out = out.reshape(cout, ho, wo, n).transpose(3, 0, 1, 2)
+def _block_columns(xt: np.ndarray, kh: int, kw: int, ph: int, pw: int,
+                   i0: int, i1: int) -> np.ndarray:
+    """Columns of output rows i0..i1-1 (see `_column_blocks`); 1x1 copies nothing."""
+    c, h, w, n = xt.shape
+    if kh == kw == 1:
+        return xt[:, i0:i1].reshape(c, -1)
+    # padded input rows r0 .. r1-1 are the ones these output rows read
+    r0, r1 = i0 - ph, i1 + kh - 1 - ph
+    if pw == 0 and r0 >= 0 and r1 <= h:
+        rows = xt[:, r0:r1]
+    else:
+        lo, hi = max(r0, 0), min(r1, h)
+        rows = np.zeros((c, r1 - r0, w + 2 * pw, n))
+        rows[:, lo - r0 : hi - r0, pw : pw + w] = xt[:, lo:hi]
+    # (C, kh, kw, N, rows, Wo) view: window (u, v) is the slab shifted by (u, v)
+    shifted = np.lib.stride_tricks.sliding_window_view(rows, (i1 - i0, w + 2 * pw - kw + 1),
+                                                       axis=(1, 2))
+    return np.ascontiguousarray(shifted.transpose(0, 1, 2, 4, 5, 3)).reshape(c * kh * kw, -1)
 
-    def vjp_x(g):
-        g = _pixels_last(g).reshape(cout, -1)
-        taps = w.data.transpose(2, 3, 1, 0).copy()  # (kh, kw, Cin, Cout)
-        gx = np.zeros((cin, hp, wp, n))
-        for u in range(kh):
-            for v in range(kw):
-                gx[:, u : u + ho, v : v + wo] += (taps[u, v] @ g).reshape(cin, ho, wo, n)
-        return gx.transpose(3, 0, 1, 2)
 
-    def vjp_w(g):
-        g = _pixels_last(g).reshape(cout, -1)
-        return (g @ _columns(x.data, kh, kw).T).reshape(w.shape)
-
-    return Tensor._from_op(out, (x, w), (vjp_x, vjp_w), "conv2d")
+def _correlate(xt: np.ndarray, wmat: np.ndarray, kh: int, kw: int, ph: int, pw: int
+               ) -> np.ndarray:
+    """(Cout, Ho, Wo, N) correlation of pixels-last xt, zero-padded by (ph, pw),
+    with the (Cout, C*kh*kw) weight matrix: `wmat @ cols` per column block."""
+    _, h, w, n = xt.shape
+    out = np.empty((wmat.shape[0], h + 2 * ph - kh + 1, w + 2 * pw - kw + 1, n))
+    flat = out.reshape(wmat.shape[0], -1)
+    for span, cols in _column_blocks(xt, kh, kw, ph, pw):
+        np.matmul(wmat, cols, out=flat[:, span])
+        del cols  # free this block before the next one is built
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same") -> Tensor:
     """Cross-correlation of [N,Cin,H,W] input with [Cout,Cin,kh,kw] weights.
 
     padding="same" zero-fills (k-1)/2 on each side; kernels must be odd.
-    The result is `W.reshape(Cout, -1) @ cols` for the (Cin*kh*kw, Ho*Wo*N)
-    column matrix of the padded input, batch innermost, returned as an
+    The conv owns its padding: the input is never padded as a whole, each
+    column block zero-fills only the rows it reads.  The result is
+    `W.reshape(Cout, -1) @ cols` per block of whole output rows of the
+    (Cin*kh*kw, Ho*Wo*N) column matrix, batch innermost, returned as an
     [N,Cout,Ho,Wo] view of pixels-last memory.  With the weights on the
-    left every output sums its taps in one order at any batch or strip
-    size.  The columns are rebuilt for the weight gradient, not held
-    until `backward`, where kh*kw copies of the input would pile up per
-    layer.  The module docstring gives the whole layout.
+    left every output sums its taps in one order at any batch, strip or
+    block size, provided the GEMM computes a column alike at any column
+    count.  OpenBLAS's Haswell kernel does so for columns in whole 8-wide
+    tiles, but rounds a ragged tail of 1-4 columns its own way (about
+    1e-15 relative), so splitting rows of Wo*N = 1-4 (mod 8) columns
+    into blocks moves the last bits.  The node holds only its unpadded
+    input and its output: the weight gradient rebuilds the column
+    blocks, and the input gradient is the transposed conv, one blocked
+    GEMM over g.  The module docstring gives the whole layout.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects 4-D input and weights, got {x.shape} and {w.shape}")
@@ -381,12 +401,32 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
     if x.shape[1] != cin:
         raise ValueError(f"input has {x.shape[1]} channels, weights expect {cin}")
     if padding == "same":
-        x = pad2d(x, (kh - 1) // 2, (kw - 1) // 2)
-    elif padding != "valid":
+        ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    elif padding == "valid":
+        ph = pw = 0
+    else:
         raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    if x.shape[2] < kh or x.shape[3] < kw:
-        raise ValueError(f"input {x.shape[2]}x{x.shape[3]} smaller than kernel {kh}x{kw}")
-    out = _conv2d_valid(x, w)
+    h, wd = x.shape[2], x.shape[3]
+    if h + 2 * ph < kh or wd + 2 * pw < kw:
+        raise ValueError(f"input {h}x{wd} smaller than kernel {kh}x{kw}")
+    out = _correlate(_pixels_last(x.data), w.data.reshape(cout, -1), kh, kw, ph, pw)
+
+    def vjp_x(g):
+        # the transposed conv: g, zero-padded by (kh-1-ph, kw-1-pw), correlated
+        # with the flipped kernel, Cin and Cout swapped, lands on the unpadded x
+        flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        gx = _correlate(_pixels_last(g), flipped, kh, kw, kh - 1 - ph, kw - 1 - pw)
+        return gx.transpose(3, 0, 1, 2)
+
+    def vjp_w(g):
+        g = _pixels_last(g).reshape(cout, -1)
+        gw = np.zeros((cout, cin * kh * kw))
+        for span, cols in _column_blocks(_pixels_last(x.data), kh, kw, ph, pw):
+            gw += g[:, span] @ cols.T
+            del cols  # free this block before the next one is built
+        return gw.reshape(w.shape)
+
+    out = Tensor._from_op(out.transpose(3, 0, 1, 2), (x, w), (vjp_x, vjp_w), "conv2d")
     if b is not None:
         if b.shape != (cout,):
             raise ValueError(f"bias shape {b.shape} does not match {cout} output channels")

@@ -29,12 +29,37 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .rng import SplitMix64
 
 HSB_MAGIC = b"HSB1"
 _MAX_CELLS = 2**32
+
+
+def gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur of a float array along every axis.
+
+    The same result, bit for bit, as `scipy.ndimage.gaussian_filter(a,
+    sigma, mode="reflect")` without importing scipy.ndimage: radius
+    int(4*sigma + 0.5), weights exp(-x^2 / (2 sigma^2)) normalized to sum
+    one, edges mirrored with the edge value repeated ("symmetric" in
+    np.pad), and each output summed as scipy's symmetric-kernel loop sums
+    it: the centre tap, then (x[i-k] + x[i+k]) * w[k] from k = r down to 1.
+    """
+    r = int(4.0 * sigma + 0.5)
+    taps = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * taps**2)
+    w = (w / w.sum())[r:]
+    out = np.asarray(a, dtype=np.float64)
+    for axis in range(out.ndim):
+        n = out.shape[axis]
+        pad = [(r, r) if ax == axis else (0, 0) for ax in range(out.ndim)]
+        p = np.moveaxis(np.pad(out, pad, mode="symmetric"), axis, 0)
+        acc = p[r : r + n] * w[0]
+        for k in range(r, 0, -1):
+            acc += (p[r - k : r - k + n] + p[r + k : r + k + n]) * w[k]
+        out = np.moveaxis(acc, 0, axis)
+    return out
 
 
 def fmt9(v: float) -> str:
@@ -389,7 +414,7 @@ def synthesize_scene(spec: SceneSpec) -> tuple[HsiCube, GroundTruth]:
     abund = np.ascontiguousarray(abund[: spec.height, : spec.width])
     if spec.smoothness > 0:
         for k in range(p):
-            abund[:, :, k] = gaussian_filter(abund[:, :, k], spec.smoothness, mode="reflect")
+            abund[:, :, k] = gaussian_blur(abund[:, :, k], spec.smoothness)
     abund = np.clip(abund, 0.0, None)
     abund /= abund.sum(axis=2, keepdims=True)
 

@@ -1,11 +1,16 @@
 """Cube container, HSB format, normalization, scene synthesis, exports."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aegem
 from aegem.hsi import (BadMagicError, DimensionError, GroundTruth, HsbFormatError,
-                       HsiCube, SceneSpec, TruncatedPayloadError, load_cube,
+                       HsiCube, SceneSpec, TruncatedPayloadError, gaussian_blur, load_cube,
                        normalize, read_abundance_csv, read_endmember_csv, read_table,
                        save_abundance_maps, save_cube, save_cube_csv,
                        synthesize_scene, write_abundance_csv, write_endmember_csv,
@@ -177,6 +182,30 @@ def test_normalize_all_zero_errors():
 
 
 # -- synthetic scenes ----------------------------------------------------------------
+
+@pytest.mark.parametrize("shape,sigma", [
+    ((16, 16), 1.5), ((32, 24), 0.7), ((7, 40), 2.0), ((1, 9), 1.0),
+    ((5, 3), 3.7), ((11,), 6.1), ((4, 5, 6), 1.2), ((6, 6), 0.1),
+])
+def test_gaussian_blur_matches_scipy_bit_for_bit(shape, sigma):
+    # 5x3 at sigma 3.7 has radius 15: the mirrored edge repeats many times
+    from scipy.ndimage import gaussian_filter
+
+    a = np.random.default_rng(30).uniform(0.0, 1.0, size=shape)
+    assert np.array_equal(gaussian_blur(a, sigma), gaussian_filter(a, sigma, mode="reflect"))
+    assert np.array_equal(gaussian_blur(a[..., ::-1], sigma),
+                          gaussian_filter(a[..., ::-1], sigma, mode="reflect"))
+
+
+def test_import_aegem_leaves_scipy_ndimage_unloaded():
+    # the scene blur is numpy: importing the package costs no scipy.ndimage
+    code = ("import sys, aegem, aegem.cli; "
+            "print(any(m.startswith('scipy.ndimage') for m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(aegem.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
+
 
 def test_scene_noiseless_reconstruction_exact():
     cube, gt = synthesize_scene(SceneSpec(16, 16, 12, 3, seed=5))
