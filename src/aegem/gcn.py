@@ -15,6 +15,14 @@ of A X, which is fixed and computed once (as in SGC, Wu et al. 2019).
 The second product is taken as A (H W2), P wide instead of hidden wide.
 This is the same function of the weights as the full-graph forward, so
 only floating-point summation order differs.
+
+The hidden layer is one fused op, `ad.relu_mlp(AX[N1], W1, W2)`, which
+walks the fixed rows of A X in row tiles that fit in L2 cache and takes
+each tile's `relu(AX W1) W2` there, as fused GNN kernels keep the wide
+intermediate in cache (FusedMM, Rahman, Sujon & Azad 2021).  The
+(N1, hidden) matrix H is never built, in training or in the final
+forward over all nodes: the backward pass recomputes each tile's
+pre-activation for both weight gradients.
 """
 from __future__ import annotations
 
@@ -86,16 +94,18 @@ class GcnModel:
 
     def logits(self, features) -> ad.Tensor:
         ax = ad.sparse_matmul(self.operator, ad.as_tensor(features), self.operator)
-        return _logits(self.operator, self.operator, ax, self.w1, self.w2)
+        return _logits(self.operator, self.operator, ax.data, self.w1, self.w2)
 
 
-def _logits(rows_op, rows_op_t, ax, w1: ad.Tensor, w2: ad.Tensor) -> ad.Tensor:
+def _logits(rows_op, rows_op_t, ax: np.ndarray, w1: ad.Tensor, w2: ad.Tensor) -> ad.Tensor:
     """rows_op relu(ax W1) W2: the logits of the rows rows_op selects.
 
-    ax holds the rows of A X that rows_op's columns index, and rows_op_t
-    is rows_op's transpose.
+    ax is the plain array of the rows of A X that rows_op's columns
+    index, and rows_op_t is rows_op's transpose.  The hidden layer is
+    one `ad.relu_mlp` op, which walks ax in row tiles and never builds
+    the hidden matrix.
     """
-    return ad.sparse_matmul(rows_op, ad.relu(ax @ w1) @ w2, rows_op_t)
+    return ad.sparse_matmul(rows_op, ad.relu_mlp(ax, w1, w2), rows_op_t)
 
 
 def receptive_field(operator: sp.csr_matrix, label_idx: np.ndarray) -> np.ndarray:
@@ -163,7 +173,7 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
     model = GcnModel(operator, features.shape[1], config.hidden,
                      label_targets.shape[1], root.split(0))
     n_lab = label_idx.size
-    n_val = n_lab // 10 if n_lab >= 2 else 0
+    n_val = max(1, n_lab // 10) if n_lab >= 2 else 0
     order = root.split(1).permutation(n_lab)
     val_rows, train_rows = order[:n_val], order[n_val:]
     try:
@@ -173,7 +183,7 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
     field = receptive_field(operator, label_idx)
     rows_op = operator[label_idx][:, field]
     rows_op_t = rows_op.transpose().tocsr()
-    ax_field = ax[field]
+    ax_field = ax.data[field]
     optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
     history: list[tuple[int, float, float]] = []
     for epoch in range(config.epochs):

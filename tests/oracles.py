@@ -61,6 +61,16 @@ def conv2d_einsum(x: np.ndarray, w: np.ndarray, g: np.ndarray
     return out, gx, gw
 
 
+def relu_mlp_unfused(x: np.ndarray, w1: np.ndarray, w2: np.ndarray, g: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """relu(x @ W1) @ W2 as three whole-matrix ops, with the gradients of
+    W1 and W2 for an output gradient g: the composition `ad.relu_mlp` fuses."""
+    w1t, w2t = ad.Tensor(w1, requires_grad=True), ad.Tensor(w2, requires_grad=True)
+    out = ad.relu(ad.Tensor(x) @ w1t) @ w2t
+    grads = ad.backward((out * g).sum())
+    return out.data, grads[w1t], grads[w2t]
+
+
 def finite_diff_grads(f, arrays: list[np.ndarray], h: float = 1e-6) -> list[np.ndarray]:
     """Central-difference gradient of scalar f(*arrays) w.r.t. each array."""
     arrays = [np.array(a, dtype=np.float64) for a in arrays]
@@ -196,7 +206,7 @@ def train_gcn_full_graph(graph, features, label_idx, label_targets, config):
     model = GcnModel(op, features.shape[1], config.hidden, label_targets.shape[1],
                      root.split(0))
     n_lab = label_idx.size
-    n_val = n_lab // 10 if n_lab >= 2 else 0
+    n_val = max(1, n_lab // 10) if n_lab >= 2 else 0
     order = root.split(1).permutation(n_lab)
     val_rows, train_rows = order[:n_val], order[n_val:]
     optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)

@@ -9,7 +9,7 @@ from aegem import autodiff as ad
 from aegem.rng import SplitMix64
 
 from oracles import (adam_scalar_reference, conv2d_einsum, conv2d_loops,
-                     finite_diff_grads, gradcheck, max_rel_err)
+                     finite_diff_grads, gradcheck, max_rel_err, relu_mlp_unfused)
 
 
 def rng(seed=0):
@@ -190,6 +190,83 @@ def test_conv_shape_errors():
         ad.conv2d(x, ad.Tensor(np.ones((2, 2, 3, 3))), ad.Tensor(np.ones(3)))
     with pytest.raises(ValueError, match="smaller than kernel"):
         ad.conv2d(x, ad.Tensor(np.ones((1, 2, 7, 7))), None, "valid")
+
+
+# -- fused ReLU MLP ----------------------------------------------------------------
+
+def _relu_mlp_and_grads(x, w1, w2, g):
+    w1t, w2t = ad.Tensor(w1, requires_grad=True), ad.Tensor(w2, requires_grad=True)
+    out = ad.relu_mlp(x, w1t, w2t)
+    grads = ad.backward((out * g).sum())
+    return out.data, grads[w1t], grads[w2t]
+
+
+def _tile_rows(monkeypatch, rows, hidden):
+    monkeypatch.setattr(ad, "_HIDDEN_TILE_BYTES", rows * hidden * 8)
+
+
+@pytest.mark.parametrize("n,hidden,tile_rows", [
+    # tiles of 8 rows: one row, a tile less one, one tile, a tile plus one,
+    # two whole tiles, and three tiles with a ragged last one of 5 rows
+    (1, 6, 8), (7, 6, 8), (8, 6, 8), (9, 6, 8), (16, 6, 8), (29, 6, 8),
+    # the GCN's width at the default tile: two whole tiles and a ragged one
+    (1200, 128, None),
+])
+def test_relu_mlp_matches_unfused_composition(monkeypatch, n, hidden, tile_rows):
+    g = rng(25)
+    x = g.normal(size=(n, 4))
+    w1, w2 = g.normal(size=(4, hidden)), g.normal(size=(hidden, 3))
+    gout = g.normal(size=(n, 3))
+    if tile_rows is None:
+        assert 2 * ad._HIDDEN_TILE_BYTES < n * hidden * 8 < 3 * ad._HIDDEN_TILE_BYTES
+    else:
+        _tile_rows(monkeypatch, tile_rows, hidden)
+    got = _relu_mlp_and_grads(x, w1, w2, gout)
+    want = relu_mlp_unfused(x, w1, w2, gout)
+    assert 0 < np.count_nonzero(x @ w1 > 0) < n * hidden  # both sides of the kink
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_relu_mlp_peak_memory_stays_below_one_hidden_matrix():
+    # the unfused composition holds x @ W1 and its rectified copy, two
+    # hidden matrices; in row tiles neither direction builds one
+    g = rng(27)
+    x = g.random((5000, 3))
+    w1 = ad.Tensor(g.normal(size=(3, 128)), requires_grad=True)
+    w2 = ad.Tensor(g.normal(size=(128, 3)), requires_grad=True)
+    hidden_bytes = 5000 * 128 * 8
+    tracemalloc.start()
+    try:
+        ad.backward(ad.relu_mlp(x, w1, w2).sum())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < hidden_bytes
+    assert w1.grad.shape == w1.shape and w2.grad.shape == w2.shape
+
+
+def test_relu_mlp_raises_on_a_non_finite_pre_activation_the_relu_would_zero(monkeypatch):
+    # x > 0, so column 2 of x @ W1 is -inf in every row of every tile; the
+    # ReLU would turn it into zeros and a finite output
+    g = rng(28)
+    x = g.uniform(0.1, 1.0, size=(20, 3))
+    w1, w2 = g.normal(size=(3, 5)), g.normal(size=(5, 2))
+    w1[1, 2] = -np.inf
+    _tile_rows(monkeypatch, 8, 5)
+    with pytest.raises(ad.NonFiniteError, match="relu_mlp"):
+        ad.relu_mlp(x, ad.Tensor(w1, requires_grad=True), ad.Tensor(w2, requires_grad=True))
+
+
+def test_relu_mlp_shape_errors():
+    x = np.ones((4, 3))
+    with pytest.raises(ValueError, match="chain"):
+        ad.relu_mlp(x, ad.Tensor(np.ones((2, 5))), ad.Tensor(np.ones((5, 2))))
+    with pytest.raises(ValueError, match="chain"):
+        ad.relu_mlp(x, ad.Tensor(np.ones((3, 5))), ad.Tensor(np.ones((4, 2))))
+    with pytest.raises(ValueError, match="2-D"):
+        ad.relu_mlp(np.ones(3), ad.Tensor(np.ones((3, 5))), ad.Tensor(np.ones((5, 2))))
 
 
 # -- scaled softmax ----------------------------------------------------------------
@@ -431,6 +508,18 @@ def test_gradcheck_sparse_matmul():
     proj = g.normal(size=(6, 3))
     mat_t = mat.T.tocsr()
     gradcheck(lambda t: (ad.sparse_matmul(mat, t, mat_t) * proj).sum(), [y])
+
+
+def test_gradcheck_relu_mlp_across_tiles(monkeypatch):
+    g = rng(14)
+    x = g.uniform(-1, 1, size=(11, 3))
+    w1 = g.uniform(-1, 1, size=(3, 4))
+    w2 = g.uniform(-1, 1, size=(4, 2))
+    # finite differences straddle the kink if a pre-activation is near 0
+    assert np.min(np.abs(x @ w1)) > 1e-3
+    proj = g.normal(size=(11, 2))
+    _tile_rows(monkeypatch, 3, 4)
+    gradcheck(lambda a, b: (ad.relu_mlp(x, a, b) * proj).sum(), [w1, w2])
 
 
 # -- Adam ------------------------------------------------------------------------------

@@ -203,8 +203,7 @@ def test_train_gcn_divergence_reported():
     assert err.value.epoch == 0
 
 
-@pytest.mark.parametrize("scene_seed, fraction", [(40, 0.1), (41, 0.3), (42, 1.0), (43, None)])
-def test_train_gcn_matches_full_graph_training(scene_seed, fraction):
+def _matches_full_graph_training(scene_seed, fraction):
     cube, gt, graph, features = _scene_setup(seed=scene_seed)
     if fraction is None:  # a single label, so no node is held out
         idx = np.array([77])
@@ -220,6 +219,27 @@ def test_train_gcn_matches_full_graph_training(scene_seed, fraction):
     assert np.max(np.abs(model.w1.data - ref.w1.data)) <= 1e-12
     assert np.max(np.abs(model.w2.data - ref.w2.data)) <= 1e-12
     assert np.max(np.abs(np.subtract(history, ref_history))) <= 1e-12
+    return field, model
+
+
+@pytest.mark.parametrize("scene_seed, fraction", [(40, 0.1), (41, 0.3), (42, 1.0), (43, None)])
+def test_train_gcn_matches_full_graph_training(scene_seed, fraction):
+    _matches_full_graph_training(scene_seed, fraction)
+
+
+def test_train_gcn_matches_full_graph_training_across_hidden_tiles(monkeypatch):
+    # one default tile holds all 144 nodes; tiles of 10 rows make the fused
+    # hidden layer cross tile boundaries, with a ragged last tile, both in
+    # training (on the receptive field) and in the final forward (all nodes)
+    monkeypatch.setattr(ad, "_HIDDEN_TILE_BYTES", 10 * 16 * 8)
+    field, model = _matches_full_graph_training(41, 0.3)
+    assert field.size > 20 and field.size % 10
+    features = _scene_setup(seed=41)[3]
+    op = model.operator
+    h = ad.relu(ad.sparse_matmul(op, ad.Tensor(features), op) @ model.w1)
+    want = (ad.sparse_matmul(op, h, op) @ model.w2).data
+    got = model.logits(features).data
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_train_gcn_divergence_reported_outside_receptive_field():
@@ -233,6 +253,44 @@ def test_train_gcn_divergence_reported_outside_receptive_field():
     with pytest.raises(DivergenceError) as err:
         train_gcn(graph, corrupted, idx, targets, GcnConfig(hidden=8, epochs=5, seed=47))
     assert err.value.epoch == 0
+
+
+def test_train_gcn_reports_a_non_finite_weight_the_relu_would_hide(monkeypatch):
+    # every feature is positive, so a -inf in W1 makes a whole column of the
+    # pre-activation -inf, which the ReLU would zero into finite logits
+    cube, gt, graph, features = _scene_setup(seed=48)
+    assert (normalized_operator(graph) @ features > 0).all()
+    idx, targets = sample_labels(gt.abundances, 0.2, SplitMix64(49))
+    init = GcnModel.__init__
+
+    def init_with_inf(self, *args):
+        init(self, *args)
+        self.w1.data[0, 3] = -np.inf
+
+    monkeypatch.setattr(GcnModel, "__init__", init_with_inf)
+    with pytest.raises(DivergenceError) as err:
+        train_gcn(graph, features, idx, targets, GcnConfig(hidden=8, epochs=5, seed=50))
+    assert err.value.epoch == 0
+
+
+def test_train_gcn_holds_out_one_of_five_labels():
+    # n // 10 is 0 for 2-9 labels; one node is still held out for validation
+    cube, gt, graph, features = _scene_setup(seed=51)
+    idx = np.array([5, 30, 77, 100, 140])
+    targets = gt.abundances.reshape(-1, 3)[idx]
+    config = GcnConfig(hidden=8, epochs=1, seed=52)
+    _, history = train_gcn(graph, features, idx, targets, config)
+    root = SplitMix64(config.seed)
+    model = GcnModel(normalized_operator(graph), 3, 8, 3, root.split(0))
+    z = model.logits(features).data[idx]
+    order = root.split(1).permutation(5)
+    val, train = order[:1], order[1:]
+
+    def bce(rows):
+        return np.mean(np.logaddexp(0.0, z[rows]) - targets[rows] * z[rows])
+
+    assert abs(history[0][1] - bce(train)) <= 1e-12
+    assert abs(history[0][2] - bce(val)) <= 1e-12
 
 
 def test_train_gcn_empty_labels_error():
