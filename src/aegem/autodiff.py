@@ -34,6 +34,15 @@ blocks.  The input gradient is the transposed conv: the same blocked
 correlation applied to g, zero-padded by (kh-1-ph, kw-1-pw), with the
 kernel flipped and Cin and Cout swapped, so it is one GEMM with
 K = Cout*kh*kw that lands directly on the unpadded input.
+
+`patch_conv` is the same same-padded conv for patches cut from one
+fixed image, as the autoencoder's first layer sees them in training.
+Overlapping patches hold the same pixels, so it computes each distinct
+pixel's tap projections once, `pixels @ W_taps` with W_taps the
+(Cin, kh*kw*Cout) weights, and sums them into patch pixels with a fixed
+0/1 sparse tap operator: the dense scanning of Giusti et al. 2013 for
+the one layer whose input every patch shares.  Its output and weight
+gradient match `conv2d` on the gathered patches to round-off.
 """
 from __future__ import annotations
 
@@ -197,7 +206,7 @@ class Tensor:
     def __getitem__(self, idx):
         def vjp(g):
             buf = np.zeros_like(self.data)
-            buf[idx] = g
+            np.add.at(buf, idx, g)  # an index repeated in idx sums its gradients
             return buf
 
         return Tensor._from_op(self.data[idx], (self,), (vjp,), "getitem")
@@ -429,6 +438,81 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
             raise ValueError(f"bias shape {b.shape} does not match {cout} output channels")
         out = out + b.reshape(1, cout, 1, 1)
     return out
+
+
+def _channel_blocks(cout: int, channel_bytes: int):
+    """Equal slices of cout channels, each at most `_COLUMN_BLOCK_BYTES` of
+    `channel_bytes` per channel (or one channel)."""
+    count = -(-cout // max(1, _COLUMN_BLOCK_BYTES // channel_bytes))
+    step = -(-cout // count)
+    for o0 in range(0, cout, step):
+        yield slice(o0, min(o0 + step, cout))
+
+
+def patch_conv(image: np.ndarray, ids: np.ndarray, w: Tensor, taps, taps_t, shape: tuple,
+               b: Tensor | None = None) -> Tensor:
+    """`conv2d(patches, w, b, padding="same")` of patches cut from one fixed image.
+
+    `image` is the (M, Cin) table of the image's pixels, and the N
+    patches of `shape` = (N, h, w) read its U distinct rows `ids`.
+    `taps` is the fixed 0/1 scipy CSR matrix of shape (N*h*w, U*kh*kw):
+    row n*h*w + i*w + j, patch n's pixel (i, j), has a 1 in column
+    s*kh*kw + t for each tap t = u*kw + v of the kernel that lands inside
+    the patch, s being the position in `ids` of the pixel that tap reads;
+    taps beyond the patch edge read the conv's zero padding and have no
+    entry.  `taps_t` is its transpose.  The result is
+    `taps @ (pixels @ W_taps)`, with pixels = image[ids] and W_taps the
+    weights as a (Cin, kh*kw*Cout) matrix, so each pixel's tap
+    projections are computed once however many patches hold it.  It is
+    returned as the [N,Cout,h,w] view of pixels-last memory that
+    `conv2d` returns.  The weight gradient is `pixels.T @ (taps_t @ g)`,
+    with the pixels gathered again: the node holds only `ids`.  The image
+    is fixed, so there is no input gradient.  The bias b, if given, is
+    added in place, the values `conv2d`'s separate add gives without
+    holding a second [N,Cout,h,w] activation.  Both passes run in equal
+    blocks of output channels, each holding at most
+    `_COLUMN_BLOCK_BYTES` of tap projections (or their gradient) and
+    patch-pixel rows.
+    """
+    if image.ndim != 2 or w.ndim != 4:
+        raise ValueError(f"patch_conv expects a 2-D pixel table and 4-D weights, "
+                         f"got {image.shape} and {w.shape}")
+    cout, cin, kh, kw = w.shape
+    n_taps, u = kh * kw, ids.size
+    if image.shape[1] != cin:
+        raise ValueError(f"pixels have {image.shape[1]} channels, weights expect {cin}")
+    if b is not None and b.shape != (cout,):
+        raise ValueError(f"bias shape {b.shape} does not match {cout} output channels")
+    rows = int(np.prod(shape))
+    if taps.shape != (rows, u * n_taps) or taps_t.shape != (u * n_taps, rows):
+        raise ValueError(f"tap operators {taps.shape} and {taps_t.shape} do not map "
+                         f"{u} pixels x {n_taps} taps onto patches {tuple(shape)}")
+    n, h, wd = shape
+    # columns (t, o) per input channel, so a channel block is a (Cin, T*block) matrix
+    w_taps = w.data.transpose(1, 2, 3, 0).reshape(cin, n_taps, cout)
+    blocks = list(_channel_blocks(cout, 8 * (u * n_taps + rows)))
+    out = np.empty((cout, h, wd, n))
+    pixels = image[ids]
+    for o in blocks:
+        proj = pixels @ w_taps[:, :, o].reshape(cin, -1)
+        out[o] = (taps @ proj.reshape(u * n_taps, -1)).reshape(n, h, wd, -1).transpose(3, 1, 2, 0)
+        del proj  # free this block before the next one is built
+
+    def vjp_w(g):
+        g = _pixels_last(g)
+        pixels = image[ids]
+        gw = np.empty((cin, n_taps, cout))
+        for o in blocks:
+            gproj = taps_t @ np.ascontiguousarray(g[o].transpose(3, 1, 2, 0)).reshape(rows, -1)
+            gw[:, :, o] = (pixels.T @ gproj.reshape(u, -1)).reshape(cin, n_taps, -1)
+            del gproj
+        return np.ascontiguousarray(gw.transpose(2, 0, 1)).reshape(w.shape)
+
+    parents, vjps = (w,), (vjp_w,)
+    if b is not None:
+        out += b.data[:, None, None, None]  # in place: no second activation
+        parents, vjps = (w, b), (vjp_w, lambda g: g.sum(axis=(0, 2, 3)))
+    return Tensor._from_op(out.transpose(3, 0, 1, 2), parents, vjps, "patch_conv")
 
 
 def sparse_matmul(op, x: Tensor, op_t) -> Tensor:

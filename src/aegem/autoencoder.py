@@ -19,6 +19,22 @@ The same condition makes inference cheap: encoding the zero-padded
 image in row strips, each with a halo as wide as the patch half-width,
 gives every pixel bit for bit the value its own patch's center gets.
 
+Training cannot encode strips: each patch is zero-padded at its own
+edge, so from layer 2 on a pixel's activations differ from patch to
+patch.  Layer 1 is the exception, as its input is the image itself:
+every patch holding a pixel projects it through the same weights.  So
+a batch's layer 1 is `ad.patch_conv`: one GEMM over the U distinct
+pixels its patches read, giving each pixel's kh*kw tap projections,
+then a fixed 0/1 tap operator (`TapPattern`) that sums, for each of the
+N*ps*ps patch pixels, the projections of its in-patch taps.  Taps that
+leave the patch read the conv's zero padding and have no entry; the
+image's own zero border is one shared zero pixel.  A batch of 64 9x9
+patches on a 24x24 crop reads at most U = 577 pixels (the crop's 576
+and the zero pixel) for its 5184 patch pixels, so the GEMM of Samson's
+156-band layer 1, 5.2 of a batch's 6.1 forward GFLOP as a per-patch
+conv, shrinks about nine-fold.  Scattered batches on large scenes
+share less: U/P is about 0.74 on a 95x95 scene.
+
 The decoder is strictly linear in the abundances, with weights clamped
 non-negative after every optimizer step: sum-to-one abundances span an
 affine subspace, so any normalization or bias hands the decoder an
@@ -32,8 +48,10 @@ begins with a distinct spectral role.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import checkpoint
@@ -121,10 +139,20 @@ def patch_centers(height: int, width: int) -> np.ndarray:
     return np.stack([rows, cols], axis=1)
 
 
-def _padded_windows(cube: HsiCube, patch_size: int) -> np.ndarray:
-    """(H, W, L, ps, ps) view: window [r, c] is the patch centered at (r, c)."""
+def _zero_padded(cube: HsiCube, patch_size: int) -> np.ndarray:
+    """(H+ps-1, W+ps-1, L) reflectance, zero-padded by the patch half-width."""
     half = patch_size // 2
-    padded = np.pad(cube.reflectance, ((half, half), (half, half), (0, 0)))
+    return np.pad(cube.reflectance, ((half, half), (half, half), (0, 0)))
+
+
+def _padded_windows(cube: HsiCube, patch_size: int, padded: np.ndarray | None = None
+                    ) -> np.ndarray:
+    """(H, W, L, ps, ps) view: window [r, c] is the patch centered at (r, c).
+
+    `padded`, if given, is the cube's `_zero_padded` array to view.
+    """
+    if padded is None:
+        padded = _zero_padded(cube, patch_size)
     return np.lib.stride_tricks.sliding_window_view(padded, (patch_size, patch_size), axis=(0, 1))
 
 
@@ -139,6 +167,74 @@ def extract_patches(cube: HsiCube, patch_size: int = 9) -> tuple[np.ndarray, np.
     win = _padded_windows(cube, patch_size)
     patches = win[centers[:, 0], centers[:, 1]]  # (N, L, ps, ps)
     return np.ascontiguousarray(patches), centers
+
+
+class BatchTaps(NamedTuple):
+    """One training batch's tap operator (see `TapPattern.batch`)."""
+
+    pixel_ids: np.ndarray  # (U,) rows of the padded pixel table the patches read
+    taps: sp.csr_matrix  # (N*ps*ps, U*k*k), row n*ps*ps + i*ps + j
+    taps_t: sp.csc_matrix  # its transpose: the same three arrays read as CSC
+    shape: tuple[int, int, int]  # (N, ps, ps)
+
+
+class TapPattern:
+    """Where each tap of a same-padded k x k conv reads inside a ps x ps patch.
+
+    For every patch pixel (i, j) in row-major order the pattern lists the
+    kernel taps t = u*k + v that land inside the patch, and the patch
+    pixel (i+u-k//2, j+v-k//2) each reads; taps beyond the patch edge read
+    the conv's zero padding and are left out.  It depends only on
+    (ps, k), so it is built once per training run, and `batch` needs
+    only one `np.unique` over the pixels a batch's patches hold and one
+    gather of the pattern.  `ad.patch_conv` gives the operator's layout;
+    a row's entries come in tap order.
+    """
+
+    def __init__(self, patch_size: int, kernel: int):
+        ps, r = patch_size, kernel // 2
+        i, j, u, v = np.meshgrid(*(np.arange(ps),) * 2, *(np.arange(kernel),) * 2,
+                                 indexing="ij")
+        a, b = i + u - r, j + v - r
+        inside = ((a >= 0) & (a < ps) & (b >= 0) & (b < ps)).ravel()
+        self.patch_size, self.n_taps = ps, kernel * kernel
+        self._tap = (u * kernel + v).ravel()[inside]
+        self._source = (a * ps + b).ravel()[inside]
+        # entries come sorted by patch pixel: each pixel's row ends here
+        self._row_ends = np.cumsum(np.bincount((i * ps + j).ravel()[inside],
+                                               minlength=ps * ps))
+
+    def batch(self, sources: np.ndarray) -> BatchTaps:
+        """Tap operator of N patches; sources[n, a, b] is the pixel-table row
+        under patch n's pixel (a, b)."""
+        n, area = sources.shape[0], self.patch_size**2
+        pixel_ids, local = np.unique(sources, return_inverse=True)
+        indices = local.reshape(n, area)[:, self._source] * self.n_taps + self._tap
+        indptr = np.arange(n)[:, None] * self._tap.size + self._row_ends
+        indices = indices.reshape(-1).astype(np.int32)
+        indptr = np.concatenate([[0], indptr.reshape(-1)]).astype(np.int32)
+        data = np.ones(indices.size)
+        rows, cols = n * area, pixel_ids.size * self.n_taps
+        return BatchTaps(pixel_ids,
+                         sp.csr_matrix((data, indices, indptr), shape=(rows, cols)),
+                         sp.csc_matrix((data, indices, indptr), shape=(cols, rows)),
+                         sources.shape)
+
+
+def pixel_sources(height: int, width: int, patch_size: int) -> np.ndarray:
+    """(H, W, ps, ps) windows of rows of the zero-padded image's (Hp*Wp, L) table.
+
+    Window [r, c] holds, for each pixel of the patch centered at (r, c),
+    the row of the image pixel under it, or row 0 where it lies in the
+    padding: with ps > 1 that is the padded corner, a zero pixel, so a
+    batch reads all its padding as one pixel.
+    """
+    half = patch_size // 2
+    wp = width + 2 * half
+    index = np.zeros((height + 2 * half, wp), dtype=np.intp)
+    index[half : half + height, half : half + width] = (
+        np.arange(half, half + height)[:, None] * wp + np.arange(half, half + width))
+    return np.lib.stride_tricks.sliding_window_view(index, (patch_size, patch_size))
 
 
 # -- model ---------------------------------------------------------------------
@@ -192,12 +288,23 @@ class ConvAutoencoder:
 
     def encode(self, x) -> ad.Tensor:
         """Patches or image strips (N, L, h, w) -> abundances (N, P, h, w)."""
-        out = ad.as_tensor(x)
-        last = len(self.enc_weights) - 1
-        for i, (w, b) in enumerate(zip(self.enc_weights, self.enc_biases)):
-            out = ad.conv2d(out, w, b, padding="same")
-            if i < last:
-                out = ad.leaky_relu(out, 0.01)
+        w, b = self.enc_weights[0], self.enc_biases[0]
+        return self._encode_after_first(ad.conv2d(ad.as_tensor(x), w, b, padding="same"))
+
+    def encode_patches(self, table: np.ndarray, taps: BatchTaps) -> ad.Tensor:
+        """`encode` of the batch of patches that `taps` cuts from a pixel table.
+
+        Layer 1 is `ad.patch_conv` over the (M, L) `table` of the
+        zero-padded image's pixels (see `TapPattern`); the other layers
+        are the same same-padded convs as in `encode`.
+        """
+        w, b = self.enc_weights[0], self.enc_biases[0]
+        return self._encode_after_first(
+            ad.patch_conv(table, taps.pixel_ids, w, taps.taps, taps.taps_t, taps.shape, b))
+
+    def _encode_after_first(self, out: ad.Tensor) -> ad.Tensor:
+        for w, b in zip(self.enc_weights[1:], self.enc_biases[1:]):
+            out = ad.conv2d(ad.leaky_relu(out, 0.01), w, b, padding="same")
         return ad.scaled_softmax(out, self.config.softmax_scale, axis=1)
 
     def decode(self, abundance) -> ad.Tensor:
@@ -319,8 +426,13 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
     shuffle_rng = root.split(1)
     ps = config.patch_size
     centers = patch_centers(cube.height, cube.width)
-    win = _padded_windows(cube, ps)
+    padded = _zero_padded(cube, ps)
+    win = _padded_windows(cube, ps, padded)
+    table = padded.reshape(-1, cube.bands)
     masks = patch_validity_masks(cube.height, cube.width, ps)
+    # layer 1 reads the image itself: see TapPattern and ad.patch_conv
+    pattern = TapPattern(ps, config.encoder_kernels[0])
+    sources = pixel_sources(cube.height, cube.width, ps)
     n = len(centers)
     params = model.parameters()
     optimizer = ad.Adam(params, lr=config.learning_rate)
@@ -333,7 +445,8 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
                 sel = centers[order[start : start + config.batch_size]]
                 batch = ad.Tensor(np.ascontiguousarray(win[sel[:, 0], sel[:, 1]]))
                 valid = masks[sel[:, 0], sel[:, 1]][:, None]
-                _, recon = model.forward(batch)
+                taps = pattern.batch(sources[sel[:, 0], sel[:, 1]])
+                recon = model.decode(model.encode_patches(table, taps))
                 loss = reconstruction_loss(batch, recon, config.loss,
                                            config.mse_weight, valid)
                 grads = ad.backward(loss)

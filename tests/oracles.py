@@ -10,7 +10,8 @@ import numpy as np
 from scipy.optimize import nnls
 
 from aegem import autodiff as ad
-from aegem.autoencoder import DivergenceError
+from aegem.autoencoder import (ConvAutoencoder, DivergenceError, patch_validity_masks,
+                               reconstruction_loss)
 from aegem.gcn import GcnModel, bce_with_logits, normalized_operator
 from aegem.rng import SplitMix64
 
@@ -173,6 +174,41 @@ def abundance_stack_per_patch(model, cube) -> np.ndarray:
                               for r, c in centers[start : start + 256]])
             rows.append(model.encode(batch).data[:, :, half, half])
     return np.concatenate(rows).reshape(cube.height, cube.width, -1)
+
+
+def train_autoencoder_per_patch(cube, config) -> tuple[list[float], ConvAutoencoder]:
+    """AE training with every layer a `conv2d` of the gathered patches.
+
+    The same seeds, shuffle, batches, loss and optimizer as
+    `autoencoder.train_autoencoder`, whose first layer shares each
+    pixel's tap projections across patches instead; returns the
+    per-epoch mean losses and the trained model.
+    """
+    root = SplitMix64(config.seed)
+    model = ConvAutoencoder(config, cube.bands, root.split(0))
+    model.seed_decoder_columns(cube.spectra())
+    shuffle_rng = root.split(1)
+    ps, half = config.patch_size, config.patch_size // 2
+    padded = np.pad(cube.reflectance, ((half, half), (half, half), (0, 0)))
+    centers = [(r, c) for r in range(cube.height) for c in range(cube.width)]
+    masks = patch_validity_masks(cube.height, cube.width, ps)
+    optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
+    history = []
+    for epoch in range(config.epochs):
+        order = shuffle_rng.permutation(len(centers))
+        losses = []
+        for start in range(0, len(centers), config.batch_size):
+            sel = [centers[i] for i in order[start : start + config.batch_size]]
+            batch = ad.Tensor(np.stack([padded[r : r + ps, c : c + ps].transpose(2, 0, 1)
+                                        for r, c in sel]))
+            valid = np.stack([masks[r, c] for r, c in sel])[:, None]
+            _, recon = model.forward(batch)
+            loss = reconstruction_loss(batch, recon, config.loss, config.mse_weight, valid)
+            optimizer.step(ad.backward(loss))
+            model.clamp_decoder()
+            losses.append(loss.item())
+        history.append(float(np.mean(losses)))
+    return history, model
 
 
 def permutation_fisher_yates(rng, n: int) -> np.ndarray:

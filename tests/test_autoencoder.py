@@ -11,7 +11,7 @@ from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder, DivergenceErr
 from aegem.hsi import HsiCube, SceneSpec, normalize, synthesize_scene
 from aegem.metrics import apply_match, match_endmembers, sad
 from aegem.rng import SplitMix64
-from oracles import abundance_stack_per_patch
+from oracles import abundance_stack_per_patch, train_autoencoder_per_patch
 
 
 SMALL_CONFIG = AutoencoderConfig(
@@ -292,6 +292,26 @@ def test_abundance_stack_matches_per_patch_encode(filters, kernels, patch):
 def test_trained_abundance_stack_matches_per_patch_encode(trained):
     ncube, _, _, stack, _, model = trained
     assert np.array_equal(stack, abundance_stack_per_patch(model, ncube))
+
+
+@pytest.mark.parametrize("filters,kernels,patch,decoder,batch", [
+    ((8, 6, 3), (5, 3, 1), 9, 1, 64),  # 13x11 = 143 centers: batches of 64, 64 and 15
+    ((6, 3), (3, 1), 5, 3, 40),
+    ((5, 3), (1, 1), 5, 1, 50),
+])
+def test_training_matches_the_per_patch_conv_loop(filters, kernels, patch, decoder, batch):
+    # layer 1 shares pixels across patches; every weight and loss must stay
+    # within round-off of convolving each patch on its own for 2 epochs
+    cube, _ = synthesize_scene(SceneSpec(13, 11, 7, 3, smoothness=1.2, seed=17))
+    config = AutoencoderConfig(encoder_filters=filters, encoder_kernels=kernels,
+                               patch_size=patch, decoder_kernel=decoder, epochs=2,
+                               batch_size=batch, learning_rate=3e-3, seed=18)
+    ncube = normalize(cube)
+    _, _, history, model = train_autoencoder(ncube, config)
+    ref_history, ref_model = train_autoencoder_per_patch(ncube, config)
+    assert np.allclose(history, ref_history, rtol=1e-9, atol=0)
+    for p, ref in zip(model.parameters(), ref_model.parameters()):
+        assert np.max(np.abs(p.data - ref.data)) <= 1e-9 * np.max(np.abs(ref.data))
 
 
 # -- checkpoints ---------------------------------------------------------------------------
