@@ -16,12 +16,12 @@ values long.  The conv owns its padding: the columns come in blocks of
 whole output rows, each zero-filling only the rows it reads, and no
 padded copy of the input is ever made.  A block holds at most
 `_COLUMN_BLOCK_BYTES` (16 MiB), or one row if a row is larger: the
-default autoencoder's first layer on a batch of 64 9x9 Samson patches
-has 162 MB of columns: built whole, that matrix would be mapped fresh
-and page-faulted in for the forward pass and again for the weight
-gradient, while blocks under glibc's 32 MiB mmap ceiling are recycled
-through the heap.  The forward pass
-is `W.reshape(Cout, -1) @ cols` per block, the weights on the left:
+default autoencoder's first layer has 50 MB of columns on a batch of 64
+9x9 Samson windows and 128 MB on a 4096-pixel inference strip.  Built
+whole, that matrix would be mapped fresh and page-faulted in for the
+forward pass and again for the weight gradient, while blocks under
+glibc's 32 MiB mmap ceiling are recycled through the heap.  The forward
+pass is `W.reshape(Cout, -1) @ cols` per block, the weights on the left:
 each output value is then summed in the same order however many pixels
 a call or a block holds, as far as the GEMM computes a column the same
 way at any column count (see `conv2d`).  This keeps strip
@@ -34,15 +34,6 @@ blocks.  The input gradient is the transposed conv: the same blocked
 correlation applied to g, zero-padded by (kh-1-ph, kw-1-pw), with the
 kernel flipped and Cin and Cout swapped, so it is one GEMM with
 K = Cout*kh*kw that lands directly on the unpadded input.
-
-`patch_conv` is the same same-padded conv for patches cut from one
-fixed image, as the autoencoder's first layer sees them in training.
-Overlapping patches hold the same pixels, so it computes each distinct
-pixel's tap projections once, `pixels @ W_taps` with W_taps the
-(Cin, kh*kw*Cout) weights, and sums them into patch pixels with a fixed
-0/1 sparse tap operator: the dense scanning of Giusti et al. 2013 for
-the one layer whose input every patch shares.  Its output and weight
-gradient match `conv2d` on the gathered patches to round-off.
 """
 from __future__ import annotations
 
@@ -266,8 +257,15 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
-    slope = np.where(x.data > 0, 1.0, alpha)
-    return Tensor._from_op(x.data * slope, (x,), (lambda g: g * slope,), "leaky_relu")
+    # a boolean mask, not a float slope array: the node holds 1 byte per value
+    mask = x.data > 0
+
+    def scaled(a):
+        out = a * alpha
+        np.copyto(out, a, where=mask)
+        return out
+
+    return Tensor._from_op(scaled(x.data), (x,), (scaled,), "leaky_relu")
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -397,7 +395,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
     into blocks moves the last bits.  The node holds only its unpadded
     input and its output: the weight gradient rebuilds the column
     blocks, and the input gradient is the transposed conv, one blocked
-    GEMM over g.  The module docstring gives the whole layout.
+    GEMM over g.  The bias b, if given, is added in place, the values a
+    separate add node gives without holding a second activation; its
+    gradient is g summed over batch and pixels.  The module docstring
+    gives the whole layout.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects 4-D input and weights, got {x.shape} and {w.shape}")
@@ -415,6 +416,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
     h, wd = x.shape[2], x.shape[3]
     if h + 2 * ph < kh or wd + 2 * pw < kw:
         raise ValueError(f"input {h}x{wd} smaller than kernel {kh}x{kw}")
+    if b is not None and b.shape != (cout,):
+        raise ValueError(f"bias shape {b.shape} does not match {cout} output channels")
     out = _correlate(_pixels_last(x.data), w.data.reshape(cout, -1), kh, kw, ph, pw)
 
     def vjp_x(g):
@@ -432,87 +435,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
             del cols  # free this block before the next one is built
         return gw.reshape(w.shape)
 
-    out = Tensor._from_op(out.transpose(3, 0, 1, 2), (x, w), (vjp_x, vjp_w), "conv2d")
-    if b is not None:
-        if b.shape != (cout,):
-            raise ValueError(f"bias shape {b.shape} does not match {cout} output channels")
-        out = out + b.reshape(1, cout, 1, 1)
-    return out
-
-
-def _channel_blocks(cout: int, channel_bytes: int):
-    """Equal slices of cout channels, each at most `_COLUMN_BLOCK_BYTES` of
-    `channel_bytes` per channel (or one channel)."""
-    count = -(-cout // max(1, _COLUMN_BLOCK_BYTES // channel_bytes))
-    step = -(-cout // count)
-    for o0 in range(0, cout, step):
-        yield slice(o0, min(o0 + step, cout))
-
-
-def patch_conv(image: np.ndarray, ids: np.ndarray, w: Tensor, taps, taps_t, shape: tuple,
-               b: Tensor | None = None) -> Tensor:
-    """`conv2d(patches, w, b, padding="same")` of patches cut from one fixed image.
-
-    `image` is the (M, Cin) table of the image's pixels, and the N
-    patches of `shape` = (N, h, w) read its U distinct rows `ids`.
-    `taps` is the fixed 0/1 scipy CSR matrix of shape (N*h*w, U*kh*kw):
-    row n*h*w + i*w + j, patch n's pixel (i, j), has a 1 in column
-    s*kh*kw + t for each tap t = u*kw + v of the kernel that lands inside
-    the patch, s being the position in `ids` of the pixel that tap reads;
-    taps beyond the patch edge read the conv's zero padding and have no
-    entry.  `taps_t` is its transpose.  The result is
-    `taps @ (pixels @ W_taps)`, with pixels = image[ids] and W_taps the
-    weights as a (Cin, kh*kw*Cout) matrix, so each pixel's tap
-    projections are computed once however many patches hold it.  It is
-    returned as the [N,Cout,h,w] view of pixels-last memory that
-    `conv2d` returns.  The weight gradient is `pixels.T @ (taps_t @ g)`,
-    with the pixels gathered again: the node holds only `ids`.  The image
-    is fixed, so there is no input gradient.  The bias b, if given, is
-    added in place, the values `conv2d`'s separate add gives without
-    holding a second [N,Cout,h,w] activation.  Both passes run in equal
-    blocks of output channels, each holding at most
-    `_COLUMN_BLOCK_BYTES` of tap projections (or their gradient) and
-    patch-pixel rows.
-    """
-    if image.ndim != 2 or w.ndim != 4:
-        raise ValueError(f"patch_conv expects a 2-D pixel table and 4-D weights, "
-                         f"got {image.shape} and {w.shape}")
-    cout, cin, kh, kw = w.shape
-    n_taps, u = kh * kw, ids.size
-    if image.shape[1] != cin:
-        raise ValueError(f"pixels have {image.shape[1]} channels, weights expect {cin}")
-    if b is not None and b.shape != (cout,):
-        raise ValueError(f"bias shape {b.shape} does not match {cout} output channels")
-    rows = int(np.prod(shape))
-    if taps.shape != (rows, u * n_taps) or taps_t.shape != (u * n_taps, rows):
-        raise ValueError(f"tap operators {taps.shape} and {taps_t.shape} do not map "
-                         f"{u} pixels x {n_taps} taps onto patches {tuple(shape)}")
-    n, h, wd = shape
-    # columns (t, o) per input channel, so a channel block is a (Cin, T*block) matrix
-    w_taps = w.data.transpose(1, 2, 3, 0).reshape(cin, n_taps, cout)
-    blocks = list(_channel_blocks(cout, 8 * (u * n_taps + rows)))
-    out = np.empty((cout, h, wd, n))
-    pixels = image[ids]
-    for o in blocks:
-        proj = pixels @ w_taps[:, :, o].reshape(cin, -1)
-        out[o] = (taps @ proj.reshape(u * n_taps, -1)).reshape(n, h, wd, -1).transpose(3, 1, 2, 0)
-        del proj  # free this block before the next one is built
-
-    def vjp_w(g):
-        g = _pixels_last(g)
-        pixels = image[ids]
-        gw = np.empty((cin, n_taps, cout))
-        for o in blocks:
-            gproj = taps_t @ np.ascontiguousarray(g[o].transpose(3, 1, 2, 0)).reshape(rows, -1)
-            gw[:, :, o] = (pixels.T @ gproj.reshape(u, -1)).reshape(cin, n_taps, -1)
-            del gproj
-        return np.ascontiguousarray(gw.transpose(2, 0, 1)).reshape(w.shape)
-
-    parents, vjps = (w,), (vjp_w,)
+    parents, vjps = (x, w), (vjp_x, vjp_w)
     if b is not None:
         out += b.data[:, None, None, None]  # in place: no second activation
-        parents, vjps = (w, b), (vjp_w, lambda g: g.sum(axis=(0, 2, 3)))
-    return Tensor._from_op(out.transpose(3, 0, 1, 2), parents, vjps, "patch_conv")
+        parents, vjps = (x, w, b), (vjp_x, vjp_w, lambda g: g.sum(axis=(0, 2, 3)))
+    return Tensor._from_op(out.transpose(3, 0, 1, 2), parents, vjps, "conv2d")
 
 
 def sparse_matmul(op, x: Tensor, op_t) -> Tensor:

@@ -1,39 +1,39 @@
 """Convolutional autoencoder for abundance estimation and endmember extraction.
 
-The encoder maps 9x9 spectral patches through four same-padded
+The encoder maps a pixel's spectral neighbourhood through a stack of
 convolutions to per-pixel abundance channels, closed by a scaled softmax
 that enforces the sum-to-one and non-negativity constraints by
 construction.  The decoder is by default a 1x1 convolution, the
 per-pixel linear mixing model: each reconstructed spectrum is the
 abundance-weighted sum of the decoder's columns.
 
-The encoder's receptive-field radius, the sum of (k-1)/2 over its
-kernels, may not exceed the patch half-width (the config checks it).
-Then a patch center is encoded from the patch alone, never from the
-zeros each layer pads beyond the patch edge, so it is the only pixel
-of a patch with a full-context encoding: with the default kernels the
-radius is exactly the half-width, and every other pixel's encoding is
-truncated.  A wider decoder would rebuild the center from neighbouring
-abundances whose encodings are truncated, and fit its weights to those.
-The same condition makes inference cheap: encoding the zero-padded
-image in row strips, each with a halo as wide as the patch half-width,
-gives every pixel bit for bit the value its own patch's center gets.
+A pixel's abundances read the pixels within the encoder's receptive-field
+radius r, the sum of (k-1)/2 over its kernels, and its reconstruction
+reads those within r + decoder_kernel//2: its receptive cone.  Training
+reads exactly that cone.  Each shuffled center's window, of width
+2*(r + decoder_kernel//2) + 1, is cut from the image zero-padded by its
+half-width, and every encoder layer and the decoder run as `valid`
+convolutions, which shrink the window to the one reconstructed center:
+9x9 -> 5x5 -> 3x3 -> 1x1 -> 1x1 with the default kernels.  The loss
+scores that center alone.  The paper trains on 9x9 patches, and in a
+patch zero-padded at its own edge only the center is encoded from full
+context: every other pixel's encoding reads the zeros beyond the patch
+edge.  An MSE over the whole patch would fit the decoder to 80 such
+truncated encodings, so the MSE, like the spectral angle, is taken at
+the center only.  Then a patch adds nothing beyond its center's cone:
+while patch_size - 2r >= decoder_kernel (the config checks it) the cone
+lies inside the patch, and training on the cone gives the patch
+training's weights to round-off.
 
-Training cannot encode strips: each patch is zero-padded at its own
-edge, so from layer 2 on a pixel's activations differ from patch to
-patch.  Layer 1 is the exception, as its input is the image itself:
-every patch holding a pixel projects it through the same weights.  So
-a batch's layer 1 is `ad.patch_conv`: one GEMM over the U distinct
-pixels its patches read, giving each pixel's kh*kw tap projections,
-then a fixed 0/1 tap operator (`TapPattern`) that sums, for each of the
-N*ps*ps patch pixels, the projections of its in-patch taps.  Taps that
-leave the patch read the conv's zero padding and have no entry; the
-image's own zero border is one shared zero pixel.  A batch of 64 9x9
-patches on a 24x24 crop reads at most U = 577 pixels (the crop's 576
-and the zero pixel) for its 5184 patch pixels, so the GEMM of Samson's
-156-band layer 1, 5.2 of a batch's 6.1 forward GFLOP as a per-patch
-conv, shrinks about nine-fold.  Scattered batches on large scenes
-share less: U/P is about 0.74 on a 95x95 scene.
+Inference encodes the image zero-padded by the patch half-width in row
+strips with a halo as wide, through `same`-padded convs (see
+`assemble_abundance_stack`).  Every pixel then gets bit for bit the value
+its own zero-padded patch's center gets from the same convs.  `valid`
+convs on the strips would compute the same sums, but their GEMMs see
+other column counts and round some columns differently in the last
+bits, so they would lose that exact identity and save nothing that
+matters in a stage this small; a trained model's window encode and its
+strips agree to round-off either way.
 
 The decoder is strictly linear in the abundances, with weights clamped
 non-negative after every optimizer step: sum-to-one abundances span an
@@ -47,11 +47,9 @@ begins with a distinct spectral role.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import checkpoint
@@ -69,7 +67,13 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class AutoencoderConfig:
-    """Architecture and training settings; encoder_filters ends with P."""
+    """Architecture and training settings; encoder_filters ends with P.
+
+    `patch_size` is the paper's patch width, and only bounds the encoder:
+    patch_size - 2*radius >= decoder_kernel, so that a patch holds its
+    center's whole receptive cone.  Training reads that cone and scores
+    the center alone, so inside the bound patch_size changes no result.
+    """
 
     encoder_filters: tuple[int, ...] = (128, 64, 32, 3)
     encoder_kernels: tuple[int, ...] = (5, 3, 3, 1)
@@ -93,11 +97,13 @@ class AutoencoderConfig:
             raise ValueError("all kernels must be odd and positive")
         if self.patch_size % 2 == 0 or self.patch_size < 1:
             raise ValueError("patch_size must be odd and positive")
-        radius = sum((k - 1) // 2 for k in self.encoder_kernels)
-        if radius > self.patch_size // 2:
+        room = self.patch_size - 2 * self.radius
+        if room < self.decoder_kernel:
             raise ValueError(
-                f"encoder receptive-field radius {radius} exceeds the patch half-width "
-                f"{self.patch_size // 2}: shrink encoder_kernels or grow patch_size"
+                f"patch_size - 2*radius = {self.patch_size} - 2*{self.radius} = {room} is "
+                f"less than decoder_kernel {self.decoder_kernel}: the patch cannot hold its "
+                "center's receptive cone; shrink encoder_kernels or decoder_kernel, or grow "
+                "patch_size"
             )
         if self.softmax_scale <= 0:
             raise ValueError("softmax_scale must be positive")
@@ -107,6 +113,11 @@ class AutoencoderConfig:
     @property
     def endmembers(self) -> int:
         return self.encoder_filters[-1]
+
+    @property
+    def radius(self) -> int:
+        """The encoder's receptive-field radius: the sum of (k-1)/2 over its kernels."""
+        return sum((k - 1) // 2 for k in self.encoder_kernels)
 
 
 def extreme_pixel_indices(spectra: np.ndarray, count: int) -> list[int]:
@@ -139,21 +150,12 @@ def patch_centers(height: int, width: int) -> np.ndarray:
     return np.stack([rows, cols], axis=1)
 
 
-def _zero_padded(cube: HsiCube, patch_size: int) -> np.ndarray:
-    """(H+ps-1, W+ps-1, L) reflectance, zero-padded by the patch half-width."""
-    half = patch_size // 2
-    return np.pad(cube.reflectance, ((half, half), (half, half), (0, 0)))
-
-
-def _padded_windows(cube: HsiCube, patch_size: int, padded: np.ndarray | None = None
-                    ) -> np.ndarray:
-    """(H, W, L, ps, ps) view: window [r, c] is the patch centered at (r, c).
-
-    `padded`, if given, is the cube's `_zero_padded` array to view.
-    """
-    if padded is None:
-        padded = _zero_padded(cube, patch_size)
-    return np.lib.stride_tricks.sliding_window_view(padded, (patch_size, patch_size), axis=(0, 1))
+def _padded_windows(cube: HsiCube, width: int) -> np.ndarray:
+    """(H, W, L, width, width) view of the image zero-padded by width//2:
+    window [r, c] is centered at pixel (r, c)."""
+    half = width // 2
+    padded = np.pad(cube.reflectance, ((half, half), (half, half), (0, 0)))
+    return np.lib.stride_tricks.sliding_window_view(padded, (width, width), axis=(0, 1))
 
 
 def extract_patches(cube: HsiCube, patch_size: int = 9) -> tuple[np.ndarray, np.ndarray]:
@@ -169,72 +171,14 @@ def extract_patches(cube: HsiCube, patch_size: int = 9) -> tuple[np.ndarray, np.
     return np.ascontiguousarray(patches), centers
 
 
-class BatchTaps(NamedTuple):
-    """One training batch's tap operator (see `TapPattern.batch`)."""
+def training_windows(cube: HsiCube, config: AutoencoderConfig) -> np.ndarray:
+    """(H, W, L, w, w) view: window [r, c] is pixel (r, c)'s receptive cone.
 
-    pixel_ids: np.ndarray  # (U,) rows of the padded pixel table the patches read
-    taps: sp.csr_matrix  # (N*ps*ps, U*k*k), row n*ps*ps + i*ps + j
-    taps_t: sp.csc_matrix  # its transpose: the same three arrays read as CSC
-    shape: tuple[int, int, int]  # (N, ps, ps)
-
-
-class TapPattern:
-    """Where each tap of a same-padded k x k conv reads inside a ps x ps patch.
-
-    For every patch pixel (i, j) in row-major order the pattern lists the
-    kernel taps t = u*k + v that land inside the patch, and the patch
-    pixel (i+u-k//2, j+v-k//2) each reads; taps beyond the patch edge read
-    the conv's zero padding and are left out.  It depends only on
-    (ps, k), so it is built once per training run, and `batch` needs
-    only one `np.unique` over the pixels a batch's patches hold and one
-    gather of the pattern.  `ad.patch_conv` gives the operator's layout;
-    a row's entries come in tap order.
+    w = 2*(radius + decoder_kernel//2) + 1, cut from the image zero-padded
+    by w//2: `valid` convs through the encoder and the decoder reduce a
+    window to its center's reconstruction.
     """
-
-    def __init__(self, patch_size: int, kernel: int):
-        ps, r = patch_size, kernel // 2
-        i, j, u, v = np.meshgrid(*(np.arange(ps),) * 2, *(np.arange(kernel),) * 2,
-                                 indexing="ij")
-        a, b = i + u - r, j + v - r
-        inside = ((a >= 0) & (a < ps) & (b >= 0) & (b < ps)).ravel()
-        self.patch_size, self.n_taps = ps, kernel * kernel
-        self._tap = (u * kernel + v).ravel()[inside]
-        self._source = (a * ps + b).ravel()[inside]
-        # entries come sorted by patch pixel: each pixel's row ends here
-        self._row_ends = np.cumsum(np.bincount((i * ps + j).ravel()[inside],
-                                               minlength=ps * ps))
-
-    def batch(self, sources: np.ndarray) -> BatchTaps:
-        """Tap operator of N patches; sources[n, a, b] is the pixel-table row
-        under patch n's pixel (a, b)."""
-        n, area = sources.shape[0], self.patch_size**2
-        pixel_ids, local = np.unique(sources, return_inverse=True)
-        indices = local.reshape(n, area)[:, self._source] * self.n_taps + self._tap
-        indptr = np.arange(n)[:, None] * self._tap.size + self._row_ends
-        indices = indices.reshape(-1).astype(np.int32)
-        indptr = np.concatenate([[0], indptr.reshape(-1)]).astype(np.int32)
-        data = np.ones(indices.size)
-        rows, cols = n * area, pixel_ids.size * self.n_taps
-        return BatchTaps(pixel_ids,
-                         sp.csr_matrix((data, indices, indptr), shape=(rows, cols)),
-                         sp.csc_matrix((data, indices, indptr), shape=(cols, rows)),
-                         sources.shape)
-
-
-def pixel_sources(height: int, width: int, patch_size: int) -> np.ndarray:
-    """(H, W, ps, ps) windows of rows of the zero-padded image's (Hp*Wp, L) table.
-
-    Window [r, c] holds, for each pixel of the patch centered at (r, c),
-    the row of the image pixel under it, or row 0 where it lies in the
-    padding: with ps > 1 that is the padded corner, a zero pixel, so a
-    batch reads all its padding as one pixel.
-    """
-    half = patch_size // 2
-    wp = width + 2 * half
-    index = np.zeros((height + 2 * half, wp), dtype=np.intp)
-    index[half : half + height, half : half + width] = (
-        np.arange(half, half + height)[:, None] * wp + np.arange(half, half + width))
-    return np.lib.stride_tricks.sliding_window_view(index, (patch_size, patch_size))
+    return _padded_windows(cube, 2 * (config.radius + config.decoder_kernel // 2) + 1)
 
 
 # -- model ---------------------------------------------------------------------
@@ -264,8 +208,7 @@ class ConvAutoencoder:
         k = config.decoder_kernel
         # all mass on the center tap (seed_decoder_columns fills it); a
         # kernel wider than 1 lets off-center taps grow, which blurs the
-        # reconstruction of non-constant abundance fields and mixes in
-        # abundances whose encodings saw the patch-edge zeros
+        # reconstruction of non-constant abundance fields
         self.dec_weight = ad.Tensor(np.zeros((bands, p, k, k)), requires_grad=True)
         self.dec_weight.data[:, :, k // 2, k // 2] = 1.0 / p
 
@@ -286,33 +229,24 @@ class ConvAutoencoder:
         for j, idx in enumerate(picks):
             self.dec_weight.data[:, j, k, k] = spectra[idx]
 
-    def encode(self, x) -> ad.Tensor:
-        """Patches or image strips (N, L, h, w) -> abundances (N, P, h, w)."""
-        w, b = self.enc_weights[0], self.enc_biases[0]
-        return self._encode_after_first(ad.conv2d(ad.as_tensor(x), w, b, padding="same"))
+    def encode(self, x, padding: str = "same") -> ad.Tensor:
+        """Windows or image strips (N, L, h, w) -> abundances (N, P, h', w').
 
-    def encode_patches(self, table: np.ndarray, taps: BatchTaps) -> ad.Tensor:
-        """`encode` of the batch of patches that `taps` cuts from a pixel table.
-
-        Layer 1 is `ad.patch_conv` over the (M, L) `table` of the
-        zero-padded image's pixels (see `TapPattern`); the other layers
-        are the same same-padded convs as in `encode`.
+        `same` convs keep h x w; `valid` convs shrink both by 2*radius.
         """
-        w, b = self.enc_weights[0], self.enc_biases[0]
-        return self._encode_after_first(
-            ad.patch_conv(table, taps.pixel_ids, w, taps.taps, taps.taps_t, taps.shape, b))
-
-    def _encode_after_first(self, out: ad.Tensor) -> ad.Tensor:
-        for w, b in zip(self.enc_weights[1:], self.enc_biases[1:]):
-            out = ad.conv2d(ad.leaky_relu(out, 0.01), w, b, padding="same")
+        out = ad.as_tensor(x)
+        for i, (w, b) in enumerate(zip(self.enc_weights, self.enc_biases)):
+            if i:
+                out = ad.leaky_relu(out, 0.01)
+            out = ad.conv2d(out, w, b, padding=padding)
         return ad.scaled_softmax(out, self.config.softmax_scale, axis=1)
 
-    def decode(self, abundance) -> ad.Tensor:
-        """Abundance batch (N, P, h, w) -> reconstruction (N, L, h, w).
+    def decode(self, abundance, padding: str = "same") -> ad.Tensor:
+        """Abundance batch (N, P, h, w) -> reconstruction (N, L, h', w').
 
         Exactly linear: a pixel with zero abundance reconstructs to zero.
         """
-        return ad.conv2d(ad.as_tensor(abundance), self.dec_weight, None, padding="same")
+        return ad.conv2d(ad.as_tensor(abundance), self.dec_weight, None, padding=padding)
 
     def forward(self, x) -> tuple[ad.Tensor, ad.Tensor]:
         a = self.encode(x)
@@ -322,48 +256,31 @@ class ConvAutoencoder:
         np.maximum(self.dec_weight.data, 0.0, out=self.dec_weight.data)
 
 
-def reconstruction_loss(patch: ad.Tensor, recon: ad.Tensor, kind: str,
-                        mse_weight: float, valid: np.ndarray | None = None) -> ad.Tensor:
-    """Training loss: spectral angle at the patch center, MSE over the patch.
+def reconstruction_loss(target, recon: ad.Tensor, kind: str,
+                        mse_weight: float) -> ad.Tensor:
+    """Training loss at the center pixel: spectral angle plus weighted MSE.
 
-    Only the patch center has a full-context encoding: with the default
-    kernels the encoder's receptive field reaches the patch half-width,
-    so every other pixel's abundances are computed partly from the zeros
-    beyond the patch edge.
-    The center is therefore where a reconstruction is to be judged.
-
-    `valid` masks the MSE to in-image pixels (N, 1, ps, ps): sum-to-one
-    abundances cannot reconstruct the border zero-padding, so scoring it
-    would only push the decoder columns toward zero.
+    `target` and `recon` are (N, L, h, w) with h and w odd, and only
+    their center pixels are scored: training reconstructs only the
+    center of each window, the one pixel of a patch encoded from its
+    full receptive field (see the module docstring).
     """
+    ch, cw = recon.shape[2] // 2, recon.shape[3] // 2
+    a = recon[:, :, ch, cw]
+    b = ad.as_tensor(target)[:, :, ch, cw]
     terms = []
     if kind in ("sad", "sad_plus_mse"):
-        c = patch.shape[2] // 2
-        a = recon[:, :, c, c]
-        b = patch[:, :, c, c]
         dot = (a * b).sum(axis=1)
         na = ad.sqrt((a * a).sum(axis=1) + 1e-24)
         nb = ad.sqrt((b * b).sum(axis=1) + 1e-24)
         terms.append(ad.arccos(dot / (na * nb)).mean())
     if kind in ("mse", "sad_plus_mse"):
-        err = (recon - patch) ** 2
-        if valid is None:
-            mse = err.mean()
-        else:
-            bands = patch.shape[1]
-            mse = (err * valid).sum() * (1.0 / (valid.sum() * bands))
+        mse = ((a - b) ** 2).mean()
         terms.append(mse if kind == "mse" else mse_weight * mse)
     loss = terms[0]
     for t in terms[1:]:
         loss = loss + t
     return loss
-
-
-def patch_validity_masks(height: int, width: int, patch_size: int) -> np.ndarray:
-    """(H, W, ps, ps) windows marking which patch pixels lie in the image."""
-    half = patch_size // 2
-    padded = np.pad(np.ones((height, width)), half)
-    return np.lib.stride_tricks.sliding_window_view(padded, (patch_size, patch_size))
 
 
 # -- training ------------------------------------------------------------------
@@ -415,42 +332,34 @@ def endmembers_from_decoder(model: ConvAutoencoder) -> np.ndarray:
 
 def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
                       ) -> tuple[np.ndarray, np.ndarray, list[float], ConvAutoencoder]:
-    """Train on every pixel's patch; returns endmembers, maps, loss history.
+    """Train on every pixel's receptive cone; returns endmembers, maps, loss history.
 
-    Deterministic per config.seed.  The abundance stack is assembled from
-    final-epoch weights; per-epoch mean losses form the history.
+    Each epoch visits the pixels in a shuffled order, in batches: a
+    batch's `training_windows` run through `valid` convs down to their
+    centers' reconstructions, which the loss scores against the center
+    spectra.  Deterministic per config.seed.  The abundance stack is
+    assembled from final-epoch weights; per-epoch mean losses form the
+    history.
     """
     root = SplitMix64(config.seed)
     model = ConvAutoencoder(config, cube.bands, root.split(0))
     model.seed_decoder_columns(cube.spectra())
     shuffle_rng = root.split(1)
-    ps = config.patch_size
     centers = patch_centers(cube.height, cube.width)
-    padded = _zero_padded(cube, ps)
-    win = _padded_windows(cube, ps, padded)
-    table = padded.reshape(-1, cube.bands)
-    masks = patch_validity_masks(cube.height, cube.width, ps)
-    # layer 1 reads the image itself: see TapPattern and ad.patch_conv
-    pattern = TapPattern(ps, config.encoder_kernels[0])
-    sources = pixel_sources(cube.height, cube.width, ps)
+    windows = training_windows(cube, config)
     n = len(centers)
-    params = model.parameters()
-    optimizer = ad.Adam(params, lr=config.learning_rate)
+    optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
     history: list[float] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         batch_losses = []
         try:
             for start in range(0, n, config.batch_size):
-                sel = centers[order[start : start + config.batch_size]]
-                batch = ad.Tensor(np.ascontiguousarray(win[sel[:, 0], sel[:, 1]]))
-                valid = masks[sel[:, 0], sel[:, 1]][:, None]
-                taps = pattern.batch(sources[sel[:, 0], sel[:, 1]])
-                recon = model.decode(model.encode_patches(table, taps))
-                loss = reconstruction_loss(batch, recon, config.loss,
-                                           config.mse_weight, valid)
-                grads = ad.backward(loss)
-                optimizer.step(grads)
+                r, c = centers[order[start : start + config.batch_size]].T
+                recon = model.decode(model.encode(windows[r, c], "valid"), "valid")
+                loss = reconstruction_loss(cube.reflectance[r, c, :, None, None], recon,
+                                           config.loss, config.mse_weight)
+                optimizer.step(ad.backward(loss))
                 model.clamp_decoder()
                 batch_losses.append(loss.item())
         except ad.NonFiniteError as exc:

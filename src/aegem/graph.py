@@ -105,6 +105,11 @@ def build_star_edges(height: int, width: int, kernel: EllipseKernel,
     return np.column_stack([senders[order], receivers[order]])
 
 
+# Cap on one edge block of sad_adjacency's (edges x bands) temporaries, in
+# bytes; a block holds at least one edge.
+_EDGE_BLOCK_BYTES = 2**20
+
+
 def sad_adjacency(cube: HsiCube, graph: EllipticalGraph,
                   paper_literal: bool = False) -> np.ndarray:
     """Per-edge spectral angles, stored on the graph and returned.
@@ -123,11 +128,17 @@ def sad_adjacency(cube: HsiCube, graph: EllipticalGraph,
     if paper_literal:
         weights = np.arccos(np.clip(norms[s] / norms[r], -1.0, 1.0))
     else:
-        # half-angle form of the spectral angle: exact 0 for identical spectra
-        a = spectra[s] / norms[s, None]
-        b = spectra[r] / norms[r, None]
-        weights = 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1),
-                                   np.linalg.norm(a + b, axis=1))
+        # half-angle form of the spectral angle: exact 0 for identical
+        # spectra.  Each edge's angle depends on its own two spectra only,
+        # so edge blocks bound the (edges x bands) temporaries
+        weights = np.empty(len(s))
+        step = max(1, _EDGE_BLOCK_BYTES // (8 * spectra.shape[1]))
+        for e0 in range(0, len(s), step):
+            sb, rb = s[e0 : e0 + step], r[e0 : e0 + step]
+            a = spectra[sb] / norms[sb, None]
+            b = spectra[rb] / norms[rb, None]
+            weights[e0 : e0 + step] = 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1),
+                                                       np.linalg.norm(a + b, axis=1))
     graph.edge_weights = weights
     return weights
 

@@ -10,8 +10,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from aegem import autodiff as ad
-from aegem.autoencoder import (ConvAutoencoder, DivergenceError, patch_validity_masks,
-                               reconstruction_loss)
+from aegem.autoencoder import ConvAutoencoder, DivergenceError, reconstruction_loss
 from aegem.gcn import GcnModel, bce_with_logits, normalized_operator
 from aegem.rng import SplitMix64
 
@@ -60,6 +59,37 @@ def conv2d_einsum(x: np.ndarray, w: np.ndarray, g: np.ndarray
     gx = np.einsum("bohwuv,ocuv->bchw", windows(gp), w[:, :, ::-1, ::-1], optimize=True)
     gw = np.einsum("bchwuv,bohw->ocuv", windows(x), g, optimize=True)
     return out, gx, gw
+
+
+def conv2d_plus_bias(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: str,
+                     g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A bias-free `ad.conv2d` followed by a separate broadcast add of b.
+
+    Returns the output and, for an output gradient g, the gradients of
+    x, w and b: the composition that `ad.conv2d` fuses by adding its
+    bias in place.
+    """
+    xt, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = ad.conv2d(xt, wt, None, padding) + bt.reshape(1, b.size, 1, 1)
+    grads = ad.backward((out * g).sum())
+    return out.data, grads[xt], grads[wt], grads[bt]
+
+
+def leaky_relu_slope(x: np.ndarray, alpha: float, g: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """leaky_relu as x times a float slope array, and its gradient g times the slope."""
+    slope = np.where(x > 0, 1.0, alpha)
+    return x * slope, g * slope
+
+
+def sad_weights_whole(spectra: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Half-angle spectral angles of every edge at once, from whole
+    (edges x bands) unit-vector arrays."""
+    norms = np.linalg.norm(spectra, axis=1)
+    s, r = edges[:, 0], edges[:, 1]
+    a = spectra[s] / norms[s, None]
+    b = spectra[r] / norms[r, None]
+    return 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1))
 
 
 def relu_mlp_unfused(x: np.ndarray, w1: np.ndarray, w2: np.ndarray, g: np.ndarray
@@ -177,12 +207,12 @@ def abundance_stack_per_patch(model, cube) -> np.ndarray:
 
 
 def train_autoencoder_per_patch(cube, config) -> tuple[list[float], ConvAutoencoder]:
-    """AE training with every layer a `conv2d` of the gathered patches.
+    """AE training on whole ps x ps patches through same-padded convs.
 
     The same seeds, shuffle, batches, loss and optimizer as
-    `autoencoder.train_autoencoder`, whose first layer shares each
-    pixel's tap projections across patches instead; returns the
-    per-epoch mean losses and the trained model.
+    `autoencoder.train_autoencoder`, with the loss read at each patch's
+    center; training reads only the center's receptive cone instead.
+    Returns the per-epoch mean losses and the trained model.
     """
     root = SplitMix64(config.seed)
     model = ConvAutoencoder(config, cube.bands, root.split(0))
@@ -191,7 +221,6 @@ def train_autoencoder_per_patch(cube, config) -> tuple[list[float], ConvAutoenco
     ps, half = config.patch_size, config.patch_size // 2
     padded = np.pad(cube.reflectance, ((half, half), (half, half), (0, 0)))
     centers = [(r, c) for r in range(cube.height) for c in range(cube.width)]
-    masks = patch_validity_masks(cube.height, cube.width, ps)
     optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
     history = []
     for epoch in range(config.epochs):
@@ -201,9 +230,8 @@ def train_autoencoder_per_patch(cube, config) -> tuple[list[float], ConvAutoenco
             sel = [centers[i] for i in order[start : start + config.batch_size]]
             batch = ad.Tensor(np.stack([padded[r : r + ps, c : c + ps].transpose(2, 0, 1)
                                         for r, c in sel]))
-            valid = np.stack([masks[r, c] for r, c in sel])[:, None]
             _, recon = model.forward(batch)
-            loss = reconstruction_loss(batch, recon, config.loss, config.mse_weight, valid)
+            loss = reconstruction_loss(batch, recon, config.loss, config.mse_weight)
             optimizer.step(ad.backward(loss))
             model.clamp_decoder()
             losses.append(loss.item())

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from aegem import autodiff as ad
-from aegem.autoencoder import TapPattern, pixel_sources
 from aegem.rng import SplitMix64
 
-from oracles import (adam_scalar_reference, conv2d_einsum, conv2d_loops,
-                     finite_diff_grads, gradcheck, max_rel_err, relu_mlp_unfused)
+from oracles import (adam_scalar_reference, conv2d_einsum, conv2d_loops, conv2d_plus_bias,
+                     finite_diff_grads, gradcheck, leaky_relu_slope, max_rel_err,
+                     relu_mlp_unfused)
 
 
 def rng(seed=0):
@@ -193,141 +193,26 @@ def test_conv_shape_errors():
         ad.conv2d(x, ad.Tensor(np.ones((1, 2, 7, 7))), None, "valid")
 
 
-# -- patch_conv ------------------------------------------------------------------------
-
-def _image_patches(image, ps, centers):
-    """The zero-padded ps x ps patches of an (H, W, L) image around `centers`,
-    gathered one at a time, and the padded image as a (pixels, L) table."""
-    half = ps // 2
-    padded = np.pad(image, ((half, half), (half, half), (0, 0)))
-    patches = np.stack([padded[r : r + ps, c : c + ps].transpose(2, 0, 1) for r, c in centers])
-    return patches, padded.reshape(-1, image.shape[2])
-
-
-def _edge_centers(h, w, count, g):
-    """The four corners, four edge midpoints, then random centers: `count` in all."""
-    fixed = [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1),
-             (0, w // 2), (h - 1, w // 2), (h // 2, 0), (h // 2, w - 1)]
-    extra = [(int(g.integers(h)), int(g.integers(w))) for _ in range(max(0, count - 8))]
-    return np.array((fixed + extra)[:count])
-
-
-def _patch_conv_against_conv2d(image, ps, kernel, cout, centers, pattern=None, seed=30):
-    """(output, weight gradient, bias gradient) of patch_conv and of conv2d on
-    the gathered patches, for one random weight, bias and output gradient."""
-    g = rng(seed)
-    patches, table = _image_patches(image, ps, centers)
-    pattern = pattern or TapPattern(ps, kernel)
-    taps = pattern.batch(pixel_sources(*image.shape[:2], ps)[centers[:, 0], centers[:, 1]])
-    w = g.normal(size=(cout, image.shape[2], kernel, kernel))
-    b = g.normal(size=cout)
-    gout = g.normal(size=(len(centers), cout, ps, ps))
-    results = []
-    for conv in (lambda wt, bt: ad.conv2d(ad.Tensor(patches), wt, bt, "same"),
-                 lambda wt, bt: ad.patch_conv(table, taps.pixel_ids, wt, taps.taps,
-                                              taps.taps_t, taps.shape, bt)):
-        wt, bt = ad.Tensor(w, requires_grad=True), ad.Tensor(b, requires_grad=True)
-        out = conv(wt, bt)
-        grads = ad.backward((out * gout).sum())
-        results.append((out.data, grads[wt], grads[bt]))
-    return results
-
-
-def _assert_patch_conv_matches(results):
-    (out, gw, gb), (ref_out, ref_gw, ref_gb) = results[1], results[0]
-    assert out.shape == ref_out.shape
-    assert np.max(np.abs(out - ref_out)) <= 1e-12
-    assert np.max(np.abs(gw - ref_gw)) <= 1e-12 * np.max(np.abs(ref_gw))
-    assert np.max(np.abs(gb - ref_gb)) <= 1e-12 * np.max(np.abs(ref_gb))
-
-
-@pytest.mark.parametrize("ps", [5, 9])
+@pytest.mark.parametrize("hw", [5, 9])
 @pytest.mark.parametrize("kernel", [1, 3, 5])
-def test_patch_conv_matches_conv2d_on_the_gathered_patches(ps, kernel):
+def test_conv2d_bias_in_place_matches_conv_plus_add(kernel, hw):
+    # the bias is added inside the conv node; output and every gradient
+    # must keep the bits of a bias-free conv followed by a broadcast add
     g = rng(31)
-    image = g.uniform(0, 1, size=(14, 11, 6))
-    centers = _edge_centers(14, 11, 40, g)
-    results = _patch_conv_against_conv2d(image, ps, kernel, 7, centers)
-    _assert_patch_conv_matches(results)
-    # the output is the same pixels-last view conv2d returns
-    assert results[1][0].transpose(1, 2, 3, 0).flags.c_contiguous
-
-
-@pytest.mark.parametrize("ps,kernel", [(5, 3), (9, 5)])
-@pytest.mark.parametrize("hw", [(1, 1), (2, 3), (4, 1), (4, 4)])
-def test_patch_conv_on_an_image_smaller_than_the_patch(hw, ps, kernel):
-    g = rng(32)
-    image = g.uniform(0, 1, size=(*hw, 3))
-    centers = np.array([(r, c) for r in range(hw[0]) for c in range(hw[1])])
-    _assert_patch_conv_matches(_patch_conv_against_conv2d(image, ps, kernel, 4, centers))
-
-
-def test_patch_conv_serves_a_ragged_last_batch_from_one_pattern():
-    # 64 patches, then the 7 left over, with the pattern built once
-    g = rng(33)
-    image = g.uniform(0, 1, size=(12, 10, 5))
-    pattern = TapPattern(9, 5)
-    for count in (64, 7, 64):
-        centers = _edge_centers(12, 10, count, g)
-        _assert_patch_conv_matches(_patch_conv_against_conv2d(image, 9, 5, 6, centers, pattern))
-
-
-def test_patch_conv_reads_each_pixel_once():
-    # overlapping patches share pixels, and the zero border is one pixel
-    taps = TapPattern(9, 5).batch(pixel_sources(6, 6, 9)[[0, 0, 5, 2], [0, 5, 5, 3]])
-    assert taps.pixel_ids.size == 36 + 1
-    assert taps.taps.shape == (4 * 81, 37 * 25) and taps.taps_t.shape == (37 * 25, 4 * 81)
-    # each patch pixel has one entry per in-patch tap: 13 of 25 at a corner
-    assert np.diff(taps.taps.indptr)[[0, 40, 81]].tolist() == [9, 25, 9]
-    # per axis 39 of the 9*5 (pixel, tap) pairs stay inside the patch
-    assert taps.taps.nnz == 4 * 39**2
-
-
-def _patch_conv_peak(table, taps, w):
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = ad.patch_conv(table, taps.pixel_ids, w, taps.taps, taps.taps_t, taps.shape)
-        ad.backward(out.sum())
-        return tracemalloc.get_traced_memory()[1] - before, out.data.nbytes
-    finally:
-        tracemalloc.stop()
-
-
-def test_patch_conv_peak_memory_stays_within_one_block_of_projections(monkeypatch):
-    # 64 9x9 patches of a 24x24x40 image: the whole (U*25, 64) tap
-    # projection is 7.4 MB.  Beyond its output, the output's gradient and a
-    # few weight-sized arrays, the op holds one block under the cap at a
-    # time; built whole, the projection and its gradient break that bound
-    g = rng(34)
-    image = g.uniform(0, 1, size=(24, 24, 40))
-    centers = _edge_centers(24, 24, 64, g)
-    _, table = _image_patches(image, 9, centers)
-    taps = TapPattern(9, 5).batch(pixel_sources(24, 24, 9)[centers[:, 0], centers[:, 1]])
-    w = ad.Tensor(g.normal(size=(64, 40, 5, 5)), requires_grad=True)
-    cap = 2**20
-    monkeypatch.setattr(ad, "_COLUMN_BLOCK_BYTES", cap)
-    peak, out_bytes = _patch_conv_peak(table, taps, w)
-    bound = 2 * out_bytes + 3 * w.data.nbytes + 2 * cap
-    assert peak <= bound
-    monkeypatch.setattr(ad, "_COLUMN_BLOCK_BYTES", 2**40)
-    assert _patch_conv_peak(table, taps, w)[0] > bound
-
-
-def test_patch_conv_shape_errors():
-    taps = TapPattern(5, 3).batch(pixel_sources(4, 4, 5)[[0, 1], [0, 2]])
-    table = np.ones((64, 2))
-    w = ad.Tensor(np.ones((3, 2, 3, 3)))
-    ids = taps.pixel_ids
-    with pytest.raises(ValueError, match="channels"):
-        ad.patch_conv(np.ones((64, 3)), ids, w, taps.taps, taps.taps_t, taps.shape)
-    with pytest.raises(ValueError, match="bias"):
-        ad.patch_conv(table, ids, w, taps.taps, taps.taps_t, taps.shape, ad.Tensor(np.ones(2)))
-    with pytest.raises(ValueError, match="tap operators"):
-        ad.patch_conv(table, ids, ad.Tensor(np.ones((3, 2, 5, 5))), taps.taps, taps.taps_t,
-                      taps.shape)
-    with pytest.raises(ValueError, match="tap operators"):
-        ad.patch_conv(table, ids, w, taps.taps, taps.taps_t, (3, 5, 5))
+    x = g.normal(size=(40, 6, hw, hw))
+    w = g.normal(size=(7, 6, kernel, kernel))
+    b = g.normal(size=7)
+    for padding in ("same", "valid"):
+        side = hw if padding == "same" else hw - kernel + 1
+        gout = g.normal(size=(40, 7, side, side))
+        xt, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = ad.conv2d(xt, wt, bt, padding)
+        grads = ad.backward((out * gout).sum())
+        got = (out.data, grads[xt], grads[wt], grads[bt])
+        for a, ref in zip(got, conv2d_plus_bias(x, w, b, padding, gout)):
+            assert a.shape == ref.shape and np.array_equal(a, ref), padding
+        # the output is the pixels-last view a bias-free conv returns
+        assert out.data.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
 # -- fused ReLU MLP ----------------------------------------------------------------
@@ -613,6 +498,15 @@ def test_gradcheck_elementwise_ops():
     gradcheck(lambda t: (ad.sqrt(t + 2.0) * proj).sum(), [x])
     gradcheck(lambda t: (ad.log(t + 2.0) * proj).sum(), [x])
     gradcheck(lambda t: ((t ** 3) * proj).sum(), [x])
+    # leaky_relu holds a boolean mask: values and gradients keep the bits
+    # of multiplying by a float slope array, signed zeros included
+    x[0, :3] = [0.0, -0.0, 1e-300]
+    xt = ad.Tensor(x, requires_grad=True)
+    out = ad.leaky_relu(xt, 0.01)
+    grads = ad.backward((out * proj).sum())
+    ref_out, ref_grad = leaky_relu_slope(x, 0.01, proj)
+    assert np.array_equal(out.data, ref_out) and np.array_equal(grads[xt], ref_grad)
+    assert np.array_equal(np.signbit(out.data), np.signbit(ref_out))
 
 
 def test_gradcheck_relu_away_from_kink():
@@ -634,18 +528,6 @@ def test_gradcheck_matmul_reductions_slicing():
     gradcheck(lambda t: (t[1:3, ::2] * proj[:2, :3]).sum(), [x])
     gradcheck(lambda t: t.reshape(24).sum(), [x])
     gradcheck(lambda t: ((t / (t + 3.0)) * proj[:, :1]).sum(), [x])
-
-
-def test_gradcheck_patch_conv():
-    g = rng(35)
-    image = g.uniform(0, 1, size=(4, 5, 3))
-    centers = np.array([(0, 0), (3, 4), (1, 2), (2, 0)])
-    _, table = _image_patches(image, 5, centers)
-    taps = TapPattern(5, 3).batch(pixel_sources(4, 5, 5)[centers[:, 0], centers[:, 1]])
-    proj = g.normal(size=(4, 2, 5, 5))
-    gradcheck(lambda w, b: (ad.patch_conv(table, taps.pixel_ids, w, taps.taps, taps.taps_t,
-                                          taps.shape, b) * proj).sum(),
-              [g.normal(size=(2, 3, 3, 3)), g.normal(size=2)])
 
 
 def test_getitem_gradient_sums_repeated_indices():

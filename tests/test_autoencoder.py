@@ -7,7 +7,7 @@ from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder, DivergenceErr
                                assemble_abundance_stack, endmembers_from_decoder,
                                extract_patches, load_autoencoder, patch_centers,
                                reconstruction_loss, save_autoencoder,
-                               train_autoencoder)
+                               train_autoencoder, training_windows)
 from aegem.hsi import HsiCube, SceneSpec, normalize, synthesize_scene
 from aegem.metrics import apply_match, match_endmembers, sad
 from aegem.rng import SplitMix64
@@ -42,9 +42,13 @@ def test_config_validation():
         AutoencoderConfig(encoder_filters=(8, 3), encoder_kernels=(3, 3, 1))
     with pytest.raises(ValueError, match="loss"):
         AutoencoderConfig(loss="huber")
-    # a patch center would read the zeros each layer pads beyond the patch
-    with pytest.raises(ValueError, match="radius 5 exceeds the patch half-width 4"):
+    # a patch must hold its center's receptive cone: 9 - 2*5 < 1 and 9 - 2*4 < 3
+    with pytest.raises(ValueError, match=r"= -1 is less than decoder_kernel 1"):
         AutoencoderConfig(encoder_kernels=(5, 5, 3, 1), patch_size=9)
+    with pytest.raises(ValueError, match=r"patch_size - 2\*radius = 9 - 2\*4 = 1 is less "
+                                         r"than decoder_kernel 3"):
+        AutoencoderConfig(decoder_kernel=3)
+    assert AutoencoderConfig(decoder_kernel=3, patch_size=11).radius == 4
     assert AutoencoderConfig().endmembers == 3
 
 
@@ -205,16 +209,16 @@ def test_dominant_channel_on_pure_region(trained):
 
 
 def test_reconstruction_error_small_after_training(trained):
-    # only the patch center is encoded from its full receptive field (the
-    # rest sees the zeros beyond the patch edge), so each patch is scored
-    # at the pixel it encodes, as the loss's SAD term does
+    # scored as training scores it: each center's reconstruction from its
+    # receptive cone, at every third row and column
     ncube, gt, _, _, _, model = trained
-    patches, centers = extract_patches(ncube, 9)
-    patches = patches[(centers % 3 == 0).all(axis=1)]  # every third row and column
+    centers = patch_centers(ncube.height, ncube.width)
+    r, c = centers[(centers % 3 == 0).all(axis=1)].T
     with ad.no_grad():
-        _, recon = model.forward(patches)
-    c = patches.shape[2] // 2
-    mse = float(np.mean((recon.data[:, :, c, c] - patches[:, :, c, c]) ** 2))
+        recon = model.decode(model.encode(training_windows(ncube, model.config)[r, c],
+                                          "valid"), "valid")
+    assert recon.shape == (r.size, ncube.bands, 1, 1)
+    mse = float(np.mean((recon.data[:, :, 0, 0] - ncube.reflectance[r, c]) ** 2))
     assert mse < 1e-3
 
 
@@ -233,13 +237,13 @@ def test_gradient_flow_through_full_loss():
     rng = np.random.default_rng(12)
     for w in model.enc_weights:
         w.data = rng.uniform(-0.3, 0.3, size=w.shape)
-    patches, centers = extract_patches(ncube, 9)
-    x = patches[(centers % 5 == 2).all(axis=1)]  # centers (2, 2), (2, 7), (7, 2), (7, 7)
+    r, c = np.array([2, 2, 7, 7]), np.array([2, 7, 2, 7])
+    x = training_windows(ncube, config)[r, c]  # the 9x9 cones of four centers
+    target = ncube.reflectance[r, c, :, None, None]
 
     def full_loss():
-        batch = ad.Tensor(x)
-        _, recon = model.forward(batch)
-        return reconstruction_loss(batch, recon, "sad_plus_mse", 0.5)
+        recon = model.decode(model.encode(x, "valid"), "valid")
+        return reconstruction_loss(target, recon, "sad_plus_mse", 0.5)
 
     grads = ad.backward(full_loss())
     params = model.parameters()
@@ -294,14 +298,49 @@ def test_trained_abundance_stack_matches_per_patch_encode(trained):
     assert np.array_equal(stack, abundance_stack_per_patch(model, ncube))
 
 
+def _window_encode(model, cube):
+    """Every pixel's abundances from its training window -> (H, W, P)."""
+    win = training_windows(cube, model.config)
+    r, c = patch_centers(cube.height, cube.width).T
+    k = model.config.decoder_kernel // 2
+    with ad.no_grad():
+        enc = model.encode(win[r, c], "valid").data[:, :, k, k]
+    return enc.reshape(cube.height, cube.width, -1)
+
+
+def test_trained_window_encode_matches_the_abundance_stack(trained):
+    # training and inference encode a pixel through different convs
+    # (valid on its cone, same-padded on a strip): equal to round-off
+    ncube, _, _, stack, _, model = trained
+    assert np.max(np.abs(_window_encode(model, ncube) - stack)) <= 1e-12 * np.max(stack)
+
+
+@pytest.mark.parametrize("ps,kernel", [(5, 3), (9, 5)])
+@pytest.mark.parametrize("hw", [(1, 1), (2, 3), (4, 1), (4, 4)])
+def test_window_encode_on_an_image_smaller_than_the_patch(hw, ps, kernel):
+    # every window and strip reads mostly zero padding here
+    rng = np.random.default_rng(19)
+    kernels = (kernel, 3, 3, 1) if kernel == 5 else (kernel, 1)
+    config = AutoencoderConfig(encoder_filters=(6, 5, 4, 3)[-len(kernels):],
+                               encoder_kernels=kernels, patch_size=ps)
+    model = ConvAutoencoder(config, 4, SplitMix64(20))
+    for w, b in zip(model.enc_weights, model.enc_biases):
+        w.data = rng.normal(scale=0.5, size=w.shape)
+        b.data = rng.normal(scale=0.1, size=b.shape)
+    cube = HsiCube(rng.uniform(size=(*hw, 4)))
+    stack = assemble_abundance_stack(model, cube)
+    assert np.max(np.abs(_window_encode(model, cube) - stack)) <= 1e-12 * np.max(stack)
+
+
 @pytest.mark.parametrize("filters,kernels,patch,decoder,batch", [
     ((8, 6, 3), (5, 3, 1), 9, 1, 64),  # 13x11 = 143 centers: batches of 64, 64 and 15
     ((6, 3), (3, 1), 5, 3, 40),
     ((5, 3), (1, 1), 5, 1, 50),
 ])
 def test_training_matches_the_per_patch_conv_loop(filters, kernels, patch, decoder, batch):
-    # layer 1 shares pixels across patches; every weight and loss must stay
-    # within round-off of convolving each patch on its own for 2 epochs
+    # training reads each center's receptive cone through valid convs; every
+    # weight and loss must stay within round-off of convolving each whole
+    # patch same-padded and scoring its center, for 2 epochs
     cube, _ = synthesize_scene(SceneSpec(13, 11, 7, 3, smoothness=1.2, seed=17))
     config = AutoencoderConfig(encoder_filters=filters, encoder_kernels=kernels,
                                patch_size=patch, decoder_kernel=decoder, epochs=2,

@@ -118,7 +118,18 @@ def test_config_with_an_encoder_wider_than_the_patch_fails(tmp_path, capsys):
     cfg.write_text(cfg.read_text().replace("encoder_kernels = 5,3,3,1",
                                            "encoder_kernels = 5,5,3,1"))
     assert main(["run", "--config", str(cfg)]) == 1
-    assert "radius 5 exceeds the patch half-width 4" in capsys.readouterr().err
+    assert "9 - 2*5 = -1 is less than decoder_kernel 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_whose_patch_cannot_hold_the_decoder_fails(tmp_path, capsys):
+    # radius 4 leaves a 1-pixel center in the 9x9 patch: no room for a 3x3 decoder
+    cfg = tmp_path / "c.ini"
+    write_config(tiny_run_config(tmp_path / "o"), cfg)
+    cfg.write_text(cfg.read_text().replace("decoder_kernel = 1", "decoder_kernel = 3"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "9 - 2*4 = 1 is less than decoder_kernel 3" in err and str(cfg) in err
     assert not (tmp_path / "o").exists()
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aegem import graph as graph_module
 from aegem.graph import (EllipticalGraph, build_graph, build_kernel,
                          build_star_edges, laplacian, normalized_laplacian,
                          rbf_adjacency, read_graph_csv, sad_adjacency,
@@ -11,7 +12,7 @@ from aegem.graph import (EllipticalGraph, build_graph, build_kernel,
 from aegem.hsi import HsiCube
 from aegem.metrics import sad
 
-from oracles import ellipse_offsets_bruteforce, star_edges_loops
+from oracles import ellipse_offsets_bruteforce, sad_weights_whole, star_edges_loops
 
 
 def random_cube(h, w, l, seed=0):
@@ -173,6 +174,18 @@ def test_sad_adjacency_matches_direct_formula():
     spectra = cube.spectra()
     for (s, r), w in list(zip(g.edges, g.edge_weights))[::7]:
         assert abs(w - sad(spectra[int(s)], spectra[int(r)])) < 1e-12
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3 * 8 * 7, 2**20])
+def test_sad_adjacency_in_edge_blocks_equals_the_whole_edge_arrays(monkeypatch, block_bytes):
+    # one edge, three edges, and every edge per block: each angle reads
+    # its own row of the temporaries only, so the bits cannot move
+    cube = random_cube(9, 11, 7, seed=6)
+    g = build_graph(cube, 2, 3)
+    monkeypatch.setattr(graph_module, "_EDGE_BLOCK_BYTES", block_bytes)
+    weights = sad_adjacency(cube, g)
+    assert len(g.edges) > 3 and weights.shape == (len(g.edges),)
+    assert np.array_equal(weights, sad_weights_whole(cube.spectra(), g.edges))
 
 
 def test_sad_adjacency_weights_range_and_symmetry():
