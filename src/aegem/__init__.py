@@ -7,8 +7,7 @@ stack.  Includes a synthetic-scene generator with ground truth and the
 metric suite used to verify everything at desk scale.
 """
 
-from .autoencoder import (AutoencoderConfig, ConvAutoencoder, extract_patches,
-                          train_autoencoder)
+from .autoencoder import AutoencoderConfig, ConvAutoencoder, train_autoencoder
 from .ensemble import EnsembleSelection, ensemble_select
 from .gcn import GcnConfig, GcnModel, train_gcn
 from .graph import (EllipseKernel, EllipticalGraph, build_graph, build_kernel,
@@ -26,7 +25,7 @@ __all__ = [
     "AutoencoderConfig", "ConvAutoencoder", "EllipseKernel", "EllipticalGraph",
     "EnsembleSelection", "GcnConfig", "GcnModel", "GroundTruth", "HsiCube",
     "MetricsReport", "PermutationMatch", "RunConfig", "SceneSpec", "SplitMix64",
-    "build_graph", "build_kernel", "ensemble_select", "extract_patches", "laplacian",
+    "build_graph", "build_kernel", "ensemble_select", "laplacian",
     "load_cube", "match_endmembers", "normalize", "normalized_laplacian",
     "parse_config", "rbf_adjacency", "rmse", "run_pipeline", "run_repeated", "sad",
     "sad_adjacency", "save_abundance_maps", "save_cube", "synthesize_scene",

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import numpy as np
 
-FINITE_CHECKS = True
 _GRAD_ENABLED = True
 
 
@@ -67,7 +66,7 @@ class TapeConsumedError(RuntimeError):
 
 
 def _check(data: np.ndarray, op: str) -> np.ndarray:
-    if FINITE_CHECKS and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
     return data
 

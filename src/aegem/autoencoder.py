@@ -107,6 +107,11 @@ class AutoencoderConfig:
             )
         if self.softmax_scale <= 0:
             raise ValueError("softmax_scale must be positive")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise ValueError("autoencoder learning_rate must be > 0, "
+                             f"got {self.learning_rate!r}")
         if self.loss not in ("sad", "mse", "sad_plus_mse"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
@@ -150,27 +155,6 @@ def patch_centers(height: int, width: int) -> np.ndarray:
     return np.stack([rows, cols], axis=1)
 
 
-def _padded_windows(cube: HsiCube, width: int) -> np.ndarray:
-    """(H, W, L, width, width) view of the image zero-padded by width//2:
-    window [r, c] is centered at pixel (r, c)."""
-    half = width // 2
-    padded = np.pad(cube.reflectance, ((half, half), (half, half), (0, 0)))
-    return np.lib.stride_tricks.sliding_window_view(padded, (width, width), axis=(0, 1))
-
-
-def extract_patches(cube: HsiCube, patch_size: int = 9) -> tuple[np.ndarray, np.ndarray]:
-    """Every pixel's patch as (H*W, L, ps, ps), with the centers in row-major order.
-
-    Borders are zero-padded so that every pixel is a patch center.
-    """
-    if cube.height < 1 or cube.width < 1:
-        raise ValueError("empty cube")
-    centers = patch_centers(cube.height, cube.width)
-    win = _padded_windows(cube, patch_size)
-    patches = win[centers[:, 0], centers[:, 1]]  # (N, L, ps, ps)
-    return np.ascontiguousarray(patches), centers
-
-
 def training_windows(cube: HsiCube, config: AutoencoderConfig) -> np.ndarray:
     """(H, W, L, w, w) view: window [r, c] is pixel (r, c)'s receptive cone.
 
@@ -178,7 +162,9 @@ def training_windows(cube: HsiCube, config: AutoencoderConfig) -> np.ndarray:
     by w//2: `valid` convs through the encoder and the decoder reduce a
     window to its center's reconstruction.
     """
-    return _padded_windows(cube, 2 * (config.radius + config.decoder_kernel // 2) + 1)
+    half = config.radius + config.decoder_kernel // 2
+    padded = np.pad(cube.reflectance, ((half, half), (half, half), (0, 0)))
+    return np.lib.stride_tricks.sliding_window_view(padded, (2 * half + 1,) * 2, axis=(0, 1))
 
 
 # -- model ---------------------------------------------------------------------

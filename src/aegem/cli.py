@@ -3,8 +3,11 @@
 Subcommands: synth (scene generator), run (every pipeline stage: load,
 autoencoder, graph, gcn, ensemble), eval (re-score saved artifacts),
 graph (the load and graph stages), ae (the load and autoencoder
-stages).  Exit codes: 0 success, 1 usage or I/O error, 2 pipeline-stage
-failure.
+stages).  Every model setting and variant, such as `[gcn]
+paper_literal_asc`, is read from the config file alone; the flags of
+run, graph and ae override only the seed, the repeat count and the
+output directory.  Exit codes: 0 success, 1 usage, config or I/O error,
+2 pipeline-stage failure.
 
 The AEGEM_THREADS environment variable caps worker threads; it is
 applied to the BLAS thread pools before numpy loads.
@@ -44,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override config seed")
     run.add_argument("--repeat", type=int, default=None, help="override repeat count")
     run.add_argument("--out", default=None, help="override output directory")
-    run.add_argument("--paper-literal-adjacency", action="store_true")
-    run.add_argument("--paper-literal-asc", action="store_true")
 
     ev = sub.add_parser("eval", help="re-score saved run artifacts against truth")
     ev.add_argument("estimate_dir")
@@ -56,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--config", required=True)
     gr.add_argument("--seed", type=int, default=None)
     gr.add_argument("--out", default=None)
-    gr.add_argument("--paper-literal-adjacency", action="store_true")
 
     ae = sub.add_parser("ae", help="train the autoencoder only")
     ae.add_argument("--config", required=True)
@@ -77,10 +77,6 @@ def _resolved_config(args):
         rc = replace(rc, repeat=args.repeat)
     if args.out is not None:
         rc = replace(rc, out_dir=args.out)
-    if getattr(args, "paper_literal_adjacency", False):
-        rc = replace(rc, paper_literal_adjacency=True)
-    if getattr(args, "paper_literal_asc", False):
-        rc = replace(rc, gcn=replace(rc.gcn, paper_literal_asc=True))
     return rc
 
 

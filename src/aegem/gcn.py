@@ -55,6 +55,10 @@ class GcnConfig:
             raise ValueError("label_fraction must be in (0, 1]")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError(f"gcn learning_rate must be > 0, got {self.learning_rate!r}")
+        if self.pca_components < 1:
+            raise ValueError(f"pca_components must be >= 1, got {self.pca_components}")
         if self.features not in ("abundance", "abundance+spectrum_pca"):
             raise ValueError(f"unknown feature mode {self.features!r}")
 

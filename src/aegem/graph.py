@@ -110,13 +110,14 @@ def build_star_edges(height: int, width: int, kernel: EllipseKernel,
 _EDGE_BLOCK_BYTES = 2**20
 
 
-def sad_adjacency(cube: HsiCube, graph: EllipticalGraph,
-                  paper_literal: bool = False) -> np.ndarray:
-    """Per-edge spectral angles, stored on the graph and returned.
+def sad_adjacency(cube: HsiCube, graph: EllipticalGraph) -> np.ndarray:
+    """Per-edge spectral angles between sender and receiver spectra,
+    stored on the graph and returned.
 
-    The literal variant replaces the sender/receiver inner product with
-    the sender's self inner product (kept for comparison runs; it reduces
-    the cosine to a norm ratio).
+    The angle is taken in its half-angle form, 2 atan2(|a - b|, |a + b|)
+    for unit spectra a and b: exact 0 for identical spectra.  Each edge's
+    angle depends on its own two spectra only, so edge blocks bound the
+    (edges x bands) temporaries.
     """
     spectra = cube.spectra()
     norms = np.linalg.norm(spectra, axis=1)
@@ -125,33 +126,26 @@ def sad_adjacency(cube: HsiCube, graph: EllipticalGraph,
         r, c = divmod(int(zero[0]), graph.width)
         raise ValueError(f"pixel ({r},{c}) has a zero spectrum; spectral angle undefined")
     s, r = graph.edges[:, 0], graph.edges[:, 1]
-    if paper_literal:
-        weights = np.arccos(np.clip(norms[s] / norms[r], -1.0, 1.0))
-    else:
-        # half-angle form of the spectral angle: exact 0 for identical
-        # spectra.  Each edge's angle depends on its own two spectra only,
-        # so edge blocks bound the (edges x bands) temporaries
-        weights = np.empty(len(s))
-        step = max(1, _EDGE_BLOCK_BYTES // (8 * spectra.shape[1]))
-        for e0 in range(0, len(s), step):
-            sb, rb = s[e0 : e0 + step], r[e0 : e0 + step]
-            a = spectra[sb] / norms[sb, None]
-            b = spectra[rb] / norms[rb, None]
-            weights[e0 : e0 + step] = 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1),
-                                                       np.linalg.norm(a + b, axis=1))
+    weights = np.empty(len(s))
+    step = max(1, _EDGE_BLOCK_BYTES // (8 * spectra.shape[1]))
+    for e0 in range(0, len(s), step):
+        sb, rb = s[e0 : e0 + step], r[e0 : e0 + step]
+        a = spectra[sb] / norms[sb, None]
+        b = spectra[rb] / norms[rb, None]
+        weights[e0 : e0 + step] = 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1),
+                                                   np.linalg.norm(a + b, axis=1))
     graph.edge_weights = weights
     return weights
 
 
 def build_graph(cube: HsiCube, a: int = 3, b: int = 5,
-                stride_r: int | None = None, stride_c: int | None = None,
-                paper_literal: bool = False) -> EllipticalGraph:
+                stride_r: int | None = None, stride_c: int | None = None) -> EllipticalGraph:
     """Kernel, centroid tiling, star edges, and SAD weights in one call."""
     kernel = build_kernel(a, b)
     centroids = tile_centroids(cube.height, cube.width, kernel, stride_r, stride_c)
     edges = build_star_edges(cube.height, cube.width, kernel, centroids)
     graph = EllipticalGraph(cube.height, cube.width, kernel, centroids, edges)
-    sad_adjacency(cube, graph, paper_literal=paper_literal)
+    sad_adjacency(cube, graph)
     return graph
 
 

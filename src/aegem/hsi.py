@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -85,11 +85,9 @@ class TruncatedPayloadError(HsbFormatError):
 
 @dataclass
 class HsiCube:
-    """H x W x L reflectance raster with optional band wavelengths (nm)."""
+    """H x W x L reflectance raster: finite float64 values, every axis at least 1."""
 
     reflectance: np.ndarray
-    band_wavelengths: np.ndarray | None = None
-    provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.reflectance = np.asarray(self.reflectance, dtype=np.float64)
@@ -99,10 +97,6 @@ class HsiCube:
             raise ValueError("all cube dimensions must be >= 1")
         if not np.all(np.isfinite(self.reflectance)):
             raise ValueError("cube contains non-finite values")
-        if self.band_wavelengths is not None:
-            self.band_wavelengths = np.asarray(self.band_wavelengths, dtype=np.float64)
-            if self.band_wavelengths.shape != (self.bands,):
-                raise ValueError("band_wavelengths length must equal band count")
 
     @property
     def height(self) -> int:
@@ -310,31 +304,17 @@ def save_cube_csv(cube: HsiCube, path) -> None:
 
 # -- normalization ------------------------------------------------------------
 
-def normalize(cube: HsiCube, mode: str = "global_max") -> HsiCube:
-    """Scale reflectance into [0, 1] by the global or per-band maximum.
+def normalize(cube: HsiCube) -> HsiCube:
+    """Scale reflectance into [0, 1] by the cube's global maximum.
 
-    Small negative values (sensor or synthetic noise) are clipped to 0.
-    The mode is recorded in the cube's provenance.
+    One scale for every band keeps each pixel's spectral shape, and so
+    the spectral angles the graph and the SAD loss read.  Small negative
+    values (sensor or synthetic noise) are clipped to 0.
     """
-    refl = cube.reflectance
-    if mode == "global_max":
-        m = refl.max()
-        if m <= 0:
-            raise ValueError("cannot normalize: cube maximum is not positive")
-        out = refl / m
-    elif mode == "per_band":
-        m = refl.max(axis=(0, 1))
-        dead = np.nonzero(m <= 0)[0]
-        if dead.size:
-            raise ValueError(f"cannot normalize: band {dead[0]} has no positive values")
-        out = refl / m
-    else:
-        raise ValueError(f"unknown normalize mode {mode!r}")
-    return HsiCube(
-        np.clip(out, 0.0, 1.0),
-        band_wavelengths=cube.band_wavelengths,
-        provenance=cube.provenance + (f"normalize:{mode}",),
-    )
+    m = cube.reflectance.max()
+    if m <= 0:
+        raise ValueError("cannot normalize: cube maximum is not positive")
+    return HsiCube(np.clip(cube.reflectance / m, 0.0, 1.0))
 
 
 # -- synthetic scenes ---------------------------------------------------------
@@ -425,7 +405,7 @@ def synthesize_scene(spec: SceneSpec) -> tuple[HsiCube, GroundTruth]:
         noise = noise_rng.normal(signal.shape)
         gain = np.linalg.norm(signal) / (np.linalg.norm(noise) * 10.0 ** (spec.snr_db / 20.0))
         refl = signal + gain * noise
-    cube = HsiCube(refl, provenance=("synthetic",))
+    cube = HsiCube(refl)
     return cube, GroundTruth(endmembers, abund)
 
 

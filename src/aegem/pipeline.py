@@ -69,7 +69,6 @@ class RunConfig:
     stride_r: int | None = None
     stride_c: int | None = None
     sad_on: str = "spectra"  # spectra | abundance: edge-weight feature source
-    paper_literal_adjacency: bool = False
     out_dir: str = "out"
     seed: int = 0
     repeat: int = 1
@@ -81,6 +80,10 @@ class RunConfig:
             raise ValueError("repeat must be >= 1")
         if self.sad_on not in ("spectra", "abundance"):
             raise ValueError("sad_on must be 'spectra' or 'abundance'")
+        for key, value in (("a", self.kernel_a), ("b", self.kernel_b),
+                           ("stride_r", self.stride_r), ("stride_c", self.stride_c)):
+            if value is not None and value < 1:
+                raise ValueError(f"kernel {key} must be >= 1, got {value}")
         if self.scene is not None and self.scene.seed != 0:
             # the run seed governs scene generation; the spec's own seed
             # field is meaningful only for direct synthesize_scene calls
@@ -110,7 +113,7 @@ _KNOWN_KEYS = {
     "input": ("height", "width", "bands", "endmembers", "smoothness", "snr_db",
               "path", "format", "truth_endmembers", "truth_abundances"),
     "autoencoder": _AE_KEYS,
-    "kernel": ("a", "b", "sad_on", "paper_literal_adjacency", "stride_r", "stride_c"),
+    "kernel": ("a", "b", "sad_on", "stride_r", "stride_c"),
     "gcn": _GCN_KEYS,
 }
 
@@ -135,9 +138,7 @@ def write_config(rc: RunConfig, path) -> None:
             section["truth_abundances"] = rc.truth_abundances
         cp["input"] = section
     cp["autoencoder"] = {k: _fmt(getattr(rc.ae, k)) for k in _AE_KEYS}
-    kernel = {"a": _fmt(rc.kernel_a), "b": _fmt(rc.kernel_b),
-              "sad_on": rc.sad_on,
-              "paper_literal_adjacency": _fmt(rc.paper_literal_adjacency)}
+    kernel = {"a": _fmt(rc.kernel_a), "b": _fmt(rc.kernel_b), "sad_on": rc.sad_on}
     if rc.stride_r is not None:
         kernel["stride_r"] = _fmt(rc.stride_r)
     if rc.stride_c is not None:
@@ -213,8 +214,6 @@ def parse_config(path) -> RunConfig:
         stride_r=get("kernel", "stride_r", None, int),
         stride_c=get("kernel", "stride_c", None, int),
         sad_on=get("kernel", "sad_on", RunConfig.sad_on),
-        paper_literal_adjacency=get("kernel", "paper_literal_adjacency",
-                                    RunConfig.paper_literal_adjacency),
         out_dir=get("run", "out", RunConfig.out_dir),
         seed=get("run", "seed", RunConfig.seed),
         repeat=get("run", "repeat", RunConfig.repeat),
@@ -259,13 +258,17 @@ def score_artifacts(est_dir, truth_endmembers_csv, truth_abundances_csv,
     truth_em, _ = read_endmember_csv(truth_endmembers_csv)
     truth_ab, materials = read_abundance_csv(truth_abundances_csv)
     est_em, _ = read_endmember_csv(est_dir / "ae_endmembers.csv")
-    ae_stack, _ = read_abundance_csv(est_dir / "ae_abundances.csv")
-    gcn_stack, _ = read_abundance_csv(est_dir / "gcn_abundances.csv")
-    final_stack, _ = read_abundance_csv(est_dir / "final_abundances.csv")
-    if ae_stack.shape != truth_ab.shape:
-        raise ValueError(
-            f"estimate maps {ae_stack.shape} do not match truth {truth_ab.shape}"
-        )
+    if est_em.shape != truth_em.shape:
+        raise ValueError(f"{est_dir / 'ae_endmembers.csv'}: endmembers {est_em.shape} do not "
+                         f"match the truth's {truth_em.shape} in {truth_endmembers_csv}")
+    stacks = []
+    for name in ("ae_abundances.csv", "gcn_abundances.csv", "final_abundances.csv"):
+        stack, _ = read_abundance_csv(est_dir / name)
+        if stack.shape != truth_ab.shape:
+            raise ValueError(f"{est_dir / name}: maps {stack.shape} do not match "
+                             f"the truth's {truth_ab.shape} in {truth_abundances_csv}")
+        stacks.append(stack)
+    ae_stack, gcn_stack, final_stack = stacks
     label_idx = read_labels_csv(est_dir / "labels.csv", *truth_ab.shape[:2])
 
     match = match_endmembers(est_em, truth_em)
@@ -371,7 +374,7 @@ def load_stage(rc: RunConfig, out: Path, note,
         note(f"[load] cube {cube.height}x{cube.width}x{cube.bands}, "
              f"{truth.endmembers.shape[1]} endmembers")
     with _stage("normalize"):
-        cube = normalize(cube, "global_max")
+        cube = normalize(cube)
         note("[normalize] global_max")
     return cube, truth
 
@@ -408,8 +411,7 @@ def graph_stage(rc: RunConfig, cube: HsiCube, ae_stack: np.ndarray | None, out: 
     with _stage("graph"):
         t = time.perf_counter()
         edge_source = HsiCube(ae_stack) if rc.sad_on == "abundance" else cube
-        graph = build_graph(edge_source, rc.kernel_a, rc.kernel_b, rc.stride_r,
-                            rc.stride_c, paper_literal=rc.paper_literal_adjacency)
+        graph = build_graph(edge_source, rc.kernel_a, rc.kernel_b, rc.stride_r, rc.stride_c)
         write_graph_csv(graph, out / "graph.csv")
         note(f"[graph] ellipse a={rc.kernel_a} b={rc.kernel_b}: "
              f"{len(graph.senders)} centroids, {len(graph.edges)} edges "

@@ -5,7 +5,7 @@ import pytest
 from aegem import autodiff as ad
 from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder, DivergenceError,
                                assemble_abundance_stack, endmembers_from_decoder,
-                               extract_patches, load_autoencoder, patch_centers,
+                               load_autoencoder, patch_centers,
                                reconstruction_loss, save_autoencoder,
                                train_autoencoder, training_windows)
 from aegem.hsi import HsiCube, SceneSpec, normalize, synthesize_scene
@@ -55,18 +55,21 @@ def test_config_validation():
 # -- patch extraction -------------------------------------------------------------
 
 def test_patch_count_exact_tiling():
+    # the default encoder's receptive cone is 9x9
     cube = HsiCube(np.random.default_rng(0).uniform(size=(9, 9, 4)))
-    patches, centers = extract_patches(cube, 9)
-    assert len(patches) == 81
+    centers = patch_centers(9, 9)
+    windows = training_windows(cube, AutoencoderConfig())[centers[:, 0], centers[:, 1]]
+    assert windows.shape == (81, 4, 9, 9)
     assert centers[40].tolist() == [4, 4]
-    # the patch at the image center needs no padding: it is exactly the image
-    assert np.array_equal(patches[40], cube.reflectance.transpose(2, 0, 1))
+    # the window at the image center needs no padding: it is exactly the image
+    assert np.array_equal(windows[40], cube.reflectance.transpose(2, 0, 1))
 
 
 def test_patch_count_dense_stride():
     cube = HsiCube(np.random.default_rng(1).uniform(size=(10, 10, 3)))
-    patches, centers = extract_patches(cube, 9)
-    assert len(patches) == 100
+    centers = patch_centers(10, 10)
+    windows = training_windows(cube, AutoencoderConfig())[centers[:, 0], centers[:, 1]]
+    assert windows.shape == (100, 3, 9, 9)
     assert centers[0].tolist() == [0, 0] and centers[-1].tolist() == [9, 9]
 
 
@@ -77,7 +80,10 @@ def test_patch_count_benchmark_shape():
 
 def test_patch_values_zero_padded():
     cube = HsiCube(np.arange(27.0).reshape(3, 3, 3))
-    patches, centers = extract_patches(cube, 3)
+    # one 3x3 encoder layer and a 1x1 decoder: a 3x3 receptive cone
+    config = AutoencoderConfig(encoder_filters=(2,), encoder_kernels=(3,), patch_size=3)
+    centers = patch_centers(3, 3)
+    patches = training_windows(cube, config)[centers[:, 0], centers[:, 1]]
     corner = patches[0]  # centered at (0,0): top-left 2x2 of data, rest zeros
     assert corner.shape == (3, 3, 3)
     assert corner[0, 0, 0] == 0.0 and corner[0, 1, 1] == cube.reflectance[0, 0, 0]

@@ -1,4 +1,5 @@
 """Command-line workflows: synth/run/eval/graph/ae, determinism, exit codes."""
+import configparser
 import re
 import shutil
 from dataclasses import replace
@@ -78,7 +79,7 @@ def test_config_roundtrip_file_input(tmp_path):
     rc = RunConfig(input_path="cube.hsb", truth_endmembers="em.csv",
                    truth_abundances="ab.csv", out_dir="o", seed=2, repeat=3,
                    kernel_a=4, kernel_b=5, stride_r=2, stride_c=3,
-                   sad_on="abundance", paper_literal_adjacency=True,
+                   sad_on="abundance",
                    gcn=GcnConfig(paper_literal_asc=True, features="abundance+spectrum_pca"))
     path = tmp_path / "c.ini"
     write_config(rc, path)
@@ -156,12 +157,43 @@ def test_config_with_an_unknown_section_names_it(tmp_path, capsys):
     assert "unknown section [DEFAULT]" in capsys.readouterr().err
 
 
-def test_config_with_the_dropped_folds_key_is_rejected(tmp_path):
+@pytest.mark.parametrize("section, line", [("gcn", "folds = 5"),
+                                           ("kernel", "paper_literal_adjacency = false")],
+                         ids=["folds", "paper_literal_adjacency"])
+def test_config_with_the_dropped_folds_key_is_rejected(tmp_path, section, line):
     cfg = tmp_path / "c.ini"
     write_config(tiny_run_config(tmp_path / "o"), cfg)
-    cfg.write_text(cfg.read_text().replace("[gcn]\n", "[gcn]\nfolds = 5\n"))
-    with pytest.raises(ValueError, match=r"\[gcn\] folds is not a known key"):
+    cfg.write_text(cfg.read_text().replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    key = line.split(" = ")[0]
+    with pytest.raises(ValueError, match=rf"{re.escape(str(cfg))}: \[{section}\] {key} "
+                                         "is not a known key"):
         parse_config(cfg)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("autoencoder", "batch_size", "0", "batch_size must be >= 1, got 0"),
+    ("autoencoder", "learning_rate", "-1", "autoencoder learning_rate must be > 0, got -1.0"),
+    ("autoencoder", "learning_rate", "nan", "autoencoder learning_rate must be > 0, got nan"),
+    ("gcn", "learning_rate", "-1", "gcn learning_rate must be > 0, got -1.0"),
+    ("gcn", "pca_components", "0", "pca_components must be >= 1, got 0"),
+    ("kernel", "a", "0", "kernel a must be >= 1, got 0"),
+    ("kernel", "b", "-2", "kernel b must be >= 1, got -2"),
+    ("kernel", "stride_r", "0", "kernel stride_r must be >= 1, got 0"),
+    ("kernel", "stride_c", "0", "kernel stride_c must be >= 1, got 0"),
+])
+def test_config_with_an_out_of_range_value_fails_before_the_run(tmp_path, capsys, section,
+                                                                 key, value, message):
+    rc = tiny_run_config(tmp_path / "o")
+    cfg = tmp_path / "c.ini"
+    write_config(replace(rc, gcn=replace(rc.gcn, features="abundance+spectrum_pca")), cfg)
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(cfg, encoding="utf-8")
+    cp[section][key] = value
+    with open(cfg, "w", encoding="utf-8") as f:
+        cp.write(f)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_with_percent_signs_round_trips(tmp_path):
@@ -488,21 +520,27 @@ def test_labels_outside_the_image_name_the_line(tmp_path):
     assert read_labels_csv(path, 4, 4).tolist() == [13, 2]
 
 
-def test_eval_dimension_mismatch(tmp_path):
+@pytest.mark.parametrize("cut", ["ae_abundances.csv", "gcn_abundances.csv",
+                                 "final_abundances.csv", "ae_endmembers.csv"])
+def test_eval_dimension_mismatch(tmp_path, capsys, cut):
     out = tmp_path / "s"
     assert main(["synth", "--h", "8", "--w", "8", "--l", "6", "--p", "2",
                  "--seed", "3", "--out", str(out)]) == 0
-    other = tmp_path / "t"
-    assert main(["synth", "--h", "9", "--w", "9", "--l", "6", "--p", "2",
-                 "--seed", "3", "--out", str(other)]) == 0
+    capsys.readouterr()
     est = tmp_path / "est"
     est.mkdir()
     for name in ("ae_abundances.csv", "gcn_abundances.csv", "final_abundances.csv"):
         shutil.copy(out / "truth_abundances.csv", est / name)
     shutil.copy(out / "truth_endmembers.csv", est / "ae_endmembers.csv")
     (est / "labels.csv").write_text("row,col\n0,0\n")
-    code = main(["eval", str(est), str(other)])
-    assert code == 1
+    # the last pixel row or band cut: a well-formed but smaller table
+    lines = (est / cut).read_text().splitlines(keepends=True)
+    last = lines[-1].split(",")[0] + ","
+    (est / cut).write_text("".join(line for line in lines if not line.startswith(last)))
+    assert main(["eval", str(est), str(out)]) == 1
+    message = ("endmembers (5, 2) do not match the truth's (6, 2)" if cut == "ae_endmembers.csv"
+               else "maps (7, 8, 2) do not match the truth's (8, 8, 2)")
+    assert f"{est / cut}: {message}" in capsys.readouterr().err
 
 
 # -- graph / ae subcommands ------------------------------------------------------------
@@ -560,10 +598,18 @@ def test_paper_literal_flags_accepted(tmp_path):
                  ae=AutoencoderConfig(encoder_filters=(6, 4, 4, 2),
                                       encoder_kernels=(5, 3, 3, 1),
                                       epochs=1, batch_size=256),
-                 gcn=GcnConfig(hidden=8, epochs=10, label_fraction=0.15))
+                 gcn=GcnConfig(hidden=8, epochs=10, label_fraction=0.15,
+                               paper_literal_asc=True))
     cfg = tmp_path / "c.ini"
     write_config(rc, cfg)
-    code = main(["run", "--config", str(cfg), "--paper-literal-adjacency",
-                 "--paper-literal-asc", "--out", str(tmp_path / "lit")])
-    assert code == 0
+    assert "paper_literal_asc = true" in cfg.read_text()
+    assert main(["run", "--config", str(cfg)]) == 0
     assert (tmp_path / "lit" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "graph"])
+def test_the_dropped_paper_literal_adjacency_flag_is_rejected(tmp_path, command):
+    cfg = tmp_path / "c.ini"
+    write_config(tiny_run_config(tmp_path / "o"), cfg)
+    assert main([command, "--config", str(cfg), "--paper-literal-adjacency"]) == 1
+    assert not (tmp_path / "o").exists()

@@ -215,16 +215,6 @@ def test_sad_adjacency_zero_spectrum_names_pixel():
         build_graph(cube, 1, 1)
 
 
-def test_paper_literal_adjacency_variant():
-    cube = random_cube(5, 5, 4, seed=5)
-    g_lit = build_graph(cube, 1, 1, paper_literal=True)
-    spectra = cube.spectra()
-    norms = np.linalg.norm(spectra, axis=1)
-    s, r = g_lit.edges[:, 0], g_lit.edges[:, 1]
-    expected = np.arccos(np.clip(norms[s] / norms[r], -1.0, 1.0))
-    assert np.allclose(g_lit.edge_weights, expected)
-
-
 def test_graph_deterministic():
     cube = random_cube(10, 10, 6, seed=6)
     g1 = build_graph(cube, 2, 3)

@@ -31,8 +31,6 @@ def test_cube_rejects_bad_shapes():
         HsiCube(np.ones((3, 3)))
     with pytest.raises(ValueError):
         HsiCube(np.full((2, 2, 2), np.nan))
-    with pytest.raises(ValueError):
-        HsiCube(np.ones((2, 2, 3)), band_wavelengths=np.ones(2))
 
 
 def test_ground_truth_constraints():
@@ -153,32 +151,22 @@ def test_csv_cube_roundtrip(tmp_path):
 # -- normalization ------------------------------------------------------------------
 
 def test_normalize_global_max():
-    cube = HsiCube(np.full((2, 2, 2), 2.0))
-    out = normalize(cube, "global_max")
-    assert np.array_equal(out.reflectance, np.full((2, 2, 2), 1.0))
-    assert out.provenance[-1] == "normalize:global_max"
+    # one scale for all bands: each spectrum keeps its shape
+    cube = HsiCube(np.ones((2, 2, 3)) * np.array([1.0, 2.0, 4.0]))
+    out = normalize(cube)
+    assert np.array_equal(out.reflectance, np.ones((2, 2, 3)) * np.array([0.25, 0.5, 1.0]))
 
 
 def test_normalize_idempotent():
     cube = small_cube(3)
-    once = normalize(cube, "global_max")
-    twice = normalize(once, "global_max")
+    once = normalize(cube)
+    twice = normalize(once)
     assert np.max(np.abs(twice.reflectance - once.reflectance)) < 1e-15
-
-
-def test_normalize_per_band():
-    refl = np.ones((2, 2, 3)) * np.array([1.0, 2.0, 4.0])
-    out = normalize(HsiCube(refl), "per_band")
-    assert np.allclose(out.reflectance.max(axis=(0, 1)), [1.0, 1.0, 1.0])
 
 
 def test_normalize_all_zero_errors():
     with pytest.raises(ValueError):
-        normalize(HsiCube(np.zeros((2, 2, 2))), "global_max")
-    dead_band = np.ones((2, 2, 2))
-    dead_band[:, :, 1] = 0.0
-    with pytest.raises(ValueError, match="band 1"):
-        normalize(HsiCube(dead_band), "per_band")
+        normalize(HsiCube(np.zeros((2, 2, 2))))
 
 
 # -- synthetic scenes ----------------------------------------------------------------
