@@ -442,8 +442,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
 
 
 def sparse_matmul(op, x: Tensor, op_t) -> Tensor:
-    """Multiply a fixed scipy sparse matrix with a differentiable dense tensor.
+    """Multiply a fixed sparse matrix with a differentiable dense tensor.
 
+    `op` is anything whose `@` takes a dense array: `gcn.Csr`, or a
+    scipy sparse matrix, whose products `gcn.Csr` matches to the bit.
     `op_t` is `op`'s transpose, built once by the caller for the VJP.
     """
     return Tensor._from_op(op @ x.data, (x,), (lambda g: op_t @ g,), "sparse_matmul")
@@ -613,17 +615,31 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
+        """p -= lr m_hat / (sqrt(v_hat) + eps), in place with two temporaries.
+
+        Each operation is the textbook formula's, in its order, so the
+        update is the same to the bit as the out-of-place expression.
+        """
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = grads.get(p)
             if g is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1**t)
-            v_hat = self.v[i] / (1 - self.beta2**t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            tmp = np.multiply(g, 1 - self.beta1)
+            m *= self.beta1
+            m += tmp
+            np.multiply(g, 1 - self.beta2, out=tmp)
+            tmp *= g
+            v *= self.beta2
+            v += tmp
+            denom = np.divide(v, 1 - self.beta2**t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, 1 - self.beta1**t, out=tmp)
+            tmp *= self.lr
+            tmp /= denom
+            p.data -= tmp
 
 
 def glorot_uniform(shape: tuple, fan_in: int, fan_out: int, rng) -> Tensor:

@@ -23,13 +23,23 @@ intermediate in cache (FusedMM, Rahman, Sujon & Azad 2021).  The
 (N1, hidden) matrix H is never built, in training or in the final
 forward over all nodes: the backward pass recomputes each tile's
 pre-activation for both weight gradients.
+
+The operator is a `Csr`, a small numpy compressed-sparse-row matrix with
+only the operations the GCN needs, so that importing the package loads
+no scipy.  It adds in scipy.sparse's order, so every product is the
+same to the bit as scipy's and each written map stays byte-equal to the
+scipy build's: rows sum with `np.add.reduceat` as scipy's `csr.sum(axis=1)`
+does, and a product adds each row's entries in order from zero, as
+scipy's `csr_matvec` loop does, through `np.bincount` (which adds its
+weights in order; `reduceat` switches to pairwise sums on long rows).
+The code paths take a scipy matrix in place of a `Csr` as well, which
+the tests use as an oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import checkpoint
@@ -63,31 +73,128 @@ class GcnConfig:
             raise ValueError(f"unknown feature mode {self.features!r}")
 
 
-def normalized_operator(graph: EllipticalGraph) -> sp.csr_matrix:
+class Csr:
+    """A compressed-sparse-row matrix: the few operations the GCN needs.
+
+    Row i holds `data[indptr[i]:indptr[i+1]]` at the columns
+    `indices[indptr[i]:indptr[i+1]]`.  `@` takes a 1-D or 2-D dense
+    array; indexing takes rows (`op[rows]`) or columns
+    (`op[:, cols]`).  See the module docstring for the summation order.
+    """
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                 shape: tuple[int, int]):
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self.shape = shape
+        self._entry_rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @property
+    def T(self) -> Csr:
+        # a stable sort keeps each new row's entries in old-row order, as
+        # scipy's csr -> csc conversion writes them
+        order = np.argsort(self.indices, kind="stable")
+        indptr = _row_pointers(np.bincount(self.indices, minlength=self.shape[1]))
+        return Csr(self.data[order], self._entry_rows[order], indptr, self.shape[::-1])
+
+    def transpose(self) -> Csr:
+        return self.T
+
+    def tocsr(self) -> Csr:
+        return self
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self._entry_rows, self.indices] = self.data
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape[0] != self.shape[1]:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
+        if x.ndim == 1:
+            return self._matvec(x)
+        out = np.empty((self.shape[0], x.shape[1]))
+        for c, column in enumerate(x.T):
+            out[:, c] = self._matvec(column)
+        return out
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self._entry_rows, weights=self.data * x.take(self.indices),
+                           minlength=self.shape[0])
+
+    def __getitem__(self, key) -> Csr:
+        if not isinstance(key, tuple):
+            return self._select_rows(np.arange(self.shape[0])[key])
+        rows, cols = key
+        if rows != slice(None):
+            raise IndexError("index rows and columns separately: op[rows][:, cols]")
+        return self._select_columns(np.arange(self.shape[1])[cols])
+
+    def _select_rows(self, rows: np.ndarray) -> Csr:
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = _row_pointers(counts)
+        take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        return Csr(self.data[take], self.indices[take], indptr, (rows.size, self.shape[1]))
+
+    def _select_columns(self, cols: np.ndarray) -> Csr:
+        new = np.full(self.shape[1], -1)
+        new[cols] = np.arange(cols.size)
+        if np.count_nonzero(new >= 0) != cols.size:
+            raise IndexError("column indices repeat")
+        mapped = new[self.indices]
+        keep = mapped >= 0
+        indptr = _row_pointers(np.bincount(self._entry_rows[keep], minlength=self.shape[0]))
+        return Csr(self.data[keep], mapped[keep], indptr, (self.shape[0], cols.size))
+
+
+def _row_pointers(counts: np.ndarray) -> np.ndarray:
+    """CSR `indptr` of rows holding `counts` entries each."""
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def normalized_operator(graph: EllipticalGraph) -> Csr:
     """Sparse symmetric D^{-1/2} (A + I) D^{-1/2} with A_ij = exp(-angle).
 
     Star edges are made bidirectional and de-duplicated before
     normalization; self-loops guarantee positive degrees everywhere.
+    An edge endpoint outside the graph's pixels raises ValueError
+    naming the edge.
     """
     if graph.edge_weights is None:
         raise ValueError("graph has no edge weights; run sad_adjacency first")
     n = graph.n_pixels
+    bad = np.flatnonzero(((graph.edges < 0) | (graph.edges >= n)).any(axis=1))
+    if bad.size:
+        u, v = graph.edges[bad[0]]
+        raise ValueError(f"edge {bad[0]} ({u}, {v}) has an endpoint outside "
+                         f"the graph's pixels 0..{n - 1}")
     both = np.vstack([graph.edges, graph.edges[:, ::-1]])
     sim = np.exp(-np.concatenate([graph.edge_weights, graph.edge_weights]))
     pairs, keep = np.unique(both, axis=0, return_index=True)
     rows = np.concatenate([pairs[:, 0], np.arange(n)])
     cols = np.concatenate([pairs[:, 1], np.arange(n)])
     vals = np.concatenate([sim[keep], np.ones(n)])
-    a_hat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    inv_sqrt = 1.0 / np.sqrt(np.asarray(a_hat.sum(axis=1)).ravel())
-    d = sp.diags(inv_sqrt)
-    return (d @ a_hat @ d).tocsr()
+    # entries sorted by (row, column); a self-edge's entry and the
+    # self-loop add into one, as scipy's coo -> csr conversion adds them
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    a_hat = np.bincount(slot, weights=vals)
+    rows, cols = np.divmod(keys, n)
+    indptr = _row_pointers(np.bincount(rows, minlength=n))
+    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a_hat, indptr[:-1]))
+    return Csr((a_hat * inv_sqrt[rows]) * inv_sqrt[cols], cols, indptr, (n, n))
 
 
 class GcnModel:
     """Weights plus the cached normalized graph operator."""
 
-    def __init__(self, operator: sp.csr_matrix, feature_dim: int, hidden: int,
+    def __init__(self, operator: Csr, feature_dim: int, hidden: int,
                  out_dim: int, rng: SplitMix64):
         self.operator = operator
         self.w1 = ad.glorot_uniform((feature_dim, hidden), feature_dim, hidden, rng)
@@ -112,7 +219,7 @@ def _logits(rows_op, rows_op_t, ax: np.ndarray, w1: ad.Tensor, w2: ad.Tensor) ->
     return ad.sparse_matmul(rows_op, ad.relu_mlp(ax, w1, w2), rows_op_t)
 
 
-def receptive_field(operator: sp.csr_matrix, label_idx: np.ndarray) -> np.ndarray:
+def receptive_field(operator: Csr, label_idx: np.ndarray) -> np.ndarray:
     """Sorted nodes whose hidden rows the labeled logits read (N1).
 
     These are the columns holding a nonzero in the labeled rows of the

@@ -7,6 +7,7 @@ implementation paths it verifies.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import nnls
 
 from aegem import autodiff as ad
@@ -164,6 +165,24 @@ def adam_scalar_reference(grad_fn, w0: float, lr: float, steps: int,
     return path
 
 
+def adam_step_reference(params: list[np.ndarray], grads: list, m: list, v: list, t: int,
+                        lr: float, beta1: float = 0.9, beta2: float = 0.999,
+                        eps: float = 1e-8) -> None:
+    """One textbook Adam step, written out of place, on plain arrays.
+
+    Updates each params[i] in place and rebinds m[i] and v[i]; a None in
+    grads skips that parameter, as a missing gradient does.
+    """
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g is None:
+            continue
+        m[i] = beta1 * m[i] + (1 - beta1) * g
+        v[i] = beta2 * v[i] + (1 - beta2) * g * g
+        m_hat = m[i] / (1 - beta1**t)
+        v_hat = v[i] / (1 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def ellipse_offsets_bruteforce(a: int, b: int) -> set[tuple[int, int]]:
     """Scan the full bounding box for integer points inside the ellipse."""
     out = set()
@@ -257,6 +276,21 @@ def pixel_csv_text_per_value(stack: np.ndarray, names: list[str]) -> str:
             lines.append(f"{r},{c}," + ",".join(format(float(v), ".9g") for v in stack[r, c])
                          + "\n")
     return "".join(lines)
+
+
+def normalized_operator_scipy(graph) -> sp.csr_matrix:
+    """D^{-1/2} (A + I) D^{-1/2} built with scipy.sparse, as `gcn` once built it."""
+    n = graph.n_pixels
+    both = np.vstack([graph.edges, graph.edges[:, ::-1]])
+    sim = np.exp(-np.concatenate([graph.edge_weights, graph.edge_weights]))
+    pairs, keep = np.unique(both, axis=0, return_index=True)
+    rows = np.concatenate([pairs[:, 0], np.arange(n)])
+    cols = np.concatenate([pairs[:, 1], np.arange(n)])
+    vals = np.concatenate([sim[keep], np.ones(n)])
+    a_hat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a_hat.sum(axis=1)).ravel())
+    d = sp.diags(inv_sqrt)
+    return (d @ a_hat @ d).tocsr()
 
 
 def train_gcn_full_graph(graph, features, label_idx, label_targets, config):

@@ -8,9 +8,9 @@ import pytest
 from aegem import autodiff as ad
 from aegem.rng import SplitMix64
 
-from oracles import (adam_scalar_reference, conv2d_einsum, conv2d_loops, conv2d_plus_bias,
-                     finite_diff_grads, gradcheck, leaky_relu_slope, max_rel_err,
-                     relu_mlp_unfused)
+from oracles import (adam_scalar_reference, adam_step_reference, conv2d_einsum, conv2d_loops,
+                     conv2d_plus_bias, finite_diff_grads, gradcheck, leaky_relu_slope,
+                     max_rel_err, relu_mlp_unfused)
 
 
 def rng(seed=0):
@@ -591,6 +591,26 @@ def test_adam_matches_scalar_reference_on_quadratic():
         path.append(p.data[0])
     assert np.max(np.abs(np.array(path) - np.array(reference))) < 1e-12
     assert abs(p.data[0] - 3.0) < 0.1
+
+
+def test_adam_step_in_place_matches_the_out_of_place_reference():
+    g = rng(15)
+    shapes = [(3,), (4, 5), (2, 3, 3, 3)]
+    params = [ad.Tensor(g.normal(size=s), requires_grad=True) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    opt = ad.Adam(params, lr=0.01)
+    for t in range(1, 51):
+        # every parameter misses its gradient on some steps, each on its own
+        grads = [None if (t + i) % (3 + i) == 0
+                 else g.normal(size=s) * 10.0 ** g.integers(-6, 3)
+                 for i, s in enumerate(shapes)]
+        opt.step({p: gr for p, gr in zip(params, grads) if gr is not None})
+        adam_step_reference(ref, grads, m, v, t, lr=0.01)
+        for i, p in enumerate(params):
+            assert np.array_equal(p.data, ref[i])
+            assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])
 
 
 # -- determinism -----------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Command-line workflows: synth/run/eval/graph/ae, determinism, exit codes."""
 import configparser
+import os
 import re
 import shutil
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import aegem
 from aegem.autoencoder import AutoencoderConfig
 from aegem.cli import main
 from aegem.gcn import GcnConfig
@@ -329,6 +334,30 @@ def test_truth_endmembers_with_too_few_bands_fail_in_the_load_stage(tmp_path, ca
     err = capsys.readouterr().err
     assert "stage 'load' failed" in err
     assert f"{bad}: 4 bands, the cube has 6" in err
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    # the whole pipeline, GCN operator included, is numpy: a fresh process
+    # that imports the CLI and runs every stage never imports scipy
+    code = textwrap.dedent(f"""
+        import sys
+        import aegem.pipeline, aegem.cli
+        from aegem.autoencoder import AutoencoderConfig
+        from aegem.gcn import GcnConfig
+        from aegem.hsi import SceneSpec
+        rc = aegem.pipeline.RunConfig(
+            scene=SceneSpec(8, 8, 6, 3, snr_db=float("inf")),
+            ae=AutoencoderConfig(encoder_filters=(4, 3), encoder_kernels=(3, 1),
+                                 patch_size=5, decoder_kernel=3, epochs=1, batch_size=32),
+            gcn=GcnConfig(hidden=8, epochs=5), out_dir={str(tmp_path)!r})
+        aegem.pipeline.run_pipeline(rc, log=None)
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """)
+    env = {**os.environ, "PYTHONPATH": str(Path(aegem.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "final_abundances.csv").exists()
 
 
 def test_run_with_abundance_edge_features(tmp_path):

@@ -1,6 +1,10 @@
 """Normalized operator, GCN forward/training, PCA features, checkpoints."""
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aegem import autodiff as ad
 from aegem.autoencoder import DivergenceError
@@ -11,7 +15,7 @@ from aegem.graph import EllipticalGraph, build_graph, build_kernel
 from aegem.hsi import HsiCube, SceneSpec, synthesize_scene, normalize
 from aegem.rng import SplitMix64
 
-from oracles import gradcheck, train_gcn_full_graph
+from oracles import gradcheck, normalized_operator_scipy, train_gcn_full_graph
 
 
 def small_graph(h=6, w=6, l=5, seed=0, a=1, b=1):
@@ -64,6 +68,62 @@ def test_operator_spectrum_in_zero_two():
         op = normalized_operator(graph).toarray()
         evals = np.linalg.eigvalsh(np.eye(op.shape[0]) - op)
         assert evals.min() >= -1e-9 and evals.max() <= 2.0 + 1e-9
+
+
+def _assert_same_csr(op, ref):
+    assert op.shape == ref.shape and op.nnz == ref.nnz
+    assert np.array_equal(op.indptr, ref.indptr)
+    assert np.array_equal(op.indices, ref.indices)
+    assert np.array_equal(op.data, ref.data)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(h=st.integers(1, 16), w=st.integers(1, 16), a=st.integers(1, 4), b=st.integers(1, 4),
+       stride_r=st.none() | st.integers(1, 8), stride_c=st.none() | st.integers(1, 8),
+       seed=st.integers(0, 2**16))
+def test_operator_matches_scipy_bit_for_bit(h, w, a, b, stride_r, stride_c, seed):
+    rng = np.random.default_rng(seed)
+    graph = build_graph(HsiCube(rng.uniform(0.05, 1.0, size=(h, w, 4))), a, b,
+                        stride_r, stride_c)
+    op, ref = normalized_operator(graph), normalized_operator_scipy(graph)
+    _assert_same_csr(op, ref)
+    n = h * w
+    for shape in [(n,), (n, 1), (n, 3), (n, 11)]:
+        x = rng.normal(size=shape)
+        assert np.array_equal(op @ x, ref @ x)
+    labels = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+    field = receptive_field(op, labels)
+    assert np.array_equal(field, receptive_field(ref, labels))
+    rows_op, rows_ref = op[labels][:, field], ref[labels][:, field]
+    _assert_same_csr(rows_op, rows_ref)
+    _assert_same_csr(rows_op.T.tocsr(), rows_ref.T.tocsr())
+    assert np.array_equal(rows_op.toarray(), rows_ref.toarray())
+    x = rng.normal(size=(field.size, 3))
+    assert np.array_equal(rows_op @ x, rows_ref @ x)
+    g = rng.normal(size=(labels.size, 3))
+    assert np.array_equal(rows_op.transpose().tocsr() @ g, rows_ref.transpose().tocsr() @ g)
+
+
+def test_operator_adds_a_self_edge_into_the_self_loop_as_scipy_does():
+    kernel = build_kernel(1, 1)
+    graph = EllipticalGraph(1, 3, kernel, np.array([[0, 1]]),
+                            np.array([[1, 0], [1, 1], [1, 2]]),
+                            edge_weights=np.array([0.3, 0.7, 0.2]))
+    op = normalized_operator(graph)
+    _assert_same_csr(op, normalized_operator_scipy(graph))
+    assert op.nnz == 7
+
+
+@pytest.mark.parametrize("edge", [(0, 4), (4, 1), (-1, 2), (3, -2)])
+def test_operator_rejects_an_edge_endpoint_outside_the_graph(edge):
+    # scipy's coo_matrix raised on these; an unchecked numpy build would
+    # fold (0, 4) into (1, 0) of the 2x2 scene without a word
+    kernel = build_kernel(1, 1)
+    graph = EllipticalGraph(2, 2, kernel, np.array([[0, 0]]),
+                            np.array([[0, 1], [0, 2], edge, [0, 3]]),
+                            edge_weights=np.full(4, 0.2))
+    with pytest.raises(ValueError, match=re.escape(f"edge 2 ({edge[0]}, {edge[1]})")):
+        normalized_operator(graph)
 
 
 def test_operator_requires_weights():
