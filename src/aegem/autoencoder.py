@@ -47,7 +47,8 @@ begins with a distinct spectral role.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +74,7 @@ class AutoencoderConfig:
     patch_size - 2*radius >= decoder_kernel, so that a patch holds its
     center's whole receptive cone.  Training reads that cone and scores
     the center alone, so inside the bound patch_size changes no result.
+    The loss is SAD + mse_weight * MSE; mse_weight = 0 is pure SAD.
     """
 
     encoder_filters: tuple[int, ...] = (128, 64, 32, 3)
@@ -80,11 +82,9 @@ class AutoencoderConfig:
     patch_size: int = 9
     softmax_scale: float = 5.0
     decoder_kernel: int = 1  # 1 = per-pixel linear mixing
-    decoder_filters: int = 0  # band count; 0 means take it from the cube
     epochs: int = 60
     batch_size: int = 64
     learning_rate: float = 1e-3
-    loss: str = "sad_plus_mse"  # sad | mse | sad_plus_mse
     mse_weight: float = 0.5
     seed: int = 0
 
@@ -93,6 +93,8 @@ class AutoencoderConfig:
         self.encoder_kernels = tuple(int(v) for v in self.encoder_kernels)
         if len(self.encoder_filters) != len(self.encoder_kernels):
             raise ValueError("encoder_filters and encoder_kernels lengths differ")
+        if min(self.encoder_filters) < 1:
+            raise ValueError(f"encoder_filters must all be >= 1, got {self.encoder_filters}")
         if any(k % 2 == 0 or k < 1 for k in (*self.encoder_kernels, self.decoder_kernel)):
             raise ValueError("all kernels must be odd and positive")
         if self.patch_size % 2 == 0 or self.patch_size < 1:
@@ -105,15 +107,20 @@ class AutoencoderConfig:
                 "center's receptive cone; shrink encoder_kernels or decoder_kernel, or grow "
                 "patch_size"
             )
-        if self.softmax_scale <= 0:
-            raise ValueError("softmax_scale must be positive")
+        if not 0 < self.softmax_scale < math.inf:
+            raise ValueError("softmax_scale must be positive and finite, "
+                             f"got {self.softmax_scale!r}")
+        if self.epochs < 0:
+            raise ValueError(f"autoencoder epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.learning_rate > 0:
             raise ValueError("autoencoder learning_rate must be > 0, "
                              f"got {self.learning_rate!r}")
-        if self.loss not in ("sad", "mse", "sad_plus_mse"):
-            raise ValueError(f"unknown loss {self.loss!r}")
+        if self.learning_rate == math.inf:
+            raise ValueError("autoencoder learning_rate must be finite, got inf")
+        if not 0 <= self.mse_weight < math.inf:
+            raise ValueError(f"mse_weight must be finite and >= 0, got {self.mse_weight!r}")
 
     @property
     def endmembers(self) -> int:
@@ -173,11 +180,7 @@ class ConvAutoencoder:
     """Encoder/decoder pair built on the autodiff tensor engine."""
 
     def __init__(self, config: AutoencoderConfig, bands: int, rng: SplitMix64):
-        if config.decoder_filters and config.decoder_filters != bands:
-            raise ValueError(
-                f"config expects {config.decoder_filters} bands, cube has {bands}"
-            )
-        self.config = replace(config, decoder_filters=bands)
+        self.config = config
         self.bands = bands
         self.enc_weights: list[ad.Tensor] = []
         self.enc_biases: list[ad.Tensor] = []
@@ -242,31 +245,23 @@ class ConvAutoencoder:
         np.maximum(self.dec_weight.data, 0.0, out=self.dec_weight.data)
 
 
-def reconstruction_loss(target, recon: ad.Tensor, kind: str,
-                        mse_weight: float) -> ad.Tensor:
-    """Training loss at the center pixel: spectral angle plus weighted MSE.
+def reconstruction_loss(target, recon: ad.Tensor, mse_weight: float) -> ad.Tensor:
+    """Training loss at the center pixel: SAD + mse_weight * MSE.
 
     `target` and `recon` are (N, L, h, w) with h and w odd, and only
     their center pixels are scored: training reconstructs only the
     center of each window, the one pixel of a patch encoded from its
-    full receptive field (see the module docstring).
+    full receptive field (see the module docstring).  mse_weight = 0 is
+    pure SAD.
     """
     ch, cw = recon.shape[2] // 2, recon.shape[3] // 2
     a = recon[:, :, ch, cw]
     b = ad.as_tensor(target)[:, :, ch, cw]
-    terms = []
-    if kind in ("sad", "sad_plus_mse"):
-        dot = (a * b).sum(axis=1)
-        na = ad.sqrt((a * a).sum(axis=1) + 1e-24)
-        nb = ad.sqrt((b * b).sum(axis=1) + 1e-24)
-        terms.append(ad.arccos(dot / (na * nb)).mean())
-    if kind in ("mse", "sad_plus_mse"):
-        mse = ((a - b) ** 2).mean()
-        terms.append(mse if kind == "mse" else mse_weight * mse)
-    loss = terms[0]
-    for t in terms[1:]:
-        loss = loss + t
-    return loss
+    dot = (a * b).sum(axis=1)
+    na = ad.sqrt((a * a).sum(axis=1) + 1e-24)
+    nb = ad.sqrt((b * b).sum(axis=1) + 1e-24)
+    sad = ad.arccos(dot / (na * nb)).mean()
+    return sad + mse_weight * ((a - b) ** 2).mean()
 
 
 # -- training ------------------------------------------------------------------
@@ -344,7 +339,7 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
                 r, c = centers[order[start : start + config.batch_size]].T
                 recon = model.decode(model.encode(windows[r, c], "valid"), "valid")
                 loss = reconstruction_loss(cube.reflectance[r, c, :, None, None], recon,
-                                           config.loss, config.mse_weight)
+                                           config.mse_weight)
                 optimizer.step(ad.backward(loss))
                 model.clamp_decoder()
                 batch_losses.append(loss.item())

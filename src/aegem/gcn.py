@@ -37,6 +37,7 @@ the tests use as an oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,12 @@ class GcnConfig:
             raise ValueError("label_fraction must be in (0, 1]")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"gcn epochs must be >= 0, got {self.epochs}")
         if not self.learning_rate > 0:
             raise ValueError(f"gcn learning_rate must be > 0, got {self.learning_rate!r}")
+        if self.learning_rate == math.inf:
+            raise ValueError("gcn learning_rate must be finite, got inf")
         if self.pca_components < 1:
             raise ValueError(f"pca_components must be >= 1, got {self.pca_components}")
         if self.features not in ("abundance", "abundance+spectrum_pca"):

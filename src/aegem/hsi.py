@@ -155,10 +155,10 @@ class SceneSpec:
             raise ValueError("all scene dimensions must be >= 1")
         if self.endmembers > self.bands:
             raise ValueError("endmember count cannot exceed band count")
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
-        if self.smoothness < 0:
-            raise ValueError("smoothness must be >= 0")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be finite or inf, got {self.snr_db!r}")
+        if not 0 <= self.smoothness < math.inf:
+            raise ValueError(f"smoothness must be finite and >= 0, got {self.smoothness!r}")
 
 
 # -- HSB container ------------------------------------------------------------

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import configparser
 import time
+import types
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +94,42 @@ class RunConfig:
 
 # -- config file round-trip ------------------------------------------------------
 
+# Every key a config file may hold, by section, in write order, and the
+# RunConfig field it sets: `scene.`, `ae.` and `gcn.` name a field of
+# rc.scene, rc.ae and rc.gcn.  A value parses as its field's declared type.
+_KNOWN_KEYS = {
+    "run": {"seed": "seed", "repeat": "repeat", "out": "out_dir"},
+    "input": {**{k: f"scene.{k}" for k in ("height", "width", "bands", "endmembers",
+                                           "smoothness", "snr_db")},
+              "path": "input_path", "format": "input_format",
+              "truth_endmembers": "truth_endmembers", "truth_abundances": "truth_abundances"},
+    "autoencoder": {k: f"ae.{k}" for k in ("encoder_filters", "encoder_kernels", "patch_size",
+                                           "softmax_scale", "decoder_kernel", "epochs",
+                                           "batch_size", "learning_rate", "mse_weight")},
+    "kernel": {"a": "kernel_a", "b": "kernel_b", "sad_on": "sad_on",
+               "stride_r": "stride_r", "stride_c": "stride_c"},
+    "gcn": {k: f"gcn.{k}" for k in ("hidden", "epochs", "learning_rate", "label_fraction",
+                                    "features", "pca_components", "paper_literal_asc")},
+}
+
+
+def _field_value(rc: RunConfig, field_path: str):
+    """The value of a RunConfig field path; None under an absent scene."""
+    part, _, name = field_path.rpartition(".")
+    owner = getattr(rc, part) if part else rc
+    return None if owner is None else getattr(owner, name)
+
+
+def _field_kind(field_path: str) -> type:
+    """What a value of the field parses to: int, float, str, bool or tuple."""
+    hint = RunConfig
+    for name in field_path.split("."):
+        hint = typing.get_type_hints(hint)[name]
+        if isinstance(hint, types.UnionType):  # X | None
+            (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    return typing.get_origin(hint) or hint  # tuple[int, ...] -> tuple
+
+
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -102,61 +140,34 @@ def _fmt(v) -> str:
     return str(v)
 
 
-_AE_KEYS = ("encoder_filters", "encoder_kernels", "patch_size", "softmax_scale",
-            "decoder_kernel", "epochs", "batch_size", "learning_rate", "loss",
-            "mse_weight")
-_GCN_KEYS = ("hidden", "epochs", "learning_rate", "label_fraction", "features",
-             "pca_components", "paper_literal_asc")
-# every key a config file may set, by section
-_KNOWN_KEYS = {
-    "run": ("seed", "repeat", "out"),
-    "input": ("height", "width", "bands", "endmembers", "smoothness", "snr_db",
-              "path", "format", "truth_endmembers", "truth_abundances"),
-    "autoencoder": _AE_KEYS,
-    "kernel": ("a", "b", "sad_on", "stride_r", "stride_c"),
-    "gcn": _GCN_KEYS,
-}
-
-
 def write_config(rc: RunConfig, path) -> None:
+    """Every key whose field is set; [input] holds the scene keys or the file keys."""
     cp = configparser.ConfigParser(interpolation=None)
-    cp["run"] = {"seed": _fmt(rc.seed), "repeat": _fmt(rc.repeat), "out": rc.out_dir}
-    if rc.scene is not None:
-        cp["input"] = {
-            "height": _fmt(rc.scene.height),
-            "width": _fmt(rc.scene.width),
-            "bands": _fmt(rc.scene.bands),
-            "endmembers": _fmt(rc.scene.endmembers),
-            "smoothness": _fmt(rc.scene.smoothness),
-            "snr_db": _fmt(rc.scene.snr_db),
-        }
-    else:
-        section = {"path": rc.input_path, "format": rc.input_format}
-        if rc.truth_endmembers:
-            section["truth_endmembers"] = rc.truth_endmembers
-        if rc.truth_abundances:
-            section["truth_abundances"] = rc.truth_abundances
-        cp["input"] = section
-    cp["autoencoder"] = {k: _fmt(getattr(rc.ae, k)) for k in _AE_KEYS}
-    kernel = {"a": _fmt(rc.kernel_a), "b": _fmt(rc.kernel_b), "sad_on": rc.sad_on}
-    if rc.stride_r is not None:
-        kernel["stride_r"] = _fmt(rc.stride_r)
-    if rc.stride_c is not None:
-        kernel["stride_c"] = _fmt(rc.stride_c)
-    cp["kernel"] = kernel
-    cp["gcn"] = {k: _fmt(getattr(rc.gcn, k)) for k in _GCN_KEYS}
+    for section, keys in _KNOWN_KEYS.items():
+        cp[section] = {}
+        for key, field_path in keys.items():
+            value = _field_value(rc, field_path)
+            file_key = section == "input" and not field_path.startswith("scene.")
+            if value is not None and not (file_key and rc.scene is not None):
+                cp[section][key] = _fmt(value)
     with open(path, "w", encoding="utf-8") as f:
         cp.write(f)
 
 
-_REQUIRED = object()
+def _parse_value(raw: str, kind: type):
+    if kind is bool:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    if kind is tuple:
+        return tuple(int(v) for v in raw.split(","))
+    return kind(raw)
 
 
 def parse_config(path) -> RunConfig:
     """Read a config file; every absent key takes its dataclass default.
 
-    An unknown section or key, a missing scene key or a value that does
-    not parse fails naming the file, the section and the key.
+    An unknown section or key, a missing scene key, a scene key beside an
+    input path or a value that does not parse fails naming the file, the
+    section and the key.
     """
     path = Path(path)
     if not path.exists():
@@ -168,60 +179,36 @@ def parse_config(path) -> RunConfig:
         raise ValueError(f"{path}: {exc}") from None
     if cp.defaults():  # configparser would copy these keys into every section
         raise ValueError(f"{path}: unknown section [{cp.default_section}]")
+    parts = {"": {}, "scene": {}, "ae": {}, "gcn": {}}  # RunConfig part -> field -> value
     for section in cp.sections():
         if section not in _KNOWN_KEYS:
             raise ValueError(f"{path}: unknown section [{section}]")
-        for key in cp[section]:
-            if key not in _KNOWN_KEYS[section]:
+        for key, raw in cp[section].items():
+            field_path = _KNOWN_KEYS[section].get(key)
+            if field_path is None:
                 raise ValueError(f"{path}: [{section}] {key} is not a known key")
+            part, _, name = field_path.rpartition(".")
+            kind = _field_kind(field_path)
+            try:
+                parts[part][name] = _parse_value(raw, kind)
+            except (KeyError, ValueError):
+                raise ValueError(
+                    f"{path}: [{section}] {key} = {raw!r} is not a valid {kind.__name__}"
+                ) from None
     if "input" not in cp:
         raise ValueError(f"{path}: missing [input] section")
-
-    def get(section: str, key: str, default, kind=None):
-        """[section] key parsed to `kind`, by default the type of `default`."""
-        if section not in cp or key not in cp[section]:
-            if default is _REQUIRED:
-                raise ValueError(f"{path}: [{section}] {key} is required")
-            return default
-        raw = cp[section][key]
-        kind = kind or type(default)
-        try:
-            if kind is bool:
-                return cp.BOOLEAN_STATES[raw.lower()]
-            if kind is tuple:
-                return tuple(int(v) for v in raw.split(","))
-            return kind(raw)
-        except (KeyError, ValueError):
-            raise ValueError(
-                f"{path}: [{section}] {key} = {raw!r} is not a valid {kind.__name__}"
-            ) from None
-
-    scene = None
-    if "path" not in cp["input"]:
-        scene = {k: get("input", k, _REQUIRED, int)
-                 for k in ("height", "width", "bands", "endmembers")}
-        scene["smoothness"] = get("input", "smoothness", SceneSpec.smoothness)
-        scene["snr_db"] = get("input", "snr_db", SceneSpec.snr_db)
-    ae = {k: get("autoencoder", k, getattr(AutoencoderConfig, k)) for k in _AE_KEYS}
-    gcn = {k: get("gcn", k, getattr(GcnConfig, k)) for k in _GCN_KEYS}
-    fields = dict(
-        input_path=get("input", "path", None, str),
-        input_format=get("input", "format", RunConfig.input_format),
-        truth_endmembers=get("input", "truth_endmembers", None, str),
-        truth_abundances=get("input", "truth_abundances", None, str),
-        kernel_a=get("kernel", "a", RunConfig.kernel_a),
-        kernel_b=get("kernel", "b", RunConfig.kernel_b),
-        stride_r=get("kernel", "stride_r", None, int),
-        stride_c=get("kernel", "stride_c", None, int),
-        sad_on=get("kernel", "sad_on", RunConfig.sad_on),
-        out_dir=get("run", "out", RunConfig.out_dir),
-        seed=get("run", "seed", RunConfig.seed),
-        repeat=get("run", "repeat", RunConfig.repeat),
-    )
+    scene_input = "path" not in cp["input"]
+    required = {f"scene.{f.name}" for f in fields(SceneSpec) if f.default is MISSING}
+    for key, field_path in _KNOWN_KEYS["input"].items():
+        given = key in cp["input"]
+        if given and not scene_input and field_path.startswith("scene."):
+            raise ValueError(f"{path}: [input] {key} is a scene key, but [input] has a path")
+        if not given and scene_input and field_path in required:
+            raise ValueError(f"{path}: [input] {key} is required")
     try:  # the dataclasses' own checks, such as a patch too small for the encoder
-        return RunConfig(scene=SceneSpec(**scene) if scene else None,
-                         ae=AutoencoderConfig(**ae),
-                         gcn=GcnConfig(**gcn), **fields)
+        return RunConfig(scene=SceneSpec(**parts["scene"]) if parts["scene"] else None,
+                         ae=AutoencoderConfig(**parts["ae"]),
+                         gcn=GcnConfig(**parts["gcn"]), **parts[""])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -384,7 +371,7 @@ def autoencoder_stage(rc: RunConfig, cube: HsiCube, truth: GroundTruth, out: Pat
     """Train the AE with one channel per truth endmember; stack in truth order."""
     with _stage("autoencoder"):
         t = time.perf_counter()
-        ae_cfg = replace(rc.ae, seed=rc.seed + 1, decoder_filters=cube.bands,
+        ae_cfg = replace(rc.ae, seed=rc.seed + 1,
                          encoder_filters=(*rc.ae.encoder_filters[:-1],
                                           truth.endmembers.shape[1]))
         em_ae, ae_stack, ae_history, ae_model = train_autoencoder(cube, ae_cfg)

@@ -250,7 +250,7 @@ def train_autoencoder_per_patch(cube, config) -> tuple[list[float], ConvAutoenco
             batch = ad.Tensor(np.stack([padded[r : r + ps, c : c + ps].transpose(2, 0, 1)
                                         for r, c in sel]))
             _, recon = model.forward(batch)
-            loss = reconstruction_loss(batch, recon, config.loss, config.mse_weight)
+            loss = reconstruction_loss(batch, recon, config.mse_weight)
             optimizer.step(ad.backward(loss))
             model.clamp_decoder()
             losses.append(loss.item())

@@ -112,7 +112,7 @@ def test_criterion_1_gradient_suite():
         patch = g.uniform(0.05, 1, size=(2, 3, 5, 5))
         recon0 = g.uniform(0.05, 1, size=(2, 3, 5, 5))
         worst = max(worst, gradcheck(
-            lambda rt: reconstruction_loss(ad.Tensor(patch), rt, "sad_plus_mse", 0.5),
+            lambda rt: reconstruction_loss(ad.Tensor(patch), rt, 0.5),
             [recon0]))
 
     elapsed = time.perf_counter() - t0
@@ -166,7 +166,7 @@ def test_criterion_2_constraint_suite():
             r, c = centers[order[s : s + cfg.batch_size]].T
             recon = model.decode(model.encode(win[r, c], "valid"), "valid")
             loss = reconstruction_loss(ncube.reflectance[r, c, :, None, None], recon,
-                                       cfg.loss, cfg.mse_weight)
+                                       cfg.mse_weight)
             opt.step(ad.backward(loss))
             model.clamp_decoder()
         min_endmember = min(min_endmember, float(endmembers_from_decoder(model).min()))

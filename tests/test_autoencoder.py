@@ -40,8 +40,6 @@ def test_config_validation():
         AutoencoderConfig(encoder_kernels=(4, 3, 3, 1))
     with pytest.raises(ValueError, match="lengths"):
         AutoencoderConfig(encoder_filters=(8, 3), encoder_kernels=(3, 3, 1))
-    with pytest.raises(ValueError, match="loss"):
-        AutoencoderConfig(loss="huber")
     # a patch must hold its center's receptive cone: 9 - 2*5 < 1 and 9 - 2*4 < 3
     with pytest.raises(ValueError, match=r"= -1 is less than decoder_kernel 1"):
         AutoencoderConfig(encoder_kernels=(5, 5, 3, 1), patch_size=9)
@@ -249,7 +247,7 @@ def test_gradient_flow_through_full_loss():
 
     def full_loss():
         recon = model.decode(model.encode(x, "valid"), "valid")
-        return reconstruction_loss(target, recon, "sad_plus_mse", 0.5)
+        return reconstruction_loss(target, recon, 0.5)
 
     grads = ad.backward(full_loss())
     params = model.parameters()

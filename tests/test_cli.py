@@ -72,23 +72,57 @@ def test_synth_rejects_too_many_endmembers(tmp_path):
 
 # -- config files -------------------------------------------------------------------
 
-def test_config_roundtrip_scene(tmp_path):
-    rc = tiny_run_config(tmp_path / "out", seed=11)
-    path = tmp_path / "c.ini"
+def _written_keys(rc: RunConfig, path) -> dict:
     write_config(rc, path)
-    back = parse_config(path)
-    assert back == rc
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(path, encoding="utf-8")
+    return {(section, key): value for section in cp.sections()
+            for key, value in cp[section].items()}
+
+
+def _assert_round_trips_with_every_key_off_default(rc, default, tmp_path):
+    written = _written_keys(rc, tmp_path / "c.ini")
+    # [input] holds the scene keys or the file keys; every other key is written
+    assert set(written) == {(section, key) for section, keys in _KNOWN_KEYS.items()
+                            for key, field_path in keys.items()
+                            if section != "input"
+                            or field_path.startswith("scene.") == (rc.scene is not None)}
+    defaults = _written_keys(default, tmp_path / "d.ini")
+    assert [k for k in written if written[k] == defaults.get(k)] == []
+    assert parse_config(tmp_path / "c.ini") == rc
+
+
+# every autoencoder, GCN, kernel and run field away from its default; a
+# zero mse_weight (pure SAD) and zero AE epochs are legal
+_OFF_DEFAULT = dict(
+    ae=AutoencoderConfig(encoder_filters=(8, 6, 4), encoder_kernels=(3, 3, 1), patch_size=11,
+                         softmax_scale=2.5, decoder_kernel=3, epochs=0, batch_size=16,
+                         learning_rate=2e-3, mse_weight=0.0),
+    gcn=GcnConfig(hidden=12, epochs=7, learning_rate=5e-3, label_fraction=0.25,
+                  features="abundance+spectrum_pca", pca_components=3, paper_literal_asc=True),
+    kernel_a=4, kernel_b=2, stride_r=2, stride_c=3, sad_on="abundance",
+    out_dir="o%1", seed=11, repeat=2)
+
+
+def test_config_roundtrip_scene(tmp_path):
+    rc = RunConfig(scene=SceneSpec(9, 7, 12, 4, smoothness=0.5, snr_db=30.0, seed=11),
+                   **_OFF_DEFAULT)
+    _assert_round_trips_with_every_key_off_default(rc, RunConfig(scene=SceneSpec(8, 8, 6, 3)),
+                                                   tmp_path)
 
 
 def test_config_roundtrip_file_input(tmp_path):
-    rc = RunConfig(input_path="cube.hsb", truth_endmembers="em.csv",
-                   truth_abundances="ab.csv", out_dir="o", seed=2, repeat=3,
-                   kernel_a=4, kernel_b=5, stride_r=2, stride_c=3,
-                   sad_on="abundance",
-                   gcn=GcnConfig(paper_literal_asc=True, features="abundance+spectrum_pca"))
-    path = tmp_path / "c.ini"
-    write_config(rc, path)
-    assert parse_config(path) == rc
+    rc = RunConfig(input_path="cube.csv", input_format="csv", truth_endmembers="em.csv",
+                   truth_abundances="ab.csv", **_OFF_DEFAULT)
+    _assert_round_trips_with_every_key_off_default(rc, RunConfig(input_path="c.hsb"), tmp_path)
+
+
+def test_config_with_a_scene_key_beside_an_input_path_names_it(tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[input]\npath = cube.hsb\nheight = 8\nbands = 6\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(cfg))}: \[input\] height is a "
+                                         r"scene key, but \[input\] has a path"):
+        parse_config(cfg)
 
 
 def test_config_without_autoencoder_keys_takes_the_dataclass_defaults(tmp_path):
@@ -163,8 +197,9 @@ def test_config_with_an_unknown_section_names_it(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section, line", [("gcn", "folds = 5"),
-                                           ("kernel", "paper_literal_adjacency = false")],
-                         ids=["folds", "paper_literal_adjacency"])
+                                           ("kernel", "paper_literal_adjacency = false"),
+                                           ("autoencoder", "loss = sad_plus_mse")],
+                         ids=["folds", "paper_literal_adjacency", "loss"])
 def test_config_with_the_dropped_folds_key_is_rejected(tmp_path, section, line):
     cfg = tmp_path / "c.ini"
     write_config(tiny_run_config(tmp_path / "o"), cfg)
@@ -185,6 +220,20 @@ def test_config_with_the_dropped_folds_key_is_rejected(tmp_path, section, line):
     ("kernel", "b", "-2", "kernel b must be >= 1, got -2"),
     ("kernel", "stride_r", "0", "kernel stride_r must be >= 1, got 0"),
     ("kernel", "stride_c", "0", "kernel stride_c must be >= 1, got 0"),
+    ("input", "snr_db", "-inf", "snr_db must be finite or inf, got -inf"),
+    ("input", "smoothness", "inf", "smoothness must be finite and >= 0, got inf"),
+    ("input", "smoothness", "nan", "smoothness must be finite and >= 0, got nan"),
+    ("autoencoder", "mse_weight", "-1", "mse_weight must be finite and >= 0, got -1.0"),
+    ("autoencoder", "mse_weight", "nan", "mse_weight must be finite and >= 0, got nan"),
+    ("autoencoder", "epochs", "-1", "autoencoder epochs must be >= 0, got -1"),
+    ("gcn", "epochs", "-3", "gcn epochs must be >= 0, got -3"),
+    ("autoencoder", "softmax_scale", "inf", "softmax_scale must be positive and finite, got inf"),
+    ("autoencoder", "learning_rate", "inf", "autoencoder learning_rate must be finite, got inf"),
+    ("gcn", "learning_rate", "inf", "gcn learning_rate must be finite, got inf"),
+    ("autoencoder", "encoder_filters", "8,0,4,2",
+     "encoder_filters must all be >= 1, got (8, 0, 4, 2)"),
+    ("autoencoder", "encoder_filters", "-1,4,4,2",
+     "encoder_filters must all be >= 1, got (-1, 4, 4, 2)"),
 ])
 def test_config_with_an_out_of_range_value_fails_before_the_run(tmp_path, capsys, section,
                                                                  key, value, message):
@@ -228,7 +277,7 @@ _BASE_CONFIG = {
     "input": {"height": "6", "width": "5", "bands": "6", "endmembers": "2",
               "smoothness": "1.2", "snr_db": "inf"},
     "autoencoder": {"encoder_filters": "8,4,4,2", "encoder_kernels": "5,3,3,1",
-                    "patch_size": "9", "epochs": "6", "loss": "sad_plus_mse"},
+                    "patch_size": "9", "epochs": "6"},
     "kernel": {"a": "2", "b": "2", "sad_on": "spectra"},
     "gcn": {"hidden": "32", "label_fraction": "0.15", "features": "abundance"},
 }
