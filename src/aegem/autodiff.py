@@ -1,11 +1,21 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 Every neural operation in the pipeline (2-D convolutions, batch
 normalization, scaled softmax, activations, the graph-convolution matmuls,
 the GCN's fused hidden layer and the training losses) is built on the
 :class:`Tensor` type defined here.  The recorded operation graph is
 single-owner and consumed by one :func:`backward` call; parameters are
-plain leaf tensors updated in place by :class:`Adam`.
+plain leaf tensors updated in place by :class:`Adam`, whose moments take
+each parameter's dtype.
+
+A tensor built from a float32 array stays float32; any other input
+becomes float64.  Ops compute in their inputs' dtype, so float32 inputs
+and parameters give float32 activations and gradients throughout (the
+autoencoder trains so), while the gradchecks and everything else run in
+float64.  A Python scalar operand takes its tensor's dtype: as a 0-d
+float64 array it would be a strong type under NumPy 2's promotion rules
+(NEP 50), and a constant such as `mean`'s 1/n would turn the loss, and
+then every gradient, float64.
 
 A 2-D convolution is one layout change plus GEMMs (im2col, Chellapilla
 et al. 2006).  The unpadded [N,Cin,H,W] input is copied pixels-last to
@@ -16,12 +26,13 @@ values long.  The conv owns its padding: the columns come in blocks of
 whole output rows, each zero-filling only the rows it reads, and no
 padded copy of the input is ever made.  A block holds at most
 `_COLUMN_BLOCK_BYTES` (16 MiB), or one row if a row is larger: the
-default autoencoder's first layer has 50 MB of columns on a batch of 64
-9x9 Samson windows and 128 MB on a 4096-pixel inference strip.  Built
-whole, that matrix would be mapped fresh and page-faulted in for the
-forward pass and again for the weight gradient, while blocks under
-glibc's 32 MiB mmap ceiling are recycled through the heap.  The forward
-pass is `W.reshape(Cout, -1) @ cols` per block, the weights on the left:
+default autoencoder's first layer has 25 MB of float32 columns on a
+training batch of 64 9x9 Samson windows and 128 MB of float64 columns on
+a 4096-pixel inference strip.  Built whole, that matrix would be mapped
+fresh and page-faulted in for the forward pass and again for the weight
+gradient, while blocks under glibc's 32 MiB mmap ceiling are recycled
+through the heap.  The forward pass is `W.reshape(Cout, -1) @ cols` per
+block, the weights on the left:
 each output value is then summed in the same order however many pixels
 a call or a block holds, as far as the GEMM computes a column the same
 way at any column count (see `conv2d`).  This keeps strip
@@ -85,10 +96,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
+    """A float32 or float64 array, the op that made it and how to differentiate it.
+
+    float32 data is kept as it is; anything else (float64, ints, lists,
+    Python scalars) becomes float64, float64 arrays without a copy.
+    """
+
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_op", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
@@ -99,7 +117,7 @@ class Tensor:
     @classmethod
     def _from_op(cls, data, parents, vjps, op: str) -> "Tensor":
         """Record an op: `vjps[i]` maps the output gradient to parent i's."""
-        out = cls(_check(np.asarray(data, dtype=np.float64), op))
+        out = cls(_check(np.asarray(data), op))
         if not _GRAD_ENABLED:
             return out
         tracked = tuple((p, v) for p, v in zip(parents, vjps) if p.requires_grad or p._parents)
@@ -130,8 +148,18 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
     # -- arithmetic -------------------------------------------------------
+    def _operand(self, other) -> "Tensor":
+        """`other` as a tensor; a Python scalar takes this tensor's dtype.
+
+        A 0-d float64 array is a strong type under NumPy 2 (NEP 50), so a
+        constant such as `mean`'s 1/n would turn float32 work float64.
+        """
+        if isinstance(other, (int, float)):
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return as_tensor(other)
+
     def __add__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         return Tensor._from_op(
             self.data + other.data,
             (self, other),
@@ -145,13 +173,13 @@ class Tensor:
         return Tensor._from_op(-self.data, (self,), (lambda g: -g,), "neg")
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         return Tensor._from_op(
             self.data * other.data,
             (self, other),
@@ -165,7 +193,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         return Tensor._from_op(
             self.data / other.data,
             (self, other),
@@ -177,7 +205,7 @@ class Tensor:
         )
 
     def __rtruediv__(self, other):
-        return as_tensor(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, p: float):
         return Tensor._from_op(
@@ -356,7 +384,7 @@ def _block_columns(xt: np.ndarray, kh: int, kw: int, ph: int, pw: int,
         rows = xt[:, r0:r1]
     else:
         lo, hi = max(r0, 0), min(r1, h)
-        rows = np.zeros((c, r1 - r0, w + 2 * pw, n))
+        rows = np.zeros((c, r1 - r0, w + 2 * pw, n), dtype=xt.dtype)
         rows[:, lo - r0 : hi - r0, pw : pw + w] = xt[:, lo:hi]
     # (C, kh, kw, N, rows, Wo) view: window (u, v) is the slab shifted by (u, v)
     shifted = np.lib.stride_tricks.sliding_window_view(rows, (i1 - i0, w + 2 * pw - kw + 1),
@@ -369,7 +397,8 @@ def _correlate(xt: np.ndarray, wmat: np.ndarray, kh: int, kw: int, ph: int, pw: 
     """(Cout, Ho, Wo, N) correlation of pixels-last xt, zero-padded by (ph, pw),
     with the (Cout, C*kh*kw) weight matrix: `wmat @ cols` per column block."""
     _, h, w, n = xt.shape
-    out = np.empty((wmat.shape[0], h + 2 * ph - kh + 1, w + 2 * pw - kw + 1, n))
+    out = np.empty((wmat.shape[0], h + 2 * ph - kh + 1, w + 2 * pw - kw + 1, n),
+                   dtype=np.result_type(xt, wmat))
     flat = out.reshape(wmat.shape[0], -1)
     for span, cols in _column_blocks(xt, kh, kw, ph, pw):
         np.matmul(wmat, cols, out=flat[:, span])
@@ -428,7 +457,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
 
     def vjp_w(g):
         g = _pixels_last(g).reshape(cout, -1)
-        gw = np.zeros((cout, cin * kh * kw))
+        gw = np.zeros((cout, cin * kh * kw), dtype=np.result_type(g, x.data))
         for span, cols in _column_blocks(_pixels_last(x.data), kh, kw, ph, pw):
             gw += g[:, span] @ cols.T
             del cols  # free this block before the next one is built
@@ -483,7 +512,7 @@ def relu_mlp(x: np.ndarray, w1: Tensor, w2: Tensor) -> Tensor:
         raise ValueError(f"relu_mlp expects 2-D arrays, got {x.shape}, {w1.shape}, {w2.shape}")
     if x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
         raise ValueError(f"shapes {x.shape}, {w1.shape}, {w2.shape} do not chain")
-    out = np.empty((x.shape[0], w2.shape[1]))
+    out = np.empty((x.shape[0], w2.shape[1]), dtype=np.result_type(x, w1.data, w2.data))
     for t in _row_tiles(x.shape[0], w1.shape[1]):
         pre = _check(x[t] @ w1.data, "relu_mlp")
         np.maximum(pre, 0.0, out=pre)

@@ -25,6 +25,15 @@ while patch_size - 2r >= decoder_kernel (the config checks it) the cone
 lies inside the patch, and training on the cone gives the patch
 training's weights to round-off.
 
+The training steps run in float32 (mixed-precision training,
+Micikevicius et al. 2018): the image and the parameters are cast down for
+the epoch loop, whose GEMMs then run about 1.7x faster, and the trained
+parameters are cast back up, which is exact.  Everything after training
+stays float64: inference, the endmembers and the checkpoint.  So the
+abundance stack sums to one within 1e-8, which float32 rounding (6e-8
+relative) would miss, and it costs little: inference is about 1 % of a
+run.
+
 Inference encodes the image zero-padded by the patch half-width in row
 strips with a halo as wide, through `same`-padded convs (see
 `assemble_abundance_stack`).  Every pixel then gets bit for bit the value
@@ -162,15 +171,16 @@ def patch_centers(height: int, width: int) -> np.ndarray:
     return np.stack([rows, cols], axis=1)
 
 
-def training_windows(cube: HsiCube, config: AutoencoderConfig) -> np.ndarray:
-    """(H, W, L, w, w) view: window [r, c] is pixel (r, c)'s receptive cone.
+def training_windows(reflectance: np.ndarray, config: AutoencoderConfig) -> np.ndarray:
+    """(H, W, L, w, w) view of an (H, W, L) image, in its dtype: window
+    [r, c] is pixel (r, c)'s receptive cone.
 
     w = 2*(radius + decoder_kernel//2) + 1, cut from the image zero-padded
     by w//2: `valid` convs through the encoder and the decoder reduce a
     window to its center's reconstruction.
     """
     half = config.radius + config.decoder_kernel // 2
-    padded = np.pad(cube.reflectance, ((half, half), (half, half), (0, 0)))
+    padded = np.pad(reflectance, ((half, half), (half, half), (0, 0)))
     return np.lib.stride_tricks.sliding_window_view(padded, (2 * half + 1,) * 2, axis=(0, 1))
 
 
@@ -315,19 +325,40 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
                       ) -> tuple[np.ndarray, np.ndarray, list[float], ConvAutoencoder]:
     """Train on every pixel's receptive cone; returns endmembers, maps, loss history.
 
-    Each epoch visits the pixels in a shuffled order, in batches: a
-    batch's `training_windows` run through `valid` convs down to their
-    centers' reconstructions, which the loss scores against the center
-    spectra.  Deterministic per config.seed.  The abundance stack is
-    assembled from final-epoch weights; per-epoch mean losses form the
-    history.
+    The epoch loop (`_train_epochs`) runs in float32: the image and the
+    parameters are cast down before it and the parameters cast back up
+    after it, which is exact, so the returned model, the abundance stack
+    assembled from its final-epoch weights and the endmembers are
+    float64.  Deterministic per config.seed.
     """
     root = SplitMix64(config.seed)
     model = ConvAutoencoder(config, cube.bands, root.split(0))
     model.seed_decoder_columns(cube.spectra())
-    shuffle_rng = root.split(1)
-    centers = patch_centers(cube.height, cube.width)
-    windows = training_windows(cube, config)
+    params = model.parameters()
+    for p in params:
+        p.data = p.data.astype(np.float32)
+    history = _train_epochs(model, cube.reflectance.astype(np.float32), root.split(1))
+    for p in params:
+        p.data = p.data.astype(np.float64)
+    stack = assemble_abundance_stack(model, cube)
+    endmembers = endmembers_from_decoder(model)
+    return endmembers, stack, history, model
+
+
+def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
+                  shuffle_rng: SplitMix64) -> list[float]:
+    """config.epochs of Adam on an (H, W, L) image; returns per-epoch mean losses.
+
+    Each epoch visits the pixels in a shuffled order, in batches: a
+    batch's `training_windows` run through `valid` convs down to their
+    centers' reconstructions, which the loss scores against the center
+    spectra.  Every step runs in the dtype of the image and the
+    parameters, which should agree.
+    """
+    config = model.config
+    height, width, _ = reflectance.shape
+    centers = patch_centers(height, width)
+    windows = training_windows(reflectance, config)
     n = len(centers)
     optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
     history: list[float] = []
@@ -338,7 +369,7 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
             for start in range(0, n, config.batch_size):
                 r, c = centers[order[start : start + config.batch_size]].T
                 recon = model.decode(model.encode(windows[r, c], "valid"), "valid")
-                loss = reconstruction_loss(cube.reflectance[r, c, :, None, None], recon,
+                loss = reconstruction_loss(reflectance[r, c, :, None, None], recon,
                                            config.mse_weight)
                 optimizer.step(ad.backward(loss))
                 model.clamp_decoder()
@@ -349,9 +380,7 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
         if not np.isfinite(epoch_loss):
             raise DivergenceError(epoch)
         history.append(epoch_loss)
-    stack = assemble_abundance_stack(model, cube)
-    endmembers = endmembers_from_decoder(model)
-    return endmembers, stack, history, model
+    return history
 
 
 # -- checkpointing -------------------------------------------------------------

@@ -198,6 +198,11 @@ def _load_hsb(path) -> HsiCube:
 
 # -- CSV tables ---------------------------------------------------------------
 
+# Rows a table is written or parsed in at a time: the Python lists of one
+# block, not of the whole file, are what a large edge list or raster holds.
+_TABLE_BLOCK_ROWS = 4096
+
+
 def write_table(path, header: list[str], keys, values, fmt: str = "%.9g") -> None:
     """Write the header line, then one line per row: `keys` (N x K) as
     integers, then `values` (N x V) with `fmt`."""
@@ -206,8 +211,11 @@ def write_table(path, header: list[str], keys, values, fmt: str = "%.9g") -> Non
     line = ",".join(["%d"] * keys.shape[1] + [fmt] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        # plain ints and floats: numpy 2 scalars would print as np.float64(...)
-        f.writelines(line % (*k, *v) for k, v in zip(keys.tolist(), values.tolist()))
+        for b in range(0, len(keys), _TABLE_BLOCK_ROWS):
+            block = slice(b, b + _TABLE_BLOCK_ROWS)
+            # plain ints and floats: numpy 2 scalars would print as np.float64(...)
+            f.writelines(line % (*k, *v)
+                         for k, v in zip(keys[block].tolist(), values[block].tolist()))
 
 
 def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -216,6 +224,10 @@ def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]
     The header must start with `keys`; row i is on line i + 2.  A line
     with the wrong field count, a field that does not parse, or a last
     line without its newline (a cut file) fails naming the file and line.
+    The cut last line is found first; then rows are checked in blocks of
+    `_TABLE_BLOCK_ROWS`, field counts before values within a block, so a
+    line that does not parse is reported before a wrong field count in a
+    later block.
     """
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines.pop():
@@ -224,28 +236,31 @@ def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]
     k = len(keys)
     if header[:k] != keys:
         raise ValueError(f"{path}: expected header '{','.join(keys)},...'")
-    rows = [line.split(",") for line in lines[1:]]
-    for i, parts in enumerate(rows):
-        if len(parts) != len(header):
-            raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
-                             f"expected {len(header)}")
-    ints = np.empty((len(rows), k), dtype=np.int64)
-    floats = np.empty((len(rows), len(header) - k))
-    try:
-        for j, column in enumerate(zip(*rows)):
-            if j < k:
-                ints[:, j] = list(map(int, column))
-            else:
-                floats[:, j - k] = list(map(float, column))
-    except (ValueError, OverflowError):
-        # row by row, to name the first line that does not parse
-        for i, parts in enumerate(rows):
-            try:
-                ints[i] = [int(v) for v in parts[:k]]
-                floats[i] = [float(v) for v in parts[k:]]
-            except (ValueError, OverflowError):
-                raise ValueError(f"{path}: line {i + 2} does not parse: "
-                                 f"{lines[i + 1]!r}") from None
+    n = len(lines) - 1
+    ints = np.empty((n, k), dtype=np.int64)
+    floats = np.empty((n, len(header) - k))
+    for b in range(0, n, _TABLE_BLOCK_ROWS):
+        rows = [line.split(",") for line in lines[1 + b : 1 + b + _TABLE_BLOCK_ROWS]]
+        for i, parts in enumerate(rows, start=b):
+            if len(parts) != len(header):
+                raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
+                                 f"expected {len(header)}")
+        block = slice(b, b + len(rows))
+        try:
+            for j, column in enumerate(zip(*rows)):
+                if j < k:
+                    ints[block, j] = list(map(int, column))
+                else:
+                    floats[block, j - k] = list(map(float, column))
+        except (ValueError, OverflowError):
+            # row by row, to name the first line that does not parse
+            for i, parts in enumerate(rows, start=b):
+                try:
+                    ints[i] = [int(v) for v in parts[:k]]
+                    floats[i] = [float(v) for v in parts[k:]]
+                except (ValueError, OverflowError):
+                    raise ValueError(f"{path}: line {i + 2} does not parse: "
+                                     f"{lines[i + 1]!r}") from None
     return ints, floats, header[k:]
 
 

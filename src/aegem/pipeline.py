@@ -166,8 +166,8 @@ def parse_config(path) -> RunConfig:
     """Read a config file; every absent key takes its dataclass default.
 
     An unknown section or key, a missing scene key, a scene key beside an
-    input path or a value that does not parse fails naming the file, the
-    section and the key.
+    input path, a file key (`format`, `truth_*`) without one or a value
+    that does not parse fails naming the file, the section and the key.
     """
     path = Path(path)
     if not path.exists():
@@ -203,6 +203,8 @@ def parse_config(path) -> RunConfig:
         given = key in cp["input"]
         if given and not scene_input and field_path.startswith("scene."):
             raise ValueError(f"{path}: [input] {key} is a scene key, but [input] has a path")
+        if given and scene_input and not field_path.startswith("scene."):
+            raise ValueError(f"{path}: [input] {key} is a file key, but [input] has no path")
         if not given and scene_input and field_path in required:
             raise ValueError(f"{path}: [input] {key} is required")
     try:  # the dataclasses' own checks, such as a patch too small for the encoder

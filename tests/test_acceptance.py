@@ -156,7 +156,7 @@ def test_criterion_2_constraint_suite():
     model = ConvAutoencoder(cfg, 8, SplitMix64(6))
     model.seed_decoder_columns(ncube.spectra())
     centers = patch_centers(12, 12)
-    win = training_windows(ncube, cfg)
+    win = training_windows(ncube.reflectance, cfg)
     opt = ad.Adam(model.parameters(), lr=cfg.learning_rate)
     shuffle = SplitMix64(7)
     min_endmember = 1.0

@@ -649,3 +649,59 @@ def test_no_grad_blocks_recording():
     with ad.no_grad():
         y = (x * x).sum()
     assert not y.requires_grad and y._parents == ()
+
+
+# -- dtypes ---------------------------------------------------------------------------------
+
+def test_tensor_keeps_float32_and_makes_other_input_float64():
+    assert ad.Tensor(np.ones(3, np.float32)).data.dtype == np.float32
+    assert ad.Tensor(np.float32(2.0)).data.dtype == np.float32
+    for other in ([1, 2], [0.5], 3, 2.5, np.arange(3), np.ones(2, np.float16), np.ones(2)):
+        assert ad.Tensor(other).data.dtype == np.float64, other
+    x64 = np.ones(3)
+    assert ad.Tensor(x64).data is x64  # float64 input is not copied
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_python_scalars_take_the_tensor_dtype(dtype):
+    # a 0-d float64 constant is a strong type under NEP 50 and would
+    # promote float32 work; every scalar form must keep the tensor's dtype
+    x = ad.Tensor(np.array([0.5, 1.5, 2.0], dtype=dtype), requires_grad=True)
+    outs = [x + 1, 1 + x, x - 1e-24, 1 - x, x * 0.5, 0.5 * x, x * np.float64(0.5), x / 3,
+            3 / x, x ** 2, x ** 0.5, -x, x.mean(), x.mean(axis=0), ad.sqrt(x + 1e-24)]
+    for y in outs:
+        assert y.data.dtype == dtype, y
+    grads = ad.backward(sum(y.sum() for y in outs))
+    assert grads[x].dtype == dtype
+
+
+def test_float32_conv2d_and_its_vjps_stay_float32_near_float64():
+    g = rng(30)
+    x = g.normal(size=(6, 5, 7, 9))
+    w = g.normal(size=(4, 5, 3, 3))
+    gout = g.normal(size=(6, 4, 7, 9))
+    want = _conv_and_grads(x, w, "same", gout)
+    got = _conv_and_grads(x.astype(np.float32), w.astype(np.float32), "same",
+                          gout.astype(np.float32))
+    for a, b in zip(got, want):
+        assert a.dtype == np.float32
+        assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b))
+
+
+def test_float32_relu_mlp_and_its_vjps_stay_float32():
+    g = rng(31)
+    x = g.normal(size=(9, 4)).astype(np.float32)
+    w1 = ad.Tensor(g.normal(size=(4, 6)).astype(np.float32), requires_grad=True)
+    w2 = ad.Tensor(g.normal(size=(6, 2)).astype(np.float32), requires_grad=True)
+    out = ad.relu_mlp(x, w1, w2)
+    grads = ad.backward(out.sum())
+    assert out.data.dtype == grads[w1].dtype == grads[w2].dtype == np.float32
+
+
+def test_adam_keeps_a_float32_parameter_float32():
+    p = ad.Tensor(np.ones(4, np.float32), requires_grad=True)
+    opt = ad.Adam([p], lr=1e-2)
+    for _ in range(3):
+        opt.step(ad.backward((p * p).sum()))
+    assert p.data.dtype == opt.m[0].dtype == opt.v[0].dtype == np.float32
+    assert np.all(p.data < 1)

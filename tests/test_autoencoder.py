@@ -4,8 +4,8 @@ import pytest
 
 from aegem import autodiff as ad
 from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder, DivergenceError,
-                               assemble_abundance_stack, endmembers_from_decoder,
-                               load_autoencoder, patch_centers,
+                               _train_epochs, assemble_abundance_stack,
+                               endmembers_from_decoder, load_autoencoder, patch_centers,
                                reconstruction_loss, save_autoencoder,
                                train_autoencoder, training_windows)
 from aegem.hsi import HsiCube, SceneSpec, normalize, synthesize_scene
@@ -56,7 +56,8 @@ def test_patch_count_exact_tiling():
     # the default encoder's receptive cone is 9x9
     cube = HsiCube(np.random.default_rng(0).uniform(size=(9, 9, 4)))
     centers = patch_centers(9, 9)
-    windows = training_windows(cube, AutoencoderConfig())[centers[:, 0], centers[:, 1]]
+    windows = training_windows(cube.reflectance, AutoencoderConfig())
+    windows = windows[centers[:, 0], centers[:, 1]]
     assert windows.shape == (81, 4, 9, 9)
     assert centers[40].tolist() == [4, 4]
     # the window at the image center needs no padding: it is exactly the image
@@ -66,7 +67,8 @@ def test_patch_count_exact_tiling():
 def test_patch_count_dense_stride():
     cube = HsiCube(np.random.default_rng(1).uniform(size=(10, 10, 3)))
     centers = patch_centers(10, 10)
-    windows = training_windows(cube, AutoencoderConfig())[centers[:, 0], centers[:, 1]]
+    windows = training_windows(cube.reflectance, AutoencoderConfig())
+    windows = windows[centers[:, 0], centers[:, 1]]
     assert windows.shape == (100, 3, 9, 9)
     assert centers[0].tolist() == [0, 0] and centers[-1].tolist() == [9, 9]
 
@@ -81,7 +83,7 @@ def test_patch_values_zero_padded():
     # one 3x3 encoder layer and a 1x1 decoder: a 3x3 receptive cone
     config = AutoencoderConfig(encoder_filters=(2,), encoder_kernels=(3,), patch_size=3)
     centers = patch_centers(3, 3)
-    patches = training_windows(cube, config)[centers[:, 0], centers[:, 1]]
+    patches = training_windows(cube.reflectance, config)[centers[:, 0], centers[:, 1]]
     corner = patches[0]  # centered at (0,0): top-left 2x2 of data, rest zeros
     assert corner.shape == (3, 3, 3)
     assert corner[0, 0, 0] == 0.0 and corner[0, 1, 1] == cube.reflectance[0, 0, 0]
@@ -219,8 +221,8 @@ def test_reconstruction_error_small_after_training(trained):
     centers = patch_centers(ncube.height, ncube.width)
     r, c = centers[(centers % 3 == 0).all(axis=1)].T
     with ad.no_grad():
-        recon = model.decode(model.encode(training_windows(ncube, model.config)[r, c],
-                                          "valid"), "valid")
+        windows = training_windows(ncube.reflectance, model.config)[r, c]
+        recon = model.decode(model.encode(windows, "valid"), "valid")
     assert recon.shape == (r.size, ncube.bands, 1, 1)
     mse = float(np.mean((recon.data[:, :, 0, 0] - ncube.reflectance[r, c]) ** 2))
     assert mse < 1e-3
@@ -242,7 +244,7 @@ def test_gradient_flow_through_full_loss():
     for w in model.enc_weights:
         w.data = rng.uniform(-0.3, 0.3, size=w.shape)
     r, c = np.array([2, 2, 7, 7]), np.array([2, 7, 2, 7])
-    x = training_windows(ncube, config)[r, c]  # the 9x9 cones of four centers
+    x = training_windows(ncube.reflectance, config)[r, c]  # the 9x9 cones of four centers
     target = ncube.reflectance[r, c, :, None, None]
 
     def full_loss():
@@ -304,7 +306,7 @@ def test_trained_abundance_stack_matches_per_patch_encode(trained):
 
 def _window_encode(model, cube):
     """Every pixel's abundances from its training window -> (H, W, P)."""
-    win = training_windows(cube, model.config)
+    win = training_windows(cube.reflectance, model.config)
     r, c = patch_centers(cube.height, cube.width).T
     k = model.config.decoder_kernel // 2
     with ad.no_grad():
@@ -336,25 +338,85 @@ def test_window_encode_on_an_image_smaller_than_the_patch(hw, ps, kernel):
     assert np.max(np.abs(_window_encode(model, cube) - stack)) <= 1e-12 * np.max(stack)
 
 
+def _initial_model(cube, config):
+    """`train_autoencoder`'s model before its first step, and its shuffle generator."""
+    root = SplitMix64(config.seed)
+    model = ConvAutoencoder(config, cube.bands, root.split(0))
+    model.seed_decoder_columns(cube.spectra())
+    return model, root.split(1)
+
+
 @pytest.mark.parametrize("filters,kernels,patch,decoder,batch", [
     ((8, 6, 3), (5, 3, 1), 9, 1, 64),  # 13x11 = 143 centers: batches of 64, 64 and 15
     ((6, 3), (3, 1), 5, 3, 40),
     ((5, 3), (1, 1), 5, 1, 50),
 ])
 def test_training_matches_the_per_patch_conv_loop(filters, kernels, patch, decoder, batch):
-    # training reads each center's receptive cone through valid convs; every
-    # weight and loss must stay within round-off of convolving each whole
-    # patch same-padded and scoring its center, for 2 epochs
+    # the epoch loop reads each center's receptive cone through valid convs;
+    # run in float64, every weight and loss must stay within round-off of
+    # convolving each whole patch same-padded and scoring its center, for 2 epochs
     cube, _ = synthesize_scene(SceneSpec(13, 11, 7, 3, smoothness=1.2, seed=17))
     config = AutoencoderConfig(encoder_filters=filters, encoder_kernels=kernels,
                                patch_size=patch, decoder_kernel=decoder, epochs=2,
                                batch_size=batch, learning_rate=3e-3, seed=18)
     ncube = normalize(cube)
-    _, _, history, model = train_autoencoder(ncube, config)
+    model, shuffle_rng = _initial_model(ncube, config)
+    history = _train_epochs(model, ncube.reflectance, shuffle_rng)
     ref_history, ref_model = train_autoencoder_per_patch(ncube, config)
     assert np.allclose(history, ref_history, rtol=1e-9, atol=0)
     for p, ref in zip(model.parameters(), ref_model.parameters()):
+        assert p.data.dtype == np.float64
         assert np.max(np.abs(p.data - ref.data)) <= 1e-9 * np.max(np.abs(ref.data))
+
+
+def test_training_is_the_epoch_loop_in_float32_with_float64_weights_out():
+    cube, _ = synthesize_scene(SceneSpec(13, 11, 7, 3, smoothness=1.2, seed=17))
+    config = AutoencoderConfig(encoder_filters=(8, 6, 3), encoder_kernels=(5, 3, 1),
+                               epochs=2, batch_size=64, learning_rate=3e-3, seed=18)
+    ncube = normalize(cube)
+    endmembers, stack, history, model = train_autoencoder(ncube, config)
+    ref, shuffle_rng = _initial_model(ncube, config)
+    for p in ref.parameters():
+        p.data = p.data.astype(np.float32)
+    assert history == _train_epochs(ref, ncube.reflectance.astype(np.float32), shuffle_rng)
+    for p, q in zip(model.parameters(), ref.parameters()):
+        assert p.data.dtype == np.float64 and q.data.dtype == np.float32
+        assert np.array_equal(p.data, q.data)
+        assert np.array_equal(p.data.astype(np.float32).astype(np.float64), p.data)
+    assert stack.dtype == endmembers.dtype == np.float64
+    assert np.array_equal(stack, abundance_stack_per_patch(model, ncube))
+
+
+def test_a_float32_training_step_makes_nothing_float64(monkeypatch):
+    # one step at the acceptance run's shapes: 20 bands, a batch of 64 9x9
+    # cones through (32, 16, 8, 3) filters; every forward output and every
+    # VJP output must be float32, or a 0-d float64 constant has leaked in
+    config = AutoencoderConfig(encoder_filters=(32, 16, 8, 3), encoder_kernels=(5, 3, 3, 1),
+                               epochs=1, batch_size=64)
+    cube = HsiCube(np.random.default_rng(21).uniform(0.1, 1.0, size=(8, 8, 20)))
+    dtypes = []
+    record = ad.Tensor._from_op.__func__
+
+    def spy(cls, data, parents, vjps, op):
+        def traced(vjp):
+            def run(g):
+                grad = vjp(g)
+                dtypes.append((f"{op} vjp", grad.dtype))
+                return grad
+            return run
+
+        out = record(cls, data, parents, tuple(traced(v) for v in vjps), op)
+        dtypes.append((op, out.data.dtype))
+        return out
+
+    monkeypatch.setattr(ad.Tensor, "_from_op", classmethod(spy))
+    model, shuffle_rng = _initial_model(cube, config)
+    for p in model.parameters():
+        p.data = p.data.astype(np.float32)
+    assert len(_train_epochs(model, cube.reflectance.astype(np.float32), shuffle_rng)) == 1
+    assert {"conv2d", "conv2d vjp", "scaled_softmax vjp", "arccos vjp"} <= {d[0] for d in dtypes}
+    assert [d for d in dtypes if d[1] != np.float32] == []
+    assert all(p.data.dtype == np.float32 for p in model.parameters())
 
 
 # -- checkpoints ---------------------------------------------------------------------------

@@ -125,6 +125,18 @@ def test_config_with_a_scene_key_beside_an_input_path_names_it(tmp_path):
         parse_config(cfg)
 
 
+@pytest.mark.parametrize("key", ["format = csv", "truth_endmembers = nowhere.csv",
+                                 "truth_abundances = nowhere.csv"])
+def test_config_with_a_file_key_beside_a_scene_names_it(tmp_path, key):
+    # write_config leaves file keys out under a scene, so one would not round-trip
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[input]\nheight = 8\nwidth = 8\nbands = 6\nendmembers = 3\n{key}\n")
+    name = key.split(" ")[0]
+    with pytest.raises(ValueError, match=rf"{re.escape(str(cfg))}: \[input\] {name} is a "
+                                         r"file key, but \[input\] has no path"):
+        parse_config(cfg)
+
+
 def test_config_without_autoencoder_keys_takes_the_dataclass_defaults(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[input]\nheight = 8\nwidth = 8\nbands = 6\nendmembers = 3\n")

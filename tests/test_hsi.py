@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import aegem
+from aegem import hsi
 from aegem.hsi import (BadMagicError, DimensionError, GroundTruth, HsbFormatError,
                        HsiCube, SceneSpec, TruncatedPayloadError, gaussian_blur, load_cube,
                        normalize, read_abundance_csv, read_endmember_csv, read_table,
@@ -376,6 +377,37 @@ def test_abundance_csv_matches_the_per_value_format(tmp_path):
     stack[1, 1] = [np.finfo(float).max, np.finfo(float).tiny, 5e-324]
     write_abundance_csv(stack, tmp_path / "a.csv", ["x", "y", "z"])
     assert (tmp_path / "a.csv").read_text() == pixel_csv_text_per_value(stack, ["x", "y", "z"])
+
+
+@pytest.mark.parametrize("block_rows", [3, 4096])
+def test_tables_are_written_and_read_the_same_in_any_block_size(tmp_path, monkeypatch,
+                                                                 block_rows):
+    # 65 x 65 = 4225 rows: one full block of 4096 and a ragged one, or 1409 of 3
+    rng = np.random.default_rng(13)
+    stack = rng.uniform(size=(65, 65, 2))
+    monkeypatch.setattr(hsi, "_TABLE_BLOCK_ROWS", block_rows)
+    write_abundance_csv(stack, tmp_path / "a.csv", ["x", "y"])
+    text = pixel_csv_text_per_value(stack, ["x", "y"])
+    assert (tmp_path / "a.csv").read_text() == text
+    rc, values, names = read_table(tmp_path / "a.csv", ["row", "col"])
+    assert names == ["x", "y"]
+    assert np.array_equal(rc, np.indices((65, 65)).reshape(2, -1).T)
+    assert np.array_equal(values, [[float(v) for v in line.split(",")[2:]]
+                                   for line in text.splitlines()[1:]])
+
+
+@pytest.mark.parametrize("short_line,message", [(4, "line 4 has 2 fields, expected 3"),
+                                                (9, "line 3 does not parse")])
+def test_table_errors_are_reported_block_by_block(tmp_path, monkeypatch, short_line, message):
+    # blocks of 4 rows are lines 2-5, 6-9, ...: within a block field counts
+    # are checked first; a bad value in an earlier block comes before them
+    monkeypatch.setattr(hsi, "_TABLE_BLOCK_ROWS", 4)
+    lines = ["band,em0,em1\n"] + [f"{i},0.5,0.5\n" for i in range(10)]
+    lines[2] = "1,0.5,x\n"
+    lines[short_line - 1] = f"{short_line - 2},0.5\n"
+    (tmp_path / "m.csv").write_text("".join(lines))
+    with pytest.raises(ValueError, match=rf"m\.csv: {message}"):
+        read_table(tmp_path / "m.csv", ["band"])
 
 
 def test_endmember_csv_band_gap_names_the_line(tmp_path):
