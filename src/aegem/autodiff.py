@@ -261,17 +261,6 @@ def as_tensor(x) -> Tensor:
 
 # -- elementwise functions --------------------------------------------------
 
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-    return Tensor._from_op(y, (x,), (lambda g: g * y,), "exp")
-
-
-def log(x: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log(x.data)
-    return Tensor._from_op(y, (x,), (lambda g: g / x.data,), "log")
-
-
 def sqrt(x: Tensor) -> Tensor:
     y = np.sqrt(x.data)
     return Tensor._from_op(y, (x,), (lambda g: g * 0.5 / y,), "sqrt")

@@ -83,6 +83,8 @@ class AutoencoderConfig:
     patch_size - 2*radius >= decoder_kernel, so that a patch holds its
     center's whole receptive cone.  Training reads that cone and scores
     the center alone, so inside the bound patch_size changes no result.
+    `patch_size` and `decoder_kernel` stay as fields until the benchmark's
+    workloads, which pass both as keyword arguments, stop passing them.
     The loss is SAD + mse_weight * MSE; mse_weight = 0 is pure SAD.
     """
 

@@ -1,30 +1,30 @@
 """Command-line entry point.
 
-Subcommands: synth (scene generator), run (every pipeline stage: load,
-autoencoder, graph, gcn, ensemble), eval (re-score saved artifacts),
-graph (the load and graph stages), ae (the load and autoencoder
-stages).  Every model setting and variant, such as `[gcn]
-paper_literal_asc`, is read from the config file alone; the flags of
-run, graph and ae override only the seed, the repeat count and the
-output directory.  Exit codes: 0 success, 1 usage, config or I/O error,
-2 pipeline-stage failure.
+Subcommands:
 
-The AEGEM_THREADS environment variable caps worker threads; it is
-applied to the BLAS thread pools before numpy loads.
+  synth   generate a synthetic scene and its ground truth
+  run     every stage of `aegem.pipeline.STAGES`: load, normalize,
+          autoencoder, graph, gcn, ensemble, score
+  ae      load, normalize, autoencoder
+  graph   load, normalize, graph; with `[kernel] sad_on = abundance`
+          the autoencoder runs first, since its abundances weight the edges
+  eval    re-score saved run artifacts against a truth directory
+
+run, ae and graph go through one stage runner, so each run directory
+holds config.ini and a run.log with one timed line per stage.  Every
+model setting and variant, such as `[gcn] paper_literal_asc`, is read
+from the config file alone; the flags of run, graph and ae override
+only the seed, the repeat count and the output directory.  Exit codes:
+0 success, 1 usage, config or I/O error, 2 pipeline-stage failure.
+
+The BLAS thread pool is sized when numpy loads, which `import aegem`
+does before any subcommand runs; to cap it, set OPENBLAS_NUM_THREADS
+or OMP_NUM_THREADS in the environment that starts aegem.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("AEGEM_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,15 +53,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("truth_dir")
     ev.add_argument("--out", default=None, help="directory for the report CSV")
 
-    gr = sub.add_parser("graph", help="build and serialize the elliptical graph only")
-    gr.add_argument("--config", required=True)
-    gr.add_argument("--seed", type=int, default=None)
-    gr.add_argument("--out", default=None)
-
-    ae = sub.add_parser("ae", help="train the autoencoder only")
-    ae.add_argument("--config", required=True)
-    ae.add_argument("--seed", type=int, default=None)
-    ae.add_argument("--out", default=None)
+    for name, text in (("graph", "build and serialize the elliptical graph"),
+                       ("ae", "train the autoencoder only")):
+        stages = sub.add_parser(name, help=text)
+        stages.add_argument("--config", required=True)
+        stages.add_argument("--seed", type=int, default=None, help="override config seed")
+        stages.add_argument("--out", default=None, help="override output directory")
     return parser
 
 
@@ -124,40 +121,23 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_graph(args) -> int:
-    from pathlib import Path
-
-    from .pipeline import graph_stage, load_stage
-
-    rc = _resolved_config(args)
-    if rc.sad_on == "abundance":
-        raise ValueError("[kernel] sad_on = abundance weights the graph by the "
-                         "autoencoder's abundances, so only `aegem run` can build it; "
-                         "use sad_on = spectra here")
-    out = Path(rc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cube, _ = load_stage(rc, out, print)
-    graph_stage(rc, cube, None, out, print)
-    print(f"wrote graph.csv to {out}")
-    return 0
-
-
-def _cmd_ae(args) -> int:
-    from pathlib import Path
-
-    from .pipeline import autoencoder_stage, load_stage
+def _cmd_stages(args) -> int:
+    """`ae` and `graph`: the run's first stages, up to the one named."""
+    from .pipeline import run_stages
 
     rc = _resolved_config(args)
-    out = Path(rc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cube, truth = load_stage(rc, out, print)
-    autoencoder_stage(rc, cube, truth, out, print)
-    print(f"wrote autoencoder artifacts to {out}")
+    if args.command == "ae":
+        stages = ("load", "normalize", "autoencoder")
+    elif rc.sad_on == "abundance":  # the edges are weighted by the AE's abundances
+        stages = ("load", "normalize", "autoencoder", "graph")
+    else:
+        stages = ("load", "normalize", "graph")
+    run_stages(rc, stages)
+    print(f"wrote the {args.command} artifacts to {rc.out_dir}")
     return 0
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -166,7 +146,7 @@ def main(argv=None) -> int:
     from .pipeline import PipelineStageError
 
     handlers = {"synth": _cmd_synth, "run": _cmd_run, "eval": _cmd_eval,
-                "graph": _cmd_graph, "ae": _cmd_ae}
+                "graph": _cmd_stages, "ae": _cmd_stages}
     try:
         return handlers[args.command](args)
     except PipelineStageError as exc:

@@ -1,14 +1,18 @@
-"""The unmixing run as five stages, and its on-disk artifacts.
+"""The unmixing run as one ordered table of stages, and its on-disk artifacts.
 
-load (with normalize) -> autoencoder -> graph -> gcn -> ensemble.  Each
-stage is a plain function that writes its own artifacts into the run
-directory; `run_pipeline` calls all of them, and the `ae` and `graph`
-subcommands call load and the one stage they name.  A run directory
-receives the candidate and final abundance stacks, extracted
-endmembers, the graph edge list, labeled pixels, training logs,
-grayscale maps, checkpoints, and a metrics report.  Reports are always
-computed from the written CSV artifacts so that re-scoring a saved run
-reproduces them exactly.
+`STAGES` holds the run in order: load -> normalize -> autoencoder ->
+graph -> gcn -> ensemble -> score.  Each stage reads and fills one
+`RunState`, writes its own artifacts into the run directory and returns
+the text of its log line.  `run_stages` is the one runner: it creates
+the directory, writes config.ini, logs a timed `[name] ... in N.Ns` line
+per stage, names the stage of any failure in a PipelineStageError and
+writes run.log even when a stage fails.  `run_pipeline` runs the whole
+table; the `ae` and `graph` subcommands run its first stages (see
+`aegem.cli`).  A run directory receives the candidate and final
+abundance stacks, extracted endmembers, the graph edge list, labeled
+pixels, training logs, grayscale maps, checkpoints, and a metrics
+report.  Reports are always computed from the written CSV artifacts so
+that re-scoring a saved run reproduces them exactly.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ import configparser
 import time
 import types
 import typing
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -293,17 +296,6 @@ def score_artifacts(est_dir, truth_endmembers_csv, truth_abundances_csv,
 
 # -- the stages ------------------------------------------------------------------
 
-@contextmanager
-def _stage(name: str):
-    """Re-raise any failure but a missing file as a PipelineStageError."""
-    try:
-        yield
-    except FileNotFoundError:
-        raise  # usage/IO error, not a stage failure
-    except Exception as exc:
-        raise PipelineStageError(name, exc) from exc
-
-
 def _load_truth_files(rc: RunConfig, cube: HsiCube) -> GroundTruth:
     """The truth files of a file input, checked against the cube's shape."""
     if not rc.truth_endmembers or not rc.truth_abundances:
@@ -342,106 +334,108 @@ def _load_truth_files(rc: RunConfig, cube: HsiCube) -> GroundTruth:
     return GroundTruth(em, ab)
 
 
-def load_stage(rc: RunConfig, out: Path, note,
-               scene_seed: int | None = None) -> tuple[HsiCube, GroundTruth]:
-    """The scene or input cube and its truth, written to out; cube normalized.
+@dataclass
+class RunState:
+    """What one run's stages read and write: each stage fills the fields it makes."""
 
-    scene_seed pins the synthetic scene independently of the run seed.
-    """
-    with _stage("load"):
-        if rc.scene is not None:
-            scene = replace(rc.scene, seed=rc.seed if scene_seed is None else scene_seed)
-            cube, truth = synthesize_scene(scene)
-            save_cube(cube, out / "cube.hsb")
-        else:
-            if not Path(rc.input_path).exists():
-                raise FileNotFoundError(f"input file not found: {rc.input_path}")
-            cube = load_cube(rc.input_path, rc.input_format)
-            truth = _load_truth_files(rc, cube)
-        write_endmember_csv(truth.endmembers, out / "truth_endmembers.csv")
-        write_abundance_csv(truth.abundances, out / "truth_abundances.csv")
-        note(f"[load] cube {cube.height}x{cube.width}x{cube.bands}, "
-             f"{truth.endmembers.shape[1]} endmembers")
-    with _stage("normalize"):
-        cube = normalize(cube)
-        note("[normalize] global_max")
-    return cube, truth
+    rc: RunConfig
+    out: Path
+    scene_seed: int | None = None  # pins the synthetic scene apart from the run seed
+    started: float = field(default_factory=time.perf_counter)
+    cube: HsiCube | None = None
+    truth: GroundTruth | None = None
+    ae_stack: np.ndarray | None = None
+    graph: EllipticalGraph | None = None
+    gcn_stack: np.ndarray | None = None
+    label_idx: np.ndarray | None = None
+    report: MetricsReport | None = None
 
 
-def autoencoder_stage(rc: RunConfig, cube: HsiCube, truth: GroundTruth, out: Path,
-                      note) -> np.ndarray:
+def _load(run: RunState) -> str:
+    """The scene or input cube and its truth, written to the run directory."""
+    rc, out = run.rc, run.out
+    if rc.scene is not None:
+        scene = replace(rc.scene, seed=rc.seed if run.scene_seed is None else run.scene_seed)
+        run.cube, run.truth = synthesize_scene(scene)
+        save_cube(run.cube, out / "cube.hsb")
+    else:
+        if not Path(rc.input_path).exists():
+            raise FileNotFoundError(f"input file not found: {rc.input_path}")
+        run.cube = load_cube(rc.input_path, rc.input_format)
+        run.truth = _load_truth_files(rc, run.cube)
+    write_endmember_csv(run.truth.endmembers, out / "truth_endmembers.csv")
+    write_abundance_csv(run.truth.abundances, out / "truth_abundances.csv")
+    return (f"cube {run.cube.height}x{run.cube.width}x{run.cube.bands}, "
+            f"{run.truth.endmembers.shape[1]} endmembers")
+
+
+def _normalize(run: RunState) -> str:
+    run.cube = normalize(run.cube)
+    return "global_max"
+
+
+def _autoencoder(run: RunState) -> str:
     """Train the AE with one channel per truth endmember; stack in truth order."""
-    with _stage("autoencoder"):
-        t = time.perf_counter()
-        ae_cfg = replace(rc.ae, seed=rc.seed + 1,
-                         encoder_filters=(*rc.ae.encoder_filters[:-1],
-                                          truth.endmembers.shape[1]))
-        em_ae, ae_stack, ae_history, ae_model = train_autoencoder(cube, ae_cfg)
-        match = match_endmembers(em_ae, truth.endmembers)
-        ae_stack, em_ae = apply_match(match, ae_stack, em_ae)
-        save_autoencoder(ae_model, out / "checkpoint_ae.aew")
-        write_table(out / "ae_loss.csv", ["epoch", "loss"],
-                    np.arange(len(ae_history))[:, None],
-                    np.reshape(ae_history, (-1, 1)), fmt="%r")
-        write_endmember_csv(em_ae, out / "ae_endmembers.csv")
-        write_abundance_csv(ae_stack, out / "ae_abundances.csv")
-        note(f"[autoencoder] {ae_cfg.epochs} epochs in {time.perf_counter() - t:.1f}s, "
-             f"final loss {ae_history[-1] if ae_history else float('nan'):.5f}")
-    return ae_stack
+    rc, out, truth = run.rc, run.out, run.truth
+    ae_cfg = replace(rc.ae, seed=rc.seed + 1,
+                     encoder_filters=(*rc.ae.encoder_filters[:-1], truth.endmembers.shape[1]))
+    em_ae, ae_stack, ae_history, ae_model = train_autoencoder(run.cube, ae_cfg)
+    match = match_endmembers(em_ae, truth.endmembers)
+    run.ae_stack, em_ae = apply_match(match, ae_stack, em_ae)
+    save_autoencoder(ae_model, out / "checkpoint_ae.aew")
+    write_table(out / "ae_loss.csv", ["epoch", "loss"],
+                np.arange(len(ae_history))[:, None],
+                np.reshape(ae_history, (-1, 1)), fmt="%r")
+    write_endmember_csv(em_ae, out / "ae_endmembers.csv")
+    write_abundance_csv(run.ae_stack, out / "ae_abundances.csv")
+    return (f"{ae_cfg.epochs} epochs, final loss "
+            f"{ae_history[-1] if ae_history else float('nan'):.5f}")
 
 
-def graph_stage(rc: RunConfig, cube: HsiCube, ae_stack: np.ndarray | None, out: Path,
-                note) -> EllipticalGraph:
+def _graph(run: RunState) -> str:
     """The elliptical star graph, written to graph.csv.
 
     Edge weights are spectral angles between pixel spectra, or between the
-    AE's abundance vectors (ae_stack) when sad_on = abundance.
+    AE's abundance vectors when sad_on = abundance.
     """
-    with _stage("graph"):
-        t = time.perf_counter()
-        edge_source = HsiCube(ae_stack) if rc.sad_on == "abundance" else cube
-        graph = build_graph(edge_source, rc.kernel_a, rc.kernel_b, rc.stride_r, rc.stride_c)
-        write_graph_csv(graph, out / "graph.csv")
-        note(f"[graph] ellipse a={rc.kernel_a} b={rc.kernel_b}: "
-             f"{len(graph.senders)} centroids, {len(graph.edges)} edges "
-             f"in {time.perf_counter() - t:.1f}s")
-    return graph
+    rc = run.rc
+    edge_source = HsiCube(run.ae_stack) if rc.sad_on == "abundance" else run.cube
+    run.graph = build_graph(edge_source, rc.kernel_a, rc.kernel_b, rc.stride_r, rc.stride_c)
+    write_graph_csv(run.graph, run.out / "graph.csv")
+    return (f"ellipse a={rc.kernel_a} b={rc.kernel_b}: "
+            f"{len(run.graph.senders)} centroids, {len(run.graph.edges)} edges")
 
 
-def gcn_stage(rc: RunConfig, cube: HsiCube, truth: GroundTruth, ae_stack: np.ndarray,
-              graph: EllipticalGraph, out: Path, note) -> tuple[np.ndarray, np.ndarray]:
-    """Refine the AE stack on the graph; returns the GCN stack and label indices."""
-    with _stage("gcn"):
-        t = time.perf_counter()
-        gcn_cfg = replace(rc.gcn, seed=rc.seed + 2)
-        features = gcn_mod.build_node_features(ae_stack, cube, gcn_cfg)
-        label_idx, label_targets = gcn_mod.sample_labels(
-            truth.abundances, gcn_cfg.label_fraction, SplitMix64(rc.seed + 3))
-        model, gcn_history = gcn_mod.train_gcn(graph, features, label_idx,
-                                               label_targets, gcn_cfg)
-        gcn_stack = gcn_mod.forward(model, features, gcn_cfg.paper_literal_asc)
-        gcn_stack = gcn_stack.reshape(cube.height, cube.width, -1)
-        gcn_mod.save_gcn(model, out / "checkpoint_gcn.aew")
-        history = np.reshape(gcn_history, (-1, 3))
-        write_table(out / "gcn_loss.csv", ["epoch", "train_bce", "val_bce"],
-                    history[:, :1], history[:, 1:], fmt="%r")
-        write_labels_csv(label_idx, cube.width, out / "labels.csv")
-        write_abundance_csv(gcn_stack, out / "gcn_abundances.csv")
-        field = gcn_mod.receptive_field(model.operator, label_idx)
-        note(f"[gcn] {features.shape[1]}-d node features, {gcn_cfg.epochs} epochs "
-             f"on {label_idx.size} labeled pixels (receptive field {field.size} of "
-             f"{graph.n_pixels} nodes) in {time.perf_counter() - t:.1f}s")
-    return gcn_stack, label_idx
+def _gcn(run: RunState) -> str:
+    """Refine the AE stack on the graph; writes the GCN stack and the labeled pixels."""
+    rc, out, cube = run.rc, run.out, run.cube
+    gcn_cfg = replace(rc.gcn, seed=rc.seed + 2)
+    features = gcn_mod.build_node_features(run.ae_stack, cube, gcn_cfg)
+    run.label_idx, label_targets = gcn_mod.sample_labels(
+        run.truth.abundances, gcn_cfg.label_fraction, SplitMix64(rc.seed + 3))
+    model, gcn_history = gcn_mod.train_gcn(run.graph, features, run.label_idx,
+                                           label_targets, gcn_cfg)
+    gcn_stack = gcn_mod.forward(model, features, gcn_cfg.paper_literal_asc)
+    run.gcn_stack = gcn_stack.reshape(cube.height, cube.width, -1)
+    gcn_mod.save_gcn(model, out / "checkpoint_gcn.aew")
+    history = np.reshape(gcn_history, (-1, 3))
+    write_table(out / "gcn_loss.csv", ["epoch", "train_bce", "val_bce"],
+                history[:, :1], history[:, 1:], fmt="%r")
+    write_labels_csv(run.label_idx, cube.width, out / "labels.csv")
+    write_abundance_csv(run.gcn_stack, out / "gcn_abundances.csv")
+    reach = gcn_mod.receptive_field(model.operator, run.label_idx)
+    return (f"{features.shape[1]}-d node features, {gcn_cfg.epochs} epochs "
+            f"on {run.label_idx.size} labeled pixels (receptive field {reach.size} of "
+            f"{run.graph.n_pixels} nodes)")
 
 
-def ensemble_stage(ae_stack: np.ndarray, gcn_stack: np.ndarray, truth: GroundTruth,
-                   label_idx: np.ndarray, out: Path, note) -> None:
+def _ensemble(run: RunState) -> str:
     """Per-channel source choice; writes the final stack and its maps."""
-    with _stage("ensemble"):
-        selection = ensemble_select(ae_stack, gcn_stack, truth.abundances, label_idx)
-        write_abundance_csv(selection.final_stack, out / "final_abundances.csv")
-        save_abundance_maps(np.clip(selection.final_stack, 0.0, 1.0), out / "maps")
-        note(f"[ensemble] sources: {','.join(selection.sources)}")
+    selection = ensemble_select(run.ae_stack, run.gcn_stack, run.truth.abundances,
+                                run.label_idx)
+    write_abundance_csv(selection.final_stack, run.out / "final_abundances.csv")
+    save_abundance_maps(np.clip(selection.final_stack, 0.0, 1.0), run.out / "maps")
+    return f"sources: {','.join(selection.sources)}"
 
 
 def samson_reference_text() -> str:
@@ -452,42 +446,64 @@ def samson_reference_text() -> str:
     return "\n".join(lines)
 
 
-def run_pipeline(rc: RunConfig, log=print,
-                 scene_seed: int | None = None) -> tuple[MetricsReport, Path]:
-    """Run every stage, write artifacts, and score the run.
-
-    scene_seed pins the synthetic scene independently of the run seed
-    (repeat runs re-train on one fixed scene).
-    """
-    out = Path(rc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_config(rc, out / "config.ini")
-    log_lines: list[str] = []
-
-    def note(msg: str) -> None:
-        log_lines.append(msg)
-        if log:
-            log(msg)
-
-    t0 = time.perf_counter()
-    cube, truth = load_stage(rc, out, note, scene_seed)
-    ae_stack = autoencoder_stage(rc, cube, truth, out, note)
-    graph = graph_stage(rc, cube, ae_stack, out, note)
-    gcn_stack, label_idx = gcn_stage(rc, cube, truth, ae_stack, graph, out, note)
-    ensemble_stage(ae_stack, gcn_stack, truth, label_idx, out, note)
-
-    elapsed = time.perf_counter() - t0
-    report = score_artifacts(out, out / "truth_endmembers.csv",
-                             out / "truth_abundances.csv", seed=rc.seed, elapsed=elapsed)
+def _score(run: RunState) -> str:
+    """The report scored from the written artifacts, in metrics.csv and metrics.txt."""
+    out, cube = run.out, run.cube
+    run.report = report = score_artifacts(
+        out, out / "truth_endmembers.csv", out / "truth_abundances.csv",
+        seed=run.rc.seed, elapsed=time.perf_counter() - run.started)
     report.to_csv(out / "metrics.csv")
     text = report.to_text()
     if (cube.height, cube.width, cube.bands) == SAMSON_SHAPE and len(report.materials) == 3:
         text += "\n" + samson_reference_text()
     (out / "metrics.txt").write_text(text + "\n", encoding="utf-8")
-    note(f"[done] mean rmse {report.mean_rmse:.4f}, mean sad {report.mean_sad:.4f} "
-         f"in {elapsed:.1f}s")
-    (out / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    return report, out
+    return f"mean rmse {report.mean_rmse:.4f}, mean sad {report.mean_sad:.4f}"
+
+
+# The whole run, in order.  A stage reads the RunState fields that the
+# stages before it filled and returns the text of its log line.
+STAGES = {"load": _load, "normalize": _normalize, "autoencoder": _autoencoder,
+          "graph": _graph, "gcn": _gcn, "ensemble": _ensemble, "score": _score}
+
+
+def run_stages(rc: RunConfig, stages, log=print, scene_seed: int | None = None) -> RunState:
+    """Run the named stages in order in rc.out_dir, next to config.ini and run.log.
+
+    Each stage logs one `[name] ... in N.Ns` line.  Any failure but a
+    missing file is re-raised as a PipelineStageError naming the stage;
+    run.log holds the lines of the stages that finished either way.
+    """
+    out = Path(rc.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_config(rc, out / "config.ini")
+    run = RunState(rc, out, scene_seed)
+    lines: list[str] = []
+    try:
+        for name in stages:
+            stage, t = STAGES[name], time.perf_counter()
+            try:
+                note = stage(run)
+            except FileNotFoundError:
+                raise  # usage/IO error, not a stage failure
+            except Exception as exc:
+                raise PipelineStageError(name, exc) from exc
+            lines.append(f"[{name}] {note} in {time.perf_counter() - t:.1f}s")
+            if log:
+                log(lines[-1])
+    finally:
+        (out / "run.log").write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return run
+
+
+def run_pipeline(rc: RunConfig, log=print,
+                 scene_seed: int | None = None) -> tuple[MetricsReport, Path]:
+    """Run every stage; returns the metrics report and the run directory.
+
+    scene_seed pins the synthetic scene independently of the run seed
+    (repeat runs re-train on one fixed scene).
+    """
+    run = run_stages(rc, STAGES, log, scene_seed)
+    return run.report, run.out
 
 
 def run_repeated(rc: RunConfig, log=print) -> list[MetricsReport]:

@@ -469,6 +469,37 @@ def test_run_gcn_log_layout(completed_run):
     assert header == "epoch,train_bce,val_bce"
 
 
+_STAGE_LINE = re.compile(r"\[(\w+)\] .+ in \d+\.\ds")
+
+
+def _logged_stages(run_dir) -> list[str]:
+    """The stage names of run.log, in order; every line is a timed stage line."""
+    lines = (Path(run_dir) / "run.log").read_text().splitlines()
+    matches = [_STAGE_LINE.fullmatch(line) for line in lines]
+    assert all(matches), lines
+    return [m.group(1) for m in matches]
+
+
+def test_run_log_holds_one_timed_line_per_stage(completed_run):
+    _, _, run_dir = completed_run
+    assert _logged_stages(run_dir) == ["load", "normalize", "autoencoder", "graph", "gcn",
+                                       "ensemble", "score"]
+
+
+def test_a_stage_failure_keeps_the_log_of_the_stages_before_it(tmp_path, capsys,
+                                                                monkeypatch):
+    def diverge(*args, **kwargs):
+        raise RuntimeError("gcn diverged")
+
+    monkeypatch.setattr("aegem.gcn.train_gcn", diverge)
+    cfg = tmp_path / "c.ini"
+    write_config(tiny_run_config(tmp_path / "o"), cfg)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "error: stage 'gcn' failed: gcn diverged" in capsys.readouterr().err
+    assert _logged_stages(tmp_path / "o") == ["load", "normalize", "autoencoder", "graph"]
+    assert not (tmp_path / "o" / "gcn_abundances.csv").exists()
+
+
 def test_run_log_reports_the_gcn_receptive_field(completed_run):
     _, _, run_dir = completed_run
     log = (run_dir / "run.log").read_text()
@@ -648,15 +679,59 @@ def test_graph_subcommand(completed_run, tmp_path):
     assert graph_csv == (run_dir / "graph.csv").read_bytes()
 
 
-def test_graph_subcommand_rejects_abundance_edge_weights(tmp_path, capsys):
-    # that graph is weighted by the autoencoder's abundances, which this
-    # subcommand does not train
-    rc = replace(tiny_run_config(tmp_path / "g", seed=5), sad_on="abundance")
+def test_graph_subcommand_trains_the_autoencoder_for_abundance_edge_weights(tmp_path):
+    # that graph is weighted by the autoencoder's abundances, so the
+    # subcommand trains the autoencoder first and writes the run's graph
+    rc = replace(tiny_run_config(tmp_path / "r", seed=5), sad_on="abundance",
+                 ae=AutoencoderConfig(encoder_filters=(6, 4, 4, 2),
+                                      encoder_kernels=(5, 3, 3, 1),
+                                      epochs=2, batch_size=256),
+                 gcn=GcnConfig(hidden=8, epochs=20, label_fraction=0.15))
+    _, run_dir = run_pipeline(rc, log=None)
     cfg = tmp_path / "c.ini"
     write_config(rc, cfg)
-    assert main(["graph", "--config", str(cfg)]) == 1
-    assert "sad_on" in capsys.readouterr().err
-    assert not (tmp_path / "g" / "graph.csv").exists()
+    assert main(["graph", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 0
+    assert (tmp_path / "g" / "graph.csv").read_bytes() == (run_dir / "graph.csv").read_bytes()
+    assert _logged_stages(tmp_path / "g") == ["load", "normalize", "autoencoder", "graph"]
+
+
+@pytest.mark.parametrize("command, stages", [("ae", ["load", "normalize", "autoencoder"]),
+                                             ("graph", ["load", "normalize", "graph"])])
+def test_stage_subcommand_writes_its_config_and_a_timed_log(completed_run, tmp_path,
+                                                            command, stages):
+    rc, _, _ = completed_run
+    cfg = tmp_path / "c.ini"
+    write_config(rc, cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
+    assert parse_config(out / "config.ini") == replace(rc, seed=11, out_dir=str(out))
+    assert _logged_stages(out) == stages
+
+
+def test_stage_subcommands_run_as_a_module(completed_run, tmp_path):
+    # the command-line entry path in a fresh process, not main() in this one
+    rc, _, run_dir = completed_run
+    cfg = tmp_path / "c.ini"
+    write_config(rc, cfg)
+    env = {**os.environ, "PYTHONPATH": str(Path(aegem.__file__).parents[1])}
+
+    def aegem_cli(*args):
+        return subprocess.run([sys.executable, "-m", "aegem.cli", *args],
+                              capture_output=True, text=True, env=env)
+
+    for command, artifacts in (("ae", ("ae_endmembers.csv", "ae_abundances.csv")),
+                               ("graph", ("graph.csv",))):
+        out = tmp_path / command
+        done = aegem_cli(command, "--config", str(cfg), "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        assert f"wrote the {command} artifacts to {out}" in done.stdout
+        for name in artifacts:
+            assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+        assert parse_config(out / "config.ini") == replace(rc, out_dir=str(out))
+        assert _logged_stages(out)[-1] == ("autoencoder" if command == "ae" else "graph")
+    done = aegem_cli("graph", "--config", str(tmp_path / "absent.ini"))
+    assert done.returncode == 1
+    assert "config file not found" in done.stderr
 
 
 def test_ae_subcommand(completed_run, tmp_path):
