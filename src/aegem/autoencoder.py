@@ -25,6 +25,22 @@ while patch_size - 2r >= decoder_kernel (the config checks it) the cone
 lies inside the patch, and training on the cone gives the patch
 training's weights to round-off.
 
+The encoder reads a pixel's spectra through a fixed orthonormal basis V
+(L x k, k = min(P, L)): the top k eigenvectors of the uncentred XᵀX of
+the image's spectra, set once per run (`spectral_basis`).  Layer 1
+convolves the coordinates z = Vᵀx, a fixed 1x1 conv, with W' = W ×_band
+V, the full-size weights W mapped onto the basis each step; W' passes
+its gradient back to W as gW' Vᵀ.  Under the linear mixing model a scene
+of P endmembers spans P spectral directions, so without noise every
+spectrum x lies in span(V), x = V Vᵀx, and conv(x, W) = conv(Vᵀx, W V)
+sum for sum: the loss, W's gradient and so Adam's steps are the
+full-band ones in exact arithmetic, at k/L of layer 1's cost (k = 3 of
+L = 156 on Samson).  With noise, the part of x outside span(V) is
+mostly noise, and the encoder no longer reads it: the signal-subspace
+step of VCA (Nascimento & Bioucas-Dias 2005) and HySime (Bioucas-Dias &
+Nascimento 2008).  The decoder, the loss, inference's input and the
+endmembers keep all L bands.
+
 The training steps run in float32 (mixed-precision training,
 Micikevicius et al. 2018): the image and the parameters are cast down for
 the epoch loop, whose GEMMs then run about 1.7x faster, and the trained
@@ -165,6 +181,23 @@ def extreme_pixel_indices(spectra: np.ndarray, count: int) -> list[int]:
     return idx
 
 
+def spectral_basis(spectra: np.ndarray, endmembers: int) -> np.ndarray:
+    """(L, k) orthonormal basis of the spectra's k-dimensional signal subspace.
+
+    k = min(endmembers, L).  The columns are the eigenvectors of the
+    uncentred L x L matrix XᵀX of the (N, L) spectra X, largest eigenvalue
+    first, each signed so that its largest-magnitude entry is positive: the
+    P-dimensional projection of VCA (Nascimento & Bioucas-Dias 2005).
+    Under linear mixing without noise the spectra lie in this span.
+    """
+    x = np.asarray(spectra, dtype=np.float64)
+    k = min(endmembers, x.shape[1])
+    _, vectors = np.linalg.eigh(x.T @ x)
+    basis = vectors[:, ::-1][:, :k]
+    peak = np.abs(basis).argmax(axis=0)
+    return basis * np.sign(basis[peak, np.arange(k)])
+
+
 # -- patch extraction ----------------------------------------------------------
 
 def patch_centers(height: int, width: int) -> np.ndarray:
@@ -189,7 +222,14 @@ def training_windows(reflectance: np.ndarray, config: AutoencoderConfig) -> np.n
 # -- model ---------------------------------------------------------------------
 
 class ConvAutoencoder:
-    """Encoder/decoder pair built on the autodiff tensor engine."""
+    """Encoder/decoder pair built on the autodiff tensor engine.
+
+    `basis` is the fixed (L, k) orthonormal basis V the encoder reads its
+    input through (see the module docstring): the identity, every band,
+    until `seed_from_spectra` sets it from the image.  Layer 1's weights
+    `enc_weights[0]` stay full size, (C, L, kh, kw), and are mapped onto
+    V on every encode.
+    """
 
     def __init__(self, config: AutoencoderConfig, bands: int, rng: SplitMix64):
         self.config = config
@@ -207,38 +247,63 @@ class ConvAutoencoder:
         self.enc_weights[-1].data[:] = 0.0
         p = config.endmembers
         k = config.decoder_kernel
-        # all mass on the center tap (seed_decoder_columns fills it); a
+        # all mass on the center tap (seed_from_spectra fills it); a
         # kernel wider than 1 lets off-center taps grow, which blurs the
         # reconstruction of non-constant abundance fields
         self.dec_weight = ad.Tensor(np.zeros((bands, p, k, k)), requires_grad=True)
         self.dec_weight.data[:, :, k // 2, k // 2] = 1.0 / p
+        self.basis = np.eye(bands)  # every band, until seed_from_spectra sets V
 
     def parameters(self) -> list[ad.Tensor]:
         return [*self.enc_weights, *self.enc_biases, self.dec_weight]
 
-    def seed_decoder_columns(self, spectra: np.ndarray) -> None:
-        """Start each decoder column's center tap from an extreme pixel.
+    def seed_from_spectra(self, spectra: np.ndarray) -> None:
+        """Set the spectral basis V and start each decoder column from an extreme pixel.
 
-        Successive-projection selection: the largest-norm pixel first,
+        V is `spectral_basis(spectra, P)`.  The decoder columns come from
+        successive-projection selection: the largest-norm pixel first,
         then repeatedly the pixel with the largest residual outside the
         span of those already chosen.  Near-pure pixels are the extreme
         points of the mixing cone, so the decoder begins close to a
         plausible endmember bank instead of a random one.
         """
+        self.basis = spectral_basis(spectra, self.config.endmembers)
         k = self.config.decoder_kernel // 2
         picks = extreme_pixel_indices(spectra, self.config.endmembers)
         for j, idx in enumerate(picks):
             self.dec_weight.data[:, j, k, k] = spectra[idx]
+
+    def project(self, x) -> ad.Tensor:
+        """Spectra (N, L, h, w) -> their coordinates z = Vᵀx (N, k, h, w).
+
+        A fixed 1x1 conv with no gradient, in x's dtype.  Its GEMM has the
+        weights on the left, as every conv's has, so a pixel's z is the
+        same to the bit in a strip and in its own patch.
+        """
+        x = ad.as_tensor(x)
+        v = self.basis.astype(x.data.dtype, copy=False)
+        return ad.conv2d(x, ad.Tensor(v.T[:, :, None, None]), None, padding="valid")
 
     def encode(self, x, padding: str = "same") -> ad.Tensor:
         """Windows or image strips (N, L, h, w) -> abundances (N, P, h', w').
 
         `same` convs keep h x w; `valid` convs shrink both by 2*radius.
         """
-        out = ad.as_tensor(x)
+        z = self.project(x)
+        return self.encode_subspace(z, self.basis.astype(z.data.dtype, copy=False), padding)
+
+    def encode_subspace(self, z, basis: np.ndarray, padding: str = "same") -> ad.Tensor:
+        """`encode` from the coordinates z = Vᵀx (N, k, h, w), V given as `basis`.
+
+        Layer 1 convolves z with W' = W ×_band V, the full-size weights W
+        mapped onto the basis, whose gradient goes back to W as gW' Vᵀ.
+        """
+        out = ad.as_tensor(z)
         for i, (w, b) in enumerate(zip(self.enc_weights, self.enc_biases)):
             if i:
                 out = ad.leaky_relu(out, 0.01)
+            else:
+                w = ad.project_channels(w, basis)
             out = ad.conv2d(out, w, b, padding=padding)
         return ad.scaled_softmax(out, self.config.softmax_scale, axis=1)
 
@@ -335,7 +400,7 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
     """
     root = SplitMix64(config.seed)
     model = ConvAutoencoder(config, cube.bands, root.split(0))
-    model.seed_decoder_columns(cube.spectra())
+    model.seed_from_spectra(cube.spectra())
     params = model.parameters()
     for p in params:
         p.data = p.data.astype(np.float32)
@@ -354,13 +419,21 @@ def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
     Each epoch visits the pixels in a shuffled order, in batches: a
     batch's `training_windows` run through `valid` convs down to their
     centers' reconstructions, which the loss scores against the center
-    spectra.  Every step runs in the dtype of the image and the
-    parameters, which should agree.
+    spectra.  The windows are cut from the image's coordinates z = Vᵀx,
+    projected once, so layer 1 reads k channels instead of L; the loss
+    reads the full-band spectra.  Every step runs in the dtype of the
+    image and the parameters, which should agree; the basis is cast to
+    it once.  A non-finite image fails as a divergence at epoch 0.
     """
     config = model.config
     height, width, _ = reflectance.shape
     centers = patch_centers(height, width)
-    windows = training_windows(reflectance, config)
+    basis = model.basis.astype(reflectance.dtype)
+    try:
+        coords = model.project(reflectance.transpose(2, 0, 1)[None]).data[0]
+    except ad.NonFiniteError as exc:
+        raise DivergenceError(0) from exc
+    windows = training_windows(coords.transpose(1, 2, 0), config)
     n = len(centers)
     optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
     history: list[float] = []
@@ -370,7 +443,8 @@ def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
         try:
             for start in range(0, n, config.batch_size):
                 r, c = centers[order[start : start + config.batch_size]].T
-                recon = model.decode(model.encode(windows[r, c], "valid"), "valid")
+                recon = model.decode(model.encode_subspace(windows[r, c], basis, "valid"),
+                                     "valid")
                 loss = reconstruction_loss(reflectance[r, c, :, None, None], recon,
                                            config.mse_weight)
                 optimizer.step(ad.backward(loss))
@@ -393,14 +467,24 @@ def save_autoencoder(model: ConvAutoencoder, path) -> None:
         tensors[f"enc{i}.weight"] = w.data
         tensors[f"enc{i}.bias"] = b.data
     tensors["dec.weight"] = model.dec_weight.data
+    tensors["basis"] = model.basis
     checkpoint.save_tensors(tensors, path)
 
 
 def load_autoencoder(path, config: AutoencoderConfig, bands: int) -> ConvAutoencoder:
+    """The model `save_autoencoder` wrote; a missing or misshapen tensor fails naming it."""
     tensors = checkpoint.load_tensors(path)
     model = ConvAutoencoder(config, bands, SplitMix64(0))
-    for i in range(len(model.enc_weights)):
-        model.enc_weights[i].data = tensors[f"enc{i}.weight"]
-        model.enc_biases[i].data = tensors[f"enc{i}.bias"]
-    model.dec_weight.data = tensors["dec.weight"]
+
+    def take(name, shape):
+        return checkpoint.take(tensors, name, shape, path)
+
+    for i, (w, b) in enumerate(zip(model.enc_weights, model.enc_biases)):
+        w.data = take(f"enc{i}.weight", w.shape)
+        b.data = take(f"enc{i}.bias", b.shape)
+    model.dec_weight.data = take("dec.weight", model.dec_weight.shape)
+    model.basis = take("basis", (bands, None))
+    if not 1 <= model.basis.shape[1] <= bands:
+        raise ValueError(f"{path}: tensor 'basis' has shape {model.basis.shape}, "
+                         f"which is not a basis of {bands} bands")
     return model

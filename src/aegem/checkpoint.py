@@ -3,6 +3,13 @@
 Layout, all little-endian: 4-byte magic "AEW1", then one record per
 tensor: uint32 name length, utf-8 name bytes, uint32 rank, uint32 dims,
 float64 payload in row-major order.  Records run to end of file.
+
+The autoencoder's records are `enc{i}.weight` and `enc{i}.bias` for each
+encoder layer (layer 0's weights at full band width), `dec.weight` and
+`basis`, the (L, k) spectral basis its encoder reads through; a file
+written before the basis was saved has none and does not load.  The
+GCN's are `w1` and `w2`.  The loaders fetch each record through `take`,
+so a missing or misshapen one fails naming the file and the record.
 """
 from __future__ import annotations
 
@@ -51,3 +58,15 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         payload = take(8 * int(np.prod(dims)))
         out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
     return out
+
+
+def take(tensors: dict[str, np.ndarray], name: str, shape: tuple, path) -> np.ndarray:
+    """tensors[name], which must exist and have `shape`; None there matches any size."""
+    if name not in tensors:
+        raise ValueError(f"{path}: no tensor {name!r} (the file holds "
+                         f"{', '.join(tensors) or 'none'})")
+    arr = tensors[name]
+    if arr.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, arr.shape)):
+        want = "(" + ", ".join("*" if s is None else str(s) for s in shape) + ")"
+        raise ValueError(f"{path}: tensor {name!r} has shape {arr.shape}, expected {want}")
+    return arr

@@ -365,10 +365,11 @@ def save_gcn(model: GcnModel, path) -> None:
 
 
 def load_gcn(path, graph: EllipticalGraph) -> GcnModel:
+    """The model `save_gcn` wrote; a missing or misshapen tensor fails naming it."""
     tensors = checkpoint.load_tensors(path)
-    operator = normalized_operator(graph)
-    model = GcnModel(operator, tensors["w1"].shape[0], tensors["w1"].shape[1],
-                     tensors["w2"].shape[1], SplitMix64(0))
-    model.w1.data = tensors["w1"]
-    model.w2.data = tensors["w2"]
+    w1 = checkpoint.take(tensors, "w1", (None, None), path)
+    w2 = checkpoint.take(tensors, "w2", (w1.shape[1], None), path)
+    model = GcnModel(normalized_operator(graph), *w1.shape, w2.shape[1], SplitMix64(0))
+    model.w1.data = w1
+    model.w2.data = w2
     return model

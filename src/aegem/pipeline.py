@@ -2,16 +2,17 @@
 
 `STAGES` holds the run in order: load -> normalize -> autoencoder ->
 graph -> gcn -> ensemble -> score.  Each stage reads and fills one
-`RunState`, writes its own artifacts into the run directory and returns
-the text of its log line.  `run_stages` is the one runner: it creates
-the directory, writes config.ini, logs a timed `[name] ... in N.Ns` line
-per stage, names the stage of any failure in a PipelineStageError and
-writes run.log even when a stage fails.  `run_pipeline` runs the whole
-table; the `ae` and `graph` subcommands run its first stages (see
-`aegem.cli`).  A run directory receives the candidate and final
-abundance stacks, extracted endmembers, the graph edge list, labeled
-pixels, training logs, grayscale maps, checkpoints, and a metrics
-report.  Reports are always computed from the written CSV artifacts so
+`RunState`, writes its own artifacts (`ARTIFACTS`) into the run directory
+and returns the text of its log line.  `run_stages` is the one runner: it
+creates the directory, deletes the artifacts an earlier run left there
+from the first stage it runs on, writes config.ini, logs a timed
+`[name] ... in N.Ns` line per stage, names the stage of any failure in a
+PipelineStageError and writes run.log even when a stage fails.
+`run_pipeline` runs the whole table; the `ae` and `graph` subcommands
+run its first stages (see `aegem.cli`).  A run directory receives the
+candidate and final abundance stacks, extracted endmembers, the graph
+edge list, labeled pixels, training logs, grayscale maps, checkpoints,
+and a metrics report.  Reports are always computed from the written CSV artifacts so
 that re-scoring a saved run reproduces them exactly.
 """
 from __future__ import annotations
@@ -465,16 +466,48 @@ def _score(run: RunState) -> str:
 STAGES = {"load": _load, "normalize": _normalize, "autoencoder": _autoencoder,
           "graph": _graph, "gcn": _gcn, "ensemble": _ensemble, "score": _score}
 
+# What each stage writes into the run directory, as glob patterns.
+ARTIFACTS = {
+    "load": ("cube.hsb", "truth_endmembers.csv", "truth_abundances.csv"),
+    "normalize": (),
+    "autoencoder": ("checkpoint_ae.aew", "ae_loss.csv", "ae_endmembers.csv",
+                    "ae_abundances.csv"),
+    "graph": ("graph.csv",),
+    "gcn": ("checkpoint_gcn.aew", "gcn_loss.csv", "labels.csv", "gcn_abundances.csv"),
+    "ensemble": ("final_abundances.csv", "maps/em*.pgm", "maps/abundances.csv"),
+    "score": ("metrics.csv", "metrics.txt"),
+}
+
+
+def _clear_artifacts(rc: RunConfig, out: Path, first: str) -> None:
+    """Delete what the stages from `first` on wrote, but not the run's input files.
+
+    A run into a used directory then leaves no earlier run's results
+    beside its own config.ini, even when it fails part way.
+    """
+    inputs = {Path(p).resolve() for p in (rc.input_path, rc.truth_endmembers,
+                                           rc.truth_abundances) if p}
+    names = list(STAGES)
+    for name in names[names.index(first):]:
+        for pattern in ARTIFACTS[name]:
+            for path in out.glob(pattern):
+                if path.resolve() not in inputs:
+                    path.unlink()
+
 
 def run_stages(rc: RunConfig, stages, log=print, scene_seed: int | None = None) -> RunState:
     """Run the named stages in order in rc.out_dir, next to config.ini and run.log.
 
-    Each stage logs one `[name] ... in N.Ns` line.  Any failure but a
-    missing file is re-raised as a PipelineStageError naming the stage;
-    run.log holds the lines of the stages that finished either way.
+    First the artifacts of the first named stage and of every stage after
+    it are deleted from the directory.  Each stage logs one `[name] ...
+    in N.Ns` line.  Any failure but a missing file is re-raised as a
+    PipelineStageError naming the stage; run.log holds the lines of the
+    stages that finished either way.
     """
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if stages:
+        _clear_artifacts(rc, out, next(iter(stages)))
     write_config(rc, out / "config.ini")
     run = RunState(rc, out, scene_seed)
     lines: list[str] = []

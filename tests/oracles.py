@@ -225,6 +225,20 @@ def abundance_stack_per_patch(model, cube) -> np.ndarray:
     return np.concatenate(rows).reshape(cube.height, cube.width, -1)
 
 
+def encode_full_band(model, x, padding: str = "same") -> ad.Tensor:
+    """`model.encode` with layer 1 convolving every band of x with its full weights.
+
+    No spectral basis: equal to the encoder's own result to round-off
+    exactly when every spectrum of x lies in the span of the model's basis.
+    """
+    out = ad.as_tensor(x)
+    for i, (w, b) in enumerate(zip(model.enc_weights, model.enc_biases)):
+        if i:
+            out = ad.leaky_relu(out, 0.01)
+        out = ad.conv2d(out, w, b, padding=padding)
+    return ad.scaled_softmax(out, model.config.softmax_scale, axis=1)
+
+
 def train_autoencoder_per_patch(cube, config) -> tuple[list[float], ConvAutoencoder]:
     """AE training on whole ps x ps patches through same-padded convs.
 
@@ -235,7 +249,7 @@ def train_autoencoder_per_patch(cube, config) -> tuple[list[float], ConvAutoenco
     """
     root = SplitMix64(config.seed)
     model = ConvAutoencoder(config, cube.bands, root.split(0))
-    model.seed_decoder_columns(cube.spectra())
+    model.seed_from_spectra(cube.spectra())
     shuffle_rng = root.split(1)
     ps, half = config.patch_size, config.patch_size // 2
     padded = np.pad(cube.reflectance, ((half, half), (half, half), (0, 0)))

@@ -154,7 +154,7 @@ def test_criterion_2_constraint_suite():
     cfg = AutoencoderConfig(encoder_filters=(6, 4, 4, 3), encoder_kernels=(5, 3, 3, 1),
                             epochs=5, batch_size=64, seed=6)
     model = ConvAutoencoder(cfg, 8, SplitMix64(6))
-    model.seed_decoder_columns(ncube.spectra())
+    model.seed_from_spectra(ncube.spectra())
     centers = patch_centers(12, 12)
     win = training_windows(ncube.reflectance, cfg)
     opt = ad.Adam(model.parameters(), lr=cfg.learning_rate)

@@ -1,4 +1,6 @@
 """Patch extraction, encoder constraints, decoder linearity, training behavior."""
+import re
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from aegem import autodiff as ad
 from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder, DivergenceError,
                                _train_epochs, assemble_abundance_stack,
                                endmembers_from_decoder, load_autoencoder, patch_centers,
-                               reconstruction_loss, save_autoencoder,
+                               reconstruction_loss, save_autoencoder, spectral_basis,
                                train_autoencoder, training_windows)
+from aegem.checkpoint import load_tensors, save_tensors
 from aegem.hsi import HsiCube, SceneSpec, normalize, synthesize_scene
 from aegem.metrics import apply_match, match_endmembers, sad
 from aegem.rng import SplitMix64
-from oracles import abundance_stack_per_patch, train_autoencoder_per_patch
+from oracles import (abundance_stack_per_patch, encode_full_band,
+                     train_autoencoder_per_patch)
 
 
 SMALL_CONFIG = AutoencoderConfig(
@@ -342,7 +346,7 @@ def _initial_model(cube, config):
     """`train_autoencoder`'s model before its first step, and its shuffle generator."""
     root = SplitMix64(config.seed)
     model = ConvAutoencoder(config, cube.bands, root.split(0))
-    model.seed_decoder_columns(cube.spectra())
+    model.seed_from_spectra(cube.spectra())
     return model, root.split(1)
 
 
@@ -414,9 +418,70 @@ def test_a_float32_training_step_makes_nothing_float64(monkeypatch):
     for p in model.parameters():
         p.data = p.data.astype(np.float32)
     assert len(_train_epochs(model, cube.reflectance.astype(np.float32), shuffle_rng)) == 1
-    assert {"conv2d", "conv2d vjp", "scaled_softmax vjp", "arccos vjp"} <= {d[0] for d in dtypes}
+    assert {"conv2d", "conv2d vjp", "scaled_softmax vjp", "arccos vjp", "project_channels",
+            "project_channels vjp"} <= {d[0] for d in dtypes}
     assert [d for d in dtypes if d[1] != np.float32] == []
     assert all(p.data.dtype == np.float32 for p in model.parameters())
+
+
+# -- the spectral basis --------------------------------------------------------------------
+
+@pytest.mark.parametrize("bands,p", [(12, 2), (20, 3), (3, 5)])
+def test_spectral_basis_is_orthonormal_and_deterministic(bands, p):
+    spectra = np.random.default_rng(22).uniform(size=(50, bands))
+    basis = spectral_basis(spectra, p)
+    k = min(p, bands)
+    assert basis.shape == (bands, k)
+    assert np.max(np.abs(basis.T @ basis - np.eye(k))) <= 1e-14
+    assert np.array_equal(spectral_basis(spectra.copy(), p), basis)
+    # the leading subspace holds at least the energy of any other, here that of k spectra
+    energy = np.sum((spectra @ basis) ** 2)
+    assert energy >= np.sum((spectra @ np.linalg.qr(spectra[:k].T)[0]) ** 2)
+
+
+def test_a_noise_free_scene_lies_in_the_span_of_its_basis():
+    cube, _ = synthesize_scene(SceneSpec(32, 32, 20, 3, smoothness=1.2, seed=23))
+    x = normalize(cube).spectra()
+    basis = spectral_basis(x, 3)
+    assert np.max(np.abs(x - (x @ basis) @ basis.T)) <= 1e-13 * np.max(x)
+
+
+def _one_full_band_and_one_subspace_step(cube):
+    """Loss and gradients of one float64 step at the acceptance run's shapes, twice:
+    layer 1 on the basis coordinates (`encode`) and on every band."""
+    config = AutoencoderConfig(encoder_filters=(32, 16, 8, 3), encoder_kernels=(5, 3, 3, 1),
+                               batch_size=64, seed=24)
+    model, shuffle_rng = _initial_model(cube, config)
+    rng = np.random.default_rng(25)
+    model.enc_weights[-1].data = rng.normal(scale=0.5, size=model.enc_weights[-1].shape)
+    centers = patch_centers(cube.height, cube.width)
+    r, c = centers[shuffle_rng.permutation(len(centers))[:config.batch_size]].T
+    windows = training_windows(cube.reflectance, config)[r, c]
+    results = []
+    for encode in (model.encode, lambda x, padding: encode_full_band(model, x, padding)):
+        recon = model.decode(encode(windows, padding="valid"), "valid")
+        loss = reconstruction_loss(cube.reflectance[r, c, :, None, None], recon,
+                                   config.mse_weight)
+        grads = ad.backward(loss)
+        results.append((loss.item(), [grads[p] for p in model.parameters()]))
+    return results
+
+
+def test_a_step_on_the_basis_equals_the_full_band_step_on_a_rank_p_scene():
+    cube, _ = synthesize_scene(SceneSpec(32, 32, 20, 3, smoothness=1.2, seed=23))
+    cube = normalize(cube)
+    (loss, grads), (ref_loss, ref_grads) = _one_full_band_and_one_subspace_step(cube)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for g, ref in zip(grads, ref_grads):
+        assert g.shape == ref.shape
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_a_step_on_the_basis_drops_what_lies_outside_it_on_a_full_rank_image():
+    cube = HsiCube(np.random.default_rng(26).uniform(0.1, 1.0, size=(32, 32, 20)))
+    (loss, grads), (ref_loss, ref_grads) = _one_full_band_and_one_subspace_step(cube)
+    assert abs(loss - ref_loss) > 1e-6 * abs(ref_loss)
+    assert np.max(np.abs(grads[0] - ref_grads[0])) > 1e-6 * np.max(np.abs(ref_grads[0]))
 
 
 # -- checkpoints ---------------------------------------------------------------------------
@@ -428,5 +493,28 @@ def test_checkpoint_roundtrip(tmp_path, trained):
     back = load_autoencoder(path, model.config, ncube.bands)
     for w1, w2 in zip(model.parameters(), back.parameters()):
         assert np.array_equal(w1.data, w2.data)
+    assert model.basis.shape == (ncube.bands, 2)
+    assert np.array_equal(back.basis, model.basis)
     assert np.array_equal(endmembers_from_decoder(back), endmembers)
     assert np.array_equal(assemble_abundance_stack(back, ncube), stack)
+
+
+@pytest.mark.parametrize("name,change", [
+    ("basis", None),  # as in a checkpoint written before the basis was saved
+    ("enc0.bias", None),
+    ("basis", lambda a: a[:-1]),
+    ("enc0.weight", lambda a: a[:, :-1]),
+    ("dec.weight", lambda a: a[..., None]),
+])
+def test_a_missing_or_misshapen_checkpoint_tensor_is_named(tmp_path, trained, name, change):
+    ncube, *_, model = trained
+    path = tmp_path / "ae.aew"
+    save_autoencoder(model, path)
+    tensors = load_tensors(path)
+    if change is None:
+        del tensors[name]
+    else:
+        tensors[name] = change(tensors[name])
+    save_tensors(tensors, path)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: .*tensor '{name}'"):
+        load_autoencoder(path, model.config, ncube.bands)

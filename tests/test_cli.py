@@ -500,6 +500,61 @@ def test_a_stage_failure_keeps_the_log_of_the_stages_before_it(tmp_path, capsys,
     assert not (tmp_path / "o" / "gcn_abundances.csv").exists()
 
 
+def test_a_failed_run_into_a_finished_directory_leaves_none_of_its_results(
+        tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    cfg = tmp_path / "c.ini"
+    write_config(tiny_run_config(out), cfg)
+    assert main(["run", "--config", str(cfg)]) == 0
+    seed0_ae = (out / "ae_abundances.csv").read_bytes()
+
+    def diverge(*args, **kwargs):
+        raise RuntimeError("gcn diverged")
+
+    monkeypatch.setattr("aegem.gcn.train_gcn", diverge)
+    assert main(["run", "--config", str(cfg), "--seed", "4"]) == 2
+    assert parse_config(out / "config.ini").seed == 4
+    assert _logged_stages(out) == ["load", "normalize", "autoencoder", "graph"]
+    for name in ("metrics.txt", "metrics.csv", "gcn_abundances.csv", "final_abundances.csv",
+                 "labels.csv", "gcn_loss.csv", "checkpoint_gcn.aew", "maps/em0.pgm",
+                 "maps/abundances.csv"):
+        assert not (out / name).exists(), name
+    assert (out / "ae_abundances.csv").read_bytes() != seed0_ae  # seed 4's
+    assert (out / "graph.csv").exists()
+
+
+def test_a_stage_subcommand_into_a_finished_run_clears_the_later_stages(completed_run,
+                                                                          tmp_path):
+    rc, _, run_dir = completed_run
+    out = tmp_path / "o"
+    shutil.copytree(run_dir, out)
+    cfg = tmp_path / "c.ini"
+    write_config(rc, cfg)
+    assert main(["ae", "--config", str(cfg), "--out", str(out)]) == 0
+    left = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert left == ["ae_abundances.csv", "ae_endmembers.csv", "ae_loss.csv",
+                    "checkpoint_ae.aew", "config.ini", "cube.hsb", "run.log",
+                    "truth_abundances.csv", "truth_endmembers.csv"]
+
+
+def test_clearing_a_run_directory_keeps_the_input_files_in_it(tmp_path):
+    # the synth files are the run's inputs and sit where its outputs go
+    out = tmp_path / "o"
+    assert main(["synth", "--h", "16", "--w", "16", "--l", "10", "--p", "2",
+                 "--seed", "5", "--out", str(out)]) == 0
+    inputs = {name: (out / name).read_bytes()
+              for name in ("cube.hsb", "truth_endmembers.csv", "truth_abundances.csv")}
+    rc = replace(tiny_run_config(out), scene=None, input_path=str(out / "cube.hsb"),
+                 truth_endmembers=str(out / "truth_endmembers.csv"),
+                 truth_abundances=str(out / "truth_abundances.csv"))
+    cfg = tmp_path / "c.ini"
+    write_config(rc, cfg)
+    for _ in range(2):
+        assert main(["ae", "--config", str(cfg)]) == 0
+        for name, raw in inputs.items():
+            assert (out / name).read_bytes() == raw, name
+
+
 def test_run_log_reports_the_gcn_receptive_field(completed_run):
     _, _, run_dir = completed_run
     log = (run_dir / "run.log").read_text()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from aegem import autodiff as ad
 from aegem.autoencoder import DivergenceError
+from aegem.checkpoint import load_tensors, save_tensors
 from aegem.gcn import (GcnConfig, GcnModel, bce_with_logits, build_node_features,
                        forward, load_gcn, normalized_operator, pca_features,
                        receptive_field, sample_labels, save_gcn, train_gcn)
@@ -415,3 +416,20 @@ def test_gcn_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(back.w2.data, model.w2.data)
     y = features
     assert np.allclose(forward(back, y), forward(model, y), atol=1e-15)
+
+
+@pytest.mark.parametrize("name,change", [("w1", None), ("w2", None),
+                                         ("w2", lambda a: a[1:]), ("w1", lambda a: a[0])])
+def test_a_missing_or_misshapen_gcn_checkpoint_tensor_is_named(tmp_path, name, change):
+    cube, graph = small_graph()
+    model = GcnModel(normalized_operator(graph), 4, 8, 3, SplitMix64(35))
+    path = tmp_path / "g.aew"
+    save_gcn(model, path)
+    tensors = load_tensors(path)
+    if change is None:
+        del tensors[name]
+    else:
+        tensors[name] = change(tensors[name])
+    save_tensors(tensors, path)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: .*tensor '{name}'"):
+        load_gcn(path, graph)
