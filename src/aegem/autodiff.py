@@ -1,13 +1,12 @@
 """Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 Every neural operation in the pipeline (2-D convolutions, batch
-normalization, scaled softmax, activations, the projection of the
-autoencoder's first-layer weights onto its spectral basis, the
-graph-convolution matmuls, the GCN's fused hidden layer and the training
-losses) is built on the :class:`Tensor` type defined here.  The recorded
-operation graph is single-owner and consumed by one :func:`backward`
-call; parameters are plain leaf tensors updated in place by
-:class:`Adam`, whose moments take each parameter's dtype.
+normalization, scaled softmax, activations, the graph-convolution
+matmuls, the GCN's fused hidden layer and the training losses) is built
+on the :class:`Tensor` type defined here.  The recorded operation graph
+is single-owner and consumed by one :func:`backward` call; parameters
+are plain leaf tensors updated in place by :class:`Adam`, whose moments
+take each parameter's dtype.
 
 A tensor built from a float32 array stays float32; any other input
 becomes float64.  Ops compute in their inputs' dtype, so float32 inputs
@@ -458,21 +457,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
         out += b.data[:, None, None, None]  # in place: no second activation
         parents, vjps = (x, w, b), (vjp_x, vjp_w, lambda g: g.sum(axis=(0, 2, 3)))
     return Tensor._from_op(out.transpose(3, 0, 1, 2), parents, vjps, "conv2d")
-
-
-def project_channels(x: Tensor, basis: np.ndarray) -> Tensor:
-    """x ×_1 V: axis 1 of x, of length L, mapped through a fixed (L, k) array.
-
-    (A, L, ...) -> (A, k, ...), out[a, j] = sum_l x[a, l] V[l, j]; the
-    autoencoder maps its first layer's weights onto the encoder's spectral
-    basis so.  V has no gradient, and the VJP maps g back as g ×_1 Vᵀ.
-    Both are one `tensordot` GEMM in x's dtype and V's.
-    """
-    def through(a, v, axis):
-        return np.moveaxis(np.tensordot(a, v, axes=(1, axis)), -1, 1)
-
-    return Tensor._from_op(through(x.data, basis, 0), (x,),
-                           (lambda g: through(g, basis, 1),), "project_channels")
 
 
 def sparse_matmul(op, x: Tensor, op_t) -> Tensor:

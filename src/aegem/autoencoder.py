@@ -28,14 +28,20 @@ training's weights to round-off.
 The encoder reads a pixel's spectra through a fixed orthonormal basis V
 (L x k, k = min(P, L)): the top k eigenvectors of the uncentred XᵀX of
 the image's spectra, set once per run (`spectral_basis`).  Layer 1
-convolves the coordinates z = Vᵀx, a fixed 1x1 conv, with W' = W ×_band
-V, the full-size weights W mapped onto the basis each step; W' passes
-its gradient back to W as gW' Vᵀ.  Under the linear mixing model a scene
-of P endmembers spans P spectral directions, so without noise every
-spectrum x lies in span(V), x = V Vᵀx, and conv(x, W) = conv(Vᵀx, W V)
-sum for sum: the loss, W's gradient and so Adam's steps are the
-full-band ones in exact arithmetic, at k/L of layer 1's cost (k = 3 of
-L = 156 on Samson).  With noise, the part of x outside span(V) is
+convolves the coordinates z = Vᵀx, a fixed 1x1 conv, with its own
+weights W' of shape (C, k, kh, kw), set at seeding to W ×_band V, the
+Glorot draw W over every band mapped onto the basis.  conv(Vᵀx, W') =
+conv(x, W' Vᵀ) for any x: the loss is that of the full-band layer W' Vᵀ,
+and the gradient of W' is that layer's gradient gW mapped onto the
+basis, gW ×_band V.  Under the linear mixing model a scene of P
+endmembers spans P spectral directions, so without noise every spectrum
+x lies in span(V), and so does gW, a sum of spectra times output
+gradients: a plain gradient step on W' is then the full-band step in
+exact arithmetic.  Adam's steps are not, since Adam scales each weight's
+step by that weight's own moments, which no rotation of the band axis
+preserves (Kingma & Ba 2015).  Adam updates k/L of a full-band layer 1's
+weights (k = 3 of L = 156 on Samson), and layer 1 costs k/L of a
+full-band one.  With noise, the part of x outside span(V) is
 mostly noise, and the encoder no longer reads it: the signal-subspace
 step of VCA (Nascimento & Bioucas-Dias 2005) and HySime (Bioucas-Dias &
 Nascimento 2008).  The decoder, the loss, inference's input and the
@@ -227,8 +233,11 @@ class ConvAutoencoder:
     `basis` is the fixed (L, k) orthonormal basis V the encoder reads its
     input through (see the module docstring): the identity, every band,
     until `seed_from_spectra` sets it from the image.  Layer 1's weights
-    `enc_weights[0]` stay full size, (C, L, kh, kw), and are mapped onto
-    V on every encode.
+    `enc_weights[0]` are W', (C, k, kh, kw), which convolve the
+    coordinates Vᵀx; they are the full-band draw (C, L, kh, kw) until
+    seeding maps them onto V.  The loss and the gradient are those of the
+    full-band layer W' Vᵀ, its gradient mapped onto V; Adam's steps on W'
+    are not the full-band ones.
     """
 
     def __init__(self, config: AutoencoderConfig, bands: int, rng: SplitMix64):
@@ -258,16 +267,21 @@ class ConvAutoencoder:
         return [*self.enc_weights, *self.enc_biases, self.dec_weight]
 
     def seed_from_spectra(self, spectra: np.ndarray) -> None:
-        """Set the spectral basis V and start each decoder column from an extreme pixel.
+        """Set the spectral basis V, map layer 1 onto it and start each decoder
+        column from an extreme pixel.
 
-        V is `spectral_basis(spectra, P)`.  The decoder columns come from
-        successive-projection selection: the largest-norm pixel first,
-        then repeatedly the pixel with the largest residual outside the
-        span of those already chosen.  Near-pure pixels are the extreme
-        points of the mixing cone, so the decoder begins close to a
-        plausible endmember bank instead of a random one.
+        V is `spectral_basis(spectra, P)`, and layer 1's weights, on a
+        fresh model the Glorot draw W over every band, become W' = W ×_band
+        V, (C, k, kh, kw).  The decoder columns come from
+        successive-projection selection: the largest-norm pixel first, then
+        repeatedly the pixel with the largest residual outside the span of
+        those already chosen.  Near-pure pixels are the extreme points of
+        the mixing cone, so the decoder begins close to a plausible
+        endmember bank instead of a random one.
         """
         self.basis = spectral_basis(spectra, self.config.endmembers)
+        first = self.enc_weights[0]
+        first.data = np.einsum("clhw,lk->ckhw", first.data, self.basis)
         k = self.config.decoder_kernel // 2
         picks = extreme_pixel_indices(spectra, self.config.endmembers)
         for j, idx in enumerate(picks):
@@ -289,21 +303,15 @@ class ConvAutoencoder:
 
         `same` convs keep h x w; `valid` convs shrink both by 2*radius.
         """
-        z = self.project(x)
-        return self.encode_subspace(z, self.basis.astype(z.data.dtype, copy=False), padding)
+        return self.encode_subspace(self.project(x), padding)
 
-    def encode_subspace(self, z, basis: np.ndarray, padding: str = "same") -> ad.Tensor:
-        """`encode` from the coordinates z = Vᵀx (N, k, h, w), V given as `basis`.
-
-        Layer 1 convolves z with W' = W ×_band V, the full-size weights W
-        mapped onto the basis, whose gradient goes back to W as gW' Vᵀ.
-        """
+    def encode_subspace(self, z, padding: str = "same") -> ad.Tensor:
+        """`encode` from the coordinates z = Vᵀx (N, k, h, w): layer 1
+        convolves z with its weights W' directly."""
         out = ad.as_tensor(z)
         for i, (w, b) in enumerate(zip(self.enc_weights, self.enc_biases)):
             if i:
                 out = ad.leaky_relu(out, 0.01)
-            else:
-                w = ad.project_channels(w, basis)
             out = ad.conv2d(out, w, b, padding=padding)
         return ad.scaled_softmax(out, self.config.softmax_scale, axis=1)
 
@@ -422,13 +430,12 @@ def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
     spectra.  The windows are cut from the image's coordinates z = Vᵀx,
     projected once, so layer 1 reads k channels instead of L; the loss
     reads the full-band spectra.  Every step runs in the dtype of the
-    image and the parameters, which should agree; the basis is cast to
-    it once.  A non-finite image fails as a divergence at epoch 0.
+    image and the parameters, which should agree.  A non-finite image
+    fails as a divergence at epoch 0.
     """
     config = model.config
     height, width, _ = reflectance.shape
     centers = patch_centers(height, width)
-    basis = model.basis.astype(reflectance.dtype)
     try:
         coords = model.project(reflectance.transpose(2, 0, 1)[None]).data[0]
     except ad.NonFiniteError as exc:
@@ -443,8 +450,7 @@ def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
         try:
             for start in range(0, n, config.batch_size):
                 r, c = centers[order[start : start + config.batch_size]].T
-                recon = model.decode(model.encode_subspace(windows[r, c], basis, "valid"),
-                                     "valid")
+                recon = model.decode(model.encode_subspace(windows[r, c], "valid"), "valid")
                 loss = reconstruction_loss(reflectance[r, c, :, None, None], recon,
                                            config.mse_weight)
                 optimizer.step(ad.backward(loss))
@@ -479,12 +485,14 @@ def load_autoencoder(path, config: AutoencoderConfig, bands: int) -> ConvAutoenc
     def take(name, shape):
         return checkpoint.take(tensors, name, shape, path)
 
-    for i, (w, b) in enumerate(zip(model.enc_weights, model.enc_biases)):
-        w.data = take(f"enc{i}.weight", w.shape)
-        b.data = take(f"enc{i}.bias", b.shape)
-    model.dec_weight.data = take("dec.weight", model.dec_weight.shape)
     model.basis = take("basis", (bands, None))
-    if not 1 <= model.basis.shape[1] <= bands:
+    k = model.basis.shape[1]
+    if not 1 <= k <= bands:
         raise ValueError(f"{path}: tensor 'basis' has shape {model.basis.shape}, "
                          f"which is not a basis of {bands} bands")
+    for i, (w, b) in enumerate(zip(model.enc_weights, model.enc_biases)):
+        cout, cin, kh, kw = w.shape
+        w.data = take(f"enc{i}.weight", (cout, k if i == 0 else cin, kh, kw))
+        b.data = take(f"enc{i}.bias", b.shape)
+    model.dec_weight.data = take("dec.weight", model.dec_weight.shape)
     return model

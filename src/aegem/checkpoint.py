@@ -5,11 +5,13 @@ tensor: uint32 name length, utf-8 name bytes, uint32 rank, uint32 dims,
 float64 payload in row-major order.  Records run to end of file.
 
 The autoencoder's records are `enc{i}.weight` and `enc{i}.bias` for each
-encoder layer (layer 0's weights at full band width), `dec.weight` and
-`basis`, the (L, k) spectral basis its encoder reads through; a file
-written before the basis was saved has none and does not load.  The
-GCN's are `w1` and `w2`.  The loaders fetch each record through `take`,
-so a missing or misshapen one fails naming the file and the record.
+encoder layer (layer 0's weights on the k basis coordinates, (C, k, kh,
+kw)), `dec.weight` and `basis`, the (L, k) spectral basis its encoder
+reads through.  A file written before the basis was saved has none, and
+one written before layer 0 trained on the basis holds its weights at
+full band width; neither loads.  The GCN's are `w1` and `w2`.  The
+loaders fetch each record through `take`, so a missing or misshapen one
+fails naming the file and the record.
 """
 from __future__ import annotations
 

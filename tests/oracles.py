@@ -225,18 +225,21 @@ def abundance_stack_per_patch(model, cube) -> np.ndarray:
     return np.concatenate(rows).reshape(cube.height, cube.width, -1)
 
 
-def encode_full_band(model, x, padding: str = "same") -> ad.Tensor:
-    """`model.encode` with layer 1 convolving every band of x with its full weights.
+def encode_full_band(model, x, padding: str = "same") -> tuple[ad.Tensor, ad.Tensor]:
+    """`model.encode` with layer 1 convolving every band of x with W = W' ×_band Vᵀ.
 
-    No spectral basis: equal to the encoder's own result to round-off
-    exactly when every spectrum of x lies in the span of the model's basis.
+    Returns the abundances and W, a fresh leaf whose gradient the caller
+    can read.  No projection of x: equal to the encoder's own result to
+    round-off on any x, since conv(x, W' Vᵀ) = conv(Vᵀx, W').
     """
+    full = ad.Tensor(np.einsum("ckhw,lk->clhw", model.enc_weights[0].data, model.basis),
+                     requires_grad=True)
     out = ad.as_tensor(x)
-    for i, (w, b) in enumerate(zip(model.enc_weights, model.enc_biases)):
+    for i, (w, b) in enumerate(zip([full, *model.enc_weights[1:]], model.enc_biases)):
         if i:
             out = ad.leaky_relu(out, 0.01)
         out = ad.conv2d(out, w, b, padding=padding)
-    return ad.scaled_softmax(out, model.config.softmax_scale, axis=1)
+    return ad.scaled_softmax(out, model.config.softmax_scale, axis=1), full
 
 
 def train_autoencoder_per_patch(cube, config) -> tuple[list[float], ConvAutoencoder]:

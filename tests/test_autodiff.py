@@ -549,28 +549,6 @@ def test_gradcheck_sparse_matmul():
     gradcheck(lambda t: (ad.sparse_matmul(mat, t, mat_t) * proj).sum(), [y])
 
 
-def test_project_channels_is_a_contraction_over_axis_1_and_gradchecks():
-    g = rng(14)
-    w = g.uniform(-1, 1, size=(4, 6, 3, 3))
-    basis = np.linalg.qr(g.normal(size=(6, 2)))[0]
-    out = ad.project_channels(ad.Tensor(w), basis).data
-    assert out.shape == (4, 2, 3, 3)
-    assert np.allclose(out, np.einsum("olhw,lk->okhw", w, basis), rtol=0, atol=1e-15)
-    proj = g.normal(size=(4, 2, 3, 3))
-    gradcheck(lambda t: (ad.project_channels(t, basis) * proj).sum(), [w])
-
-
-def test_float32_project_channels_and_its_vjp_stay_float32():
-    g = rng(15)
-    w = ad.Tensor(g.normal(size=(5, 7, 3, 3)).astype(np.float32), requires_grad=True)
-    basis = np.linalg.qr(g.normal(size=(7, 3)))[0].astype(np.float32)
-    out = ad.project_channels(w, basis)
-    grads = ad.backward((out * out).sum())
-    assert out.data.dtype == grads[w].dtype == np.float32
-    ref = ad.project_channels(ad.Tensor(w.data.astype(np.float64)), basis.astype(np.float64))
-    assert np.max(np.abs(out.data - ref.data)) <= 1e-5 * np.max(np.abs(ref.data))
-
-
 def test_gradcheck_relu_mlp_across_tiles(monkeypatch):
     g = rng(14)
     x = g.uniform(-1, 1, size=(11, 3))

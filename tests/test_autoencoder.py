@@ -418,8 +418,7 @@ def test_a_float32_training_step_makes_nothing_float64(monkeypatch):
     for p in model.parameters():
         p.data = p.data.astype(np.float32)
     assert len(_train_epochs(model, cube.reflectance.astype(np.float32), shuffle_rng)) == 1
-    assert {"conv2d", "conv2d vjp", "scaled_softmax vjp", "arccos vjp", "project_channels",
-            "project_channels vjp"} <= {d[0] for d in dtypes}
+    assert {"conv2d", "conv2d vjp", "scaled_softmax vjp", "arccos vjp"} <= {d[0] for d in dtypes}
     assert [d for d in dtypes if d[1] != np.float32] == []
     assert all(p.data.dtype == np.float32 for p in model.parameters())
 
@@ -446,9 +445,23 @@ def test_a_noise_free_scene_lies_in_the_span_of_its_basis():
     assert np.max(np.abs(x - (x @ basis) @ basis.T)) <= 1e-13 * np.max(x)
 
 
+def test_seeding_maps_the_first_layer_onto_the_basis():
+    cube, _ = synthesize_scene(SceneSpec(16, 16, 12, 2, smoothness=1.2, seed=3))
+    cube = normalize(cube)
+    draw = ConvAutoencoder(SMALL_CONFIG, cube.bands, SplitMix64(27)).enc_weights[0].data
+    model = ConvAutoencoder(SMALL_CONFIG, cube.bands, SplitMix64(27))
+    assert np.array_equal(model.enc_weights[0].data, draw)
+    model.seed_from_spectra(cube.spectra())
+    first = model.enc_weights[0].data
+    assert first.shape == (16, 2, 5, 5) and model.basis.shape == (12, 2)
+    ref = np.einsum("clhw,lk->ckhw", draw, model.basis)
+    assert np.max(np.abs(first - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def _one_full_band_and_one_subspace_step(cube):
     """Loss and gradients of one float64 step at the acceptance run's shapes, twice:
-    layer 1 on the basis coordinates (`encode`) and on every band."""
+    layer 1 on the basis coordinates (`encode`), and on every band with W = W' ×_band Vᵀ,
+    W's gradient gW mapped onto the basis as gW ×_band V; and gW itself."""
     config = AutoencoderConfig(encoder_filters=(32, 16, 8, 3), encoder_kernels=(5, 3, 3, 1),
                                batch_size=64, seed=24)
     model, shuffle_rng = _initial_model(cube, config)
@@ -457,31 +470,47 @@ def _one_full_band_and_one_subspace_step(cube):
     centers = patch_centers(cube.height, cube.width)
     r, c = centers[shuffle_rng.permutation(len(centers))[:config.batch_size]].T
     windows = training_windows(cube.reflectance, config)[r, c]
-    results = []
-    for encode in (model.encode, lambda x, padding: encode_full_band(model, x, padding)):
-        recon = model.decode(encode(windows, padding="valid"), "valid")
-        loss = reconstruction_loss(cube.reflectance[r, c, :, None, None], recon,
-                                   config.mse_weight)
-        grads = ad.backward(loss)
-        results.append((loss.item(), [grads[p] for p in model.parameters()]))
-    return results
+    target = cube.reflectance[r, c, :, None, None]
+    params = model.parameters()
+    recon = model.decode(model.encode(windows, "valid"), "valid")
+    loss = reconstruction_loss(target, recon, config.mse_weight)
+    grads = ad.backward(loss)
+    results = [(loss.item(), [grads[p] for p in params])]
+    abundance, full = encode_full_band(model, windows, "valid")
+    loss = reconstruction_loss(target, model.decode(abundance, "valid"), config.mse_weight)
+    grads = ad.backward(loss)
+    grads[params[0]] = np.einsum("clhw,lk->ckhw", grads[full], model.basis)
+    results.append((loss.item(), [grads[p] for p in params]))
+    return results, grads[full], model.basis
+
+
+def _outside_the_basis(full_grad, basis):
+    """Largest entry of a full-band layer-1 gradient's part outside span(V),
+    which a step on W' drops."""
+    inside = np.einsum("clhw,lk,mk->cmhw", full_grad, basis, basis)
+    return np.max(np.abs(full_grad - inside))
 
 
 def test_a_step_on_the_basis_equals_the_full_band_step_on_a_rank_p_scene():
+    # the loss and the mapped gradient match on any image; on a rank-P scene
+    # the full-band gradient also lies in span(V), so a gradient step on W'
+    # is the full-band one
     cube, _ = synthesize_scene(SceneSpec(32, 32, 20, 3, smoothness=1.2, seed=23))
     cube = normalize(cube)
-    (loss, grads), (ref_loss, ref_grads) = _one_full_band_and_one_subspace_step(cube)
+    ((loss, grads), (ref_loss, ref_grads)), full_grad, basis = \
+        _one_full_band_and_one_subspace_step(cube)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert grads[0].shape == (32, 3, 5, 5)
     for g, ref in zip(grads, ref_grads):
         assert g.shape == ref.shape
         assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert _outside_the_basis(full_grad, basis) <= 1e-12 * np.max(np.abs(full_grad))
 
 
 def test_a_step_on_the_basis_drops_what_lies_outside_it_on_a_full_rank_image():
     cube = HsiCube(np.random.default_rng(26).uniform(0.1, 1.0, size=(32, 32, 20)))
-    (loss, grads), (ref_loss, ref_grads) = _one_full_band_and_one_subspace_step(cube)
-    assert abs(loss - ref_loss) > 1e-6 * abs(ref_loss)
-    assert np.max(np.abs(grads[0] - ref_grads[0])) > 1e-6 * np.max(np.abs(ref_grads[0]))
+    _, full_grad, basis = _one_full_band_and_one_subspace_step(cube)
+    assert _outside_the_basis(full_grad, basis) > 1e-6 * np.max(np.abs(full_grad))
 
 
 # -- checkpoints ---------------------------------------------------------------------------
@@ -499,12 +528,18 @@ def test_checkpoint_roundtrip(tmp_path, trained):
     assert np.array_equal(assemble_abundance_stack(back, ncube), stack)
 
 
+def full_band(first, basis):
+    """Layer 1's weights W' ×_band Vᵀ at every band, as written before it trained on V."""
+    return np.einsum("ckhw,lk->clhw", first, basis)
+
+
 @pytest.mark.parametrize("name,change", [
     ("basis", None),  # as in a checkpoint written before the basis was saved
     ("enc0.bias", None),
     ("basis", lambda a: a[:-1]),
     ("enc0.weight", lambda a: a[:, :-1]),
     ("dec.weight", lambda a: a[..., None]),
+    ("enc0.weight", full_band),
 ])
 def test_a_missing_or_misshapen_checkpoint_tensor_is_named(tmp_path, trained, name, change):
     ncube, *_, model = trained
@@ -513,6 +548,8 @@ def test_a_missing_or_misshapen_checkpoint_tensor_is_named(tmp_path, trained, na
     tensors = load_tensors(path)
     if change is None:
         del tensors[name]
+    elif change is full_band:
+        tensors[name] = full_band(tensors[name], tensors["basis"])
     else:
         tensors[name] = change(tensors[name])
     save_tensors(tensors, path)
