@@ -459,14 +459,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
     return Tensor._from_op(out.transpose(3, 0, 1, 2), parents, vjps, "conv2d")
 
 
-def sparse_matmul(op, x: Tensor, op_t) -> Tensor:
+def sparse_matmul(op, x: Tensor) -> Tensor:
     """Multiply a fixed sparse matrix with a differentiable dense tensor.
 
-    `op` is anything whose `@` takes a dense array: `gcn.Csr`, or a
-    scipy sparse matrix, whose products `gcn.Csr` matches to the bit.
-    `op_t` is `op`'s transpose, built once by the caller for the VJP.
+    `op` is any matrix with `@` on a dense array and a `.T`: `gcn.Sparse`,
+    whose transpose is a view, or a scipy sparse matrix.  The VJP is
+    `op.T @ g`.
     """
-    return Tensor._from_op(op @ x.data, (x,), (lambda g: op_t @ g,), "sparse_matmul")
+    return Tensor._from_op(op @ x.data, (x,), (lambda g: op.T @ g,), "sparse_matmul")
 
 
 # Cap on one row tile of a fused ReLU MLP's hidden matrix, in bytes; a

@@ -242,7 +242,6 @@ class ConvAutoencoder:
 
     def __init__(self, config: AutoencoderConfig, bands: int, rng: SplitMix64):
         self.config = config
-        self.bands = bands
         self.enc_weights: list[ad.Tensor] = []
         self.enc_biases: list[ad.Tensor] = []
         cin = bands
@@ -458,10 +457,7 @@ def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
                 batch_losses.append(loss.item())
         except ad.NonFiniteError as exc:
             raise DivergenceError(epoch) from exc
-        epoch_loss = float(np.mean(batch_losses))
-        if not np.isfinite(epoch_loss):
-            raise DivergenceError(epoch)
-        history.append(epoch_loss)
+        history.append(float(np.mean(batch_losses)))
     return history
 
 

@@ -54,7 +54,10 @@ def load_tensors(path) -> dict[str, np.ndarray]:
 
     while pos < len(raw):
         (nlen,) = struct.unpack("<I", take(4))
-        name = take(nlen).decode("utf-8")
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: record {len(out)} name is not UTF-8") from None
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         payload = take(8 * int(np.prod(dims)))

@@ -24,16 +24,19 @@ intermediate in cache (FusedMM, Rahman, Sujon & Azad 2021).  The
 forward over all nodes: the backward pass recomputes each tile's
 pre-activation for both weight gradients.
 
-The operator is a `Csr`, a small numpy compressed-sparse-row matrix with
-only the operations the GCN needs, so that importing the package loads
-no scipy.  It adds in scipy.sparse's order, so every product is the
-same to the bit as scipy's and each written map stays byte-equal to the
-scipy build's: rows sum with `np.add.reduceat` as scipy's `csr.sum(axis=1)`
-does, and a product adds each row's entries in order from zero, as
-scipy's `csr_matvec` loop does, through `np.bincount` (which adds its
-weights in order; `reduceat` switches to pairwise sums on long rows).
-The code paths take a scipy matrix in place of a `Csr` as well, which
-the tests use as an oracle.
+The operator is a `Sparse`: its entries as three numpy arrays (rows,
+columns, values) sorted by (row, column), so that importing the package
+loads no scipy.  It adds in scipy.sparse's order, so every product is
+the same to the bit as scipy's and each written map stays byte-equal to
+the scipy build's.  Rows sum with `np.add.reduceat` as scipy's
+`csr.sum(axis=1)` does.  `A @ x` is one `np.bincount` per column, which
+adds each row's entries in order from zero, as scipy's `csr_matvec`
+loop does (`reduceat` switches to pairwise sums on long rows).  `A.T`
+is the same arrays with rows and columns swapped, so `A.T @ g`, the
+VJP `ad.sparse_matmul` takes, adds each column's entries in row order,
+as scipy's transposed product does.  `ad.sparse_matmul` takes a scipy
+matrix in place of a `Sparse` as well, which the tests use as an
+oracle.
 """
 from __future__ import annotations
 
@@ -78,44 +81,35 @@ class GcnConfig:
             raise ValueError(f"unknown feature mode {self.features!r}")
 
 
-class Csr:
-    """A compressed-sparse-row matrix: the few operations the GCN needs.
+class Sparse:
+    """A sparse matrix as its entry list: the few operations the GCN needs.
 
-    Row i holds `data[indptr[i]:indptr[i+1]]` at the columns
-    `indices[indptr[i]:indptr[i+1]]`.  `@` takes a 1-D or 2-D dense
-    array; indexing takes rows (`op[rows]`) or columns
-    (`op[:, cols]`).  See the module docstring for the summation order.
+    Entry k is `vals[k]` at (`rows[k]`, `cols[k]`), sorted by (row,
+    column) as `normalized_operator` writes them.  `A.T` is the same
+    arrays with rows and columns swapped: no sort and no copy.  `@`
+    takes a 1-D or 2-D dense array and adds each output's entries in
+    entry order.  `op[rows]` and `op[:, cols]` take distinct indices (a
+    repeat raises IndexError), and result index i is index i.
     """
 
-    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                  shape: tuple[int, int]):
-        self.data = data
-        self.indices = indices
-        self.indptr = indptr
+        self.rows = rows
+        self.cols = cols
+        self.vals = vals
         self.shape = shape
-        self._entry_rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
 
     @property
     def nnz(self) -> int:
-        return self.data.size
+        return self.vals.size
 
     @property
-    def T(self) -> Csr:
-        # a stable sort keeps each new row's entries in old-row order, as
-        # scipy's csr -> csc conversion writes them
-        order = np.argsort(self.indices, kind="stable")
-        indptr = _row_pointers(np.bincount(self.indices, minlength=self.shape[1]))
-        return Csr(self.data[order], self._entry_rows[order], indptr, self.shape[::-1])
-
-    def transpose(self) -> Csr:
-        return self.T
-
-    def tocsr(self) -> Csr:
-        return self
+    def T(self) -> Sparse:
+        return Sparse(self.cols, self.rows, self.vals, self.shape[::-1])
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        out[self._entry_rows, self.indices] = self.data
+        out[self.rows, self.cols] = self.vals
         return out
 
     def __matmul__(self, x) -> np.ndarray:
@@ -130,41 +124,37 @@ class Csr:
         return out
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self._entry_rows, weights=self.data * x.take(self.indices),
+        return np.bincount(self.rows, weights=self.vals * x.take(self.cols),
                            minlength=self.shape[0])
 
-    def __getitem__(self, key) -> Csr:
+    def __getitem__(self, key) -> Sparse:
         if not isinstance(key, tuple):
-            return self._select_rows(np.arange(self.shape[0])[key])
+            new, size = _renumber(key, self.shape[0], "row")
+            rows = new[self.rows]
+            keep = np.flatnonzero(rows >= 0)
+            # the rows take the key's order; each row's entries keep theirs
+            keep = keep[np.argsort(rows[keep], kind="stable")]
+            return Sparse(rows[keep], self.cols[keep], self.vals[keep], (size, self.shape[1]))
         rows, cols = key
         if rows != slice(None):
             raise IndexError("index rows and columns separately: op[rows][:, cols]")
-        return self._select_columns(np.arange(self.shape[1])[cols])
-
-    def _select_rows(self, rows: np.ndarray) -> Csr:
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        indptr = _row_pointers(counts)
-        take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-        return Csr(self.data[take], self.indices[take], indptr, (rows.size, self.shape[1]))
-
-    def _select_columns(self, cols: np.ndarray) -> Csr:
-        new = np.full(self.shape[1], -1)
-        new[cols] = np.arange(cols.size)
-        if np.count_nonzero(new >= 0) != cols.size:
-            raise IndexError("column indices repeat")
-        mapped = new[self.indices]
-        keep = mapped >= 0
-        indptr = _row_pointers(np.bincount(self._entry_rows[keep], minlength=self.shape[0]))
-        return Csr(self.data[keep], mapped[keep], indptr, (self.shape[0], cols.size))
+        new, size = _renumber(cols, self.shape[1], "column")
+        cols = new[self.cols]
+        keep = cols >= 0
+        return Sparse(self.rows[keep], cols[keep], self.vals[keep], (self.shape[0], size))
 
 
-def _row_pointers(counts: np.ndarray) -> np.ndarray:
-    """CSR `indptr` of rows holding `counts` entries each."""
-    return np.concatenate([[0], np.cumsum(counts)])
+def _renumber(key, n: int, axis: str) -> tuple[np.ndarray, int]:
+    """Each of 0..n-1's place in `key` (-1 where absent), and the key's length."""
+    picked = np.arange(n)[key]
+    new = np.full(n, -1)
+    new[picked] = np.arange(picked.size)
+    if np.count_nonzero(new >= 0) != picked.size:
+        raise IndexError(f"{axis} indices repeat")
+    return new, picked.size
 
 
-def normalized_operator(graph: EllipticalGraph) -> Csr:
+def normalized_operator(graph: EllipticalGraph) -> Sparse:
     """Sparse symmetric D^{-1/2} (A + I) D^{-1/2} with A_ij = exp(-angle).
 
     Star edges are made bidirectional and de-duplicated before
@@ -191,15 +181,16 @@ def normalized_operator(graph: EllipticalGraph) -> Csr:
     keys, slot = np.unique(rows * n + cols, return_inverse=True)
     a_hat = np.bincount(slot, weights=vals)
     rows, cols = np.divmod(keys, n)
-    indptr = _row_pointers(np.bincount(rows, minlength=n))
-    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a_hat, indptr[:-1]))
-    return Csr((a_hat * inv_sqrt[rows]) * inv_sqrt[cols], cols, indptr, (n, n))
+    # every row holds its self-loop, so row i's entries start at row_starts[i]
+    row_starts = np.searchsorted(rows, np.arange(n))
+    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a_hat, row_starts))
+    return Sparse(rows, cols, (a_hat * inv_sqrt[rows]) * inv_sqrt[cols], (n, n))
 
 
 class GcnModel:
     """Weights plus the cached normalized graph operator."""
 
-    def __init__(self, operator: Csr, feature_dim: int, hidden: int,
+    def __init__(self, operator: Sparse, feature_dim: int, hidden: int,
                  out_dim: int, rng: SplitMix64):
         self.operator = operator
         self.w1 = ad.glorot_uniform((feature_dim, hidden), feature_dim, hidden, rng)
@@ -209,28 +200,27 @@ class GcnModel:
         return [self.w1, self.w2]
 
     def logits(self, features) -> ad.Tensor:
-        ax = ad.sparse_matmul(self.operator, ad.as_tensor(features), self.operator)
-        return _logits(self.operator, self.operator, ax.data, self.w1, self.w2)
+        ax = ad.sparse_matmul(self.operator, ad.as_tensor(features))
+        return _logits(self.operator, ax.data, self.w1, self.w2)
 
 
-def _logits(rows_op, rows_op_t, ax: np.ndarray, w1: ad.Tensor, w2: ad.Tensor) -> ad.Tensor:
+def _logits(rows_op: Sparse, ax: np.ndarray, w1: ad.Tensor, w2: ad.Tensor) -> ad.Tensor:
     """rows_op relu(ax W1) W2: the logits of the rows rows_op selects.
 
     ax is the plain array of the rows of A X that rows_op's columns
-    index, and rows_op_t is rows_op's transpose.  The hidden layer is
-    one `ad.relu_mlp` op, which walks ax in row tiles and never builds
-    the hidden matrix.
+    index.  The hidden layer is one `ad.relu_mlp` op, which walks ax in
+    row tiles and never builds the hidden matrix.
     """
-    return ad.sparse_matmul(rows_op, ad.relu_mlp(ax, w1, w2), rows_op_t)
+    return ad.sparse_matmul(rows_op, ad.relu_mlp(ax, w1, w2))
 
 
-def receptive_field(operator: Csr, label_idx: np.ndarray) -> np.ndarray:
+def receptive_field(operator: Sparse, label_idx: np.ndarray) -> np.ndarray:
     """Sorted nodes whose hidden rows the labeled logits read (N1).
 
     These are the columns holding a nonzero in the labeled rows of the
     operator; self-loops put every labeled node among them.
     """
-    return np.unique(operator[label_idx].indices)
+    return np.unique(operator[label_idx].cols)
 
 
 def forward(model: GcnModel, features: np.ndarray,
@@ -293,24 +283,21 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
     order = root.split(1).permutation(n_lab)
     val_rows, train_rows = order[:n_val], order[n_val:]
     try:
-        ax = ad.sparse_matmul(operator, ad.as_tensor(features), operator)
+        ax = ad.sparse_matmul(operator, ad.as_tensor(features))
     except ad.NonFiniteError as exc:
         raise DivergenceError(0) from exc
     field = receptive_field(operator, label_idx)
     rows_op = operator[label_idx][:, field]
-    rows_op_t = rows_op.transpose().tocsr()
     ax_field = ax.data[field]
     optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
     history: list[tuple[int, float, float]] = []
     for epoch in range(config.epochs):
         try:
-            z_lab = _logits(rows_op, rows_op_t, ax_field, model.w1, model.w2)
+            z_lab = _logits(rows_op, ax_field, model.w1, model.w2)
             loss = bce_with_logits(z_lab[train_rows], label_targets[train_rows])
         except ad.NonFiniteError as exc:
             raise DivergenceError(epoch) from exc
         train_bce = loss.item()
-        if not np.isfinite(train_bce):
-            raise DivergenceError(epoch)
         z_data = z_lab.data
         val_bce = _bce_value(z_data[val_rows], label_targets[val_rows]) if n_val else train_bce
         grads = ad.backward(loss)
@@ -326,6 +313,14 @@ def pca_features(cube: HsiCube, k: int, seed: int = 0, iters: int = 100) -> np.n
 
     Scores are standardized per component so they sit on the abundance
     features' scale.
+
+    On a scene whose centred spectra have rank r < k, components r+1..k
+    come from deflation round-off: their eigenvalues are round-off and so
+    are their directions, which lean on the first r.  Their scores are
+    then mixes of the first r scores with round-off weights, standardized
+    to 1.  A noise-free scene of P endmembers has r = P - 1, so on the
+    P = 3 workload scenes 6 of the 8 columns are such mixes (ROADMAP
+    item 5).
     """
     x = cube.spectra()
     x = x - x.mean(axis=0)

@@ -117,10 +117,14 @@ class HsiCube:
 
 @dataclass
 class GroundTruth:
-    """True endmember signatures (L x P) and abundance fields (H x W x P)."""
+    """True endmember signatures (L x P) and abundance fields (H x W x P).
+
+    `materials` names the P materials; None writes em0, em1, ...
+    """
 
     endmembers: np.ndarray
     abundances: np.ndarray
+    materials: list[str] | None = None
 
     def __post_init__(self):
         self.endmembers = np.asarray(self.endmembers, dtype=np.float64)
@@ -203,6 +207,17 @@ def _load_hsb(path) -> HsiCube:
 _TABLE_BLOCK_ROWS = 4096
 
 
+def read_utf8(path) -> str:
+    """A text file's contents; a byte that is not UTF-8 fails naming the file and line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # read_text decodes the whole file at once, so exc.object is its bytes
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line} is not UTF-8 text (byte "
+                         f"{exc.object[exc.start]:#04x} at offset {exc.start})") from None
+
+
 def write_table(path, header: list[str], keys, values, fmt: str = "%.9g") -> None:
     """Write the header line, then one line per row: `keys` (N x K) as
     integers, then `values` (N x V) with `fmt`."""
@@ -229,7 +244,7 @@ def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]
     line that does not parse is reported before a wrong field count in a
     later block.
     """
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = read_utf8(path).split("\n")
     if lines.pop():
         raise ValueError(f"{path}: line {len(lines) + 1} does not end in a newline")
     header = lines[0].split(",") if lines else []

@@ -32,7 +32,7 @@ from .ensemble import _subset_rmse, ensemble_select
 from .gcn import GcnConfig
 from .graph import EllipticalGraph, build_graph, write_graph_csv
 from .hsi import (GroundTruth, HsiCube, SceneSpec, load_cube, normalize,
-                  read_abundance_csv, read_endmember_csv, read_table,
+                  read_abundance_csv, read_endmember_csv, read_table, read_utf8,
                   save_abundance_maps, save_cube, synthesize_scene,
                   write_abundance_csv, write_endmember_csv, write_table)
 from .metrics import MetricsReport, apply_match, match_endmembers, rmse, sad
@@ -172,13 +172,16 @@ def parse_config(path) -> RunConfig:
     An unknown section or key, a missing scene key, a scene key beside an
     input path, a file key (`format`, `truth_*`) without one or a value
     that does not parse fails naming the file, the section and the key.
+    A path that cannot be read fails naming it, and a byte that is not
+    UTF-8 naming the file and the line.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     cp = configparser.ConfigParser(interpolation=None)
+    text = read_utf8(path)  # unlike cp.read, fails on a path it cannot open
     try:
-        cp.read(path, encoding="utf-8")
+        cp.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ValueError(f"{path}: {exc}") from None
     if cp.defaults():  # configparser would copy these keys into every section
@@ -298,7 +301,10 @@ def score_artifacts(est_dir, truth_endmembers_csv, truth_abundances_csv,
 # -- the stages ------------------------------------------------------------------
 
 def _load_truth_files(rc: RunConfig, cube: HsiCube) -> GroundTruth:
-    """The truth files of a file input, checked against the cube's shape."""
+    """The truth files of a file input, checked against the cube's shape.
+
+    The materials take the abundance file's names, which `eval` reports.
+    """
     if not rc.truth_endmembers or not rc.truth_abundances:
         raise ValueError(
             "file inputs need truth_endmembers and truth_abundances for the "
@@ -332,7 +338,7 @@ def _load_truth_files(rc: RunConfig, cube: HsiCube) -> GroundTruth:
         raise ValueError(f"{path}: pixel ({r}, {c}) abundances sum to "
                          f"{float(sums[r, c, 0])!r}, not 1")
     ab /= sums
-    return GroundTruth(em, ab)
+    return GroundTruth(em, ab, names)
 
 
 @dataclass
@@ -364,8 +370,9 @@ def _load(run: RunState) -> str:
             raise FileNotFoundError(f"input file not found: {rc.input_path}")
         run.cube = load_cube(rc.input_path, rc.input_format)
         run.truth = _load_truth_files(rc, run.cube)
-    write_endmember_csv(run.truth.endmembers, out / "truth_endmembers.csv")
-    write_abundance_csv(run.truth.abundances, out / "truth_abundances.csv")
+    names = run.truth.materials
+    write_endmember_csv(run.truth.endmembers, out / "truth_endmembers.csv", names)
+    write_abundance_csv(run.truth.abundances, out / "truth_abundances.csv", names)
     return (f"cube {run.cube.height}x{run.cube.width}x{run.cube.bands}, "
             f"{run.truth.endmembers.shape[1]} endmembers")
 

@@ -328,8 +328,8 @@ def train_gcn_full_graph(graph, features, label_idx, label_targets, config):
     history = []
     for epoch in range(config.epochs):
         try:
-            h = ad.relu(ad.sparse_matmul(op, ad.Tensor(features), op) @ model.w1)
-            z_lab = (ad.sparse_matmul(op, h, op) @ model.w2)[label_idx]
+            h = ad.relu(ad.sparse_matmul(op, ad.Tensor(features)) @ model.w1)
+            z_lab = (ad.sparse_matmul(op, h) @ model.w2)[label_idx]
             loss = bce_with_logits(z_lab[train_rows], label_targets[train_rows])
         except ad.NonFiniteError as exc:
             raise DivergenceError(epoch) from exc

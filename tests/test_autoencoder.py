@@ -555,3 +555,11 @@ def test_a_missing_or_misshapen_checkpoint_tensor_is_named(tmp_path, trained, na
     save_tensors(tensors, path)
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: .*tensor '{name}'"):
         load_autoencoder(path, model.config, ncube.bands)
+
+
+def test_a_checkpoint_record_name_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "w.aew"
+    save_tensors({"w1": np.ones(2), "qq": np.ones(3)}, path)
+    path.write_bytes(path.read_bytes().replace(b"qq", b"q\xff"))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: record 1 name is not UTF-8"):
+        load_tensors(path)

@@ -208,6 +208,23 @@ def test_config_with_an_unknown_section_names_it(tmp_path, capsys):
     assert "unknown section [DEFAULT]" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_bytes(b"[input]\nheight = 8\n# caf\xe9\nwidth = 8\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert f"{cfg}: line 3 is not UTF-8" in capsys.readouterr().err
+
+
+def test_config_path_that_cannot_be_read_names_it(tmp_path, capsys):
+    # configparser's own read skips a file it cannot open without a word
+    cfg = tmp_path / "dir.ini"
+    cfg.mkdir()
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and str(cfg) in err
+    assert "missing [input]" not in err
+
+
 @pytest.mark.parametrize("section, line", [("gcn", "folds = 5"),
                                            ("kernel", "paper_literal_adjacency = false"),
                                            ("autoencoder", "loss = sad_plus_mse")],
@@ -395,6 +412,32 @@ def test_truth_endmembers_with_too_few_bands_fail_in_the_load_stage(tmp_path, ca
     err = capsys.readouterr().err
     assert "stage 'load' failed" in err
     assert f"{bad}: 4 bands, the cube has 6" in err
+
+
+def test_truth_file_that_is_not_utf8_fails_naming_it_in_the_load_stage(tmp_path, capsys):
+    bad = tmp_path / "ab.csv"
+    cfg = _file_input_config(tmp_path, tmp_path / "s" / "truth_endmembers.csv", bad)
+    text = (tmp_path / "s" / "truth_abundances.csv").read_text()
+    bad.write_bytes(text.replace("em0,em1", "for\xeat,eau", 1).encode("latin-1"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'load' failed" in err
+    assert f"{bad}: line 1 is not UTF-8" in err
+
+
+def test_run_keeps_the_truth_files_material_names(tmp_path):
+    em, ab = tmp_path / "em.csv", tmp_path / "ab.csv"
+    cfg = _file_input_config(tmp_path, em, ab)
+    for name, path in (("truth_endmembers.csv", em), ("truth_abundances.csv", ab)):
+        text = (tmp_path / "s" / name).read_text()
+        path.write_text(text.replace("em0,em1", "tree,water", 1))
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "o"
+    assert read_endmember_csv(out / "truth_endmembers.csv")[1] == ["tree", "water"]
+    assert read_abundance_csv(out / "truth_abundances.csv")[1] == ["tree", "water"]
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["tree", "water", "mean"]
+    assert score_artifacts(out, em, ab).materials == ["tree", "water"]
 
 
 def test_a_run_loads_no_scipy(tmp_path):
