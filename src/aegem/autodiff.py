@@ -11,11 +11,11 @@ take each parameter's dtype.
 A tensor built from a float32 array stays float32; any other input
 becomes float64.  Ops compute in their inputs' dtype, so float32 inputs
 and parameters give float32 activations and gradients throughout (the
-autoencoder trains so), while the gradchecks and everything else run in
-float64.  A Python scalar operand takes its tensor's dtype: as a 0-d
-float64 array it would be a strong type under NumPy 2's promotion rules
-(NEP 50), and a constant such as `mean`'s 1/n would turn the loss, and
-then every gradient, float64.
+autoencoder and the GCN train so), while the gradchecks and everything
+else run in float64.  A Python scalar operand takes its tensor's dtype:
+as a 0-d float64 array it would be a strong type under NumPy 2's
+promotion rules (NEP 50), and a constant such as `mean`'s 1/n would turn
+the loss, and then every gradient, float64.
 
 A 2-D convolution is one layout change plus GEMMs (im2col, Chellapilla
 et al. 2006).  The unpadded [N,Cin,H,W] input is copied pixels-last to
@@ -470,17 +470,18 @@ def sparse_matmul(op, x: Tensor) -> Tensor:
 
 
 # Cap on one row tile of a fused ReLU MLP's hidden matrix, in bytes; a
-# tile holds at least one row.  512 KiB (512 rows of a 128-wide hidden
-# layer) fits a 2 MiB L2 cache even twice over, as the backward pass's
-# pre-activation and its gradient tile do, so each tile is written,
-# rectified and multiplied while still cached instead of streaming
-# through memory.
+# tile holds at least one row.  512 KiB (512 float64 or 1024 float32 rows
+# of a 128-wide hidden layer) fits a 2 MiB L2 cache even twice over, as
+# the backward pass's pre-activation and its gradient tile do, so each
+# tile is written, rectified and multiplied while still cached instead of
+# streaming through memory.
 _HIDDEN_TILE_BYTES = 512 * 2**10
 
 
-def _row_tiles(n: int, hidden: int):
-    """Row slices of an (n, hidden) matrix, each at most `_HIDDEN_TILE_BYTES`."""
-    step = max(1, _HIDDEN_TILE_BYTES // (hidden * 8))
+def _row_tiles(n: int, hidden: int, itemsize: int):
+    """Row slices of an (n, hidden) matrix of `itemsize`-byte values, each at
+    most `_HIDDEN_TILE_BYTES`."""
+    step = max(1, _HIDDEN_TILE_BYTES // (hidden * itemsize))
     for r0 in range(0, n, step):
         yield slice(r0, min(r0 + step, n))
 
@@ -488,21 +489,23 @@ def _row_tiles(n: int, hidden: int):
 def relu_mlp(x: np.ndarray, w1: Tensor, w2: Tensor) -> Tensor:
     """relu(x @ W1) @ W2 for a fixed (n, F) array x, one row tile at a time.
 
-    The (n, hidden) hidden matrix is never built: each tile's
-    pre-activation `x[t] @ W1` is checked for non-finite values (a -inf
-    that the ReLU would zero still raises NonFiniteError), rectified in
-    place and multiplied by W2 into the (n, P) output.  The node holds x
-    and the output only; the weight gradients recompute each tile's
-    pre-activation, so both are sums over tiles of `h[t].T @ g[t]` and
-    `x[t].T @ ((g[t] @ W2.T) * (pre[t] > 0))`, taken in one pass.  x has
-    no gradient.
+    The (n, hidden) hidden matrix is never built, only one row tile of
+    it at a time, at most `_HIDDEN_TILE_BYTES` in the output's dtype.
+    Each tile's pre-activation `x[t] @ W1` is checked for non-finite
+    values (a -inf that the ReLU would zero still raises
+    NonFiniteError), rectified in place and multiplied by W2 into the
+    (n, P) output.  The node holds x and the output only; the weight
+    gradients recompute each tile's pre-activation, so both are sums
+    over tiles of `h[t].T @ g[t]` and `x[t].T @ ((g[t] @ W2.T) *
+    (pre[t] > 0))`, taken in one pass.  x has no gradient.
     """
     if x.ndim != 2 or w1.ndim != 2 or w2.ndim != 2:
         raise ValueError(f"relu_mlp expects 2-D arrays, got {x.shape}, {w1.shape}, {w2.shape}")
     if x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
         raise ValueError(f"shapes {x.shape}, {w1.shape}, {w2.shape} do not chain")
     out = np.empty((x.shape[0], w2.shape[1]), dtype=np.result_type(x, w1.data, w2.data))
-    for t in _row_tiles(x.shape[0], w1.shape[1]):
+    tiles = list(_row_tiles(x.shape[0], w1.shape[1], out.itemsize))
+    for t in tiles:
         pre = _check(x[t] @ w1.data, "relu_mlp")
         np.maximum(pre, 0.0, out=pre)
         np.matmul(pre, w2.data, out=out[t])
@@ -514,7 +517,7 @@ def relu_mlp(x: np.ndarray, w1: Tensor, w2: Tensor) -> Tensor:
         # second: 5-10 % faster than a pass each on the GCN's 4781x128 layer
         if not grads:
             gw1, gw2 = np.zeros_like(w1.data), np.zeros_like(w2.data)
-            for t in _row_tiles(x.shape[0], w1.shape[1]):
+            for t in tiles:
                 pre = x[t] @ w1.data
                 dpre = g[t] @ w2.data.T
                 dpre *= pre > 0

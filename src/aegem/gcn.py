@@ -16,6 +16,14 @@ The second product is taken as A (H W2), P wide instead of hidden wide.
 This is the same function of the weights as the full-graph forward, so
 only floating-point summation order differs.
 
+The epoch loop (`_train_epochs`) runs in float32, as the autoencoder's
+does: A X is computed in float64 and its rows N1, the weights and the
+targets are cast down for the loop, and the trained weights are cast
+back up, which is exact.  The final forward over all nodes, the
+checkpoint and the written maps stay float64.  The loss is one op,
+`bce_with_logits`, whose gradient is (sigmoid(z) - t)/n on the rows it
+reads.
+
 The hidden layer is one fused op, `ad.relu_mlp(AX[N1], W1, W2)`, which
 walks the fixed rows of A X in row tiles that fit in L2 cache and takes
 each tile's `relu(AX W1) W2` there, as fused GNN kernels keep the wide
@@ -34,9 +42,10 @@ adds each row's entries in order from zero, as scipy's `csr_matvec`
 loop does (`reduceat` switches to pairwise sums on long rows).  `A.T`
 is the same arrays with rows and columns swapped, so `A.T @ g`, the
 VJP `ad.sparse_matmul` takes, adds each column's entries in row order,
-as scipy's transposed product does.  `ad.sparse_matmul` takes a scipy
-matrix in place of a `Sparse` as well, which the tests use as an
-oracle.
+as scipy's transposed product does.  A float32 operand's products and
+sums are still taken in float64, and the result is rounded to float32
+once.  `ad.sparse_matmul` takes a scipy matrix in place of a `Sparse`
+as well, which the tests use as an oracle.
 """
 from __future__ import annotations
 
@@ -88,8 +97,10 @@ class Sparse:
     column) as `normalized_operator` writes them.  `A.T` is the same
     arrays with rows and columns swapped: no sort and no copy.  `@`
     takes a 1-D or 2-D dense array and adds each output's entries in
-    entry order.  `op[rows]` and `op[:, cols]` take distinct indices (a
-    repeat raises IndexError), and result index i is index i.
+    entry order, in float64; a float32 operand gets that sum rounded
+    once to float32, any other operand the float64 sum.  `op[rows]` and
+    `op[:, cols]` take distinct indices (a repeat raises IndexError),
+    and result index i is index i.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -116,9 +127,10 @@ class Sparse:
         x = np.asarray(x)
         if x.shape[0] != self.shape[1]:
             raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
+        dtype = np.float32 if x.dtype == np.float32 else np.float64
         if x.ndim == 1:
-            return self._matvec(x)
-        out = np.empty((self.shape[0], x.shape[1]))
+            return self._matvec(x).astype(dtype, copy=False)
+        out = np.empty((self.shape[0], x.shape[1]), dtype=dtype)
         for c, column in enumerate(x.T):
             out[:, c] = self._matvec(column)
         return out
@@ -193,6 +205,8 @@ class GcnModel:
     def __init__(self, operator: Sparse, feature_dim: int, hidden: int,
                  out_dim: int, rng: SplitMix64):
         self.operator = operator
+        # the labels' receptive field N1, set by train_gcn
+        self.field: np.ndarray | None = None
         self.w1 = ad.glorot_uniform((feature_dim, hidden), feature_dim, hidden, rng)
         self.w2 = ad.glorot_uniform((hidden, out_dim), hidden, out_dim, rng)
 
@@ -237,13 +251,30 @@ def forward(model: GcnModel, features: np.ndarray,
     return p / (p.sum(axis=1, keepdims=True) + 1e-12)
 
 
-def bce_with_logits(logits: ad.Tensor, targets: np.ndarray) -> ad.Tensor:
-    """Mean binary cross-entropy of sigmoid(logits) against fractional targets."""
-    return (ad.softplus(logits) - ad.as_tensor(targets) * logits).mean()
+def bce_with_logits(logits: ad.Tensor, targets: np.ndarray, rows=slice(None)) -> ad.Tensor:
+    """Mean binary cross-entropy of sigmoid(logits[rows]) against targets[rows].
+
+    One op, in the logits' dtype: its value is `_bce`'s, the value of
+    `(softplus(z) - t * z).mean()` to the bit, and its gradient is
+    (sigmoid(z) - t) / n written into the n rows it reads, zero in the
+    others.  The rows must be distinct.
+    """
+    z, t = logits.data[rows], targets[rows]
+
+    def vjp(g):
+        e = np.exp(-np.abs(z))
+        sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        grad = np.zeros_like(logits.data)
+        grad[rows] = (sig - t) * (g / t.size)
+        return grad
+
+    return ad.Tensor._from_op(_bce(z, t), (logits,), (vjp,), "bce_with_logits")
 
 
-def _bce_value(z: np.ndarray, t: np.ndarray) -> float:
-    return float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - t * z))
+def _bce(z: np.ndarray, t: np.ndarray):
+    """Mean of softplus(z) - t z, in z's dtype, summed as `Tensor.mean` sums."""
+    terms = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - t * z
+    return terms.sum() * (1.0 / terms.size)
 
 
 def sample_labels(abundances: np.ndarray, fraction: float,
@@ -261,49 +292,66 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
               ) -> tuple[GcnModel, list[tuple[int, float, float]]]:
     """Full-batch Adam on labeled-node BCE; deterministic per config.seed.
 
-    One tenth of the labeled set (at least one node when possible) is
-    held out from the gradient for validation logging; history rows are
-    (epoch, train_bce, val_bce).
-
-    Each epoch computes only the labeled rows of the logits, from the
-    rows of A X in the labels' receptive field (see the module
-    docstring).  Nothing outside those rows enters the loss or its
-    gradient, so the training is that of the full-graph forward.  A X is
-    still computed for every node first, so a non-finite feature
-    anywhere raises DivergenceError(0) as the full-graph forward would.
+    A X is computed in float64 for every node first, so a non-finite
+    feature anywhere raises DivergenceError(0) as the full-graph forward
+    would.  The epoch loop (`_train_epochs`) then runs in float32 on the
+    rows of A X in the labels' receptive field, which `model.field`
+    keeps: those rows, the weights and the targets are cast down before
+    it and the weights cast back up after it, which is exact, so the
+    returned model is float64.
     """
     if label_idx.size == 0:
         raise ValueError("labeled pixel set is empty")
     root = SplitMix64(config.seed)
-    operator = normalized_operator(graph)
-    model = GcnModel(operator, features.shape[1], config.hidden,
+    model = GcnModel(normalized_operator(graph), features.shape[1], config.hidden,
                      label_targets.shape[1], root.split(0))
-    n_lab = label_idx.size
-    n_val = max(1, n_lab // 10) if n_lab >= 2 else 0
-    order = root.split(1).permutation(n_lab)
-    val_rows, train_rows = order[:n_val], order[n_val:]
     try:
-        ax = ad.sparse_matmul(operator, ad.as_tensor(features))
+        ax = ad.sparse_matmul(model.operator, ad.as_tensor(features)).data
     except ad.NonFiniteError as exc:
         raise DivergenceError(0) from exc
-    field = receptive_field(operator, label_idx)
-    rows_op = operator[label_idx][:, field]
-    ax_field = ax.data[field]
+    model.field = receptive_field(model.operator, label_idx)
+    params = model.parameters()
+    for p in params:
+        p.data = p.data.astype(np.float32)
+    history = _train_epochs(model, ax[model.field].astype(np.float32), label_idx,
+                            label_targets.astype(np.float32), config, root.split(1))
+    for p in params:
+        p.data = p.data.astype(np.float64)
+    return model, history
+
+
+def _train_epochs(model: GcnModel, ax_field: np.ndarray, label_idx: np.ndarray,
+                  targets: np.ndarray, config: GcnConfig, split_rng: SplitMix64,
+                  ) -> list[tuple[int, float, float]]:
+    """config.epochs of full-batch Adam; history rows are (epoch, train_bce, val_bce).
+
+    ax_field holds the rows of A X at `model.field`, the labels'
+    receptive field.  One tenth of the labeled set (at least one node
+    when possible), drawn from split_rng, is held out from the gradient
+    for validation logging.  Each epoch computes only the labeled rows
+    of the logits (see the module docstring); nothing outside those rows
+    enters the loss or its gradient, so the training is that of the
+    full-graph forward.  Every step runs in the dtype of ax_field, the
+    targets and the parameters, which should agree.
+    """
+    rows_op = model.operator[label_idx][:, model.field]
+    n_lab = label_idx.size
+    n_val = max(1, n_lab // 10) if n_lab >= 2 else 0
+    order = split_rng.permutation(n_lab)
+    val_rows, train_rows = order[:n_val], order[n_val:]
     optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
     history: list[tuple[int, float, float]] = []
     for epoch in range(config.epochs):
         try:
             z_lab = _logits(rows_op, ax_field, model.w1, model.w2)
-            loss = bce_with_logits(z_lab[train_rows], label_targets[train_rows])
+            loss = bce_with_logits(z_lab, targets, train_rows)
         except ad.NonFiniteError as exc:
             raise DivergenceError(epoch) from exc
         train_bce = loss.item()
-        z_data = z_lab.data
-        val_bce = _bce_value(z_data[val_rows], label_targets[val_rows]) if n_val else train_bce
-        grads = ad.backward(loss)
-        optimizer.step(grads)
+        val_bce = float(_bce(z_lab.data[val_rows], targets[val_rows])) if n_val else train_bce
+        optimizer.step(ad.backward(loss))
         history.append((epoch, train_bce, val_bce))
-    return model, history
+    return history
 
 
 # -- optional spectral features --------------------------------------------------

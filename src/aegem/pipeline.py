@@ -394,8 +394,8 @@ def _autoencoder(run: RunState) -> str:
     write_table(out / "ae_loss.csv", ["epoch", "loss"],
                 np.arange(len(ae_history))[:, None],
                 np.reshape(ae_history, (-1, 1)), fmt="%r")
-    write_endmember_csv(em_ae, out / "ae_endmembers.csv")
-    write_abundance_csv(run.ae_stack, out / "ae_abundances.csv")
+    write_endmember_csv(em_ae, out / "ae_endmembers.csv", truth.materials)
+    write_abundance_csv(run.ae_stack, out / "ae_abundances.csv", truth.materials)
     return (f"{ae_cfg.epochs} epochs, final loss "
             f"{ae_history[-1] if ae_history else float('nan'):.5f}")
 
@@ -430,10 +430,9 @@ def _gcn(run: RunState) -> str:
     write_table(out / "gcn_loss.csv", ["epoch", "train_bce", "val_bce"],
                 history[:, :1], history[:, 1:], fmt="%r")
     write_labels_csv(run.label_idx, cube.width, out / "labels.csv")
-    write_abundance_csv(run.gcn_stack, out / "gcn_abundances.csv")
-    reach = gcn_mod.receptive_field(model.operator, run.label_idx)
+    write_abundance_csv(run.gcn_stack, out / "gcn_abundances.csv", run.truth.materials)
     return (f"{features.shape[1]}-d node features, {gcn_cfg.epochs} epochs "
-            f"on {run.label_idx.size} labeled pixels (receptive field {reach.size} of "
+            f"on {run.label_idx.size} labeled pixels (receptive field {model.field.size} of "
             f"{run.graph.n_pixels} nodes)")
 
 
@@ -441,7 +440,8 @@ def _ensemble(run: RunState) -> str:
     """Per-channel source choice; writes the final stack and its maps."""
     selection = ensemble_select(run.ae_stack, run.gcn_stack, run.truth.abundances,
                                 run.label_idx)
-    write_abundance_csv(selection.final_stack, run.out / "final_abundances.csv")
+    write_abundance_csv(selection.final_stack, run.out / "final_abundances.csv",
+                        run.truth.materials)
     save_abundance_maps(np.clip(selection.final_stack, 0.0, 1.0), run.out / "maps")
     return f"sources: {','.join(selection.sources)}"
 

@@ -12,7 +12,7 @@ from scipy.optimize import nnls
 
 from aegem import autodiff as ad
 from aegem.autoencoder import ConvAutoencoder, DivergenceError, reconstruction_loss
-from aegem.gcn import GcnModel, bce_with_logits, normalized_operator
+from aegem.gcn import GcnModel, normalized_operator
 from aegem.rng import SplitMix64
 
 
@@ -311,10 +311,12 @@ def normalized_operator_scipy(graph) -> sp.csr_matrix:
 
 
 def train_gcn_full_graph(graph, features, label_idx, label_targets, config):
-    """GCN training that computes every node's logits in every epoch.
+    """GCN training in float64 that computes every node's logits in every epoch.
 
     The same seeds, split, loss and optimizer as `gcn.train_gcn`, with
-    the logits written as (A relu(A X W1)) W2 over the whole graph.
+    the logits written as (A relu(A X W1)) W2 over the whole graph and
+    the loss as the composite `(softplus(z) - t z).mean()` of the
+    training rows.
     """
     root = SplitMix64(config.seed)
     op = normalized_operator(graph)
@@ -330,7 +332,8 @@ def train_gcn_full_graph(graph, features, label_idx, label_targets, config):
         try:
             h = ad.relu(ad.sparse_matmul(op, ad.Tensor(features)) @ model.w1)
             z_lab = (ad.sparse_matmul(op, h) @ model.w2)[label_idx]
-            loss = bce_with_logits(z_lab[train_rows], label_targets[train_rows])
+            z, t = z_lab[train_rows], label_targets[train_rows]
+            loss = (ad.softplus(z) - ad.Tensor(t) * z).mean()
         except ad.NonFiniteError as exc:
             raise DivergenceError(epoch) from exc
         train_bce = loss.item()

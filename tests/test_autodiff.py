@@ -252,6 +252,13 @@ def test_relu_mlp_matches_unfused_composition(monkeypatch, n, hidden, tile_rows)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
+@pytest.mark.parametrize("itemsize,rows", [(8, 512), (4, 1024)])
+def test_relu_mlp_tiles_cap_the_bytes_of_their_dtype(itemsize, rows):
+    tiles = list(ad._row_tiles(3000, 128, itemsize))
+    assert rows * 128 * itemsize == ad._HIDDEN_TILE_BYTES
+    assert [t.stop - t.start for t in tiles] == [rows] * (3000 // rows) + [3000 % rows]
+
+
 def test_relu_mlp_peak_memory_stays_below_one_hidden_matrix():
     # the unfused composition holds x @ W1 and its rectified copy, two
     # hidden matrices; in row tiles neither direction builds one

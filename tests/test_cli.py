@@ -435,6 +435,11 @@ def test_run_keeps_the_truth_files_material_names(tmp_path):
     out = tmp_path / "o"
     assert read_endmember_csv(out / "truth_endmembers.csv")[1] == ["tree", "water"]
     assert read_abundance_csv(out / "truth_abundances.csv")[1] == ["tree", "water"]
+    assert read_endmember_csv(out / "ae_endmembers.csv")[1] == ["tree", "water"]
+    for name in ("ae_abundances.csv", "gcn_abundances.csv", "final_abundances.csv"):
+        assert read_abundance_csv(out / name)[1] == ["tree", "water"], name
+    # the maps keep their numbered names, which the run's artifact list gives
+    assert sorted(p.name for p in (out / "maps").glob("*.pgm")) == ["em0.pgm", "em1.pgm"]
     rows = (out / "metrics.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["tree", "water", "mean"]
     assert score_artifacts(out, em, ab).materials == ["tree", "water"]

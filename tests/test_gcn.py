@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from aegem import autodiff as ad
 from aegem.autoencoder import DivergenceError
 from aegem.checkpoint import load_tensors, save_tensors
-from aegem.gcn import (GcnConfig, GcnModel, bce_with_logits, build_node_features,
-                       forward, load_gcn, normalized_operator, pca_features,
-                       receptive_field, sample_labels, save_gcn, train_gcn)
+from aegem.gcn import (GcnConfig, GcnModel, _train_epochs, bce_with_logits,
+                       build_node_features, forward, load_gcn, normalized_operator,
+                       pca_features, receptive_field, sample_labels, save_gcn, train_gcn)
 from aegem.graph import EllipticalGraph, build_graph, build_kernel
 from aegem.hsi import HsiCube, SceneSpec, synthesize_scene, normalize
 from aegem.rng import SplitMix64
@@ -104,6 +104,20 @@ def test_operator_matches_scipy_bit_for_bit(h, w, a, b, stride_r, stride_c, seed
     g = rng.normal(size=(labels.size, 3))
     assert np.array_equal(rows_op.T @ g, rows_ref.T.tocsr() @ g)
     assert np.array_equal(rows_op.T @ g, rows_ref.T @ g)
+
+
+def test_a_float32_operand_gives_the_float64_product_rounded_once():
+    graph = small_graph(7, 6, 3, seed=5, a=2, b=1)[1]
+    op = normalized_operator(graph)
+    labels = np.array([3, 17, 40, 8])
+    rows_op = op[labels][:, receptive_field(op, labels)]
+    rng = np.random.default_rng(5)
+    for matrix in (op, op.T, rows_op, rows_op.T):
+        for shape in [(matrix.shape[1],), (matrix.shape[1], 1), (matrix.shape[1], 4)]:
+            x = rng.normal(size=shape).astype(np.float32)
+            got = matrix @ x
+            assert got.dtype == np.float32
+            assert np.array_equal(got, (matrix @ x.astype(np.float64)).astype(np.float32))
 
 
 def test_operator_takes_distinct_rows_in_the_given_order():
@@ -222,6 +236,29 @@ def test_gradcheck_gcn_layers_and_bce():
     gradcheck(loss, [w1_0, w2_0])
 
 
+@pytest.mark.parametrize("rows", [slice(None), np.array([4, 0, 7, 2, 9])])
+def test_fused_bce_gradchecks_and_equals_the_composite_loss(rows):
+    rng = np.random.default_rng(12)
+    z0 = rng.normal(0, 3, size=(10, 3))
+    targets = rng.uniform(0, 1, size=(10, 3))
+    gradcheck(lambda z: bce_with_logits(z, targets, rows), [z0])
+    for dtype in (np.float64, np.float32):
+        z = ad.Tensor(z0.astype(dtype), requires_grad=True)
+        fused = bce_with_logits(z, targets.astype(dtype), rows)
+        grad = ad.backward(fused)[z]
+        z_ref = ad.Tensor(z0.astype(dtype), requires_grad=True)
+        t = ad.Tensor(targets[rows].astype(dtype))
+        composite = (ad.softplus(z_ref[rows]) - t * z_ref[rows]).mean()
+        want = ad.backward(composite)[z_ref]
+        assert fused.data.dtype == grad.dtype == dtype
+        assert fused.item() == composite.item()
+        # (sigmoid(z) - t)/n against sigmoid(z)/n - t/n: a few ulps apart
+        assert np.max(np.abs(grad - want)) <= 4 * np.finfo(dtype).eps * np.max(np.abs(want))
+        outside = np.ones(10, bool)
+        outside[rows] = False
+        assert not grad[outside].any()
+
+
 # -- training ----------------------------------------------------------------------------
 
 def _scene_setup(seed=0):
@@ -281,6 +318,22 @@ def test_train_gcn_divergence_reported():
     assert err.value.epoch == 0
 
 
+def _initial_model(graph, features, idx, config):
+    """`train_gcn`'s float64 model before its first step, its rows of A X and
+    its split generator."""
+    root = SplitMix64(config.seed)
+    model = GcnModel(normalized_operator(graph), features.shape[1], config.hidden, 3,
+                     root.split(0))
+    model.field = receptive_field(model.operator, idx)
+    return model, (model.operator @ features)[model.field], root.split(1)
+
+
+def _train_float64(graph, features, idx, targets, config):
+    """`train_gcn`'s epoch loop run in float64."""
+    model, ax_field, split_rng = _initial_model(graph, features, idx, config)
+    return model, _train_epochs(model, ax_field, idx, targets, config, split_rng)
+
+
 def _matches_full_graph_training(scene_seed, fraction):
     cube, gt, graph, features = _scene_setup(seed=scene_seed)
     if fraction is None:  # a single label, so no node is held out
@@ -292,7 +345,8 @@ def _matches_full_graph_training(scene_seed, fraction):
     assert np.isin(idx, field).all()
     assert (field.size == 144) == (fraction == 1.0)
     config = GcnConfig(hidden=16, epochs=40, learning_rate=0.01, seed=scene_seed + 2)
-    model, history = train_gcn(graph, features, idx, targets, config)
+    model, history = _train_float64(graph, features, idx, targets, config)
+    assert np.array_equal(model.field, field)
     ref, ref_history = train_gcn_full_graph(graph, features, idx, targets, config)
     assert np.max(np.abs(model.w1.data - ref.w1.data)) <= 1e-12
     assert np.max(np.abs(model.w2.data - ref.w2.data)) <= 1e-12
@@ -302,6 +356,7 @@ def _matches_full_graph_training(scene_seed, fraction):
 
 @pytest.mark.parametrize("scene_seed, fraction", [(40, 0.1), (41, 0.3), (42, 1.0), (43, None)])
 def test_train_gcn_matches_full_graph_training(scene_seed, fraction):
+    # the epoch loop run in float64 against every node's logits every epoch
     _matches_full_graph_training(scene_seed, fraction)
 
 
@@ -318,6 +373,72 @@ def test_train_gcn_matches_full_graph_training_across_hidden_tiles(monkeypatch):
     want = (ad.sparse_matmul(op, h) @ model.w2).data
     got = model.logits(features).data
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_train_gcn_is_the_epoch_loop_in_float32_with_float64_weights_out():
+    cube, gt, graph, features = _scene_setup(seed=53)
+    idx, targets = sample_labels(gt.abundances, 0.2, SplitMix64(54))
+    config = GcnConfig(hidden=8, epochs=20, seed=55)
+    model, history = train_gcn(graph, features, idx, targets, config)
+    ref, ax_field, split_rng = _initial_model(graph, features, idx, config)
+    for p in ref.parameters():
+        p.data = p.data.astype(np.float32)
+    assert history == _train_epochs(ref, ax_field.astype(np.float32), idx,
+                                    targets.astype(np.float32), config, split_rng)
+    assert np.array_equal(model.field, ref.field)
+    for p, q in zip(model.parameters(), ref.parameters()):
+        assert p.data.dtype == np.float64 and q.data.dtype == np.float32
+        assert np.array_equal(p.data, q.data)
+    assert forward(model, features).dtype == np.float64
+
+
+def test_float32_training_stays_near_the_float64_loop():
+    # 200 default-rate epochs: the float32 weights missed the float64 loop's
+    # by 5.7e-7 of the largest weight here, and by at most 5.0e-6 over 12
+    # scene seeds (60-71); the BCE history by 2.0e-7 here, 2.2e-7 at most
+    cube, gt, graph, features = _scene_setup(seed=41)
+    idx, targets = sample_labels(gt.abundances, 0.3, SplitMix64(42))
+    config = GcnConfig(hidden=16, epochs=200, seed=43)
+    model, history = train_gcn(graph, features, idx, targets, config)
+    ref, ref_history = _train_float64(graph, features, idx, targets, config)
+    for p, q in zip(model.parameters(), ref.parameters()):
+        assert np.max(np.abs(p.data - q.data)) <= 1e-5 * np.max(np.abs(q.data))
+    assert np.max(np.abs(np.subtract(history, ref_history))) <= 2e-6
+
+
+def test_a_float32_gcn_epoch_makes_nothing_float64(monkeypatch):
+    # one epoch at the default width: every forward output and every VJP
+    # output must be float32, or a float64 constant or product has leaked in
+    cube, gt, graph, features = _scene_setup(seed=56)
+    idx, targets = sample_labels(gt.abundances, 0.2, SplitMix64(57))
+    config = GcnConfig(epochs=1, seed=58)
+    dtypes = []
+    record = ad.Tensor._from_op.__func__
+
+    def spy(cls, data, parents, vjps, op):
+        def traced(vjp):
+            def run(g):
+                grad = vjp(g)
+                dtypes.append((f"{op} vjp", grad.dtype))
+                return grad
+            return run
+
+        out = record(cls, data, parents, tuple(traced(v) for v in vjps), op)
+        dtypes.append((op, out.data.dtype))
+        return out
+
+    model, ax_field, split_rng = _initial_model(graph, features, idx, config)
+    for p in model.parameters():
+        p.data = p.data.astype(np.float32)
+    monkeypatch.setattr(ad.Tensor, "_from_op", classmethod(spy))
+    history = _train_epochs(model, ax_field.astype(np.float32), idx,
+                            targets.astype(np.float32), config, split_rng)
+    assert len(history) == 1
+    assert {op for op, _ in dtypes} == {"relu_mlp", "relu_mlp vjp", "sparse_matmul",
+                                        "sparse_matmul vjp", "bce_with_logits",
+                                        "bce_with_logits vjp"}
+    assert [d for d in dtypes if d[1] != np.float32] == []
+    assert all(p.data.dtype == np.float32 for p in model.parameters())
 
 
 def test_train_gcn_divergence_reported_outside_receptive_field():
@@ -357,7 +478,7 @@ def test_train_gcn_holds_out_one_of_five_labels():
     idx = np.array([5, 30, 77, 100, 140])
     targets = gt.abundances.reshape(-1, 3)[idx]
     config = GcnConfig(hidden=8, epochs=1, seed=52)
-    _, history = train_gcn(graph, features, idx, targets, config)
+    _, history = _train_float64(graph, features, idx, targets, config)
     root = SplitMix64(config.seed)
     model = GcnModel(normalized_operator(graph), 3, 8, 3, root.split(0))
     z = model.logits(features).data[idx]
