@@ -34,18 +34,22 @@ pre-activation for both weight gradients.
 
 The operator is a `Sparse`: its entries as three numpy arrays (rows,
 columns, values) sorted by (row, column), so that importing the package
-loads no scipy.  It adds in scipy.sparse's order, so every product is
-the same to the bit as scipy's and each written map stays byte-equal to
-the scipy build's.  Rows sum with `np.add.reduceat` as scipy's
-`csr.sum(axis=1)` does.  `A @ x` is one `np.bincount` per column, which
-adds each row's entries in order from zero, as scipy's `csr_matvec`
-loop does (`reduceat` switches to pairwise sums on long rows).  `A.T`
-is the same arrays with rows and columns swapped, so `A.T @ g`, the
-VJP `ad.sparse_matmul` takes, adds each column's entries in row order,
-as scipy's transposed product does.  A float32 operand's products and
-sums are still taken in float64, and the result is rounded to float32
-once.  `ad.sparse_matmul` takes a scipy matrix in place of a `Sparse`
-as well, which the tests use as an oracle.
+loads no scipy.  Training takes it once through `restrict(label_idx)`,
+which gives the labeled rows over their receptive field N1 and N1
+itself, renumbered in order so the entries stay sorted.  It adds in
+scipy.sparse's order, so every product is the same to the bit as
+scipy's and each written map stays byte-equal to the scipy build's.
+Rows sum with `np.add.reduceat` as scipy's `csr.sum(axis=1)` does.
+`A @ x` is one `np.bincount` per column, which adds each row's entries
+in order from zero, as scipy's `csr_matvec` loop does (`reduceat`
+switches to pairwise sums on long rows); one `bincount` over all
+columns at once is as exact but measured slower (ROADMAP item 9).
+`A.T` is the same arrays with rows and columns swapped, so `A.T @ g`,
+the VJP `ad.sparse_matmul` takes, adds each column's entries in row
+order, as scipy's transposed product does.  A float32 operand's
+products and sums are still taken in float64, and the result is
+rounded to float32 once.  `ad.sparse_matmul` takes a scipy matrix in
+place of a `Sparse` as well, which the tests use as an oracle.
 """
 from __future__ import annotations
 
@@ -98,9 +102,8 @@ class Sparse:
     arrays with rows and columns swapped: no sort and no copy.  `@`
     takes a 1-D or 2-D dense array and adds each output's entries in
     entry order, in float64; a float32 operand gets that sum rounded
-    once to float32, any other operand the float64 sum.  `op[rows]` and
-    `op[:, cols]` take distinct indices (a repeat raises IndexError),
-    and result index i is index i.
+    once to float32, any other operand the float64 sum.  `restrict`
+    takes the rows the GCN's loss reads over the columns they reach.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -127,43 +130,31 @@ class Sparse:
         x = np.asarray(x)
         if x.shape[0] != self.shape[1]:
             raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
+        n = self.shape[0]
         dtype = np.float32 if x.dtype == np.float32 else np.float64
-        if x.ndim == 1:
-            return self._matvec(x).astype(dtype, copy=False)
-        out = np.empty((self.shape[0], x.shape[1]), dtype=dtype)
-        for c, column in enumerate(x.T):
-            out[:, c] = self._matvec(column)
+        out = np.empty((n, *x.shape[1:]), dtype=dtype)
+        columns = out.reshape(n, -1)
+        for c, column in enumerate(x.reshape(x.shape[0], -1).T):
+            columns[:, c] = np.bincount(self.rows, weights=self.vals * column.take(self.cols),
+                                        minlength=n)
         return out
 
-    def _matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, weights=self.vals * x.take(self.cols),
-                           minlength=self.shape[0])
+    def restrict(self, rows: np.ndarray) -> tuple[Sparse, np.ndarray]:
+        """(A[rows][:, field], field): the given rows over the columns they reach.
 
-    def __getitem__(self, key) -> Sparse:
-        if not isinstance(key, tuple):
-            new, size = _renumber(key, self.shape[0], "row")
-            rows = new[self.rows]
-            keep = np.flatnonzero(rows >= 0)
-            # the rows take the key's order; each row's entries keep theirs
-            keep = keep[np.argsort(rows[keep], kind="stable")]
-            return Sparse(rows[keep], self.cols[keep], self.vals[keep], (size, self.shape[1]))
-        rows, cols = key
-        if rows != slice(None):
-            raise IndexError("index rows and columns separately: op[rows][:, cols]")
-        new, size = _renumber(cols, self.shape[1], "column")
-        cols = new[self.cols]
-        keep = cols >= 0
-        return Sparse(self.rows[keep], cols[keep], self.vals[keep], (self.shape[0], size))
-
-
-def _renumber(key, n: int, axis: str) -> tuple[np.ndarray, int]:
-    """Each of 0..n-1's place in `key` (-1 where absent), and the key's length."""
-    picked = np.arange(n)[key]
-    new = np.full(n, -1)
-    new[picked] = np.arange(picked.size)
-    if np.count_nonzero(new >= 0) != picked.size:
-        raise IndexError(f"{axis} indices repeat")
-    return new, picked.size
+        rows must be sorted, distinct and in 0..n-1, as `sample_labels`
+        returns them; others raise IndexError.  field is the sorted
+        columns holding an entry in those rows.  Both renumberings keep
+        order, so the entries stay sorted by (row, column).
+        """
+        n = self.shape[0]
+        if np.any(np.diff(rows) <= 0) or rows.size and not 0 <= rows[0] <= rows[-1] < n:
+            raise IndexError(f"rows must be sorted, distinct and in 0..{n - 1}")
+        keep = np.flatnonzero(np.isin(self.rows, rows))
+        cols = self.cols[keep]
+        field = np.unique(cols)
+        return Sparse(np.searchsorted(rows, self.rows[keep]), np.searchsorted(field, cols),
+                      self.vals[keep], (rows.size, field.size)), field
 
 
 def normalized_operator(graph: EllipticalGraph) -> Sparse:
@@ -214,27 +205,9 @@ class GcnModel:
         return [self.w1, self.w2]
 
     def logits(self, features) -> ad.Tensor:
+        """A relu(A X W1) W2 over all nodes; the hidden layer is one `ad.relu_mlp`."""
         ax = ad.sparse_matmul(self.operator, ad.as_tensor(features))
-        return _logits(self.operator, ax.data, self.w1, self.w2)
-
-
-def _logits(rows_op: Sparse, ax: np.ndarray, w1: ad.Tensor, w2: ad.Tensor) -> ad.Tensor:
-    """rows_op relu(ax W1) W2: the logits of the rows rows_op selects.
-
-    ax is the plain array of the rows of A X that rows_op's columns
-    index.  The hidden layer is one `ad.relu_mlp` op, which walks ax in
-    row tiles and never builds the hidden matrix.
-    """
-    return ad.sparse_matmul(rows_op, ad.relu_mlp(ax, w1, w2))
-
-
-def receptive_field(operator: Sparse, label_idx: np.ndarray) -> np.ndarray:
-    """Sorted nodes whose hidden rows the labeled logits read (N1).
-
-    These are the columns holding a nonzero in the labeled rows of the
-    operator; self-loops put every labeled node among them.
-    """
-    return np.unique(operator[label_idx].cols)
+        return ad.sparse_matmul(self.operator, ad.relu_mlp(ax.data, self.w1, self.w2))
 
 
 def forward(model: GcnModel, features: np.ndarray,
@@ -294,9 +267,10 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
 
     A X is computed in float64 for every node first, so a non-finite
     feature anywhere raises DivergenceError(0) as the full-graph forward
-    would.  The epoch loop (`_train_epochs`) then runs in float32 on the
-    rows of A X in the labels' receptive field, which `model.field`
-    keeps: those rows, the weights and the targets are cast down before
+    would.  The operator is restricted once to the labeled rows over
+    their receptive field, which `model.field` keeps.  The epoch loop
+    (`_train_epochs`) then runs in float32 on the rows of A X in that
+    field: those rows, the weights and the targets are cast down before
     it and the weights cast back up after it, which is exact, so the
     returned model is float64.
     """
@@ -309,33 +283,34 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
         ax = ad.sparse_matmul(model.operator, ad.as_tensor(features)).data
     except ad.NonFiniteError as exc:
         raise DivergenceError(0) from exc
-    model.field = receptive_field(model.operator, label_idx)
+    rows_op, model.field = model.operator.restrict(label_idx)
     params = model.parameters()
     for p in params:
         p.data = p.data.astype(np.float32)
-    history = _train_epochs(model, ax[model.field].astype(np.float32), label_idx,
+    history = _train_epochs(model, rows_op, ax[model.field].astype(np.float32),
                             label_targets.astype(np.float32), config, root.split(1))
     for p in params:
         p.data = p.data.astype(np.float64)
     return model, history
 
 
-def _train_epochs(model: GcnModel, ax_field: np.ndarray, label_idx: np.ndarray,
+def _train_epochs(model: GcnModel, rows_op: Sparse, ax_field: np.ndarray,
                   targets: np.ndarray, config: GcnConfig, split_rng: SplitMix64,
                   ) -> list[tuple[int, float, float]]:
     """config.epochs of full-batch Adam; history rows are (epoch, train_bce, val_bce).
 
-    ax_field holds the rows of A X at `model.field`, the labels'
-    receptive field.  One tenth of the labeled set (at least one node
-    when possible), drawn from split_rng, is held out from the gradient
-    for validation logging.  Each epoch computes only the labeled rows
-    of the logits (see the module docstring); nothing outside those rows
-    enters the loss or its gradient, so the training is that of the
-    full-graph forward.  Every step runs in the dtype of ax_field, the
-    targets and the parameters, which should agree.
+    rows_op is the operator's labeled rows over the labels' receptive
+    field, and ax_field the rows of A X at that field, as
+    `Sparse.restrict` gives them.  One tenth of the labeled set (at
+    least one node when possible), drawn from split_rng, is held out
+    from the gradient for validation logging.  Each epoch computes only
+    the labeled rows of the logits, rows_op relu(ax_field W1) W2 (see
+    the module docstring); nothing outside those rows enters the loss or
+    its gradient, so the training is that of the full-graph forward.
+    Every step runs in the dtype of ax_field, the targets and the
+    parameters, which should agree.
     """
-    rows_op = model.operator[label_idx][:, model.field]
-    n_lab = label_idx.size
+    n_lab = rows_op.shape[0]
     n_val = max(1, n_lab // 10) if n_lab >= 2 else 0
     order = split_rng.permutation(n_lab)
     val_rows, train_rows = order[:n_val], order[n_val:]
@@ -343,7 +318,7 @@ def _train_epochs(model: GcnModel, ax_field: np.ndarray, label_idx: np.ndarray,
     history: list[tuple[int, float, float]] = []
     for epoch in range(config.epochs):
         try:
-            z_lab = _logits(rows_op, ax_field, model.w1, model.w2)
+            z_lab = ad.sparse_matmul(rows_op, ad.relu_mlp(ax_field, model.w1, model.w2))
             loss = bce_with_logits(z_lab, targets, train_rows)
         except ad.NonFiniteError as exc:
             raise DivergenceError(epoch) from exc

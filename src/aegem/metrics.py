@@ -49,6 +49,12 @@ class PermutationMatch:
         if sorted(self.assignment) != list(range(len(self.assignment))):
             raise ValueError("assignment must be a bijection")
 
+    @property
+    def order(self) -> np.ndarray:
+        """The estimated channel of each truth slot: `stack[:, :, order]` and
+        `endmembers[:, order]` are in truth order."""
+        return np.argsort(self.assignment)
+
 
 def match_endmembers(estimated: np.ndarray, truth: np.ndarray) -> PermutationMatch:
     """Exhaustively match estimated to true endmembers by mean SAD.
@@ -71,21 +77,6 @@ def match_endmembers(estimated: np.ndarray, truth: np.ndarray) -> PermutationMat
         if c < best_cost:
             best, best_cost = perm, c
     return PermutationMatch(tuple(best), best_cost)
-
-
-def apply_match(match: PermutationMatch, stack: np.ndarray | None = None,
-                endmembers: np.ndarray | None = None):
-    """Reorder abundance channels and/or endmember columns into truth order."""
-    p = len(match.assignment)
-    inverse = np.empty(p, dtype=int)
-    for est, tru in enumerate(match.assignment):
-        inverse[tru] = est
-    out = []
-    if stack is not None:
-        out.append(stack[:, :, inverse])
-    if endmembers is not None:
-        out.append(endmembers[:, inverse])
-    return out[0] if len(out) == 1 else tuple(out)
 
 
 @dataclass

