@@ -330,22 +330,60 @@ class ConvAutoencoder:
 
 
 def reconstruction_loss(target, recon: ad.Tensor, mse_weight: float) -> ad.Tensor:
-    """Training loss at the center pixel: SAD + mse_weight * MSE.
+    """Training loss at the center pixel: SAD + mse_weight * MSE, one op.
 
     `target` and `recon` are (N, L, h, w) with h and w odd, and only
     their center pixels are scored: training reconstructs only the
     center of each window, the one pixel of a patch encoded from its
     full receptive field (see the module docstring).  mse_weight = 0 is
-    pure SAD.
+    pure SAD.  With a the centers of recon and b those of target, SAD is
+    the mean over pixels of arccos(a·b / (|a| |b|)), each norm
+    sqrt(sum of squares + 1e-24) and the cosine clamped into
+    [-1 + 1e-7, 1 - 1e-7], where its gradient is 0 (a saturated cosine
+    keeps a finite gradient); MSE is the mean of (a - b)² over pixels and
+    bands.  Its value and its gradient are bit-equal to those of the same
+    loss composed of `Tensor` ops: the forward pass takes that
+    composite's numpy expressions in its order, and the VJP repeats the
+    composite tape's arithmetic step by step, its four terms on a summed
+    in the tape's order.  One node stands for the composite's 18, and 6
+    untracked ones on the target.  The target is a constant: only recon
+    gets a gradient.
     """
     ch, cw = recon.shape[2] // 2, recon.shape[3] // 2
-    a = recon[:, :, ch, cw]
-    b = ad.as_tensor(target)[:, :, ch, cw]
+    # a non-finite center fails here, as the composite's first op fails on it
+    a = ad._check(recon.data[:, :, ch, cw], "reconstruction_loss")
+    b = ad._check(ad.as_tensor(target).data[:, :, ch, cw], "reconstruction_loss")
     dot = (a * b).sum(axis=1)
-    na = ad.sqrt((a * a).sum(axis=1) + 1e-24)
-    nb = ad.sqrt((b * b).sum(axis=1) + 1e-24)
-    sad = ad.arccos(dot / (na * nb)).mean()
-    return sad + mse_weight * ((a - b) ** 2).mean()
+    na = np.sqrt((a * a).sum(axis=1) + 1e-24)
+    nb = np.sqrt((b * b).sum(axis=1) + 1e-24)
+    nanb = na * nb
+    cos = dot / nanb
+    clip_eps = 1e-7
+    u = np.clip(cos, -1.0 + clip_eps, 1.0 - clip_eps)
+    inside = (cos > -1.0 + clip_eps) & (cos < 1.0 - clip_eps)
+    grad_u = np.where(inside, -1.0 / np.sqrt(1.0 - u**2), 0.0)
+    sad = np.arccos(u).sum() * (1.0 / cos.size)
+    diff = a - b
+    sq = diff**2
+    weight = np.asarray(mse_weight, dtype=sq.dtype)
+    mse = sq.sum() * (1.0 / sq.size)
+
+    def vjp(g):
+        g_cos = (g * (1.0 / cos.size)) * grad_u
+        g_dot = g_cos / nanb
+        g_na = -g_cos * dot / nanb**2 * nb
+        g_norm2 = g_na * 0.5 / na
+        ga = g_dot[:, None] * b
+        # a * a's two factors add one term each, as the tape adds them
+        ga = ga + g_norm2[:, None] * a
+        ga = ga + g_norm2[:, None] * a
+        ga = ga + (g * weight * (1.0 / sq.size)) * 2 * diff
+        grad = np.zeros_like(recon.data)
+        grad[:, :, ch, cw] += ga
+        return grad
+
+    return ad.Tensor._from_op(np.asarray(sad + mse * weight), (recon,), (vjp,),
+                              "reconstruction_loss")
 
 
 # -- training ------------------------------------------------------------------

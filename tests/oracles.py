@@ -83,6 +83,53 @@ def leaky_relu_slope(x: np.ndarray, alpha: float, g: np.ndarray
     return x * slope, g * slope
 
 
+def leaky_relu_masked(x: ad.Tensor, alpha: float = 0.01) -> ad.Tensor:
+    """leaky_relu as x * alpha with x copied back where x > 0, a boolean
+    mask on the node, and the same masked copy of g as its VJP."""
+    mask = x.data > 0
+
+    def scaled(a):
+        out = a * alpha
+        np.copyto(out, a, where=mask)
+        return out
+
+    return ad.Tensor._from_op(scaled(x.data), (x,), (scaled,), "leaky_relu")
+
+
+def arccos_clamped(x: ad.Tensor, clip_eps: float = 1e-7) -> ad.Tensor:
+    """arccos of x clamped into [-1+eps, 1-eps], as a Tensor op; outside
+    the clamp its gradient is 0."""
+    u = np.clip(x.data, -1.0 + clip_eps, 1.0 - clip_eps)
+    inside = (x.data > -1.0 + clip_eps) & (x.data < 1.0 - clip_eps)
+    grad_u = np.where(inside, -1.0 / np.sqrt(1.0 - u**2), 0.0)
+    return ad.Tensor._from_op(np.arccos(u), (x,), (lambda g: g * grad_u,), "arccos")
+
+
+def reconstruction_loss_composite(target, recon: ad.Tensor, mse_weight: float) -> ad.Tensor:
+    """SAD + mse_weight * MSE at the center pixel, composed of Tensor ops:
+    the composition `autoencoder.reconstruction_loss` fuses into one op."""
+    ch, cw = recon.shape[2] // 2, recon.shape[3] // 2
+    a = recon[:, :, ch, cw]
+    b = ad.as_tensor(target)[:, :, ch, cw]
+    dot = (a * b).sum(axis=1)
+    na = ad.sqrt((a * a).sum(axis=1) + 1e-24)
+    nb = ad.sqrt((b * b).sum(axis=1) + 1e-24)
+    sad = arccos_clamped(dot / (na * nb)).mean()
+    return sad + mse_weight * ((a - b) ** 2).mean()
+
+
+def block_columns_windows(xt: np.ndarray, kh: int, kw: int, ph: int, pw: int,
+                          i0: int, i1: int) -> np.ndarray:
+    """Columns of output rows i0..i1-1 of pixels-last xt, zero-padded by (ph, pw),
+    from `sliding_window_view` over the whole padded input: rows (c, u, v),
+    columns (i, j, n)."""
+    c, _, _, n = xt.shape
+    padded = np.pad(xt, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    # windows is (C, Ho, Wo, N, kh, kw): move the taps forward, keep rows i0..i1-1
+    return windows[:, i0:i1].transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, -1)
+
+
 def sad_weights_whole(spectra: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Half-angle spectral angles of every edge at once, from whole
     (edges x bands) unit-vector arrays."""

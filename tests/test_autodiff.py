@@ -8,9 +8,10 @@ import pytest
 from aegem import autodiff as ad
 from aegem.rng import SplitMix64
 
-from oracles import (adam_scalar_reference, adam_step_reference, conv2d_einsum, conv2d_loops,
-                     conv2d_plus_bias, finite_diff_grads, gradcheck, leaky_relu_slope,
-                     max_rel_err, relu_mlp_unfused)
+from oracles import (adam_scalar_reference, adam_step_reference, arccos_clamped,
+                     block_columns_windows, conv2d_einsum, conv2d_loops, conv2d_plus_bias,
+                     finite_diff_grads, gradcheck, leaky_relu_masked, leaky_relu_slope, max_rel_err,
+                     relu_mlp_unfused)
 
 
 def rng(seed=0):
@@ -179,6 +180,31 @@ def test_conv_blocks_with_ragged_rows_agree_to_round_off(monkeypatch, n, kernel,
     whole, rows = _conv_whole_and_in_row_blocks(n, 6, 5, (11, 8), kernel, padding, monkeypatch)
     for a, b in zip(rows, whole):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", ["valid", "same"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("rows_per_block", [None, 2])
+def test_column_blocks_equal_the_window_view_oracle(monkeypatch, dtype, padding, k,
+                                                    rows_per_block):
+    # None: one block of every output row; 2: blocks of 2 rows and a ragged last one
+    c, h, w, n = 3, 9, 7, 4
+    xt = rng(14).normal(size=(c, h, w, n)).astype(dtype)
+    ph = pw = (k - 1) // 2 if padding == "same" else 0
+    ho, wo = h + 2 * ph - k + 1, w + 2 * pw - k + 1
+    if rows_per_block:
+        monkeypatch.setattr(ad, "_COLUMN_BLOCK_BYTES",
+                            rows_per_block * c * k * k * wo * n * xt.itemsize + 1)
+    starts = []
+    for span, cols in ad._column_blocks(xt, k, k, ph, pw):
+        i0, i1 = span.start // (wo * n), span.stop // (wo * n)
+        starts.append(i0)
+        assert np.array_equal(cols, block_columns_windows(xt, k, k, ph, pw, i0, i1))
+        assert cols.dtype == dtype and cols.strides[1] == xt.itemsize
+        # a 1x1 kernel's columns are xt's own rows, a view; any other's are one copy
+        assert cols.flags.c_contiguous or (k == 1 and rows_per_block)
+    assert starts == list(range(0, ho, rows_per_block or ho))
 
 
 def test_conv_shape_errors():
@@ -500,7 +526,7 @@ def test_gradcheck_elementwise_ops():
     gradcheck(lambda t: (ad.sigmoid(t) * proj).sum(), [x])
     gradcheck(lambda t: (ad.softplus(t) * proj).sum(), [x])
     gradcheck(lambda t: (ad.leaky_relu(t, 0.01) * proj).sum(), [x])
-    gradcheck(lambda t: (ad.arccos(t) * proj).sum(), [x])
+    gradcheck(lambda t: (arccos_clamped(t) * proj).sum(), [x])
     gradcheck(lambda t: (ad.sqrt(t + 2.0) * proj).sum(), [x])
     gradcheck(lambda t: ((t ** 3) * proj).sum(), [x])
     # leaky_relu holds a boolean mask: values and gradients keep the bits
@@ -512,6 +538,39 @@ def test_gradcheck_elementwise_ops():
     ref_out, ref_grad = leaky_relu_slope(x, 0.01, proj)
     assert np.array_equal(out.data, ref_out) and np.array_equal(grads[xt], ref_grad)
     assert np.array_equal(np.signbit(out.data), np.signbit(ref_out))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.3, 1.0])
+def test_leaky_relu_is_bit_equal_to_the_masked_copy_and_keeps_g_layout(dtype, alpha):
+    # x and g pixels-last behind [N,C,H,W] views, as the convs leave them: the VJP
+    # must return g's layout, since conv2d's bias gradient sums g in memory order
+    g = rng(13)
+    x = g.normal(size=(5, 3, 3, 8)).astype(dtype)
+    x[0, 0, 0, :3] = [0.0, -0.0, np.finfo(dtype).tiny / 4]
+    x = x.transpose(3, 0, 1, 2)
+    gout = g.normal(size=(5, 3, 3, 8)).astype(dtype).transpose(3, 0, 1, 2)
+    for grad_out in (gout, np.ascontiguousarray(gout)):
+        out, grads = [], []
+        for op in (ad.leaky_relu, leaky_relu_masked):
+            xt = ad.Tensor(x, requires_grad=True)
+            y = op(xt, alpha)
+            out.append(y.data)
+            grads.append(ad.backward((y * grad_out).sum())[xt])
+        assert np.array_equal(out[0], out[1]) and np.array_equal(grads[0], grads[1])
+        assert np.array_equal(np.signbit(out[0]), np.signbit(out[1]))
+        assert np.array_equal(np.signbit(grads[0]), np.signbit(grads[1]))
+        assert out[0].dtype == grads[0].dtype == dtype
+        assert out[0].strides == x.strides
+    node = ad.leaky_relu(ad.Tensor(x, requires_grad=True), alpha)
+    for grad_out in (gout, np.ascontiguousarray(gout)):
+        assert node._vjps[0](grad_out).strides == grad_out.strides
+
+
+@pytest.mark.parametrize("alpha", [-0.01, 1.5, float("nan"), float("inf")])
+def test_leaky_relu_rejects_alpha_outside_zero_to_one(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        ad.leaky_relu(ad.Tensor(np.ones((2, 3))), alpha)
 
 
 def test_gradcheck_relu_away_from_kink():

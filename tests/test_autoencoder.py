@@ -14,8 +14,8 @@ from aegem.checkpoint import load_tensors, save_tensors
 from aegem.hsi import HsiCube, SceneSpec, normalize, synthesize_scene
 from aegem.metrics import match_endmembers, sad
 from aegem.rng import SplitMix64
-from oracles import (abundance_stack_per_patch, encode_full_band,
-                     train_autoencoder_per_patch)
+from oracles import (abundance_stack_per_patch, encode_full_band, leaky_relu_masked,
+                     reconstruction_loss_composite, train_autoencoder_per_patch)
 
 
 SMALL_CONFIG = AutoencoderConfig(
@@ -423,9 +423,72 @@ def test_a_float32_training_step_makes_nothing_float64(monkeypatch):
     for p in model.parameters():
         p.data = p.data.astype(np.float32)
     assert len(_train_epochs(model, cube.reflectance.astype(np.float32), shuffle_rng)) == 1
-    assert {"conv2d", "conv2d vjp", "scaled_softmax vjp", "arccos vjp"} <= {d[0] for d in dtypes}
+    assert {"conv2d", "conv2d vjp", "scaled_softmax vjp", "reconstruction_loss vjp",
+            "leaky_relu vjp"} <= {d[0] for d in dtypes}
     assert [d for d in dtypes if d[1] != np.float32] == []
     assert all(p.data.dtype == np.float32 for p in model.parameters())
+
+
+# -- the fused loss ------------------------------------------------------------------------
+
+def _loss_and_grad(loss_fn, target, recon, mse_weight):
+    rt = ad.Tensor(recon, requires_grad=True)
+    loss = loss_fn(target, rt, mse_weight)
+    return loss.data, ad.backward(loss)[rt]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mse_weight", [0.0, 0.5])
+@pytest.mark.parametrize("hw", [1, 9])
+@pytest.mark.parametrize("saturated", [False, True])
+def test_the_fused_loss_is_bit_equal_to_the_composite(dtype, mse_weight, hw, saturated):
+    # recon pixels-last behind an [N,L,h,w] view, as the decoder's conv leaves it;
+    # b = 2a makes every cosine 1, where the clamp zeroes the SAD gradient
+    rng = np.random.default_rng(40)
+    for _ in range(5):
+        recon = rng.uniform(0.05, 1.0, size=(20, hw, hw, 64)).astype(dtype).transpose(3, 0, 1, 2)
+        target = (2 * recon.copy() if saturated
+                  else rng.uniform(0.05, 1.0, size=(64, 20, hw, hw)).astype(dtype))
+        value, grad = _loss_and_grad(reconstruction_loss, target, recon, mse_weight)
+        ref_value, ref_grad = _loss_and_grad(reconstruction_loss_composite, target, recon,
+                                             mse_weight)
+        assert value.dtype == ref_value.dtype == grad.dtype == ref_grad.dtype == dtype
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mse_weight", [0.0, 0.5])
+def test_the_fused_loss_raises_on_a_non_finite_recon(bad, mse_weight):
+    recon = np.random.default_rng(41).uniform(0.1, 1.0, size=(4, 6, 3, 3)).astype(np.float32)
+    target = recon[::-1].copy()
+    recon[2, 3, 1, 1] = bad
+    with pytest.raises(ad.NonFiniteError, match="reconstruction_loss"):
+        reconstruction_loss(target, ad.Tensor(recon, requires_grad=True), mse_weight)
+
+
+def test_a_float32_epoch_is_bit_equal_to_the_composite_loss_and_masked_leaky_relu(monkeypatch):
+    # one seeded epoch at the acceptance run's shapes: 16 steps of 64 9x9 cones of a
+    # 32x32x20 scene through (32, 16, 8, 3) filters; the fused loss and the max-form
+    # leaky ReLU must leave every weight and the loss where the unfused ops do
+    cube = normalize(synthesize_scene(SceneSpec(32, 32, 20, 3, snr_db=30.0, seed=42))[0])
+    config = AutoencoderConfig(encoder_filters=(32, 16, 8, 3), encoder_kernels=(5, 3, 3, 1),
+                               epochs=1, batch_size=64, learning_rate=1e-2, seed=43)
+
+    def one_epoch():
+        model, shuffle_rng = _initial_model(cube, config)
+        for p in model.parameters():
+            p.data = p.data.astype(np.float32)
+        return _train_epochs(model, cube.reflectance.astype(np.float32), shuffle_rng), model
+
+    history, model = one_epoch()
+    monkeypatch.setattr("aegem.autoencoder.reconstruction_loss", reconstruction_loss_composite)
+    monkeypatch.setattr(ad, "leaky_relu", leaky_relu_masked)
+    ref_history, ref_model = one_epoch()
+    assert np.array_equal(history, ref_history)
+    for p, ref in zip(model.parameters(), ref_model.parameters()):
+        assert p.data.dtype == np.float32 and np.array_equal(p.data, ref.data)
 
 
 # -- the spectral basis --------------------------------------------------------------------
