@@ -77,12 +77,20 @@ class NonFiniteError(FloatingPointError):
     """Raised when a forward op produces NaN or Inf."""
 
 
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite loss."""
+
+    def __init__(self, epoch: int):
+        super().__init__(f"training diverged (non-finite loss) at epoch {epoch}")
+        self.epoch = epoch
+
+
 class TapeConsumedError(RuntimeError):
     """Raised when backward() is called twice on the same graph."""
 
 
 def _check(data: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
     return data
 
@@ -107,13 +115,12 @@ class Tensor:
     Python scalars) becomes float64, float64 arrays without a copy.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_op", "_consumed")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjps", "_op", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._parents: tuple = ()
         self._vjps: tuple = ()
         self._op = "leaf"
@@ -580,9 +587,9 @@ def batch_norm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep from a scalar loss.
 
-    Returns the gradient for every reachable tensor with requires_grad
-    (also stored on each tensor's .grad).  The recorded graph is freed and
-    cannot be swept twice.
+    Returns the gradient of every reachable leaf tensor with
+    requires_grad.  The recorded graph is freed and cannot be swept
+    twice.
     """
     if loss.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
@@ -612,7 +619,6 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         if g is None:
             continue
         if node.requires_grad and not node._parents:
-            node.grad = g
             result[node] = g
         for parent, vjp in zip(node._parents, node._vjps):
             pg = vjp(g)

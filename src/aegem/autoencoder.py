@@ -75,6 +75,9 @@ columns; its response to a constant one-hot abundance field, read at
 the patch center, defines the extracted endmember signatures.  Decoder
 columns start from spectra sampled across the scene so every channel
 begins with a distinct spectral role.
+
+`save_autoencoder` writes the trained parameters and V as an AEW1
+checkpoint; nothing in the package reads one back (see `checkpoint`).
 """
 from __future__ import annotations
 
@@ -87,14 +90,6 @@ from . import autodiff as ad
 from . import checkpoint
 from .hsi import HsiCube
 from .rng import SplitMix64
-
-
-class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
-
-    def __init__(self, epoch: int):
-        super().__init__(f"training diverged (non-finite loss) at epoch {epoch}")
-        self.epoch = epoch
 
 
 @dataclass
@@ -321,10 +316,6 @@ class ConvAutoencoder:
         """
         return ad.conv2d(ad.as_tensor(abundance), self.dec_weight, None, padding=padding)
 
-    def forward(self, x) -> tuple[ad.Tensor, ad.Tensor]:
-        a = self.encode(x)
-        return a, self.decode(a)
-
     def clamp_decoder(self) -> None:
         np.maximum(self.dec_weight.data, 0.0, out=self.dec_weight.data)
 
@@ -476,7 +467,7 @@ def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
     try:
         coords = model.project(reflectance.transpose(2, 0, 1)[None]).data[0]
     except ad.NonFiniteError as exc:
-        raise DivergenceError(0) from exc
+        raise ad.DivergenceError(0) from exc
     windows = training_windows(coords.transpose(1, 2, 0), config)
     n = len(centers)
     optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
@@ -490,11 +481,15 @@ def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
                 recon = model.decode(model.encode_subspace(windows[r, c], "valid"), "valid")
                 loss = reconstruction_loss(reflectance[r, c, :, None, None], recon,
                                            config.mse_weight)
-                optimizer.step(ad.backward(loss))
+                # the gradients live until the next step's backward: freed at
+                # once, they let malloc hand the step's heap back to the OS,
+                # and every step faults it in again
+                grads = ad.backward(loss)
+                optimizer.step(grads)
                 model.clamp_decoder()
                 batch_losses.append(loss.item())
         except ad.NonFiniteError as exc:
-            raise DivergenceError(epoch) from exc
+            raise ad.DivergenceError(epoch) from exc
         history.append(float(np.mean(batch_losses)))
     return history
 
@@ -502,6 +497,7 @@ def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
 # -- checkpointing -------------------------------------------------------------
 
 def save_autoencoder(model: ConvAutoencoder, path) -> None:
+    """Every parameter and the basis V, under the record names `checkpoint` lists."""
     tensors = {}
     for i, (w, b) in enumerate(zip(model.enc_weights, model.enc_biases)):
         tensors[f"enc{i}.weight"] = w.data
@@ -510,23 +506,3 @@ def save_autoencoder(model: ConvAutoencoder, path) -> None:
     tensors["basis"] = model.basis
     checkpoint.save_tensors(tensors, path)
 
-
-def load_autoencoder(path, config: AutoencoderConfig, bands: int) -> ConvAutoencoder:
-    """The model `save_autoencoder` wrote; a missing or misshapen tensor fails naming it."""
-    tensors = checkpoint.load_tensors(path)
-    model = ConvAutoencoder(config, bands, SplitMix64(0))
-
-    def take(name, shape):
-        return checkpoint.take(tensors, name, shape, path)
-
-    model.basis = take("basis", (bands, None))
-    k = model.basis.shape[1]
-    if not 1 <= k <= bands:
-        raise ValueError(f"{path}: tensor 'basis' has shape {model.basis.shape}, "
-                         f"which is not a basis of {bands} bands")
-    for i, (w, b) in enumerate(zip(model.enc_weights, model.enc_biases)):
-        cout, cin, kh, kw = w.shape
-        w.data = take(f"enc{i}.weight", (cout, k if i == 0 else cin, kh, kw))
-        b.data = take(f"enc{i}.bias", b.shape)
-    model.dec_weight.data = take("dec.weight", model.dec_weight.shape)
-    return model

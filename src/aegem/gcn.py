@@ -50,6 +50,9 @@ order, as scipy's transposed product does.  A float32 operand's
 products and sums are still taken in float64, and the result is
 rounded to float32 once.  `ad.sparse_matmul` takes a scipy matrix in
 place of a `Sparse` as well, which the tests use as an oracle.
+
+`save_gcn` writes W1 and W2 as an AEW1 checkpoint; nothing in the
+package reads one back (see `checkpoint`).
 """
 from __future__ import annotations
 
@@ -60,7 +63,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint
-from .autoencoder import DivergenceError
 from .graph import EllipticalGraph
 from .hsi import HsiCube
 from .rng import SplitMix64
@@ -120,11 +122,6 @@ class Sparse:
     @property
     def T(self) -> Sparse:
         return Sparse(self.cols, self.rows, self.vals, self.shape[::-1])
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.vals
-        return out
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x)
@@ -266,7 +263,7 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
     """Full-batch Adam on labeled-node BCE; deterministic per config.seed.
 
     A X is computed in float64 for every node first, so a non-finite
-    feature anywhere raises DivergenceError(0) as the full-graph forward
+    feature anywhere raises ad.DivergenceError(0) as the full-graph forward
     would.  The operator is restricted once to the labeled rows over
     their receptive field, which `model.field` keeps.  The epoch loop
     (`_train_epochs`) then runs in float32 on the rows of A X in that
@@ -282,7 +279,7 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
     try:
         ax = ad.sparse_matmul(model.operator, ad.as_tensor(features)).data
     except ad.NonFiniteError as exc:
-        raise DivergenceError(0) from exc
+        raise ad.DivergenceError(0) from exc
     rows_op, model.field = model.operator.restrict(label_idx)
     params = model.parameters()
     for p in params:
@@ -321,7 +318,7 @@ def _train_epochs(model: GcnModel, rows_op: Sparse, ax_field: np.ndarray,
             z_lab = ad.sparse_matmul(rows_op, ad.relu_mlp(ax_field, model.w1, model.w2))
             loss = bce_with_logits(z_lab, targets, train_rows)
         except ad.NonFiniteError as exc:
-            raise DivergenceError(epoch) from exc
+            raise ad.DivergenceError(epoch) from exc
         train_bce = loss.item()
         val_bce = float(_bce(z_lab.data[val_rows], targets[val_rows])) if n_val else train_bce
         optimizer.step(ad.backward(loss))
@@ -331,8 +328,8 @@ def _train_epochs(model: GcnModel, rows_op: Sparse, ax_field: np.ndarray,
 
 # -- optional spectral features --------------------------------------------------
 
-def pca_features(cube: HsiCube, k: int, seed: int = 0, iters: int = 100) -> np.ndarray:
-    """Top-k spectral principal components via power iteration with deflation.
+def pca_features(cube: HsiCube, k: int, seed: int = 0) -> np.ndarray:
+    """Top-k spectral principal components: 100 power iterations each, with deflation.
 
     Scores are standardized per component so they sit on the abundance
     features' scale.
@@ -354,7 +351,7 @@ def pca_features(cube: HsiCube, k: int, seed: int = 0, iters: int = 100) -> np.n
     for _ in range(k):
         v = rng.normal((c.shape[0],))
         v /= np.linalg.norm(v)
-        for _ in range(iters):
+        for _ in range(100):
             v = c @ v
             norm = np.linalg.norm(v)
             if norm == 0:
@@ -381,13 +378,3 @@ def build_node_features(abundance: np.ndarray, cube: HsiCube,
 def save_gcn(model: GcnModel, path) -> None:
     checkpoint.save_tensors({"w1": model.w1.data, "w2": model.w2.data}, path)
 
-
-def load_gcn(path, graph: EllipticalGraph) -> GcnModel:
-    """The model `save_gcn` wrote; a missing or misshapen tensor fails naming it."""
-    tensors = checkpoint.load_tensors(path)
-    w1 = checkpoint.take(tensors, "w1", (None, None), path)
-    w2 = checkpoint.take(tensors, "w2", (w1.shape[1], None), path)
-    model = GcnModel(normalized_operator(graph), *w1.shape, w2.shape[1], SplitMix64(0))
-    model.w1.data = w1
-    model.w2.data = w2
-    return model

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hsi import HsiCube, read_table, write_table
+from .hsi import HsiCube, write_table
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class EllipticalGraph:
 
     height: int
     width: int
-    kernel: EllipseKernel
     senders: np.ndarray  # (n_centroids, 2) pixel coordinates
     edges: np.ndarray  # (n_edges, 2) flat (sender, receiver) pixel indices
     edge_weights: np.ndarray | None = None  # spectral angles, filled by sad_adjacency
@@ -144,7 +143,7 @@ def build_graph(cube: HsiCube, a: int = 3, b: int = 5,
     kernel = build_kernel(a, b)
     centroids = tile_centroids(cube.height, cube.width, kernel, stride_r, stride_c)
     edges = build_star_edges(cube.height, cube.width, kernel, centroids)
-    graph = EllipticalGraph(cube.height, cube.width, kernel, centroids, edges)
+    graph = EllipticalGraph(cube.height, cube.width, centroids, edges)
     sad_adjacency(cube, graph)
     return graph
 
@@ -182,22 +181,12 @@ def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
 
 # -- serialization -------------------------------------------------------------
 
-_EDGE_KEYS = ["sender_row", "sender_col", "recv_row", "recv_col"]
-
-
 def write_graph_csv(graph: EllipticalGraph, path) -> None:
     """Edge list CSV: sender_row,sender_col,recv_row,recv_col,sad."""
     if graph.edge_weights is None:
         raise ValueError("graph has no edge weights; run sad_adjacency first")
     s, r = graph.edges[:, 0], graph.edges[:, 1]
-    write_table(path, [*_EDGE_KEYS, "sad"],
+    write_table(path, ["sender_row", "sender_col", "recv_row", "recv_col", "sad"],
                 np.column_stack([*np.divmod(s, graph.width), *np.divmod(r, graph.width)]),
                 graph.edge_weights[:, None])
 
-
-def read_graph_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back (edge coordinate rows, weights) from write_graph_csv output."""
-    coords, weights, names = read_table(path, _EDGE_KEYS)
-    if names != ["sad"]:
-        raise ValueError(f"{path}: unexpected graph CSV header")
-    return coords, weights[:, 0]

@@ -4,7 +4,8 @@ A cube is an H x W x L reflectance raster.  The on-disk HSB container is
 bit-exact and language-neutral: a 20-byte header (magic "HSB1", H, W, L,
 flags as little-endian uint32) followed by the payload, band-sequential
 and row-major within each band.  Flags bit 0 selects the payload width
-(0 = float32, 1 = float64).
+(0 = float32, 1 = float64): `save_cube` writes float64, and both widths
+load, since a cube file can come from elsewhere.
 
 The synthetic scene generator draws smooth positive endmember spectra and
 blurred Dirichlet abundance fields, mixes them linearly, and adds white
@@ -167,16 +168,17 @@ class SceneSpec:
 
 # -- HSB container ------------------------------------------------------------
 
-def save_cube(cube: HsiCube, path, float64: bool = True) -> None:
-    """Write a cube as an HSB file (float64 payload unless float64=False)."""
+def save_cube(cube: HsiCube, path) -> None:
+    """Write a cube as an HSB file with a float64 payload."""
     h, w, l = cube.height, cube.width, cube.bands
-    header = HSB_MAGIC + struct.pack("<IIII", h, w, l, 1 if float64 else 0)
+    header = HSB_MAGIC + struct.pack("<IIII", h, w, l, 1)
     payload = np.ascontiguousarray(np.transpose(cube.reflectance, (2, 0, 1)))
-    dtype = "<f8" if float64 else "<f4"
-    Path(path).write_bytes(header + payload.astype(dtype).tobytes())
+    Path(path).write_bytes(header + payload.astype("<f8").tobytes())
 
 
 def _load_hsb(path) -> HsiCube:
+    """The cube of an HSB file; a payload value that is not finite fails naming
+    its pixel and band."""
     raw = Path(path).read_bytes()
     if len(raw) < 20:
         raise TruncatedPayloadError(f"{path}: file shorter than the 20-byte header")
@@ -197,6 +199,10 @@ def _load_hsb(path) -> HsiCube:
         raise HsbFormatError(f"{path}: {len(raw) - 20 - expected} trailing bytes after payload")
     dtype = "<f8" if flags & 1 else "<f4"
     bands = np.frombuffer(raw, dtype=dtype, count=h * w * l, offset=20).reshape(l, h, w)
+    if not np.isfinite(bands).all():
+        b, r, c = np.argwhere(~np.isfinite(bands))[0]
+        raise ValueError(f"{path}: pixel ({r}, {c}) holds {float(bands[b, r, c])!r} "
+                         f"in band {b}")
     return HsiCube(np.transpose(bands, (1, 2, 0)).astype(np.float64))
 
 
@@ -242,7 +248,8 @@ def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]
     The cut last line is found first; then rows are checked in blocks of
     `_TABLE_BLOCK_ROWS`, field counts before values within a block, so a
     line that does not parse is reported before a wrong field count in a
-    later block.
+    later block.  Once every line has parsed, a value that is not finite
+    (`nan`, `inf`) fails naming the file, its line and its column.
     """
     lines = read_utf8(path).split("\n")
     if lines.pop():
@@ -276,6 +283,10 @@ def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]
                 except (ValueError, OverflowError):
                     raise ValueError(f"{path}: line {i + 2} does not parse: "
                                      f"{lines[i + 1]!r}") from None
+    if not np.isfinite(floats).all():
+        i, j = np.argwhere(~np.isfinite(floats))[0]
+        raise ValueError(f"{path}: line {i + 2} holds {float(floats[i, j])!r} "
+                         f"in column {header[k + j]!r}")
     return ints, floats, header[k:]
 
 
@@ -325,11 +336,6 @@ def load_cube(path, format: str = "hsb") -> HsiCube:
     if format == "csv":
         return HsiCube(_read_pixel_csv(path)[0])
     raise ValueError(f"unknown cube format {format!r}")
-
-
-def save_cube_csv(cube: HsiCube, path) -> None:
-    write_table(path, ["row", "col", *(f"b{i}" for i in range(cube.bands))],
-                _pixel_keys(cube.height, cube.width), cube.spectra())
 
 
 # -- normalization ------------------------------------------------------------

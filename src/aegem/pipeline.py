@@ -225,17 +225,26 @@ def parse_config(path) -> RunConfig:
 # -- scoring from artifacts -------------------------------------------------------
 
 def read_labels_csv(path, height: int, width: int) -> np.ndarray:
-    """Flat pixel indices of a `row,col` table; every pixel inside the image."""
+    """Flat pixel indices of a `row,col` table: at least one line, and every
+    pixel inside the image and on one line only."""
     rc, _, names = read_table(path, ["row", "col"])
     if names:
         raise ValueError(f"{path}: expected header 'row,col'")
+    if not len(rc):
+        raise ValueError(f"{path}: no pixel lines")
     outside = np.nonzero((rc < 0).any(axis=1) | (rc[:, 0] >= height)
                          | (rc[:, 1] >= width))[0]
     if outside.size:
         i = int(outside[0])
         raise ValueError(f"{path}: line {i + 2} has pixel ({rc[i, 0]}, {rc[i, 1]}) "
                          f"outside the {height}x{width} image")
-    return rc[:, 0] * width + rc[:, 1]
+    flat = rc[:, 0] * width + rc[:, 1]
+    _, first = np.unique(flat, return_index=True)
+    if first.size < flat.size:
+        again = int(np.setdiff1d(np.arange(flat.size), first)[0])
+        raise ValueError(f"{path}: pixel ({rc[again, 0]}, {rc[again, 1]}) appears again "
+                         f"on line {again + 2}")
+    return flat
 
 
 def write_labels_csv(label_idx: np.ndarray, width: int, path) -> None:

@@ -6,12 +6,15 @@ implementation paths it verifies.
 """
 from __future__ import annotations
 
+import struct
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import nnls
 
 from aegem import autodiff as ad
-from aegem.autoencoder import ConvAutoencoder, DivergenceError, reconstruction_loss
+from aegem.autoencoder import ConvAutoencoder, reconstruction_loss
 from aegem.gcn import GcnModel, normalized_operator
 from aegem.rng import SplitMix64
 
@@ -313,7 +316,7 @@ def train_autoencoder_per_patch(cube, config) -> tuple[list[float], ConvAutoenco
             sel = [centers[i] for i in order[start : start + config.batch_size]]
             batch = ad.Tensor(np.stack([padded[r : r + ps, c : c + ps].transpose(2, 0, 1)
                                         for r, c in sel]))
-            _, recon = model.forward(batch)
+            recon = model.decode(model.encode(batch))
             loss = reconstruction_loss(batch, recon, config.mse_weight)
             optimizer.step(ad.backward(loss))
             model.clamp_decoder()
@@ -382,7 +385,7 @@ def train_gcn_full_graph(graph, features, label_idx, label_targets, config):
             z, t = z_lab[train_rows], label_targets[train_rows]
             loss = (ad.softplus(z) - ad.Tensor(t) * z).mean()
         except ad.NonFiniteError as exc:
-            raise DivergenceError(epoch) from exc
+            raise ad.DivergenceError(epoch) from exc
         train_bce = loss.item()
         val_bce = train_bce
         if n_val:
@@ -411,3 +414,22 @@ def star_edges_loops(height: int, width: int, kernel, centroids: np.ndarray) -> 
         k = int(np.argmin(d))
         edges.append((centroids[k, 0] * width + centroids[k, 1], int(flat)))
     return np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+
+
+def read_aew(path) -> dict[str, np.ndarray]:
+    """Every record of an AEW1 checkpoint, in file order, read field by field
+    from the layout the `checkpoint` module documents."""
+    raw = Path(path).read_bytes()
+    assert raw[:4] == b"AEW1"
+    records, pos = {}, 4
+    while pos < len(raw):
+        (name_len,) = struct.unpack_from("<I", raw, pos)
+        name = raw[pos + 4 : pos + 4 + name_len].decode("utf-8")
+        pos += 4 + name_len
+        (rank,) = struct.unpack_from("<I", raw, pos)
+        dims = struct.unpack_from(f"<{rank}I", raw, pos + 4)
+        pos += 4 + 4 * rank
+        count = int(np.prod(dims))
+        records[name] = np.frombuffer(raw, "<f8", count, pos).reshape(dims)
+        pos += 8 * count
+    return records

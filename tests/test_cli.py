@@ -391,6 +391,22 @@ def test_truth_pixel_rounding_cannot_explain_fails_in_the_load_stage(
     assert not (tmp_path / "o" / "truth_abundances.csv").exists()
 
 
+@pytest.mark.parametrize("values, held, column", [
+    ("nan,1", "nan", "em0"), ("0.5,inf", "inf", "em1"), ("-inf,0.5", "-inf", "em0"),
+])
+def test_a_non_finite_truth_abundance_fails_naming_the_line_and_column(
+        tmp_path, capsys, values, held, column):
+    bad = tmp_path / "ab.csv"
+    cfg = _file_input_config(tmp_path, tmp_path / "s" / "truth_endmembers.csv", bad)
+    lines = (tmp_path / "s" / "truth_abundances.csv").read_text().splitlines(keepends=True)
+    lines[8] = f"1,2,{values}\n"
+    bad.write_text("".join(lines))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'load' failed" in err
+    assert f"{bad}: line 9 holds {held} in column '{column}'" in err
+
+
 def test_truth_pixel_rounding_residue_is_renormalized(tmp_path):
     ab_csv = tmp_path / "ab.csv"
     cfg = _file_input_config(tmp_path, tmp_path / "s" / "truth_endmembers.csv", ab_csv)
@@ -742,6 +758,32 @@ def test_labels_outside_the_image_name_the_line(tmp_path):
         read_labels_csv(path, 4, 4)
     path.write_text("row,col\n3,1\n0,2\n")
     assert read_labels_csv(path, 4, 4).tolist() == [13, 2]
+
+
+def _score_with_labels(run_dir, est, edit):
+    """score_artifacts on a copy of run_dir whose labels.csv lines went through edit."""
+    shutil.copytree(run_dir, est)
+    lines = (est / "labels.csv").read_text().splitlines(keepends=True)
+    (est / "labels.csv").write_text("".join(edit(lines)))
+    return score_artifacts(est, est / "truth_endmembers.csv", est / "truth_abundances.csv")
+
+
+def test_a_repeated_label_pixel_fails_naming_the_file_and_line(completed_run, tmp_path):
+    _, _, run_dir = completed_run
+    est = tmp_path / "est"
+    lines = (run_dir / "labels.csv").read_text().splitlines(keepends=True)
+    row, col = lines[2].strip().split(",")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(est / 'labels.csv'))}: pixel "
+                                         rf"\({row}, {col}\) appears again on line 5$"):
+        _score_with_labels(run_dir, est, lambda lines: [*lines[:4], lines[2], *lines[4:]])
+
+
+def test_an_empty_label_table_fails_naming_the_file(completed_run, tmp_path):
+    _, _, run_dir = completed_run
+    est = tmp_path / "est"
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(est / 'labels.csv'))}: "
+                                         "no pixel lines$"):
+        _score_with_labels(run_dir, est, lambda lines: lines[:1])
 
 
 @pytest.mark.parametrize("cut", ["ae_abundances.csv", "gcn_abundances.csv",

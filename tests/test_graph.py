@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from aegem import graph as graph_module
 from aegem.graph import (EllipticalGraph, build_graph, build_kernel,
                          build_star_edges, laplacian, normalized_laplacian,
-                         rbf_adjacency, read_graph_csv, sad_adjacency,
-                         tile_centroids, write_graph_csv)
-from aegem.hsi import HsiCube
+                         rbf_adjacency, sad_adjacency, tile_centroids,
+                         write_graph_csv)
+from aegem.hsi import HsiCube, read_table
 from aegem.metrics import sad
 
 from oracles import ellipse_offsets_bruteforce, sad_weights_whole, star_edges_loops
@@ -160,10 +160,9 @@ def test_sad_adjacency_orthogonal_spectra():
     refl[0, 0] = [1.0, 0.0]
     refl[0, 1] = [0.0, 1.0]
     cube = HsiCube(refl)
-    kernel = build_kernel(1, 1)
     cents = np.array([[0, 0]])
-    edges = build_star_edges(1, 2, kernel, cents)
-    g = EllipticalGraph(1, 2, kernel, cents, edges)
+    edges = build_star_edges(1, 2, build_kernel(1, 1), cents)
+    g = EllipticalGraph(1, 2, cents, edges)
     w = sad_adjacency(cube, g)
     assert np.allclose(w, np.pi / 2)
 
@@ -227,11 +226,12 @@ def test_graph_csv_roundtrip(tmp_path):
     cube = random_cube(7, 7, 4, seed=12)
     g = build_graph(cube, 2, 2)
     write_graph_csv(g, tmp_path / "g.csv")
-    coords, weights = read_graph_csv(tmp_path / "g.csv")
-    assert len(coords) == len(g.edges)
-    assert np.allclose(weights, g.edge_weights, rtol=1e-8)
-    header = (tmp_path / "g.csv").read_text().splitlines()[0]
-    assert header == "sender_row,sender_col,recv_row,recv_col,sad"
+    coords, weights, names = read_table(tmp_path / "g.csv",
+                                        ["sender_row", "sender_col", "recv_row", "recv_col"])
+    assert names == ["sad"]
+    assert np.array_equal(coords[:, 0] * g.width + coords[:, 1], g.edges[:, 0])
+    assert np.array_equal(coords[:, 2] * g.width + coords[:, 3], g.edges[:, 1])
+    assert np.allclose(weights[:, 0], g.edge_weights, rtol=1e-8)
 
 
 # -- general graph utilities ----------------------------------------------------------

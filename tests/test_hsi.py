@@ -1,6 +1,8 @@
 """Cube container, HSB format, normalization, scene synthesis, exports."""
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ from aegem import hsi
 from aegem.hsi import (BadMagicError, DimensionError, GroundTruth, HsbFormatError,
                        HsiCube, SceneSpec, TruncatedPayloadError, gaussian_blur, load_cube,
                        normalize, read_abundance_csv, read_endmember_csv, read_table,
-                       save_abundance_maps, save_cube, save_cube_csv,
+                       save_abundance_maps, save_cube,
                        synthesize_scene, write_abundance_csv, write_endmember_csv,
                        write_table, MIN_ENDMEMBER_SEPARATION)
 from aegem.metrics import sad
@@ -81,11 +83,31 @@ def test_hsb_roundtrip_many_random(tmp_path):
         assert np.array_equal(back.reflectance, cube.reflectance)
 
 
+def _hsb_bytes(bands: np.ndarray, dtype: str) -> bytes:
+    """An HSB file of an (L, H, W) payload in `dtype`, "<f8" or "<f4"."""
+    l, h, w = bands.shape
+    return (hsi.HSB_MAGIC + struct.pack("<IIII", h, w, l, 1 if dtype == "<f8" else 0)
+            + bands.astype(dtype).tobytes())
+
+
 def test_hsb_float32_flag(tmp_path):
     cube = small_cube()
-    save_cube(cube, tmp_path / "c32.hsb", float64=False)
-    back = load_cube(tmp_path / "c32.hsb")
+    path = tmp_path / "c32.hsb"
+    path.write_bytes(_hsb_bytes(cube.reflectance.transpose(2, 0, 1), "<f4"))
+    back = load_cube(path)
     assert np.allclose(back.reflectance, cube.reflectance, atol=1e-6)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+def test_hsb_non_finite_value_names_the_file_pixel_and_band(tmp_path, value, dtype):
+    bands = np.arange(12.0).reshape(3, 2, 2)
+    bands[2, 1, 0] = value
+    path = tmp_path / "c.hsb"
+    path.write_bytes(_hsb_bytes(bands, dtype))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: pixel \(1, 0\) holds "
+                                         rf"{re.escape(repr(value))} in band 2$"):
+        load_cube(path)
 
 
 def test_hsb_band_sequential_layout(tmp_path):
@@ -144,9 +166,21 @@ def test_hsb_trailing_bytes(tmp_path):
 
 def test_csv_cube_roundtrip(tmp_path):
     cube = small_cube(2, (3, 4, 2))
-    save_cube_csv(cube, tmp_path / "c.csv")
+    write_abundance_csv(cube.reflectance, tmp_path / "c.csv")
     back = load_cube(tmp_path / "c.csv", format="csv")
     assert np.allclose(back.reflectance, cube.reflectance, rtol=1e-8)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_cube_non_finite_value_names_the_file_line_and_column(tmp_path, value):
+    path = tmp_path / "c.csv"
+    write_abundance_csv(small_cube(2, (3, 4, 2)).reflectance, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = f"1,0,0.5,{value}\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 6 holds "
+                                         rf"{re.escape(repr(float(value)))} in column 'em1'$"):
+        load_cube(path, format="csv")
 
 
 # -- normalization ------------------------------------------------------------------
@@ -302,7 +336,7 @@ def _write_abundances(path):
 
 
 def _write_csv_cube(path):
-    save_cube_csv(small_cube(11, (3, 4, 2)), path)
+    write_abundance_csv(small_cube(11, (3, 4, 2)).reflectance, path)
     return lambda: load_cube(path, format="csv")
 
 

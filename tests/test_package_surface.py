@@ -1,0 +1,70 @@
+"""Every function and class that `src/aegem` defines is named by the program.
+
+The check walks the syntax trees of `src/aegem/*.py` (not `__init__.py`,
+whose re-exports name every public function) and `perfbench/*.py`. It
+collects every name read (`ast.Name`), every attribute (`ast.Attribute`)
+and every imported name, and fails for each function, method or class
+defined in `src/aegem` that none of them names, unless `ALLOWED` keeps it
+with its reason. The tests are not walked, so a helper that only the
+tests call fails the check.
+
+The check goes by name, not by binding: two definitions that share a
+name hide each other. A method `step` counts as named wherever any
+`.step` is read, and an uncalled function is missed whenever anything
+else of its name is used. Dunder methods, which Python calls itself, are
+not checked.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "aegem"
+
+# Definitions kept although the program never names them, each with its reason.
+ALLOWED = {
+    "batch_norm": "acceptance criterion 1 gradchecks batch normalization",
+    "relu": "acceptance criterion 1 gradchecks ReLU",
+    "rbf_adjacency": "acceptance criterion 3 checks the RBF adjacency",
+    "laplacian": "acceptance criterion 3 checks the graph Laplacian",
+    "normalized_laplacian": "acceptance criterion 3 checks the normalized Laplacian",
+    "softplus": "the op of the GCN loss's composite oracle in tests/oracles.py",
+}
+
+
+def _program_files() -> list[Path]:
+    package = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    return package + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _definitions(tree: ast.AST) -> set[str]:
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_definition_in_the_package_is_named_by_the_program():
+    defined, named = {}, set()  # definition -> the file defining it; every name used
+    for path in _program_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.parent == PACKAGE:
+            defined.update(dict.fromkeys(_definitions(tree), path.name))
+        named |= _names(tree)
+    unnamed = sorted(f"{defined[name]}: {name}" for name in defined
+                     if name not in named and name not in ALLOWED)
+    assert not unnamed, ("defined in src/aegem but named nowhere in src/aegem or "
+                         f"perfbench; delete them or add them to ALLOWED: {unnamed}")
+    # a stale entry would let a later uncalled helper of its name through
+    stale = sorted(name for name in ALLOWED if name not in defined or name in named)
+    assert not stale, f"ALLOWED entries no longer needed: {stale}"

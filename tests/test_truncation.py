@@ -1,8 +1,8 @@
 """Property tests: a file cut short or with a broken header fails naming itself.
 
 Every strict prefix of a written file either raises a ValueError whose
-message starts with the path, or ends right after a line (record) end
-and reads back as the leading complete lines (records) of the whole file.
+message starts with the path, or ends right after a line end and reads
+back as the leading complete lines of the whole file.
 """
 import numpy as np
 import pytest
@@ -10,10 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aegem.checkpoint import load_tensors, save_tensors
 from aegem.hsi import (HsiCube, load_cube, read_abundance_csv, read_endmember_csv,
-                       save_cube, save_cube_csv, write_abundance_csv,
-                       write_endmember_csv)
+                       save_cube, write_abundance_csv, write_endmember_csv)
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None, max_examples=60,
                          suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -43,7 +41,7 @@ def _write_pixels(path, stack):
 
 
 def _write_cube(path, stack):
-    save_cube_csv(HsiCube(stack), path)
+    write_abundance_csv(stack, path)
     return lambda p: (load_cube(p, format="csv").reflectance, None)
 
 
@@ -114,32 +112,6 @@ def test_fuzzed_endmember_csv_header_names_the_file(tmp_path, header):
     with pytest.raises(ValueError) as exc:
         read_endmember_csv(path)
     assert str(exc.value).startswith(str(path))
-
-
-TENSOR_SHAPES = st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=3)
-
-
-@DETERMINISTIC
-@given(data=st.data(), shapes=TENSOR_SHAPES)
-def test_checkpoint_prefix_fails_or_reads_the_leading_records(tmp_path, data, shapes):
-    tensors = {f"t{i}": data.draw(_raster(tuple(s))) for i, s in enumerate(shapes)}
-    full = tmp_path / "full.aew"
-    save_tensors(tensors, full)
-    raw = full.read_bytes()
-    cut = data.draw(st.integers(0, len(raw) - 1))
-    (tmp_path / "cut.aew").write_bytes(raw[:cut])
-    try:
-        got = load_tensors(tmp_path / "cut.aew")
-    except ValueError as exc:
-        assert str(exc).startswith(str(tmp_path / "cut.aew")), str(exc)
-        return
-    # a prefix that loads ends exactly after its last record
-    names = list(got)
-    assert names == list(tensors)[: len(names)]
-    save_tensors(got, tmp_path / "again.aew")
-    assert (tmp_path / "again.aew").read_bytes() == raw[:cut]
-    for name in names:
-        assert np.array_equal(got[name], tensors[name])
 
 
 @DETERMINISTIC
