@@ -30,13 +30,14 @@ the zero-padded input is gathered from it: rows in weight order
 values long.  The conv owns its padding: the columns come in blocks of
 whole output rows, each zero-filling only the rows it reads, and no
 padded copy of the input is ever made.  A block holds at most
-`_COLUMN_BLOCK_BYTES` (16 MiB), or one row if a row is larger: the
-default autoencoder's first layer has 25 MB of float32 columns on a
-training batch of 64 9x9 Samson windows and 128 MB of float64 columns on
-a 4096-pixel inference strip.  Built whole, that matrix would be mapped
-fresh and page-faulted in for the forward pass and again for the weight
-gradient, while blocks under glibc's 32 MiB mmap ceiling are recycled
-through the heap.  The forward pass is `W.reshape(Cout, -1) @ cols` per
+`_COLUMN_BLOCK_BYTES` (16 MiB), or one row if a row is larger.  The
+default autoencoder's largest columns are its second layer's: 2.7 MB of
+float32 on a training batch of 64 9x9 Samson windows (3.7 MB for its
+input gradient) and 48 MB of float64 on a 4096-pixel inference strip;
+its first layer reads the k = 3 subspace coordinates, 480 KB on that
+batch.  Built whole, the strip's matrix would be mapped fresh and
+page-faulted in on every call, while blocks are recycled through the
+heap (see Memory below).  The forward pass is `W.reshape(Cout, -1) @ cols` per
 block, the weights on the left:
 each output value is then summed in the same order however many pixels
 a call or a block holds, as far as the GEMM computes a column the same
@@ -50,6 +51,24 @@ blocks.  The input gradient is the transposed conv: the same blocked
 correlation applied to g, zero-padded by (kh-1-ph, kw-1-pw), with the
 kernel flipped and Cin and Cout swapped, so it is one GEMM with
 K = Cout*kh*kw that lands directly on the unpadded input.
+
+Memory.  glibc malloc serves a request above its mmap threshold by mmap
+and unmaps it on free; smaller ones come from the heap, whose free top
+goes back to the OS once it exceeds the trim threshold (mallopt(3)).
+Both thresholds start at 128 KiB.  Freeing a mapped chunk of at most
+32 MiB raises the mmap threshold to its size and the trim threshold to
+twice that, and neither falls again.  Memory handed back is faulted in
+page by page when next used, so a loop that allocates and frees the same
+buffers keeps them resident only once the thresholds exceed them.  A
+column block, at most 16 MiB, is so recycled after the first mapped
+block is freed.  A training step's temporaries are many arrays, 1.4 MiB
+in all at the `acceptance` benchmark's shapes, each too small for its
+free to raise the trim threshold above their sum:
+`autoencoder._train_epochs` frees an untouched 2 MiB buffer before its
+first step to raise it, and keeps each step's gradients until the next
+step's backward.  Any `mallopt` call or `MALLOC_*_` setting turns the
+dynamic thresholds off; the fixed ones tried cost more faults or a
+higher peak (ROADMAP item 9).
 """
 from __future__ import annotations
 
@@ -341,9 +360,10 @@ def scaled_softmax(x: Tensor, scale: float, axis: int = -1) -> Tensor:
 # -- convolution -------------------------------------------------------------
 
 # Cap on one block of a conv's column matrix, in bytes; a block holds at
-# least one output row.  It sits below glibc's 32 MiB mmap-threshold
-# ceiling, so a freed block returns to the heap and the next block reuses
-# that memory instead of mapping fresh pages and faulting them in again.
+# least one output row.  It sits below the 32 MiB ceiling of glibc's
+# dynamic mmap threshold, so once a mapped block is freed, later blocks
+# reuse heap memory instead of faulting fresh pages in ("Memory" in the
+# module docstring).
 _COLUMN_BLOCK_BYTES = 16 * 2**20
 
 
@@ -379,19 +399,21 @@ def _block_columns(xt: np.ndarray, kh: int, kw: int, ph: int, pw: int,
     c, h, w, n = xt.shape
     if kh == kw == 1:
         return xt[:, i0:i1].reshape(c, -1)
-    # padded input rows r0 .. r1-1 are the ones these output rows read
+    # padded input rows r0 .. r1-1 are the ones these output rows read: xt's
+    # own from row r0 on, or a zero-padded copy of them
     r0, r1 = i0 - ph, i1 + kh - 1 - ph
     if pw == 0 and r0 >= 0 and r1 <= h:
-        rows = xt[:, r0:r1]
+        buf, offset = xt, r0 * xt.strides[1]
     else:
         lo, hi = max(r0, 0), min(r1, h)
-        rows = np.zeros((c, r1 - r0, w + 2 * pw, n), dtype=xt.dtype)
-        rows[:, lo - r0 : hi - r0, pw : pw + w] = xt[:, lo:hi]
-    # (C, kh, kw, rows, Wo, N) read-only view: tap (u, v) is the slab shifted by (u, v)
-    sc, sr, sw, sn = rows.strides
-    taps = np.lib.stride_tricks.as_strided(
-        rows, (c, kh, kw, i1 - i0, w + 2 * pw - kw + 1, n), (sc, sr, sw, sr, sw, sn),
-        writeable=False)
+        buf, offset = np.zeros((c, r1 - r0, w + 2 * pw, n), dtype=xt.dtype), 0
+        buf[:, lo - r0 : hi - r0, pw : pw + w] = xt[:, lo:hi]
+    # (C, kh, kw, rows, Wo, N) read-only view: tap (u, v) is the slab shifted by
+    # (u, v); `np.ndarray` on the contiguous buffer costs a quarter of `as_strided`
+    sc, sr, sw, sn = buf.strides
+    taps = np.ndarray((c, kh, kw, i1 - i0, w + 2 * pw - kw + 1, n), buf.dtype, buf, offset,
+                      (sc, sr, sw, sr, sw, sn))
+    taps.flags.writeable = False
     return np.ascontiguousarray(taps).reshape(c * kh * kw, -1)
 
 

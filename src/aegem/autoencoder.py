@@ -448,6 +448,13 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
     return endmembers, stack, history, model
 
 
+# Bytes of the untouched buffer `_train_epochs` frees before its first step.
+# Mapped in a fresh process, its free lifts glibc's trim threshold to twice
+# this, above the heap a step frees (1.4 MiB at the `acceptance` shapes);
+# a 4 or 8 MiB buffer raised the peak RSS (`autodiff`, "Memory").
+_MALLOC_WARMUP_BYTES = 2 * 2**20
+
+
 def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
                   shuffle_rng: SplitMix64) -> list[float]:
     """config.epochs of Adam on an (H, W, L) image; returns per-epoch mean losses.
@@ -471,6 +478,10 @@ def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
     windows = training_windows(coords.transpose(1, 2, 0), config)
     n = len(centers)
     optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
+    # allocated and freed at once, untouched: it raises malloc's thresholds so
+    # that no step hands its heap back to the OS and faults it in again
+    # (`autodiff`, "Memory")
+    np.empty(_MALLOC_WARMUP_BYTES, dtype=np.uint8)
     history: list[float] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
@@ -482,8 +493,9 @@ def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
                 loss = reconstruction_loss(reflectance[r, c, :, None, None], recon,
                                            config.mse_weight)
                 # the gradients live until the next step's backward: freed at
-                # once, they let malloc hand the step's heap back to the OS,
-                # and every step faults it in again
+                # once, they let malloc hand a Samson-shaped step's heap back to
+                # the OS, warm-up or not, and every step faults it in again
+                # (`autodiff`, "Memory")
                 grads = ad.backward(loss)
                 optimizer.step(grads)
                 model.clamp_decoder()

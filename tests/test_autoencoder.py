@@ -1,5 +1,7 @@
 """Patch extraction, encoder constraints, decoder linearity, training behavior."""
 
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from aegem.metrics import match_endmembers, sad
 from aegem.rng import SplitMix64
 from oracles import (abundance_stack_per_patch, encode_full_band, leaky_relu_masked,
                      read_aew, reconstruction_loss_composite, train_autoencoder_per_patch)
+from page_faults import glibc_only, minor_faults
 
 
 SMALL_CONFIG = AutoencoderConfig(
@@ -486,6 +489,46 @@ def test_a_float32_epoch_is_bit_equal_to_the_composite_loss_and_masked_leaky_rel
     assert np.array_equal(history, ref_history)
     for p, ref in zip(model.parameters(), ref_model.parameters()):
         assert p.data.dtype == np.float32 and np.array_equal(p.data, ref.data)
+
+
+# -- page faults of the training steps -----------------------------------------------------
+
+def _training_faults(setup: str, shape: tuple[int, int, int], epochs: int, **config) -> int:
+    """Minor faults of `train_autoencoder` on a noise-free (H, W, L) scene of 3
+    endmembers with `epochs` epochs, less those with none, each in a fresh
+    process after `setup`: what the training steps alone take."""
+    setup += textwrap.dedent(f"""
+        from aegem.autoencoder import AutoencoderConfig, train_autoencoder
+        from aegem.hsi import SceneSpec, normalize, synthesize_scene
+        spec = SceneSpec(*{shape!r}, 3, snr_db=float("inf"), seed=1)
+        cube = normalize(synthesize_scene(spec)[0])
+        """)
+
+    def faults(n: int) -> int:
+        return minor_faults(setup, f"train_autoencoder(cube, AutoencoderConfig(epochs={n}, "
+                                   f"**{config!r}))")
+
+    return faults(epochs) - faults(0)
+
+
+@glibc_only
+def test_acceptance_training_steps_keep_their_heap_resident():
+    # set up much as the benchmark's sample process is, scipy loaded after the
+    # pipeline: under that heap layout, without `_train_epochs`' warm-up
+    # buffer, each of the 80 steps handed its heap back to the OS and faulted
+    # it in again (24k-36k faults over scene seeds, against about 10)
+    faults = _training_faults("import aegem.pipeline\nimport scipy.sparse\n", (32, 32, 20), 5,
+                              encoder_filters=(32, 16, 8, 3), encoder_kernels=(5, 3, 3, 1),
+                              batch_size=64)
+    assert faults < 300
+
+
+@glibc_only
+def test_samson_shaped_training_keeps_each_steps_gradients_until_the_next_backward():
+    # the default AE on a 24x24x156 scene, 9 steps: a step's heap outgrows the
+    # warm-up's thresholds, and gradients freed right after Adam's step
+    # (`optimizer.step(ad.backward(loss))`) took 16.6k-17.6k faults, against 2.3k-4.3k
+    assert _training_faults("", (24, 24, 156), 1) < 8000
 
 
 # -- the spectral basis --------------------------------------------------------------------
