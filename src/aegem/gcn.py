@@ -172,14 +172,14 @@ def normalized_operator(graph: EllipticalGraph) -> Sparse:
                          f"the graph's pixels 0..{n - 1}")
     both = np.vstack([graph.edges, graph.edges[:, ::-1]])
     sim = np.exp(-np.concatenate([graph.edge_weights, graph.edge_weights]))
-    pairs, keep = np.unique(both, axis=0, return_index=True)
-    rows = np.concatenate([pairs[:, 0], np.arange(n)])
-    cols = np.concatenate([pairs[:, 1], np.arange(n)])
-    vals = np.concatenate([sim[keep], np.ones(n)])
+    # each entry (u, v) is keyed u * n + v, which sorts as the pairs do since
+    # 0 <= v < n; np.unique's stable sort keeps the first index of each edge
+    edge_keys, keep = np.unique(both[:, 0] * np.int64(n) + both[:, 1], return_index=True)
     # entries sorted by (row, column); a self-edge's entry and the
     # self-loop add into one, as scipy's coo -> csr conversion adds them
-    keys, slot = np.unique(rows * n + cols, return_inverse=True)
-    a_hat = np.bincount(slot, weights=vals)
+    keys, slot = np.unique(np.concatenate([edge_keys, np.arange(n) * (n + 1)]),
+                           return_inverse=True)
+    a_hat = np.bincount(slot, weights=np.concatenate([sim[keep], np.ones(n)]))
     rows, cols = np.divmod(keys, n)
     # every row holds its self-loop, so row i's entries start at row_starts[i]
     row_starts = np.searchsorted(rows, np.arange(n))

@@ -21,10 +21,21 @@ line per row holding the integer key columns (`row,col`, `band`,
 (9 significant digits; the loss logs keep Python's shortest round-trip
 repr).  Every line, the last one included, ends in a newline, so a file
 cut inside its last line is told apart from a complete one.
+
+Both functions work on blocks of `_TABLE_BLOCK_ROWS` rows.  A block is
+written with one `%` call: the row template repeated once per row,
+applied to the block's cells flattened in row order, then one `write`.
+A block is read by checking every line's comma count, then joining the
+block with commas and splitting it once, so that column j is every
+width-th cell from j, parsed with `map(int, ...)` or `map(float, ...)`.
+Only when that fails is the block parsed again line by line, to name
+the first line that does not parse.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -210,6 +221,8 @@ def _load_hsb(path) -> HsiCube:
 
 # Rows a table is written or parsed in at a time: the Python lists of one
 # block, not of the whole file, are what a large edge list or raster holds.
+# A block is one `%` call on its cells in row order when written, and one
+# join and split into cells, parsed a column at a time, when read.
 _TABLE_BLOCK_ROWS = 4096
 
 
@@ -233,10 +246,17 @@ def write_table(path, header: list[str], keys, values, fmt: str = "%.9g") -> Non
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for b in range(0, len(keys), _TABLE_BLOCK_ROWS):
-            block = slice(b, b + _TABLE_BLOCK_ROWS)
+            k, v = keys[b : b + _TABLE_BLOCK_ROWS], values[b : b + _TABLE_BLOCK_ROWS]
             # plain ints and floats: numpy 2 scalars would print as np.float64(...)
-            f.writelines(line % (*k, *v)
-                         for k, v in zip(keys[block].tolist(), values[block].tolist()))
+            rows = map(operator.add, k.tolist(), v.tolist())
+            f.write(line * len(k) % tuple(itertools.chain.from_iterable(rows)))
+
+
+def retitle_table(src, dst, header: list[str]) -> None:
+    """Write `dst` as the table `src` with `header` for its header line."""
+    body = Path(src).read_bytes()
+    Path(dst).write_bytes((",".join(header) + "\n").encode("utf-8")
+                          + body[body.index(b"\n") + 1:])
 
 
 def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -246,10 +266,11 @@ def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]
     with the wrong field count, a field that does not parse, or a last
     line without its newline (a cut file) fails naming the file and line.
     The cut last line is found first; then rows are checked in blocks of
-    `_TABLE_BLOCK_ROWS`, field counts before values within a block, so a
-    line that does not parse is reported before a wrong field count in a
-    later block.  Once every line has parsed, a value that is not finite
-    (`nan`, `inf`) fails naming the file, its line and its column.
+    `_TABLE_BLOCK_ROWS`, every line's field count before any value within
+    a block, so a line that does not parse is reported before a wrong
+    field count in a later block.  Once every line has parsed, a value
+    that is not finite (`nan`, `inf`) fails naming the file, its line and
+    its column.
     """
     lines = read_utf8(path).split("\n")
     if lines.pop():
@@ -258,31 +279,34 @@ def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]
     k = len(keys)
     if header[:k] != keys:
         raise ValueError(f"{path}: expected header '{','.join(keys)},...'")
-    n = len(lines) - 1
+    width, n = len(header), len(lines) - 1
     ints = np.empty((n, k), dtype=np.int64)
-    floats = np.empty((n, len(header) - k))
+    floats = np.empty((n, width - k))
     for b in range(0, n, _TABLE_BLOCK_ROWS):
-        rows = [line.split(",") for line in lines[1 + b : 1 + b + _TABLE_BLOCK_ROWS]]
-        for i, parts in enumerate(rows, start=b):
-            if len(parts) != len(header):
-                raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
-                                 f"expected {len(header)}")
-        block = slice(b, b + len(rows))
+        block = lines[1 + b : 1 + b + _TABLE_BLOCK_ROWS]
+        commas = list(map(str.count, block, itertools.repeat(",", len(block))))
+        if commas.count(width - 1) != len(block):
+            i = next(i for i, c in enumerate(commas) if c != width - 1)
+            raise ValueError(f"{path}: line {b + i + 2} has {commas[i] + 1} fields, "
+                             f"expected {width}")
+        # every line holds `width` fields, so column j is every width-th cell from j
+        cells = ",".join(block).split(",")
+        rows = slice(b, b + len(block))
         try:
-            for j, column in enumerate(zip(*rows)):
-                if j < k:
-                    ints[block, j] = list(map(int, column))
-                else:
-                    floats[block, j - k] = list(map(float, column))
+            for j in range(k):
+                ints[rows, j] = list(map(int, cells[j::width]))
+            for j in range(k, width):
+                floats[rows, j - k] = list(map(float, cells[j::width]))
         except (ValueError, OverflowError):
             # row by row, to name the first line that does not parse
-            for i, parts in enumerate(rows, start=b):
+            for i, line in enumerate(block, start=b):
+                parts = line.split(",")
                 try:
                     ints[i] = [int(v) for v in parts[:k]]
                     floats[i] = [float(v) for v in parts[k:]]
                 except (ValueError, OverflowError):
                     raise ValueError(f"{path}: line {i + 2} does not parse: "
-                                     f"{lines[i + 1]!r}") from None
+                                     f"{line!r}") from None
     if not np.isfinite(floats).all():
         i, j = np.argwhere(~np.isfinite(floats))[0]
         raise ValueError(f"{path}: line {i + 2} holds {float(floats[i, j])!r} "

@@ -33,7 +33,7 @@ from .gcn import GcnConfig
 from .graph import EllipticalGraph, build_graph, write_graph_csv
 from .hsi import (GroundTruth, HsiCube, SceneSpec, load_cube, normalize,
                   read_abundance_csv, read_endmember_csv, read_table, read_utf8,
-                  save_abundance_maps, save_cube, synthesize_scene,
+                  retitle_table, save_abundance_maps, save_cube, synthesize_scene,
                   write_abundance_csv, write_endmember_csv, write_table)
 from .metrics import MetricsReport, match_endmembers, rmse, sad
 from .rng import SplitMix64
@@ -444,12 +444,18 @@ def _gcn(run: RunState) -> str:
 
 
 def _ensemble(run: RunState) -> str:
-    """Per-channel source choice; writes the final stack and its maps."""
+    """Per-channel source choice; writes the final stack and its maps.
+
+    The final stack renormalizes non-negative channels, so it lies in
+    [0, 1] as the maps require: it is formatted once, for
+    maps/abundances.csv, and final_abundances.csv is that table under the
+    truth's material names.
+    """
     selection = ensemble_select(run.ae_stack, run.gcn_stack, run.truth.abundances,
                                 run.label_idx)
-    write_abundance_csv(selection.final_stack, run.out / "final_abundances.csv",
-                        run.truth.materials)
-    save_abundance_maps(np.clip(selection.final_stack, 0.0, 1.0), run.out / "maps")
+    maps = save_abundance_maps(selection.final_stack, run.out / "maps")
+    names = run.truth.materials or [f"em{j}" for j in range(len(selection.sources))]
+    retitle_table(maps[-1], run.out / "final_abundances.csv", ["row", "col", *names])
     return f"sources: {','.join(selection.sources)}"
 
 

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from scipy.optimize import nnls
 
 from aegem import autodiff as ad
+from aegem import hsi
 from aegem.autoencoder import ConvAutoencoder, reconstruction_loss
 from aegem.gcn import GcnModel, normalized_operator
 from aegem.rng import SplitMix64
@@ -343,6 +344,50 @@ def pixel_csv_text_per_value(stack: np.ndarray, names: list[str]) -> str:
             lines.append(f"{r},{c}," + ",".join(format(float(v), ".9g") for v in stack[r, c])
                          + "\n")
     return "".join(lines)
+
+
+def write_table_per_row(path, header: list[str], keys, values, fmt: str = "%.9g") -> None:
+    """`hsi.write_table` as it was: one `%` call and one line per row."""
+    keys = np.asarray(keys, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    line = ",".join(["%d"] * keys.shape[1] + [fmt] * values.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(line % (*k, *v) for k, v in zip(keys.tolist(), values.tolist()))
+
+
+def read_table_per_row(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """`hsi.read_table` as it was: each line split and parsed on its own,
+    in blocks of `hsi._TABLE_BLOCK_ROWS` whose field counts are checked
+    before their values."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines.pop():
+        raise ValueError(f"{path}: line {len(lines) + 1} does not end in a newline")
+    header = lines[0].split(",") if lines else []
+    k = len(keys)
+    if header[:k] != keys:
+        raise ValueError(f"{path}: expected header '{','.join(keys)},...'")
+    n = len(lines) - 1
+    ints = np.empty((n, k), dtype=np.int64)
+    floats = np.empty((n, len(header) - k))
+    for b in range(0, n, hsi._TABLE_BLOCK_ROWS):
+        rows = [line.split(",") for line in lines[1 + b : 1 + b + hsi._TABLE_BLOCK_ROWS]]
+        for i, parts in enumerate(rows, start=b):
+            if len(parts) != len(header):
+                raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
+                                 f"expected {len(header)}")
+        for i, parts in enumerate(rows, start=b):
+            try:
+                ints[i] = [int(v) for v in parts[:k]]
+                floats[i] = [float(v) for v in parts[k:]]
+            except (ValueError, OverflowError):
+                raise ValueError(f"{path}: line {i + 2} does not parse: "
+                                 f"{lines[i + 1]!r}") from None
+    if not np.isfinite(floats).all():
+        i, j = np.argwhere(~np.isfinite(floats))[0]
+        raise ValueError(f"{path}: line {i + 2} holds {float(floats[i, j])!r} "
+                         f"in column {header[k + j]!r}")
+    return ints, floats, header[k:]
 
 
 def normalized_operator_scipy(graph) -> sp.csr_matrix:

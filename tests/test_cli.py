@@ -461,6 +461,26 @@ def test_run_keeps_the_truth_files_material_names(tmp_path):
     assert score_artifacts(out, em, ab).materials == ["tree", "water"]
 
 
+def test_a_synthetic_runs_final_and_maps_csvs_are_one_file(completed_run):
+    _, _, run_dir = completed_run
+    final = (run_dir / "final_abundances.csv").read_bytes()
+    assert final == (run_dir / "maps" / "abundances.csv").read_bytes()
+    assert final.startswith(b"row,col,em0,em1\n") and final.count(b"\n") == 1 + 16 * 16
+
+
+def test_a_file_input_run_writes_the_final_body_under_the_truths_names(tmp_path):
+    em, ab = tmp_path / "em.csv", tmp_path / "ab.csv"
+    cfg = _file_input_config(tmp_path, em, ab)
+    for name, path in (("truth_endmembers.csv", em), ("truth_abundances.csv", ab)):
+        path.write_text((tmp_path / "s" / name).read_text().replace("em0,em1", "tree,water", 1))
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = tmp_path / "o"
+    final_header, final_body = (out / "final_abundances.csv").read_bytes().split(b"\n", 1)
+    maps_header, maps_body = (out / "maps" / "abundances.csv").read_bytes().split(b"\n", 1)
+    assert (final_header, maps_header) == (b"row,col,tree,water", b"row,col,em0,em1")
+    assert final_body == maps_body and final_body.count(b"\n") == 6 * 5
+
+
 def test_a_run_loads_no_scipy(tmp_path):
     # the whole pipeline, GCN operator included, is numpy: a fresh process
     # that imports the CLI and runs every stage never imports scipy

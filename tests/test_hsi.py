@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import aegem
 from aegem import hsi
@@ -19,7 +22,7 @@ from aegem.hsi import (BadMagicError, DimensionError, GroundTruth, HsbFormatErro
                        synthesize_scene, write_abundance_csv, write_endmember_csv,
                        write_table, MIN_ENDMEMBER_SEPARATION)
 from aegem.metrics import sad
-from oracles import pixel_csv_text_per_value
+from oracles import pixel_csv_text_per_value, read_table_per_row, write_table_per_row
 
 
 def small_cube(seed=0, shape=(2, 2, 3)):
@@ -442,6 +445,80 @@ def test_table_errors_are_reported_block_by_block(tmp_path, monkeypatch, short_l
     (tmp_path / "m.csv").write_text("".join(lines))
     with pytest.raises(ValueError, match=rf"m\.csv: {message}"):
         read_table(tmp_path / "m.csv", ["band"])
+
+
+_KEY_EDGES = [0, 1, -1, -(2**63), 2**63 - 1]
+_VALUE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-300, -1e-300,
+                math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _tables(draw):
+    # up to 10 rows cross the block edges at 3, 6 and 9 rows
+    n, k, v = draw(st.integers(0, 10)), draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    keys = draw(arrays(np.int64, (n, k), elements=st.integers(-(2**63), 2**63 - 1)
+                       | st.sampled_from(_KEY_EDGES)))
+    values = draw(arrays(np.float64, (n, v), elements=st.floats(allow_subnormal=True)
+                         | st.sampled_from(_VALUE_EDGES)))
+    return keys, values
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables(), fmt=st.sampled_from(["%.9g", "%r"]))
+def test_write_table_writes_the_per_row_writers_bytes(tmp_path, monkeypatch, table, fmt):
+    # under %r a numpy scalar among the cells would print as np.float64(...)
+    monkeypatch.setattr(hsi, "_TABLE_BLOCK_ROWS", 3)
+    keys, values = table
+    header = [f"k{j}" for j in range(keys.shape[1])] + [f"v{j}" for j in range(values.shape[1])]
+    write_table(tmp_path / "block.csv", header, keys, values, fmt)
+    write_table_per_row(tmp_path / "row.csv", header, keys, values, fmt)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
+@pytest.mark.parametrize("long_line,short_line,message", [
+    (4, 7, "line 4 has 4 fields, expected 3"),
+    (7, 4, "line 4 has 2 fields, expected 3"),
+])
+def test_a_long_and_a_short_line_in_one_block_fail_naming_the_first(
+        tmp_path, long_line, short_line, message):
+    # the block still holds 3 cells a line, so only a per-line count finds them
+    lines = ["band,em0,em1\n"] + [f"{i},0.5,0.5\n" for i in range(10)]
+    lines[long_line - 1] = f"{long_line - 2},0.5,0.5,0.5\n"
+    lines[short_line - 1] = f"{short_line - 2},0.5\n"
+    assert sum(line.count(",") + 1 for line in lines[1:]) == 10 * 3
+    path = tmp_path / "m.csv"
+    path.write_text("".join(lines))
+    for read in (read_table, read_table_per_row):
+        with pytest.raises(ValueError) as exc:
+            read(path, ["band"])
+        assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text", [
+    "band,v\n 7,0.5\n",
+    "band,v\n+3,0.5\n",
+    "band,v\n1_000,2_5.0\n",
+    "band,v\n0,1e-320\n1,-0.0\n",
+    "band,v\r\n0,0.25\r\n1,0.5\r\n",
+    "band,v\n0,0.5\n1,infinity\n",
+    "band,v\n0,0.5\n1.0,0.5\n",
+    "band,v\n0,0.5\n9223372036854775808,0.5\n",
+])
+def test_read_table_parses_literals_as_the_per_row_reader_does(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(read):
+        try:
+            ints, floats, names = read(path, ["band"])
+        except ValueError as exc:
+            return str(exc)
+        return ints.shape, ints.tobytes(), floats.shape, floats.tobytes(), names
+
+    assert outcome(read_table) == outcome(read_table_per_row)
+    if "infinity" in text:
+        assert outcome(read_table) == f"{path}: line 3 holds inf in column 'v'"
 
 
 def test_endmember_csv_band_gap_names_the_line(tmp_path):
