@@ -68,7 +68,8 @@ free to raise the trim threshold above their sum:
 first step to raise it, and keeps each step's gradients until the next
 step's backward.  Any `mallopt` call or `MALLOC_*_` setting turns the
 dynamic thresholds off; the fixed ones tried cost more faults or a
-higher peak (ROADMAP item 9).
+higher peak (ROADMAP's rejection "any `mallopt` call or `MALLOC_*_`
+variable").
 """
 from __future__ import annotations
 

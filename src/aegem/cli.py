@@ -12,7 +12,7 @@ Subcommands:
 
 run, ae and graph go through one stage runner, so each run directory
 holds config.ini and a run.log with one timed line per stage.  Every
-model setting and variant, such as `[gcn] paper_literal_asc`, is read
+model setting and variant, such as `[kernel] sad_on`, is read
 from the config file alone; the flags of run, graph and ae override
 only the seed, the repeat count and the output directory.  Exit codes:
 0 success, 1 usage, config or I/O error, 2 pipeline-stage failure.

@@ -1,9 +1,14 @@
 """Per-endmember ensemble decision between candidate abundance stacks.
 
 For every channel the source (autoencoder or GCN) with the smaller RMSE
-on the labeled validation pixels wins; ties go to the GCN.  Mixing
-winners can break the per-pixel sum-to-one constraint, so the assembled
-stack is renormalized by its channel sum.
+on the given pixels wins; ties go to the GCN.  Mixing winners can break
+the per-pixel sum-to-one constraint, so the assembled stack is
+renormalized by its channel sum.
+
+The pipeline's `_ensemble` and `score_artifacts` pass every labeled
+pixel, and `gcn.train_gcn` took gradients on 90 % of those, so the
+`val_` figures are not held out from the GCN: the choice leans towards
+it (ROADMAP item 3, choosing on pixels no model trained on).
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import numpy as np
 
 @dataclass
 class EnsembleSelection:
-    """Outcome of the per-channel decision on the validation subset."""
+    """Outcome of the per-channel decision; `val_` RMSEs are over the given pixels."""
 
     final_stack: np.ndarray  # renormalized H x W x P
     sources: list[str]  # "ae" | "gcn" per channel
@@ -33,10 +38,11 @@ def _subset_rmse(stack: np.ndarray, truth: np.ndarray, rows: np.ndarray,
 def ensemble_select(ae_stack: np.ndarray, gcn_stack: np.ndarray,
                     truth_abundances: np.ndarray,
                     label_idx: np.ndarray) -> EnsembleSelection:
-    """Choose the better source per channel by validation-subset RMSE.
+    """Choose the better source per channel by its RMSE on the label_idx pixels.
 
     All stacks must already be in reference channel order; label_idx are
-    flat pixel indices of the validation subset.
+    flat pixel indices, every labeled pixel in the pipeline (see the
+    module docstring).
     """
     if ae_stack.shape != gcn_stack.shape or ae_stack.shape != truth_abundances.shape:
         raise ValueError("stack shapes differ")

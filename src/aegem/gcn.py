@@ -4,14 +4,15 @@ The star graph's spectral-angle distances become edge similarities
 exp(-angle); with self-loops added, the symmetrically normalized
 operator D^{-1/2} (A + I) D^{-1/2} drives both layers.  Training is
 semi-supervised: binary cross-entropy against reference abundances on a
-labeled pixel subset, with the sigmoid head renormalized to sum-to-one
-for production output.
+labeled pixel subset; the output is the sigmoid head renormalized to
+sum to one.
 
 The logits are z = A relu(A X W1) W2 for the fixed operator A and node
-features X.  Training computes only the rows the loss reads: the
-labeled rows of z need the hidden rows of the labeled pixels' one-hop
-neighbours (their receptive field N1), and those need only the same rows
-of A X, which is fixed and computed once (as in SGC, Wu et al. 2019).
+features X, the autoencoder's abundances with one row per pixel.
+Training computes only the rows the loss reads: the labeled rows of z
+need the hidden rows of the labeled pixels' one-hop neighbours (their
+receptive field N1), and those need only the same rows of A X, which is
+fixed and computed once (as in SGC, Wu et al. 2019).
 The second product is taken as A (H W2), P wide instead of hidden wide.
 This is the same function of the weights as the full-graph forward, so
 only floating-point summation order differs.
@@ -43,7 +44,8 @@ Rows sum with `np.add.reduceat` as scipy's `csr.sum(axis=1)` does.
 `A @ x` is one `np.bincount` per column, which adds each row's entries
 in order from zero, as scipy's `csr_matvec` loop does (`reduceat`
 switches to pairwise sums on long rows); one `bincount` over all
-columns at once is as exact but measured slower (ROADMAP item 9).
+columns at once is as exact but measured slower (ROADMAP's decision
+"`gcn.Sparse.__matmul__` keeps one `np.bincount` per operand column").
 `A.T` is the same arrays with rows and columns swapped, so `A.T @ g`,
 the VJP `ad.sparse_matmul` takes, adds each column's entries in row
 order, as scipy's transposed product does.  A float32 operand's
@@ -64,7 +66,6 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint
 from .graph import EllipticalGraph
-from .hsi import HsiCube
 from .rng import SplitMix64
 
 
@@ -75,9 +76,6 @@ class GcnConfig:
     learning_rate: float = 0.001
     label_fraction: float = 0.1
     seed: int = 0
-    features: str = "abundance"  # abundance | abundance+spectrum_pca
-    pca_components: int = 8
-    paper_literal_asc: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.label_fraction <= 1.0:
@@ -90,10 +88,6 @@ class GcnConfig:
             raise ValueError(f"gcn learning_rate must be > 0, got {self.learning_rate!r}")
         if self.learning_rate == math.inf:
             raise ValueError("gcn learning_rate must be finite, got inf")
-        if self.pca_components < 1:
-            raise ValueError(f"pca_components must be >= 1, got {self.pca_components}")
-        if self.features not in ("abundance", "abundance+spectrum_pca"):
-            raise ValueError(f"unknown feature mode {self.features!r}")
 
 
 class Sparse:
@@ -207,17 +201,10 @@ class GcnModel:
         return ad.sparse_matmul(self.operator, ad.relu_mlp(ax.data, self.w1, self.w2))
 
 
-def forward(model: GcnModel, features: np.ndarray,
-            paper_literal_asc: bool = False) -> np.ndarray:
-    """Refined abundances per node: sigmoid head renormalized to sum one.
-
-    The literal variant returns the raw sigmoid outputs (the constraint
-    the sigmoid alone does not actually enforce).
-    """
+def forward(model: GcnModel, features: np.ndarray) -> np.ndarray:
+    """Refined abundances per node: the sigmoid head renormalized to sum to one."""
     with ad.no_grad():
         p = ad.sigmoid(model.logits(features)).data
-    if paper_literal_asc:
-        return p
     return p / (p.sum(axis=1, keepdims=True) + 1e-12)
 
 
@@ -324,55 +311,6 @@ def _train_epochs(model: GcnModel, rows_op: Sparse, ax_field: np.ndarray,
         optimizer.step(ad.backward(loss))
         history.append((epoch, train_bce, val_bce))
     return history
-
-
-# -- optional spectral features --------------------------------------------------
-
-def pca_features(cube: HsiCube, k: int, seed: int = 0) -> np.ndarray:
-    """Top-k spectral principal components: 100 power iterations each, with deflation.
-
-    Scores are standardized per component so they sit on the abundance
-    features' scale.
-
-    On a scene whose centred spectra have rank r < k, components r+1..k
-    come from deflation round-off: their eigenvalues are round-off and so
-    are their directions, which lean on the first r.  Their scores are
-    then mixes of the first r scores with round-off weights, standardized
-    to 1.  A noise-free scene of P endmembers has r = P - 1, so on the
-    P = 3 workload scenes 6 of the 8 columns are such mixes (ROADMAP
-    item 5).
-    """
-    x = cube.spectra()
-    x = x - x.mean(axis=0)
-    c = x.T @ x
-    k = min(k, c.shape[0])
-    rng = SplitMix64(seed)
-    comps = []
-    for _ in range(k):
-        v = rng.normal((c.shape[0],))
-        v /= np.linalg.norm(v)
-        for _ in range(100):
-            v = c @ v
-            norm = np.linalg.norm(v)
-            if norm == 0:
-                break
-            v /= norm
-        lam = float(v @ c @ v)
-        comps.append(v)
-        c = c - lam * np.outer(v, v)
-    scores = x @ np.stack(comps, axis=1)
-    std = scores.std(axis=0)
-    std[std == 0] = 1.0
-    return scores / std
-
-
-def build_node_features(abundance: np.ndarray, cube: HsiCube,
-                        config: GcnConfig) -> np.ndarray:
-    """Node feature matrix: abundances, optionally plus PCA spectra."""
-    nodes = abundance.reshape(-1, abundance.shape[2])
-    if config.features == "abundance":
-        return nodes
-    return np.hstack([nodes, pca_features(cube, config.pca_components, config.seed)])
 
 
 def save_gcn(model: GcnModel, path) -> None:

@@ -12,15 +12,16 @@ blurred Dirichlet abundance fields, mixes them linearly, and adds white
 Gaussian noise scaled to a requested SNR.  It is the ground-truth source
 for every desk-scale verification run.
 
-Every CSV artifact a run writes or reads back (abundance stacks, CSV
-cubes, endmember matrices, the graph edge list, labeled pixels, loss
-logs) is one table format, written by `write_table` and parsed by
-`read_table`: a header line of comma-separated column names, then one
-line per row holding the integer key columns (`row,col`, `band`,
-`epoch`, ...) followed by the value columns, written with `%.9g`
-(9 significant digits; the loss logs keep Python's shortest round-trip
-repr).  Every line, the last one included, ends in a newline, so a file
-cut inside its last line is told apart from a complete one.
+Every CSV table a run writes or reads (abundance stacks, endmember
+matrices, the graph edge list, labeled pixels, loss logs, and the CSV
+cubes it only reads) is one table format, written by `write_table` and
+parsed by `read_table`: a header line of comma-separated column names,
+then one line per row holding the integer key columns (`row,col`,
+`band`, `epoch`, ...) followed by the value columns, written with
+`%.9g` (9 significant digits; the loss logs keep Python's shortest
+round-trip repr).  Every line, the last one included, ends in a
+newline, so a file cut inside its last line is told apart from a
+complete one.
 
 Both functions work on blocks of `_TABLE_BLOCK_ROWS` rows.  A block is
 written with one `%` call: the row template repeated once per row,

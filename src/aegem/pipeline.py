@@ -112,8 +112,7 @@ _KNOWN_KEYS = {
                                            "batch_size", "learning_rate", "mse_weight")},
     "kernel": {"a": "kernel_a", "b": "kernel_b", "sad_on": "sad_on",
                "stride_r": "stride_r", "stride_c": "stride_c"},
-    "gcn": {k: f"gcn.{k}" for k in ("hidden", "epochs", "learning_rate", "label_fraction",
-                                    "features", "pca_components", "paper_literal_asc")},
+    "gcn": {k: f"gcn.{k}" for k in ("hidden", "epochs", "learning_rate", "label_fraction")},
 }
 
 
@@ -125,7 +124,7 @@ def _field_value(rc: RunConfig, field_path: str):
 
 
 def _field_kind(field_path: str) -> type:
-    """What a value of the field parses to: int, float, str, bool or tuple."""
+    """What a value of the field parses to: int, float, str or tuple."""
     hint = RunConfig
     for name in field_path.split("."):
         hint = typing.get_type_hints(hint)[name]
@@ -135,8 +134,6 @@ def _field_kind(field_path: str) -> type:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, (tuple, list)):
@@ -159,8 +156,6 @@ def write_config(rc: RunConfig, path) -> None:
 
 
 def _parse_value(raw: str, kind: type):
-    if kind is bool:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     if kind is tuple:
         return tuple(int(v) for v in raw.split(","))
     return kind(raw)
@@ -198,7 +193,7 @@ def parse_config(path) -> RunConfig:
             kind = _field_kind(field_path)
             try:
                 parts[part][name] = _parse_value(raw, kind)
-            except (KeyError, ValueError):
+            except ValueError:
                 raise ValueError(
                     f"{path}: [{section}] {key} = {raw!r} is not a valid {kind.__name__}"
                 ) from None
@@ -326,6 +321,9 @@ def _load_truth_files(rc: RunConfig, cube: HsiCube) -> GroundTruth:
     if ab.shape[:2] != (cube.height, cube.width):
         raise ValueError(f"{path}: {ab.shape[0]}x{ab.shape[1]} maps, "
                          f"the cube is {cube.height}x{cube.width}")
+    if ab.shape[2] != em.shape[1]:
+        raise ValueError(f"{path}: {ab.shape[2]} abundance channels, but "
+                         f"{rc.truth_endmembers}'s endmember count is {em.shape[1]}")
     # repair only what 9-digit CSV rounding explains (at most 5e-10 per
     # value); anything else fails naming the pixel
     negative = np.argwhere(ab < -1e-9)
@@ -425,13 +423,12 @@ def _gcn(run: RunState) -> str:
     """Refine the AE stack on the graph; writes the GCN stack and the labeled pixels."""
     rc, out, cube = run.rc, run.out, run.cube
     gcn_cfg = replace(rc.gcn, seed=rc.seed + 2)
-    features = gcn_mod.build_node_features(run.ae_stack, cube, gcn_cfg)
+    features = run.ae_stack.reshape(-1, run.ae_stack.shape[2])
     run.label_idx, label_targets = gcn_mod.sample_labels(
         run.truth.abundances, gcn_cfg.label_fraction, SplitMix64(rc.seed + 3))
     model, gcn_history = gcn_mod.train_gcn(run.graph, features, run.label_idx,
                                            label_targets, gcn_cfg)
-    gcn_stack = gcn_mod.forward(model, features, gcn_cfg.paper_literal_asc)
-    run.gcn_stack = gcn_stack.reshape(cube.height, cube.width, -1)
+    run.gcn_stack = gcn_mod.forward(model, features).reshape(cube.height, cube.width, -1)
     gcn_mod.save_gcn(model, out / "checkpoint_gcn.aew")
     history = np.reshape(gcn_history, (-1, 3))
     write_table(out / "gcn_loss.csv", ["epoch", "train_bce", "val_bce"],

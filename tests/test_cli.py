@@ -6,7 +6,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,10 +98,20 @@ _OFF_DEFAULT = dict(
     ae=AutoencoderConfig(encoder_filters=(8, 6, 4), encoder_kernels=(3, 3, 1), patch_size=11,
                          softmax_scale=2.5, decoder_kernel=3, epochs=0, batch_size=16,
                          learning_rate=2e-3, mse_weight=0.0),
-    gcn=GcnConfig(hidden=12, epochs=7, learning_rate=5e-3, label_fraction=0.25,
-                  features="abundance+spectrum_pca", pca_components=3, paper_literal_asc=True),
+    gcn=GcnConfig(hidden=12, epochs=7, learning_rate=5e-3, label_fraction=0.25),
     kernel_a=4, kernel_b=2, stride_r=2, stride_c=3, sad_on="abundance",
     out_dir="o%1", seed=11, repeat=2)
+
+
+def test_config_keys_name_every_config_field_once():
+    # a knob added to a config dataclass without a config key fails here
+    owners = {"": RunConfig, "scene.": SceneSpec, "ae.": AutoencoderConfig, "gcn.": GcnConfig}
+    nested = {"scene", "ae", "gcn"}
+    derived = {"scene.seed", "ae.seed", "gcn.seed"}  # the pipeline sets these from the run seed
+    config_fields = {prefix + f.name for prefix, cls in owners.items() for f in fields(cls)}
+    keyed = [field_path for keys in _KNOWN_KEYS.values() for field_path in keys.values()]
+    assert len(keyed) == len(set(keyed))
+    assert set(keyed) == config_fields - nested - derived
 
 
 def test_config_roundtrip_scene(tmp_path):
@@ -227,8 +237,12 @@ def test_config_path_that_cannot_be_read_names_it(tmp_path, capsys):
 
 @pytest.mark.parametrize("section, line", [("gcn", "folds = 5"),
                                            ("kernel", "paper_literal_adjacency = false"),
-                                           ("autoencoder", "loss = sad_plus_mse")],
-                         ids=["folds", "paper_literal_adjacency", "loss"])
+                                           ("autoencoder", "loss = sad_plus_mse"),
+                                           ("gcn", "features = abundance"),
+                                           ("gcn", "pca_components = 8"),
+                                           ("gcn", "paper_literal_asc = false")],
+                         ids=["folds", "paper_literal_adjacency", "loss", "features",
+                              "pca_components", "paper_literal_asc"])
 def test_config_with_the_dropped_folds_key_is_rejected(tmp_path, section, line):
     cfg = tmp_path / "c.ini"
     write_config(tiny_run_config(tmp_path / "o"), cfg)
@@ -244,7 +258,6 @@ def test_config_with_the_dropped_folds_key_is_rejected(tmp_path, section, line):
     ("autoencoder", "learning_rate", "-1", "autoencoder learning_rate must be > 0, got -1.0"),
     ("autoencoder", "learning_rate", "nan", "autoencoder learning_rate must be > 0, got nan"),
     ("gcn", "learning_rate", "-1", "gcn learning_rate must be > 0, got -1.0"),
-    ("gcn", "pca_components", "0", "pca_components must be >= 1, got 0"),
     ("kernel", "a", "0", "kernel a must be >= 1, got 0"),
     ("kernel", "b", "-2", "kernel b must be >= 1, got -2"),
     ("kernel", "stride_r", "0", "kernel stride_r must be >= 1, got 0"),
@@ -268,7 +281,7 @@ def test_config_with_an_out_of_range_value_fails_before_the_run(tmp_path, capsys
                                                                  key, value, message):
     rc = tiny_run_config(tmp_path / "o")
     cfg = tmp_path / "c.ini"
-    write_config(replace(rc, gcn=replace(rc.gcn, features="abundance+spectrum_pca")), cfg)
+    write_config(rc, cfg)
     cp = configparser.ConfigParser(interpolation=None)
     cp.read(cfg, encoding="utf-8")
     cp[section][key] = value
@@ -428,6 +441,20 @@ def test_truth_endmembers_with_too_few_bands_fail_in_the_load_stage(tmp_path, ca
     err = capsys.readouterr().err
     assert "stage 'load' failed" in err
     assert f"{bad}: 4 bands, the cube has 6" in err
+
+
+def test_truth_endmember_count_unlike_the_abundances_fails_naming_both_files(tmp_path,
+                                                                             capsys):
+    bad = tmp_path / "em.csv"
+    ab = tmp_path / "s" / "truth_abundances.csv"
+    cfg = _file_input_config(tmp_path, bad, ab)
+    # keep the band column and em0 of the 2-endmember truth
+    lines = (tmp_path / "s" / "truth_endmembers.csv").read_text().splitlines()
+    bad.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'load' failed" in err
+    assert f"{ab}: 2 abundance channels, but {bad}'s endmember count is 1" in err
 
 
 def test_truth_file_that_is_not_utf8_fails_naming_it_in_the_load_stage(tmp_path, capsys):
@@ -921,20 +948,6 @@ def test_ae_subcommand_takes_the_endmember_count_from_the_truth(tmp_path):
     assert main(["ae", "--config", str(cfg)]) == 0
     em, _ = read_endmember_csv(tmp_path / "a" / "ae_endmembers.csv")
     assert em.shape == (10, 2)
-
-
-def test_paper_literal_flags_accepted(tmp_path):
-    rc = replace(tiny_run_config(tmp_path / "lit", seed=7),
-                 ae=AutoencoderConfig(encoder_filters=(6, 4, 4, 2),
-                                      encoder_kernels=(5, 3, 3, 1),
-                                      epochs=1, batch_size=256),
-                 gcn=GcnConfig(hidden=8, epochs=10, label_fraction=0.15,
-                               paper_literal_asc=True))
-    cfg = tmp_path / "c.ini"
-    write_config(rc, cfg)
-    assert "paper_literal_asc = true" in cfg.read_text()
-    assert main(["run", "--config", str(cfg)]) == 0
-    assert (tmp_path / "lit" / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "graph"])

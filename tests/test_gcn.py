@@ -1,4 +1,4 @@
-"""Normalized operator, GCN forward/training, PCA features, checkpoints."""
+"""Normalized operator, GCN forward/training, checkpoints."""
 import re
 
 import numpy as np
@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aegem import autodiff as ad
-from aegem.gcn import (GcnConfig, GcnModel, _train_epochs, bce_with_logits,
-                       build_node_features, forward, normalized_operator,
-                       pca_features, sample_labels, save_gcn, train_gcn)
+from aegem.gcn import (GcnConfig, GcnModel, _train_epochs, bce_with_logits, forward,
+                       normalized_operator, sample_labels, save_gcn, train_gcn)
 from aegem.graph import EllipticalGraph, build_graph
 from aegem.hsi import HsiCube, SceneSpec, synthesize_scene, normalize
 from aegem.rng import SplitMix64
@@ -182,12 +181,11 @@ def test_forward_rows_sum_to_one_entries_in_range():
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
-def test_forward_literal_asc_flag_skips_renormalization():
+def test_forward_is_the_sigmoid_head_renormalized():
     cube, graph = small_graph()
     model = GcnModel(normalized_operator(graph), 3, 8, 2, SplitMix64(5))
     y = np.random.default_rng(6).uniform(size=(36, 3))
-    raw = forward(model, y, paper_literal_asc=True)
-    assert np.max(np.abs(raw.sum(axis=1) - 1.0)) > 1e-6  # sigmoid alone
+    raw = ad.sigmoid(model.logits(y)).data
     renorm = forward(model, y)
     assert np.allclose(renorm, raw / raw.sum(axis=1, keepdims=True), atol=1e-9)
 
@@ -499,7 +497,7 @@ def test_bce_at_initialization_finite_all_labels():
     assert np.isfinite(loss.item())
 
 
-# -- labels / features ---------------------------------------------------------------------
+# -- labels --------------------------------------------------------------------------------
 
 def test_sample_labels_fraction_and_determinism():
     ab = np.random.default_rng(16).dirichlet(np.ones(3), size=(10, 10))
@@ -509,27 +507,6 @@ def test_sample_labels_fraction_and_determinism():
     assert np.array_equal(i1, i2) and np.array_equal(t1, t2)
     assert np.array_equal(t1, ab.reshape(-1, 3)[i1])
     assert np.array_equal(np.sort(i1), i1)
-
-
-def test_pca_features_shape_and_determinism():
-    cube, _ = synthesize_scene(SceneSpec(8, 8, 10, 3, seed=18))
-    f1 = pca_features(cube, 4, seed=19)
-    f2 = pca_features(cube, 4, seed=19)
-    assert f1.shape == (64, 4)
-    assert np.array_equal(f1, f2)
-    # standardized scores
-    assert np.allclose(f1.std(axis=0), 1.0, atol=1e-8)
-
-
-def test_build_node_features_modes():
-    cube, gt = synthesize_scene(SceneSpec(6, 6, 8, 3, seed=20))
-    ab = gt.abundances
-    plain = build_node_features(ab, cube, GcnConfig())
-    assert plain.shape == (36, 3)
-    combo = build_node_features(ab, cube, GcnConfig(features="abundance+spectrum_pca",
-                                                    pca_components=5))
-    assert combo.shape == (36, 8)
-    assert np.array_equal(combo[:, :3], plain)
 
 
 # -- checkpoints -------------------------------------------------------------------------------
