@@ -6,16 +6,15 @@ Subcommands:
   run     every stage of `aegem.pipeline.STAGES`: load, normalize,
           autoencoder, graph, gcn, ensemble, score
   ae      load, normalize, autoencoder
-  graph   load, normalize, graph; with `[kernel] sad_on = abundance`
-          the autoencoder runs first, since its abundances weight the edges
+  graph   load, normalize, graph
   eval    re-score saved run artifacts against a truth directory
 
 run, ae and graph go through one stage runner, so each run directory
 holds config.ini and a run.log with one timed line per stage.  Every
-model setting and variant, such as `[kernel] sad_on`, is read
-from the config file alone; the flags of run, graph and ae override
-only the seed, the repeat count and the output directory.  Exit codes:
-0 success, 1 usage, config or I/O error, 2 pipeline-stage failure.
+model setting is read from the config file alone; the flags of run,
+graph and ae override only the seed, the repeat count and the output
+directory.  Exit codes: 0 success, 1 usage, config or I/O error, 2
+pipeline-stage failure.
 
 The BLAS thread pool is sized when numpy loads, which `import aegem`
 does before any subcommand runs; to cap it, set OPENBLAS_NUM_THREADS
@@ -122,16 +121,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_stages(args) -> int:
-    """`ae` and `graph`: the run's first stages, up to the one named."""
+    """`ae` and `graph`: load, normalize and the stage named."""
     from .pipeline import run_stages
 
     rc = _resolved_config(args)
-    if args.command == "ae":
-        stages = ("load", "normalize", "autoencoder")
-    elif rc.sad_on == "abundance":  # the edges are weighted by the AE's abundances
-        stages = ("load", "normalize", "autoencoder", "graph")
-    else:
-        stages = ("load", "normalize", "graph")
+    stages = ("load", "normalize", "autoencoder" if args.command == "ae" else "graph")
     run_stages(rc, stages)
     print(f"wrote the {args.command} artifacts to {rc.out_dir}")
     return 0

@@ -156,8 +156,6 @@ def normalized_operator(graph: EllipticalGraph) -> Sparse:
     An edge endpoint outside the graph's pixels raises ValueError
     naming the edge.
     """
-    if graph.edge_weights is None:
-        raise ValueError("graph has no edge weights; run sad_adjacency first")
     n = graph.n_pixels
     bad = np.flatnonzero(((graph.edges < 0) | (graph.edges >= n)).any(axis=1))
     if bad.size:

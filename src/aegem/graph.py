@@ -57,7 +57,7 @@ def tile_centroids(height: int, width: int, kernel: EllipseKernel,
     return np.array([(r, c) for r in rows for c in cols], dtype=np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EllipticalGraph:
     """Star-topology graph: centroid senders, in-ellipse receivers."""
 
@@ -65,7 +65,7 @@ class EllipticalGraph:
     width: int
     senders: np.ndarray  # (n_centroids, 2) pixel coordinates
     edges: np.ndarray  # (n_edges, 2) flat (sender, receiver) pixel indices
-    edge_weights: np.ndarray | None = None  # spectral angles, filled by sad_adjacency
+    edge_weights: np.ndarray  # (n_edges,) spectral angles, from sad_adjacency
 
     @property
     def n_pixels(self) -> int:
@@ -109,9 +109,8 @@ def build_star_edges(height: int, width: int, kernel: EllipseKernel,
 _EDGE_BLOCK_BYTES = 2**20
 
 
-def sad_adjacency(cube: HsiCube, graph: EllipticalGraph) -> np.ndarray:
-    """Per-edge spectral angles between sender and receiver spectra,
-    stored on the graph and returned.
+def sad_adjacency(cube: HsiCube, edges: np.ndarray) -> np.ndarray:
+    """Per-edge spectral angles between sender and receiver spectra.
 
     The angle is taken in its half-angle form, 2 atan2(|a - b|, |a + b|)
     for unit spectra a and b: exact 0 for identical spectra.  Each edge's
@@ -122,9 +121,9 @@ def sad_adjacency(cube: HsiCube, graph: EllipticalGraph) -> np.ndarray:
     norms = np.linalg.norm(spectra, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
-        r, c = divmod(int(zero[0]), graph.width)
+        r, c = divmod(int(zero[0]), cube.width)
         raise ValueError(f"pixel ({r},{c}) has a zero spectrum; spectral angle undefined")
-    s, r = graph.edges[:, 0], graph.edges[:, 1]
+    s, r = edges[:, 0], edges[:, 1]
     weights = np.empty(len(s))
     step = max(1, _EDGE_BLOCK_BYTES // (8 * spectra.shape[1]))
     for e0 in range(0, len(s), step):
@@ -133,7 +132,6 @@ def sad_adjacency(cube: HsiCube, graph: EllipticalGraph) -> np.ndarray:
         b = spectra[rb] / norms[rb, None]
         weights[e0 : e0 + step] = 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1),
                                                    np.linalg.norm(a + b, axis=1))
-    graph.edge_weights = weights
     return weights
 
 
@@ -143,9 +141,8 @@ def build_graph(cube: HsiCube, a: int = 3, b: int = 5,
     kernel = build_kernel(a, b)
     centroids = tile_centroids(cube.height, cube.width, kernel, stride_r, stride_c)
     edges = build_star_edges(cube.height, cube.width, kernel, centroids)
-    graph = EllipticalGraph(cube.height, cube.width, centroids, edges)
-    sad_adjacency(cube, graph)
-    return graph
+    return EllipticalGraph(cube.height, cube.width, centroids, edges,
+                           sad_adjacency(cube, edges))
 
 
 # -- general graph utilities ---------------------------------------------------
@@ -183,8 +180,6 @@ def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
 
 def write_graph_csv(graph: EllipticalGraph, path) -> None:
     """Edge list CSV: sender_row,sender_col,recv_row,recv_col,sad."""
-    if graph.edge_weights is None:
-        raise ValueError("graph has no edge weights; run sad_adjacency first")
     s, r = graph.edges[:, 0], graph.edges[:, 1]
     write_table(path, ["sender_row", "sender_col", "recv_row", "recv_col", "sad"],
                 np.column_stack([*np.divmod(s, graph.width), *np.divmod(r, graph.width)]),

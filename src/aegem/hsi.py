@@ -475,14 +475,15 @@ def synthesize_scene(spec: SceneSpec) -> tuple[HsiCube, GroundTruth]:
 def save_abundance_maps(stack: np.ndarray, out_dir, names: list[str] | None = None) -> list[Path]:
     """Write one 8-bit PGM per endmember plus a raw-value CSV.
 
-    Values must already lie in [0, 1]; callers clamp deliberately.
+    Values must already lie in [0, 1], as the ensemble's renormalized
+    final stack does.
     Gray level is round-half-up of 255 * abundance.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3:
         raise ValueError("abundance stack must be H x W x P")
     if stack.min() < 0.0 or stack.max() > 1.0:
-        raise ValueError("abundance values outside [0, 1]; clamp before saving")
+        raise ValueError(f"abundance values outside [0, 1]: {stack.min():g} to {stack.max():g}")
     h, w, p = stack.shape
     if names is None:
         names = [f"em{j}" for j in range(p)]

@@ -31,7 +31,7 @@ from .autoencoder import (AutoencoderConfig, save_autoencoder, train_autoencoder
 from .ensemble import _subset_rmse, ensemble_select
 from .gcn import GcnConfig
 from .graph import EllipticalGraph, build_graph, write_graph_csv
-from .hsi import (GroundTruth, HsiCube, SceneSpec, load_cube, normalize,
+from .hsi import (GroundTruth, HsiCube, SceneSpec, fmt9, load_cube, normalize,
                   read_abundance_csv, read_endmember_csv, read_table, read_utf8,
                   retitle_table, save_abundance_maps, save_cube, synthesize_scene,
                   write_abundance_csv, write_endmember_csv, write_table)
@@ -74,7 +74,6 @@ class RunConfig:
     kernel_b: int = 5
     stride_r: int | None = None
     stride_c: int | None = None
-    sad_on: str = "spectra"  # spectra | abundance: edge-weight feature source
     out_dir: str = "out"
     seed: int = 0
     repeat: int = 1
@@ -84,8 +83,6 @@ class RunConfig:
             raise ValueError("config needs exactly one of a scene spec or an input path")
         if self.repeat < 1:
             raise ValueError("repeat must be >= 1")
-        if self.sad_on not in ("spectra", "abundance"):
-            raise ValueError("sad_on must be 'spectra' or 'abundance'")
         for key, value in (("a", self.kernel_a), ("b", self.kernel_b),
                            ("stride_r", self.stride_r), ("stride_c", self.stride_c)):
             if value is not None and value < 1:
@@ -110,8 +107,7 @@ _KNOWN_KEYS = {
     "autoencoder": {k: f"ae.{k}" for k in ("encoder_filters", "encoder_kernels", "patch_size",
                                            "softmax_scale", "decoder_kernel", "epochs",
                                            "batch_size", "learning_rate", "mse_weight")},
-    "kernel": {"a": "kernel_a", "b": "kernel_b", "sad_on": "sad_on",
-               "stride_r": "stride_r", "stride_c": "stride_c"},
+    "kernel": {"a": "kernel_a", "b": "kernel_b", "stride_r": "stride_r", "stride_c": "stride_c"},
     "gcn": {k: f"gcn.{k}" for k in ("hidden", "epochs", "learning_rate", "label_fraction")},
 }
 
@@ -408,12 +404,11 @@ def _autoencoder(run: RunState) -> str:
 def _graph(run: RunState) -> str:
     """The elliptical star graph, written to graph.csv.
 
-    Edge weights are spectral angles between pixel spectra, or between the
-    AE's abundance vectors when sad_on = abundance.
+    Edge weights are the spectral angles between the normalized cube's
+    pixel spectra; nothing the autoencoder computes enters the graph.
     """
     rc = run.rc
-    edge_source = HsiCube(run.ae_stack) if rc.sad_on == "abundance" else run.cube
-    run.graph = build_graph(edge_source, rc.kernel_a, rc.kernel_b, rc.stride_r, rc.stride_c)
+    run.graph = build_graph(run.cube, rc.kernel_a, rc.kernel_b, rc.stride_r, rc.stride_c)
     write_graph_csv(run.graph, run.out / "graph.csv")
     return (f"ellipse a={rc.kernel_a} b={rc.kernel_b}: "
             f"{len(run.graph.senders)} centroids, {len(run.graph.edges)} edges")
@@ -571,24 +566,25 @@ def run_repeated(rc: RunConfig, log=print) -> list[MetricsReport]:
         sub = replace(rc, seed=rc.seed + i, repeat=1, out_dir=str(base / f"run_{i:03d}"))
         report, _ = run_pipeline(sub, log=log, scene_seed=rc.seed)
         reports.append(report)
-    _write_aggregate(reports, rc, base / "metrics_runs.csv")
+    _write_aggregate(reports, base / "metrics_runs.csv")
     return reports
 
 
-def _write_aggregate(reports: list[MetricsReport], rc: RunConfig, path) -> None:
+def _write_aggregate(reports: list[MetricsReport], path) -> None:
+    """Per-run rows, then mean and std over the runs; values formatted as in metrics.csv."""
     materials = reports[0].materials
     with open(path, "w", encoding="utf-8") as f:
         f.write("run,seed,material,rmse_ae,rmse_gcn,rmse_final,sad,source\n")
         for i, rep in enumerate(reports):
             for j, m in enumerate(materials):
-                f.write(f"{i},{rep.seed},{m},{rep.rmse_ae[j]!r},{rep.rmse_gcn[j]!r},"
-                        f"{rep.rmse_final[j]!r},{rep.sad_values[j]!r},{rep.sources[j]}\n")
+                f.write(f"{i},{rep.seed},{m},{fmt9(rep.rmse_ae[j])},{fmt9(rep.rmse_gcn[j])},"
+                        f"{fmt9(rep.rmse_final[j])},{fmt9(rep.sad_values[j])},{rep.sources[j]}\n")
         for j, m in enumerate(materials):
             rf = np.array([rep.rmse_final[j] for rep in reports])
             sv = np.array([rep.sad_values[j] for rep in reports])
-            f.write(f"mean,-,{m},-,-,{rf.mean()!r},{sv.mean()!r},-\n")
-            f.write(f"std,-,{m},-,-,{rf.std()!r},{sv.std()!r},-\n")
+            f.write(f"mean,-,{m},-,-,{fmt9(rf.mean())},{fmt9(sv.mean())},-\n")
+            f.write(f"std,-,{m},-,-,{fmt9(rf.std())},{fmt9(sv.std())},-\n")
         mean_r = np.array([rep.mean_rmse for rep in reports])
         mean_s = np.array([rep.mean_sad for rep in reports])
-        f.write(f"mean,-,all,-,-,{mean_r.mean()!r},{mean_s.mean()!r},-\n")
-        f.write(f"std,-,all,-,-,{mean_r.std()!r},{mean_s.std()!r},-\n")
+        f.write(f"mean,-,all,-,-,{fmt9(mean_r.mean())},{fmt9(mean_s.mean())},-\n")
+        f.write(f"std,-,all,-,-,{fmt9(mean_r.std())},{fmt9(mean_s.std())},-\n")

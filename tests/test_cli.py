@@ -99,8 +99,7 @@ _OFF_DEFAULT = dict(
                          softmax_scale=2.5, decoder_kernel=3, epochs=0, batch_size=16,
                          learning_rate=2e-3, mse_weight=0.0),
     gcn=GcnConfig(hidden=12, epochs=7, learning_rate=5e-3, label_fraction=0.25),
-    kernel_a=4, kernel_b=2, stride_r=2, stride_c=3, sad_on="abundance",
-    out_dir="o%1", seed=11, repeat=2)
+    kernel_a=4, kernel_b=2, stride_r=2, stride_c=3, out_dir="o%1", seed=11, repeat=2)
 
 
 def test_config_keys_name_every_config_field_once():
@@ -153,8 +152,7 @@ def test_config_without_autoencoder_keys_takes_the_dataclass_defaults(tmp_path):
     rc = parse_config(path)
     assert rc.ae == AutoencoderConfig()
     assert rc.gcn == GcnConfig()
-    assert (rc.kernel_a, rc.kernel_b, rc.sad_on) == (RunConfig.kernel_a, RunConfig.kernel_b,
-                                                     RunConfig.sad_on)
+    assert (rc.kernel_a, rc.kernel_b) == (RunConfig.kernel_a, RunConfig.kernel_b)
 
 
 def test_config_without_a_scene_key_names_it(tmp_path, capsys):
@@ -240,9 +238,10 @@ def test_config_path_that_cannot_be_read_names_it(tmp_path, capsys):
                                            ("autoencoder", "loss = sad_plus_mse"),
                                            ("gcn", "features = abundance"),
                                            ("gcn", "pca_components = 8"),
-                                           ("gcn", "paper_literal_asc = false")],
+                                           ("gcn", "paper_literal_asc = false"),
+                                           ("kernel", "sad_on = spectra")],
                          ids=["folds", "paper_literal_adjacency", "loss", "features",
-                              "pca_components", "paper_literal_asc"])
+                              "pca_components", "paper_literal_asc", "sad_on"])
 def test_config_with_the_dropped_folds_key_is_rejected(tmp_path, section, line):
     cfg = tmp_path / "c.ini"
     write_config(tiny_run_config(tmp_path / "o"), cfg)
@@ -320,13 +319,13 @@ _BASE_CONFIG = {
               "smoothness": "1.2", "snr_db": "inf"},
     "autoencoder": {"encoder_filters": "8,4,4,2", "encoder_kernels": "5,3,3,1",
                     "patch_size": "9", "epochs": "6"},
-    "kernel": {"a": "2", "b": "2", "sad_on": "spectra"},
-    "gcn": {"hidden": "32", "label_fraction": "0.15", "features": "abundance"},
+    "kernel": {"a": "2", "b": "2"},
+    "gcn": {"hidden": "32", "label_fraction": "0.15"},
 }
 _NAME = st.text(st.characters(codec="utf-8", exclude_characters="\r"), max_size=8)
 _VALUE = st.sampled_from(["0", "1", "-2", "3", "8", "0.5", "1e-3", "nan", "inf", "true",
-                          "no", "5,3,3,1", "8,3", "%1", "%(seed)s", "spectra", "abundance",
-                          "hsb", "x.csv", ""]) | _NAME
+                          "no", "5,3,3,1", "8,3", "%1", "%(seed)s", "hsb", "x.csv",
+                          ""]) | _NAME
 
 
 @st.composite
@@ -347,6 +346,13 @@ def _config_text(draw):
             lines.append(f"[{name}]")
             lines += [f"{k} = {v}" for k, v in keys.items() if v is not None]
     return "\n".join(lines) + "\n"
+
+
+def test_the_fuzz_base_config_parses(tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for name, keys in _BASE_CONFIG.items()))
+    assert parse_config(cfg).gcn == replace(GcnConfig(), hidden=32, label_fraction=0.15)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300,
@@ -530,18 +536,6 @@ def test_a_run_loads_no_scipy(tmp_path):
                          check=True, env=env)
     assert out.stdout.strip() == "[]"
     assert (tmp_path / "final_abundances.csv").exists()
-
-
-def test_run_with_abundance_edge_features(tmp_path):
-    rc = replace(tiny_run_config(tmp_path / "sa", seed=9),
-                 ae=AutoencoderConfig(encoder_filters=(6, 4, 4, 2),
-                                      encoder_kernels=(5, 3, 3, 1),
-                                      epochs=2, batch_size=256),
-                 gcn=GcnConfig(hidden=8, epochs=20, label_fraction=0.15),
-                 sad_on="abundance")
-    report, run_dir = run_pipeline(rc, log=None)
-    assert (run_dir / "graph.csv").exists()
-    assert np.isfinite(report.mean_rmse)
 
 
 def test_config_requires_exactly_one_input():
@@ -735,6 +729,13 @@ def test_run_repeat_aggregate(tmp_path):
     assert lines[0] == "run,seed,material,rmse_ae,rmse_gcn,rmse_final,sad,source"
     assert any(line.startswith("mean,-,all") for line in lines)
     assert any(line.startswith("std,-,all") for line in lines)
+    rows = [line.split(",") for line in lines[1:]]
+    numbers = [cell for row in rows for cell in row[3:7] if cell != "-"]
+    assert np.isfinite([float(cell) for cell in numbers]).all()  # no "np.float64(...)" text
+    # each run's rows hold that run's metrics.csv values, material by material
+    for i, run_dir in enumerate(("run_000", "run_001")):
+        own = (base / run_dir / "metrics.csv").read_text().splitlines()[1:-1]
+        assert [",".join(r[2:]) for r in rows if r[:2] == [str(i), str(1 + i)]] == own
     # same scene in both runs, different training seeds
     c0 = (base / "run_000" / "cube.hsb").read_bytes()
     c1 = (base / "run_001" / "cube.hsb").read_bytes()
@@ -869,22 +870,6 @@ def test_graph_subcommand(completed_run, tmp_path):
     assert len(lines) > 10
     # the same config and seed give the graph the full run wrote
     assert graph_csv == (run_dir / "graph.csv").read_bytes()
-
-
-def test_graph_subcommand_trains_the_autoencoder_for_abundance_edge_weights(tmp_path):
-    # that graph is weighted by the autoencoder's abundances, so the
-    # subcommand trains the autoencoder first and writes the run's graph
-    rc = replace(tiny_run_config(tmp_path / "r", seed=5), sad_on="abundance",
-                 ae=AutoencoderConfig(encoder_filters=(6, 4, 4, 2),
-                                      encoder_kernels=(5, 3, 3, 1),
-                                      epochs=2, batch_size=256),
-                 gcn=GcnConfig(hidden=8, epochs=20, label_fraction=0.15))
-    _, run_dir = run_pipeline(rc, log=None)
-    cfg = tmp_path / "c.ini"
-    write_config(rc, cfg)
-    assert main(["graph", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 0
-    assert (tmp_path / "g" / "graph.csv").read_bytes() == (run_dir / "graph.csv").read_bytes()
-    assert _logged_stages(tmp_path / "g") == ["load", "normalize", "autoencoder", "graph"]
 
 
 @pytest.mark.parametrize("command, stages", [("ae", ["load", "normalize", "autoencoder"]),

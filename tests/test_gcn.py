@@ -150,13 +150,6 @@ def test_operator_rejects_an_edge_endpoint_outside_the_graph(edge):
         normalized_operator(graph)
 
 
-def test_operator_requires_weights():
-    g = single_node_graph()
-    g.edge_weights = None
-    with pytest.raises(ValueError, match="edge weights"):
-        normalized_operator(g)
-
-
 # -- forward --------------------------------------------------------------------------
 
 def test_forward_zero_weights_uniform():

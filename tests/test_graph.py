@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aegem import graph as graph_module
-from aegem.graph import (EllipticalGraph, build_graph, build_kernel,
-                         build_star_edges, laplacian, normalized_laplacian,
-                         rbf_adjacency, sad_adjacency, tile_centroids,
-                         write_graph_csv)
+from aegem.graph import (build_graph, build_kernel, build_star_edges, laplacian,
+                         normalized_laplacian, rbf_adjacency, sad_adjacency,
+                         tile_centroids, write_graph_csv)
 from aegem.hsi import HsiCube, read_table
 from aegem.metrics import sad
 
@@ -162,8 +161,7 @@ def test_sad_adjacency_orthogonal_spectra():
     cube = HsiCube(refl)
     cents = np.array([[0, 0]])
     edges = build_star_edges(1, 2, build_kernel(1, 1), cents)
-    g = EllipticalGraph(1, 2, cents, edges)
-    w = sad_adjacency(cube, g)
+    w = sad_adjacency(cube, edges)
     assert np.allclose(w, np.pi / 2)
 
 
@@ -182,7 +180,7 @@ def test_sad_adjacency_in_edge_blocks_equals_the_whole_edge_arrays(monkeypatch, 
     cube = random_cube(9, 11, 7, seed=6)
     g = build_graph(cube, 2, 3)
     monkeypatch.setattr(graph_module, "_EDGE_BLOCK_BYTES", block_bytes)
-    weights = sad_adjacency(cube, g)
+    weights = sad_adjacency(cube, g.edges)
     assert len(g.edges) > 3 and weights.shape == (len(g.edges),)
     assert np.array_equal(weights, sad_weights_whole(cube.spectra(), g.edges))
 

@@ -314,7 +314,7 @@ def test_abundance_maps_constant_values(tmp_path):
 
 
 def test_abundance_maps_rejects_out_of_range(tmp_path):
-    with pytest.raises(ValueError, match="clamp"):
+    with pytest.raises(ValueError, match=re.escape("outside [0, 1]: 1.2 to 1.2")):
         save_abundance_maps(np.full((2, 2, 1), 1.2), tmp_path)
 
 
