@@ -30,12 +30,13 @@ the zero-padded input is gathered from it: rows in weight order
 values long.  The conv owns its padding: the columns come in blocks of
 whole output rows, each zero-filling only the rows it reads, and no
 padded copy of the input is ever made.  A block holds at most
-`_COLUMN_BLOCK_BYTES` (16 MiB), or one row if a row is larger.  The
+`_COLUMN_BLOCK_BYTES` (4 MiB), or one row if a row is larger.  The
 default autoencoder's largest columns are its second layer's: 2.7 MB of
 float32 on a training batch of 64 9x9 Samson windows (3.7 MB for its
 input gradient) and 48 MB of float64 on a 4096-pixel inference strip;
 its first layer reads the k = 3 subspace coordinates, 480 KB on that
-batch.  Built whole, the strip's matrix would be mapped fresh and
+batch.  So every training block is whole, and the strip's matrix comes
+in blocks of at most 4 MiB.  Built whole, it would be mapped fresh and
 page-faulted in on every call, while blocks are recycled through the
 heap (see Memory below).  The forward pass is `W.reshape(Cout, -1) @ cols` per
 block, the weights on the left:
@@ -60,10 +61,13 @@ Both thresholds start at 128 KiB.  Freeing a mapped chunk of at most
 twice that, and neither falls again.  Memory handed back is faulted in
 page by page when next used, so a loop that allocates and frees the same
 buffers keeps them resident only once the thresholds exceed them.  A
-column block, at most 16 MiB, is so recycled after the first mapped
-block is freed.  A training step's temporaries are many arrays, 1.4 MiB
-in all at the `acceptance` benchmark's shapes, each too small for its
-free to raise the trim threshold above their sum:
+column block, at most 4 MiB, is so recycled after the first mapped
+block is freed.  The cap is the smallest round one above the largest
+training block (3.7 MB): training's GEMMs stay whole, and a larger cap
+would only let inference's blocks raise the peak.  A training step's
+temporaries are many arrays, 1.4 MiB in all at the `acceptance`
+benchmark's shapes, each too small for its free to raise the trim
+threshold above their sum:
 `autoencoder._train_epochs` frees an untouched 2 MiB buffer before its
 first step to raise it, and keeps each step's gradients until the next
 step's backward.  Any `mallopt` call or `MALLOC_*_` setting turns the
@@ -361,11 +365,14 @@ def scaled_softmax(x: Tensor, scale: float, axis: int = -1) -> Tensor:
 # -- convolution -------------------------------------------------------------
 
 # Cap on one block of a conv's column matrix, in bytes; a block holds at
-# least one output row.  It sits below the 32 MiB ceiling of glibc's
-# dynamic mmap threshold, so once a mapped block is freed, later blocks
-# reuse heap memory instead of faulting fresh pages in ("Memory" in the
-# module docstring).
-_COLUMN_BLOCK_BYTES = 16 * 2**20
+# least one output row.  4 MiB is the smallest round cap that keeps every
+# block of the default autoencoder's training steps whole (the largest,
+# layer 2's input-gradient columns on a batch of 64 Samson windows, is
+# 3.7 MB), so only inference's strips split further.  It sits below the
+# 32 MiB ceiling of glibc's dynamic mmap threshold, so once a mapped block
+# is freed, later blocks reuse heap memory instead of faulting fresh pages
+# in ("Memory" in the module docstring).
+_COLUMN_BLOCK_BYTES = 4 * 2**20
 
 
 def _pixels_last(x: np.ndarray) -> np.ndarray:

@@ -88,7 +88,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint
-from .hsi import HsiCube
+from .hsi import HsiCube, row_norms
 from .rng import SplitMix64
 
 
@@ -160,14 +160,22 @@ class AutoencoderConfig:
         return sum((k - 1) // 2 for k in self.encoder_kernels)
 
 
+# Bytes of one row block of `extreme_pixel_indices`' rank-1 update: beyond
+# one float64 copy of the spectra and a few per-pixel vectors, its scratch.
+_SPA_BLOCK_BYTES = 2**20
+
+
 def extreme_pixel_indices(spectra: np.ndarray, count: int) -> list[int]:
     """Indices of successively most-extreme pixel spectra.
 
     Greedy orthogonal-projection search: start at the largest norm, then
     keep taking the pixel with the largest component orthogonal to the
-    span of the selection so far.
+    span of the selection so far.  The residual is one float64 copy of
+    the spectra, updated in place: each rank-1 update is subtracted in
+    row blocks of `_SPA_BLOCK_BYTES`, and the row norms are `row_norms`'.
     """
-    idx = [int(np.argmax(np.linalg.norm(spectra, axis=1)))]
+    rows = max(1, _SPA_BLOCK_BYTES // (8 * spectra.shape[1]))
+    idx = [int(np.argmax(row_norms(spectra)))]
     residual = spectra.astype(np.float64, copy=True)
     for _ in range(count - 1):
         v = residual[idx[-1]]
@@ -175,8 +183,12 @@ def extreme_pixel_indices(spectra: np.ndarray, count: int) -> list[int]:
         if norm == 0:
             break
         v = v / norm
-        residual = residual - np.outer(residual @ v, v)
-        idx.append(int(np.argmax(np.linalg.norm(residual, axis=1))))
+        # one GEMV over every row: a product per row block rounds some rows
+        # otherwise (seen with odd block sizes and a one-row last block)
+        proj = residual @ v
+        for b in range(0, len(residual), rows):
+            residual[b : b + rows] -= np.outer(proj[b : b + rows], v)
+        idx.append(int(np.argmax(row_norms(residual))))
     while len(idx) < count:  # degenerate data: pad with the first pick
         idx.append(idx[0])
     return idx
@@ -383,23 +395,29 @@ def assemble_abundance_stack(model: ConvAutoencoder, cube: HsiCube,
                              strip_pixels: int = 4096) -> np.ndarray:
     """Every pixel encoded as the center of its zero-padded patch -> (H, W, P).
 
-    The image is padded once by the patch half-width and encoded in row
-    strips of about `strip_pixels` output pixels, each with a halo of
-    half-width rows above and below; halo and padding are cropped off.
-    This equals the per-patch encode bit for bit: the receptive-field
-    radius is at most the half-width, so a center reads only values that
-    its patch holds too, and each is computed by the same arithmetic.
-    The budget bounds the strip buffers at any scene size.
+    The image is encoded in row strips of about `strip_pixels` output
+    pixels, each with a halo of half-width rows above and below, from a
+    slab of the image zero-padded by the patch half-width: only the
+    strip's slab is built, never the whole padded image.  Halo and
+    padding are cropped off.  This equals the per-patch encode bit for
+    bit: the receptive-field radius is at most the half-width, so a
+    center reads only values that its patch holds too, and each is
+    computed by the same arithmetic.  The budget bounds the strip buffers
+    at any scene size.
     """
     half = model.config.patch_size // 2
     h, w = cube.height, cube.width
-    padded = np.pad(cube.reflectance.transpose(2, 0, 1), ((0, 0), (half, half), (half, half)))
+    bands = cube.reflectance.transpose(2, 0, 1)
     rows = max(1, strip_pixels // w)
     stack = np.empty((h, w, model.config.endmembers))
     with ad.no_grad():
         for r0 in range(0, h, rows):
             r1 = min(h, r0 + rows)
-            enc = model.encode(padded[None, :, r0 : r1 + 2 * half]).data[0]
+            # slab row i is image row r0 - half + i; rows outside the image stay 0
+            lo, hi = max(r0 - half, 0), min(r1 + half, h)
+            slab = np.zeros((cube.bands, r1 - r0 + 2 * half, w + 2 * half))
+            slab[:, lo - r0 + half : hi - r0 + half, half : half + w] = bands[:, lo:hi]
+            enc = model.encode(slab[None]).data[0]
             stack[r0:r1] = enc[:, half : half + r1 - r0, half : half + w].transpose(1, 2, 0)
     return stack
 

@@ -141,9 +141,15 @@ class Sparse:
         n = self.shape[0]
         if np.any(np.diff(rows) <= 0) or rows.size and not 0 <= rows[0] <= rows[-1] < n:
             raise IndexError(f"rows must be sorted, distinct and in 0..{n - 1}")
-        keep = np.flatnonzero(np.isin(self.rows, rows))
+        # boolean marks, not np.isin and np.unique: np.unique without return
+        # flags imports numpy.ma, about 10 ms and 1.3 MiB in a fresh process
+        chosen = np.zeros(n, dtype=bool)
+        chosen[rows] = True
+        keep = np.flatnonzero(chosen[self.rows])
         cols = self.cols[keep]
-        field = np.unique(cols)
+        reached = np.zeros(self.shape[1], dtype=bool)
+        reached[cols] = True
+        field = np.flatnonzero(reached)
         return Sparse(np.searchsorted(rows, self.rows[keep]), np.searchsorted(field, cols),
                       self.vals[keep], (rows.size, field.size)), field
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hsi import HsiCube, write_table
+from .hsi import HsiCube, row_norms, write_table
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def sad_adjacency(cube: HsiCube, edges: np.ndarray) -> np.ndarray:
     (edges x bands) temporaries.
     """
     spectra = cube.spectra()
-    norms = np.linalg.norm(spectra, axis=1)
+    norms = row_norms(spectra)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         r, c = divmod(int(zero[0]), cube.width)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,6 +76,19 @@ def gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
+# Bytes of one row block of `row_norms`' squares.
+_ROW_BLOCK_BYTES = 2**20
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=1) of a 2-D array, bit for bit, taken in row
+    blocks of `_ROW_BLOCK_BYTES`: each row's sum of squares reads that row
+    alone, so the squares of one block, not of the whole array, are built."""
+    rows = max(1, _ROW_BLOCK_BYTES // (a.shape[1] * a.itemsize))
+    return np.concatenate([np.linalg.norm(a[b : b + rows], axis=1)
+                           for b in range(0, len(a), rows)])
+
+
 def fmt9(v: float) -> str:
     """Format a value with 9 significant digits (CSV convention)."""
     return format(float(v), ".9g")
@@ -108,7 +122,11 @@ class HsiCube:
             raise ValueError(f"reflectance must be H x W x L, got shape {self.reflectance.shape}")
         if min(self.reflectance.shape) < 1:
             raise ValueError("all cube dimensions must be >= 1")
-        if not np.all(np.isfinite(self.reflectance)):
+        # min and max propagate NaN, and an infinity is the min or the max: the
+        # extremes are finite only if every value is, and no cube-sized mask
+        # is built
+        r = self.reflectance
+        if not (np.isfinite(r.min()) and np.isfinite(r.max())):
             raise ValueError("cube contains non-finite values")
 
     @property
@@ -181,41 +199,49 @@ class SceneSpec:
 # -- HSB container ------------------------------------------------------------
 
 def save_cube(cube: HsiCube, path) -> None:
-    """Write a cube as an HSB file with a float64 payload."""
+    """Write a cube as an HSB file with a float64 payload, one band slab at a time."""
     h, w, l = cube.height, cube.width, cube.bands
-    header = HSB_MAGIC + struct.pack("<IIII", h, w, l, 1)
-    payload = np.ascontiguousarray(np.transpose(cube.reflectance, (2, 0, 1)))
-    Path(path).write_bytes(header + payload.astype("<f8").tobytes())
+    with open(path, "wb") as f:
+        f.write(HSB_MAGIC + struct.pack("<IIII", h, w, l, 1))
+        for b in range(l):
+            f.write(np.ascontiguousarray(cube.reflectance[:, :, b], dtype="<f8").data)
 
 
 def _load_hsb(path) -> HsiCube:
-    """The cube of an HSB file; a payload value that is not finite fails naming
-    its pixel and band."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 20:
-        raise TruncatedPayloadError(f"{path}: file shorter than the 20-byte header")
-    if raw[:4] != HSB_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}")
-    h, w, l, flags = struct.unpack("<IIII", raw[4:20])
-    if min(h, w, l) < 1:
-        raise DimensionError(f"{path}: zero dimension in header ({h}x{w}x{l})")
-    if h * w * l > _MAX_CELLS:
-        raise DimensionError(f"{path}: header claims {h * w * l} cells, over the 2^32 limit")
-    itemsize = 8 if flags & 1 else 4
-    expected = h * w * l * itemsize
-    if len(raw) - 20 < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {(len(raw) - 20) // itemsize} of {h * w * l} values"
-        )
-    if len(raw) - 20 > expected:
-        raise HsbFormatError(f"{path}: {len(raw) - 20 - expected} trailing bytes after payload")
-    dtype = "<f8" if flags & 1 else "<f4"
-    bands = np.frombuffer(raw, dtype=dtype, count=h * w * l, offset=20).reshape(l, h, w)
-    if not np.isfinite(bands).all():
-        b, r, c = np.argwhere(~np.isfinite(bands))[0]
-        raise ValueError(f"{path}: pixel ({r}, {c}) holds {float(bands[b, r, c])!r} "
-                         f"in band {b}")
-    return HsiCube(np.transpose(bands, (1, 2, 0)).astype(np.float64))
+    """The cube of an HSB file, read one band slab at a time into the cube; a
+    payload value that is not finite fails naming its pixel and band."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(20)
+        if len(head) < 20:
+            raise TruncatedPayloadError(f"{path}: file shorter than the 20-byte header")
+        if head[:4] != HSB_MAGIC:
+            raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
+        h, w, l, flags = struct.unpack("<IIII", head[4:20])
+        if min(h, w, l) < 1:
+            raise DimensionError(f"{path}: zero dimension in header ({h}x{w}x{l})")
+        if h * w * l > _MAX_CELLS:
+            raise DimensionError(f"{path}: header claims {h * w * l} cells, over the 2^32 limit")
+        itemsize = 8 if flags & 1 else 4
+        expected = h * w * l * itemsize
+        if size - 20 < expected:
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {(size - 20) // itemsize} of {h * w * l} values"
+            )
+        if size - 20 > expected:
+            raise HsbFormatError(f"{path}: {size - 20 - expected} trailing bytes after payload")
+        # band-sequential in memory, as the payload is: band b is one contiguous slab
+        bands = np.empty((l, h, w))
+        slab = np.empty((h, w), dtype="<f8" if flags & 1 else "<f4")
+        for b in range(l):
+            if f.readinto(slab.data) != slab.nbytes:
+                raise TruncatedPayloadError(f"{path}: payload ends inside band {b}")
+            if not np.isfinite(slab).all():
+                r, c = np.argwhere(~np.isfinite(slab))[0]
+                raise ValueError(f"{path}: pixel ({r}, {c}) holds {float(slab[r, c])!r} "
+                                 f"in band {b}")
+            bands[b] = slab
+    return HsiCube(bands.transpose(1, 2, 0))
 
 
 # -- CSV tables ---------------------------------------------------------------
@@ -375,7 +401,8 @@ def normalize(cube: HsiCube) -> HsiCube:
     m = cube.reflectance.max()
     if m <= 0:
         raise ValueError("cannot normalize: cube maximum is not positive")
-    return HsiCube(np.clip(cube.reflectance / m, 0.0, 1.0))
+    out = cube.reflectance / m
+    return HsiCube(np.clip(out, 0.0, 1.0, out=out))
 
 
 # -- synthetic scenes ---------------------------------------------------------
@@ -465,7 +492,9 @@ def synthesize_scene(spec: SceneSpec) -> tuple[HsiCube, GroundTruth]:
     else:
         noise = noise_rng.normal(signal.shape)
         gain = np.linalg.norm(signal) / (np.linalg.norm(noise) * 10.0 ** (spec.snr_db / 20.0))
-        refl = signal + gain * noise
+        # signal + gain * noise, built in the noise's array
+        noise *= gain
+        refl = np.add(signal, noise, out=noise)
     cube = HsiCube(refl)
     return cube, GroundTruth(endmembers, abund)
 

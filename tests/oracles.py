@@ -478,3 +478,80 @@ def read_aew(path) -> dict[str, np.ndarray]:
         records[name] = np.frombuffer(raw, "<f8", count, pos).reshape(dims)
         pos += 8 * count
     return records
+
+
+# -- whole-array forms of the blocked draws and writers -----------------------
+
+_U64 = np.uint64
+
+
+def _mix_whole(z):
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
+
+
+class SplitMix64Whole:
+    """The splitmix64 stream drawn whole: each draw builds its full-size
+    uint64 and float64 temporaries, one numpy expression per step."""
+
+    def __init__(self, seed: int, counter: int = 0):
+        self.seed = _U64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        self.counter = _U64(counter)
+
+    def raw(self, n: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            idx = self.counter + np.arange(1, n + 1, dtype=np.uint64)
+            out = _mix_whole(self.seed + idx * _U64(0x9E3779B97F4A7C15))
+            self.counter += _U64(n)
+        return out
+
+    def split(self, key: int) -> "SplitMix64Whole":
+        with np.errstate(over="ignore"):
+            return SplitMix64Whole(int(_mix_whole(self.seed + _U64(key + 1)
+                                                  * _U64(0x94D049BB133111EB))))
+
+    def uniform(self, low=0.0, high=1.0, shape=()):
+        n = int(np.prod(shape)) if shape else 1
+        u = (self.raw(n) >> _U64(11)).astype(np.float64) / float(2**53)
+        out = low + (high - low) * u
+        return out.reshape(shape) if shape else float(out[0])
+
+    def normal(self, shape=()):
+        n = int(np.prod(shape)) if shape else 1
+        m = (n + 1) // 2
+        u1 = ((self.raw(m) >> _U64(11)).astype(np.float64) + 1.0) / float(2**53)
+        u2 = (self.raw(m) >> _U64(11)).astype(np.float64) / float(2**53)
+        r = np.sqrt(-2.0 * np.log(u1))
+        z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
+        return z.reshape(shape) if shape else float(z[0])
+
+    def dirichlet_flat(self, shape, p: int) -> np.ndarray:
+        e = -np.log(1.0 - self.uniform(shape=(*shape, p)))
+        return e / e.sum(axis=-1, keepdims=True)
+
+
+def save_cube_whole(cube, path) -> None:
+    """An HSB file built as one bytes object: header plus the transposed payload."""
+    h, w, l = cube.reflectance.shape
+    payload = np.ascontiguousarray(np.transpose(cube.reflectance, (2, 0, 1)))
+    Path(path).write_bytes(hsi.HSB_MAGIC + struct.pack("<IIII", h, w, l, 1)
+                           + payload.astype("<f8").tobytes())
+
+
+def extreme_pixel_indices_whole(spectra: np.ndarray, count: int) -> list[int]:
+    """Successive projections with whole-array updates: each step builds the
+    rank-1 update and the new residual as full-size arrays."""
+    idx = [int(np.argmax(np.linalg.norm(spectra, axis=1)))]
+    residual = spectra.astype(np.float64, copy=True)
+    for _ in range(count - 1):
+        v = residual[idx[-1]]
+        norm = np.linalg.norm(v)
+        if norm == 0:
+            break
+        v = v / norm
+        residual = residual - np.outer(residual @ v, v)
+        idx.append(int(np.argmax(np.linalg.norm(residual, axis=1))))
+    while len(idx) < count:
+        idx.append(idx[0])
+    return idx

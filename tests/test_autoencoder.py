@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from aegem import autodiff as ad
+from aegem import autoencoder
 from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder, _train_epochs,
                                assemble_abundance_stack, endmembers_from_decoder,
-                               patch_centers, reconstruction_loss, save_autoencoder,
-                               spectral_basis, train_autoencoder, training_windows)
+                               extreme_pixel_indices, patch_centers, reconstruction_loss,
+                               save_autoencoder, spectral_basis, train_autoencoder,
+                               training_windows)
 from aegem.hsi import HsiCube, SceneSpec, normalize, synthesize_scene
 from aegem.metrics import match_endmembers, sad
 from aegem.rng import SplitMix64
-from oracles import (abundance_stack_per_patch, encode_full_band, leaky_relu_masked,
-                     read_aew, reconstruction_loss_composite, train_autoencoder_per_patch)
-from page_faults import glibc_only, minor_faults
+from oracles import (abundance_stack_per_patch, encode_full_band,
+                     extreme_pixel_indices_whole, leaky_relu_masked, read_aew,
+                     reconstruction_loss_composite, train_autoencoder_per_patch)
+from page_faults import (glibc_only, minor_faults, peak_rss_growth, proc_status_only,
+                         traced_peak)
 
 
 SMALL_CONFIG = AutoencoderConfig(
@@ -308,6 +312,16 @@ def test_abundance_stack_matches_per_patch_encode(filters, kernels, patch):
         assert np.array_equal(stack, reference), strip_pixels
 
 
+def test_abundance_stack_holds_less_than_one_padded_cube():
+    # padding the whole image first held it beside the strips' buffers
+    config = AutoencoderConfig(encoder_filters=(8, 3), encoder_kernels=(3, 1), patch_size=5)
+    cube = HsiCube(np.random.default_rng(18).uniform(size=(96, 96, 24)))
+    model = ConvAutoencoder(config, cube.bands, SplitMix64(17))
+    model.seed_from_spectra(cube.spectra())
+    padded = 24 * (96 + 4) * (96 + 4) * 8
+    assert traced_peak(lambda: assemble_abundance_stack(model, cube, 256)) < padded
+
+
 def test_trained_abundance_stack_matches_per_patch_encode(trained):
     ncube, _, _, stack, _, model = trained
     assert np.array_equal(stack, abundance_stack_per_patch(model, ncube))
@@ -529,6 +543,53 @@ def test_samson_shaped_training_keeps_each_steps_gradients_until_the_next_backwa
     # warm-up's thresholds, and gradients freed right after Adam's step
     # (`optimizer.step(ad.backward(loss))`) took 16.6k-17.6k faults, against 2.3k-4.3k
     assert _training_faults("", (24, 24, 156), 1) < 8000
+
+
+@proc_status_only
+def test_samson_shaped_training_raises_the_peak_rss_by_little():
+    # the default AE on a 24x24x156 scene for one epoch, as the benchmark's
+    # `samson_crop` runs it: the Glorot draw of layer 1 (499 200 values) and
+    # inference's 9.4 MB column block of layer 2 each set a peak.  Drawn whole
+    # and built in one block, they grew it by 16.0 MiB at scene seeds 1-5,
+    # against 11.6 MiB blocked
+    setup = """
+        from aegem.autoencoder import AutoencoderConfig, train_autoencoder
+        from aegem.hsi import SceneSpec, normalize, synthesize_scene
+        cube = normalize(synthesize_scene(SceneSpec(24, 24, 156, 3, snr_db=float("inf"),
+                                                    seed=1))[0])
+        """
+    growth = peak_rss_growth(setup, "train_autoencoder(cube, AutoencoderConfig(epochs=1))")
+    assert growth < 14 * 1024, growth
+
+
+# -- successive projections ---------------------------------------------------------------
+
+# rows of one rank-1 update block on 64 bands
+_SPA_ROWS = autoencoder._SPA_BLOCK_BYTES // (8 * 64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, _SPA_ROWS - 1, _SPA_ROWS, _SPA_ROWS + 1,
+                               2 * _SPA_ROWS + 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_extreme_pixels_match_the_whole_array_search(n, dtype):
+    spectra = np.random.default_rng(n).uniform(size=(n, 64)).astype(dtype)
+    assert extreme_pixel_indices(spectra, 5) == extreme_pixel_indices_whole(spectra, 5)
+
+
+def test_extreme_pixels_of_degenerate_spectra_match_the_whole_array_search():
+    # rank 1 along a band axis: the residual is exactly zero after the first pick
+    spectra = np.outer(np.arange(1.0, 8.0), np.eye(6)[2])
+    # the second pick reads an all-zero residual, and the third pads with the first
+    assert extreme_pixel_indices(spectra, 3) == extreme_pixel_indices_whole(spectra, 3) == [6, 0, 6]
+
+
+def test_extreme_pixel_search_holds_one_copy_and_one_block():
+    # whole-array updates held three copies of the spectra; here the residual
+    # is one, and beside it a block and a few per-pixel vectors
+    n = 4 * _SPA_ROWS
+    spectra = np.random.default_rng(24).uniform(size=(n, 64))
+    bound = spectra.nbytes + 2 * autoencoder._SPA_BLOCK_BYTES + 4 * 8 * n
+    assert traced_peak(lambda: extreme_pixel_indices(spectra, 4)) <= bound
 
 
 # -- the spectral basis --------------------------------------------------------------------

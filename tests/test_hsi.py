@@ -22,7 +22,9 @@ from aegem.hsi import (BadMagicError, DimensionError, GroundTruth, HsbFormatErro
                        synthesize_scene, write_abundance_csv, write_endmember_csv,
                        write_table, MIN_ENDMEMBER_SEPARATION)
 from aegem.metrics import sad
-from oracles import pixel_csv_text_per_value, read_table_per_row, write_table_per_row
+from oracles import (pixel_csv_text_per_value, read_table_per_row, save_cube_whole,
+                     write_table_per_row)
+from page_faults import traced_peak
 
 
 def small_cube(seed=0, shape=(2, 2, 3)):
@@ -37,6 +39,14 @@ def test_cube_rejects_bad_shapes():
         HsiCube(np.ones((3, 3)))
     with pytest.raises(ValueError):
         HsiCube(np.full((2, 2, 2), np.nan))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cube_rejects_one_non_finite_value(value):
+    a = np.ones((3, 4, 5))
+    a[2, 1, 3] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        HsiCube(a)
 
 
 def test_ground_truth_constraints():
@@ -122,6 +132,68 @@ def test_hsb_band_sequential_layout(tmp_path):
     assert np.array_equal(payload[:4], cube.reflectance[:, :, 0].ravel())
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 7), (17, 4, 2)])
+def test_hsb_writes_the_whole_array_writers_bytes(tmp_path, shape):
+    cube = small_cube(4, shape)
+    # also from a band-sequential cube, as `load_cube` returns one
+    banded = HsiCube(np.ascontiguousarray(cube.reflectance.transpose(2, 0, 1)).transpose(1, 2, 0))
+    save_cube_whole(cube, tmp_path / "whole.hsb")
+    for c in (cube, banded):
+        save_cube(c, tmp_path / "slabs.hsb")
+        assert (tmp_path / "slabs.hsb").read_bytes() == (tmp_path / "whole.hsb").read_bytes()
+
+
+def test_hsb_save_holds_one_band_slab(tmp_path):
+    # the whole-array writer held three copies of the cube
+    cube = small_cube(5, (64, 64, 32))
+    slab = 64 * 64 * 8
+    assert traced_peak(lambda: save_cube(cube, tmp_path / "c.hsb")) <= slab + 16 * 2**10
+
+
+@pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+def test_hsb_load_holds_the_cube_and_one_band_slab(tmp_path, dtype):
+    # reading the whole file first held its bytes beside the cube: two cubes
+    bands = np.random.default_rng(6).uniform(size=(32, 64, 64))
+    path = tmp_path / "c.hsb"
+    path.write_bytes(_hsb_bytes(bands, dtype))
+    cube_bytes, slab = bands.nbytes, 64 * 64 * np.dtype(dtype).itemsize
+    assert traced_peak(lambda: load_cube(path)) <= cube_bytes + slab + 16 * 2**10
+    assert np.array_equal(load_cube(path).reflectance, bands.astype(dtype).transpose(1, 2, 0))
+
+
+def test_hsb_errors_keep_their_text(tmp_path):
+    path = tmp_path / "e.hsb"
+    full = _hsb_bytes(np.ones((2, 3, 4)), "<f8")
+    cases = [
+        (b"HSB1" + b"\x00" * 10, TruncatedPayloadError, "file shorter than the 20-byte header"),
+        (b"NOPE" + full[4:], BadMagicError, "bad magic b'NOPE'"),
+        (b"HSB1" + struct.pack("<IIII", 3, 0, 2, 1), DimensionError,
+         "zero dimension in header (3x0x2)"),
+        (b"HSB1" + struct.pack("<IIII", 70000, 70000, 1000, 1), DimensionError,
+         "header claims 4900000000000 cells, over the 2^32 limit"),
+        (full[:-9], TruncatedPayloadError, "payload holds 22 of 24 values"),
+        (full + b"\x00" * 3, HsbFormatError, "3 trailing bytes after payload"),
+    ]
+    for data, error, text in cases:
+        path.write_bytes(data)
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: {text}')}$"):
+            load_cube(path)
+
+
+def test_hsb_file_cut_while_it_is_read_fails_naming_the_band(tmp_path, monkeypatch):
+    # the size checks pass on the file's size when opened; a file cut after
+    # that ends inside a band slab, which must not be left unread
+    bands = np.ones((3, 2, 2))
+    path = tmp_path / "c.hsb"
+    path.write_bytes(_hsb_bytes(bands, "<f8"))
+    full_size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-40])
+    stat = os.stat_result((0,) * 6 + (full_size,) + (0,) * 3)  # st_size is field 6
+    monkeypatch.setattr(hsi.os, "fstat", lambda fd: stat)
+    with pytest.raises(TruncatedPayloadError, match=r": payload ends inside band 1$"):
+        load_cube(path)
+
+
 def test_hsb_bad_magic(tmp_path):
     path = tmp_path / "bad.hsb"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -200,6 +272,15 @@ def test_normalize_idempotent():
     once = normalize(cube)
     twice = normalize(once)
     assert np.max(np.abs(twice.reflectance - once.reflectance)) < 1e-15
+
+
+def test_normalize_holds_one_output():
+    # dividing and then clipping into a new array held two outputs
+    cube = small_cube(7, (64, 64, 32))
+    assert traced_peak(lambda: normalize(cube)) <= cube.reflectance.nbytes + 16 * 2**10
+    out = normalize(cube)
+    assert np.array_equal(out.reflectance,
+                          np.clip(cube.reflectance / cube.reflectance.max(), 0.0, 1.0))
 
 
 def test_normalize_all_zero_errors():
