@@ -30,15 +30,14 @@ the zero-padded input is gathered from it: rows in weight order
 values long.  The conv owns its padding: the columns come in blocks of
 whole output rows, each zero-filling only the rows it reads, and no
 padded copy of the input is ever made.  A block holds at most
-`_COLUMN_BLOCK_BYTES` (4 MiB), or one row if a row is larger.  The
-default autoencoder's largest columns are its second layer's: 2.7 MB of
-float32 on a training batch of 64 9x9 Samson windows (3.7 MB for its
-input gradient) and 48 MB of float64 on a 4096-pixel inference strip;
-its first layer reads the k = 3 subspace coordinates, 480 KB on that
-batch.  So every training block is whole, and the strip's matrix comes
-in blocks of at most 4 MiB.  Built whole, it would be mapped fresh and
-page-faulted in on every call, while blocks are recycled through the
-heap (see Memory below).  The forward pass is `W.reshape(Cout, -1) @ cols` per
+`_COLUMN_BLOCK_BYTES` (2 MiB), or one row if a row is larger.  The
+default autoencoder's largest columns are its second layer's: 2.65 MB
+of float32 on a training batch of 64 9x9 Samson windows and 48 MB of
+float64 on a 4096-pixel inference strip; its first layer reads the
+k = 3 subspace coordinates, 480 KB on that batch.  So a training step
+builds layer 2's columns as a 2-row and a 1-row block, and the strip's
+in blocks of at most 2 MiB, all of them recycled through the heap (see
+Memory below).  The forward pass is `W.reshape(Cout, -1) @ cols` per
 block, the weights on the left:
 each output value is then summed in the same order however many pixels
 a call or a block holds, as far as the GEMM computes a column the same
@@ -48,10 +47,14 @@ by about 5e-15).  The output stays pixels-last in memory behind an
 [N,Cout,Ho,Wo] view, so the next conv's layout copy is free.  A conv
 node holds only its unpadded input and its output until `backward`.
 The weight gradient sums `g[:, block] @ cols.T` over the rebuilt column
-blocks.  The input gradient is the transposed conv: the same blocked
-correlation applied to g, zero-padded by (kh-1-ph, kw-1-pw), with the
-kernel flipped and Cin and Cout swapped, so it is one GEMM with
-K = Cout*kh*kw that lands directly on the unpadded input.
+blocks.  The input gradient is col2im, as in Caffe's backward (Jia et
+al. 2014): per block of output rows, `W.reshape(Cout, -1).T @ g[:, block]`
+gives the Cin*kh*kw taps of the block's Ho*Wo*N output pixels, and each
+of the kh*kw taps is added into a zero-filled padded gradient at its
+offset, which is then cropped to the unpadded input.  Its GEMM is
+output-sized, Cin*Cout*kh*kw*Ho*Wo*N multiply-adds: a transposed conv
+correlates the zero-padded g over all H*W input pixels instead, 118 M
+multiply-adds against col2im's 42.5 M on layer 2's training batch.
 
 Memory.  glibc malloc serves a request above its mmap threshold by mmap
 and unmaps it on free; smaller ones come from the heap, whose free top
@@ -60,20 +63,21 @@ Both thresholds start at 128 KiB.  Freeing a mapped chunk of at most
 32 MiB raises the mmap threshold to its size and the trim threshold to
 twice that, and neither falls again.  Memory handed back is faulted in
 page by page when next used, so a loop that allocates and frees the same
-buffers keeps them resident only once the thresholds exceed them.  A
-column block, at most 4 MiB, is so recycled after the first mapped
-block is freed.  The cap is the smallest round one above the largest
-training block (3.7 MB): training's GEMMs stay whole, and a larger cap
-would only let inference's blocks raise the peak.  A training step's
-temporaries are many arrays, 1.4 MiB in all at the `acceptance`
-benchmark's shapes, each too small for its free to raise the trim
-threshold above their sum:
-`autoencoder._train_epochs` frees an untouched 2 MiB buffer before its
-first step to raise it, and keeps each step's gradients until the next
-step's backward.  Any `mallopt` call or `MALLOC_*_` setting turns the
-dynamic thresholds off; the fixed ones tried cost more faults or a
-higher peak (ROADMAP's rejection "any `mallopt` call or `MALLOC_*_`
-variable").
+buffers keeps them resident only once the thresholds exceed them.
+`autoencoder._train_epochs` frees an untouched buffer of
+`_COLUMN_BLOCK_BYTES` before its first step.  That lifts the mmap
+threshold just above the cap, so every later column or tap block,
+training's and inference's alike, comes from the heap instead of being
+mapped fresh, and the trim threshold to twice the cap, above a step's
+temporaries: many arrays, 1.5 MiB at their traced peak at the
+`acceptance` benchmark's shapes, each too small for its free to raise
+the threshold above their sum.  The loop keeps each step's gradients
+until the next step's backward.  With a 4 MiB cap, inference's fresh
+4 MiB mappings stacked on top of the heap that training had left
+untrimmed and raised the AE stage's peak.  Any `mallopt` call or
+`MALLOC_*_` setting turns the dynamic thresholds off; the fixed ones
+tried cost more faults or a higher peak (ROADMAP's rejection "any
+`mallopt` call or `MALLOC_*_` variable").
 """
 from __future__ import annotations
 
@@ -364,20 +368,30 @@ def scaled_softmax(x: Tensor, scale: float, axis: int = -1) -> Tensor:
 
 # -- convolution -------------------------------------------------------------
 
-# Cap on one block of a conv's column matrix, in bytes; a block holds at
-# least one output row.  4 MiB is the smallest round cap that keeps every
-# block of the default autoencoder's training steps whole (the largest,
-# layer 2's input-gradient columns on a batch of 64 Samson windows, is
-# 3.7 MB), so only inference's strips split further.  It sits below the
-# 32 MiB ceiling of glibc's dynamic mmap threshold, so once a mapped block
-# is freed, later blocks reuse heap memory instead of faulting fresh pages
-# in ("Memory" in the module docstring).
-_COLUMN_BLOCK_BYTES = 4 * 2**20
+# Cap on one block of a conv's column matrix or of its input gradient's
+# taps, in bytes; a block holds at least one output row.  It is also the
+# size of the untouched buffer `autoencoder._train_epochs` frees before its
+# first step: that free lifts glibc's mmap threshold just above 2 MiB, so
+# every later block comes from the heap instead of being mapped fresh and
+# faulted in ("Memory" in the module docstring).  The default
+# autoencoder's largest training blocks, layer 2's 2.65 MB of float32
+# columns and taps on a batch of 64 Samson windows, split into a 2-row
+# and a 1-row block; their Wo*N = 192 columns a row fill whole BLAS
+# tiles, so the forward stays bit-equal to one block.
+_COLUMN_BLOCK_BYTES = 2 * 2**20
 
 
 def _pixels_last(x: np.ndarray) -> np.ndarray:
     """[N,C,H,W] -> a C-contiguous (C, H, W, N) array (a view if already so)."""
     return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+
+
+def _row_blocks(ho: int, row_bytes: int):
+    """(i0, i1) spans of ho output rows, each block at most `_COLUMN_BLOCK_BYTES`
+    of `row_bytes`-byte rows, or one row if a row is larger."""
+    step = max(1, _COLUMN_BLOCK_BYTES // row_bytes)
+    for i0 in range(0, ho, step):
+        yield i0, min(i0 + step, ho)
 
 
 def _column_blocks(xt: np.ndarray, kh: int, kw: int, ph: int, pw: int):
@@ -395,9 +409,7 @@ def _column_blocks(xt: np.ndarray, kh: int, kw: int, ph: int, pw: int):
     """
     c, h, w, n = xt.shape
     ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    step = max(1, _COLUMN_BLOCK_BYTES // (c * kh * kw * wo * n * xt.itemsize))
-    for i0 in range(0, ho, step):
-        i1 = min(i0 + step, ho)
+    for i0, i1 in _row_blocks(ho, c * kh * kw * wo * n * xt.itemsize):
         yield slice(i0 * wo * n, i1 * wo * n), _block_columns(xt, kh, kw, ph, pw, i0, i1)
 
 
@@ -439,6 +451,32 @@ def _correlate(xt: np.ndarray, wmat: np.ndarray, kh: int, kw: int, ph: int, pw: 
     return out
 
 
+def _input_gradient(g: np.ndarray, wmat: np.ndarray, kh: int, kw: int, ph: int, pw: int,
+                    h: int, w: int) -> np.ndarray:
+    """(C, H, W, N) gradient of `_correlate`'s unpadded input xt for its
+    (Cout, Ho, Wo, N) output gradient g, by col2im.
+
+    Per block of output rows, `wmat.T @ g` gives the block's taps, C*kh*kw
+    rows over its Ho*Wo*N pixels, and tap (u, v) is added into a
+    zero-filled padded gradient shifted by (u, v); the padding is then
+    cropped off.  A block of taps is at most `_COLUMN_BLOCK_BYTES` (or one
+    row), and a 1x1 kernel's gradient is `wmat.T @ g` itself.
+    """
+    cout, ho, wo, n = g.shape
+    c = wmat.shape[1] // (kh * kw)
+    gmat = g.reshape(cout, -1)
+    if kh == kw == 1:
+        return (wmat.T @ gmat).reshape(c, ho, wo, n)
+    gx = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=np.result_type(g, wmat))
+    for i0, i1 in _row_blocks(ho, c * kh * kw * wo * n * gx.itemsize):
+        taps = (wmat.T @ gmat[:, i0 * wo * n : i1 * wo * n]).reshape(c, kh, kw, i1 - i0, wo, n)
+        for u in range(kh):
+            for v in range(kw):
+                gx[:, i0 + u : i1 + u, v : v + wo] += taps[:, u, v]
+        del taps  # free this block before the next one is built
+    return np.ascontiguousarray(gx[:, ph : ph + h, pw : pw + w])
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same") -> Tensor:
     """Cross-correlation of [N,Cin,H,W] input with [Cout,Cin,kh,kw] weights.
 
@@ -455,8 +493,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
     1e-15 relative), so splitting rows of Wo*N = 1-4 (mod 8) columns
     into blocks moves the last bits.  The node holds only its unpadded
     input and its output: the weight gradient rebuilds the column
-    blocks, and the input gradient is the transposed conv, one blocked
-    GEMM over g.  The bias b, if given, is added in place, the values a
+    blocks, and the input gradient is col2im (`_input_gradient`),
+    `W.reshape(Cout, -1).T @ g` per block of output rows with each tap
+    added into place, GEMM work of the output's size.  The bias b, if
+    given, is added in place, the values a
     separate add node gives without holding a second activation; its
     gradient is g summed over batch and pixels.  The module docstring
     gives the whole layout.
@@ -479,14 +519,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
         raise ValueError(f"input {h}x{wd} smaller than kernel {kh}x{kw}")
     if b is not None and b.shape != (cout,):
         raise ValueError(f"bias shape {b.shape} does not match {cout} output channels")
-    out = _correlate(_pixels_last(x.data), w.data.reshape(cout, -1), kh, kw, ph, pw)
+    wmat = w.data.reshape(cout, -1)
+    out = _correlate(_pixels_last(x.data), wmat, kh, kw, ph, pw)
 
     def vjp_x(g):
-        # the transposed conv: g, zero-padded by (kh-1-ph, kw-1-pw), correlated
-        # with the flipped kernel, Cin and Cout swapped, lands on the unpadded x
-        flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-        gx = _correlate(_pixels_last(g), flipped, kh, kw, kh - 1 - ph, kw - 1 - pw)
-        return gx.transpose(3, 0, 1, 2)
+        return _input_gradient(_pixels_last(g), wmat, kh, kw, ph, pw, h, wd).transpose(3, 0, 1, 2)
 
     def vjp_w(g):
         g = _pixels_last(g).reshape(cout, -1)

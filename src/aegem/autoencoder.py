@@ -466,11 +466,13 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
     return endmembers, stack, history, model
 
 
-# Bytes of the untouched buffer `_train_epochs` frees before its first step.
-# Mapped in a fresh process, its free lifts glibc's trim threshold to twice
-# this, above the heap a step frees (1.4 MiB at the `acceptance` shapes);
-# a 4 or 8 MiB buffer raised the peak RSS (`autodiff`, "Memory").
-_MALLOC_WARMUP_BYTES = 2 * 2**20
+# Bytes of the untouched buffer `_train_epochs` frees before its first step,
+# the conv block cap itself.  Mapped in a fresh process, its free lifts
+# glibc's mmap threshold just above it, so no conv block is mapped fresh,
+# and the trim threshold to twice it, above a step's traced peak (1.5 MiB
+# at the `acceptance` shapes); a 4 or 8 MiB buffer raised the peak RSS
+# (`autodiff`, "Memory").
+_MALLOC_WARMUP_BYTES = ad._COLUMN_BLOCK_BYTES
 
 
 def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,

@@ -76,7 +76,7 @@ def gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-# Bytes of one row block of `row_norms`' squares.
+# Bytes of one block of squares in `row_norms` and `_sum_of_squares`.
 _ROW_BLOCK_BYTES = 2**20
 
 
@@ -87,6 +87,19 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     rows = max(1, _ROW_BLOCK_BYTES // (a.shape[1] * a.itemsize))
     return np.concatenate([np.linalg.norm(a[b : b + rows], axis=1)
                            for b in range(0, len(a), rows)])
+
+
+def _sum_of_squares(a: np.ndarray) -> float:
+    """Sum of a contiguous array's squared values, the same at any BLAS thread
+    count: numpy's pairwise sum of each block's squares, blocks of
+    `_ROW_BLOCK_BYTES` added in order.  `np.linalg.norm` takes a BLAS dot,
+    which OpenBLAS splits across its threads, each adding its own share."""
+    flat = a.reshape(-1)
+    step = max(1, _ROW_BLOCK_BYTES // flat.itemsize)
+    total = 0.0
+    for b in range(0, flat.size, step):
+        total += float(np.square(flat[b : b + step]).sum())
+    return total
 
 
 def fmt9(v: float) -> str:
@@ -491,7 +504,8 @@ def synthesize_scene(spec: SceneSpec) -> tuple[HsiCube, GroundTruth]:
         refl = signal
     else:
         noise = noise_rng.normal(signal.shape)
-        gain = np.linalg.norm(signal) / (np.linalg.norm(noise) * 10.0 ** (spec.snr_db / 20.0))
+        gain = math.sqrt(_sum_of_squares(signal) / _sum_of_squares(noise)) \
+            / 10.0 ** (spec.snr_db / 20.0)
         # signal + gain * noise, built in the noise's array
         noise *= gain
         refl = np.add(signal, noise, out=noise)

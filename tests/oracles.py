@@ -66,6 +66,18 @@ def conv2d_einsum(x: np.ndarray, w: np.ndarray, g: np.ndarray
     return out, gx, gw
 
 
+def conv2d_input_grad_transposed(w: np.ndarray, g: np.ndarray, padding: str) -> np.ndarray:
+    """Input gradient of `ad.conv2d` for an output gradient g, as the
+    transposed conv: g zero-padded by (kh-1-ph, kw-1-pw) and correlated with
+    the flipped kernel, Cin and Cout swapped, through `ad.conv2d`'s forward
+    pass, so its GEMM runs over every input pixel instead of every output one."""
+    kh, kw = w.shape[2], w.shape[3]
+    ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if padding == "same" else (0, 0)
+    gp = np.pad(g, ((0, 0), (0, 0), (kh - 1 - ph, kh - 1 - ph), (kw - 1 - pw, kw - 1 - pw)))
+    flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return ad.conv2d(ad.Tensor(gp), ad.Tensor(flipped), None, "valid").data
+
+
 def conv2d_plus_bias(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: str,
                      g: np.ndarray) -> tuple[np.ndarray, ...]:
     """A bias-free `ad.conv2d` followed by a separate broadcast add of b.

@@ -8,7 +8,8 @@ what earlier tests allocated: only a fresh process shows what a run from
 the command line pays, and only a fresh process has a peak resident set
 of its own.  The child inherits no malloc setting, so that a developer's
 shell can neither hide nor fake a figure, and its BLAS thread count is
-pinned, since each BLAS thread faults in buffers of its own.
+pinned, one thread unless a test asks for more, since each BLAS thread
+faults in buffers of its own.
 """
 from __future__ import annotations
 
@@ -43,26 +44,31 @@ _PEAK_RSS_KIB = ("int(next(line for line in open('/proc/self/status') "
                  "if line.startswith('VmHWM:')).split()[1])")
 
 
+def fresh_interpreter(code: str, blas_threads: int = 1) -> str:
+    """The last line `code` prints, run in a fresh interpreter with `src` on
+    the path, no malloc setting and `blas_threads` BLAS threads."""
+    env = {k: v for k, v in os.environ.items() if k not in MALLOC_ENV}
+    env.update(PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(blas_threads))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip().splitlines()[-1]
+
+
 def _growth(setup: str, code: str, probe: str) -> int:
     """Growth of `probe` over `code`, run once after `setup` in a fresh
     interpreter.
 
-    All three are Python source, run in one namespace with `src` on the
-    path; `probe` is an expression taken before and after `code`.
+    All three are Python source, run in one namespace; `probe` is an
+    expression taken before and after `code`.
     """
-    script = "\n".join([
+    return int(fresh_interpreter("\n".join([
         textwrap.dedent(setup),
         "import resource as _resource",
         f"_before = {probe}",
         textwrap.dedent(code),
         f"print({probe} - _before)",
-    ])
-    env = {k: v for k, v in os.environ.items() if k not in MALLOC_ENV}
-    env.update(PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env)
-    assert out.returncode == 0, out.stderr
-    return int(out.stdout.strip().splitlines()[-1])
+    ])))
 
 
 def minor_faults(setup: str, code: str) -> int:

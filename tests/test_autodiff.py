@@ -9,9 +9,10 @@ from aegem import autodiff as ad
 from aegem.rng import SplitMix64
 
 from oracles import (adam_scalar_reference, adam_step_reference, arccos_clamped,
-                     block_columns_windows, conv2d_einsum, conv2d_loops, conv2d_plus_bias,
-                     finite_diff_grads, gradcheck, leaky_relu_masked, leaky_relu_slope, max_rel_err,
-                     relu_mlp_unfused)
+                     block_columns_windows, conv2d_einsum, conv2d_input_grad_transposed,
+                     conv2d_loops, conv2d_plus_bias, finite_diff_grads, gradcheck,
+                     leaky_relu_masked, leaky_relu_slope, max_rel_err, relu_mlp_unfused)
+from page_faults import traced_peak
 
 
 def rng(seed=0):
@@ -138,6 +139,48 @@ def test_conv2d_peak_memory_stays_below_the_full_column_matrix():
         tracemalloc.stop()
     assert peak < full_columns
     assert grads[x].shape == x.shape and grads[w].shape == w.shape
+
+
+@pytest.mark.parametrize("row_block_bytes", [None, 1])
+@pytest.mark.parametrize("cin,cout,kernel,padding,hw", [
+    (128, 64, (3, 3), "valid", (5, 5)),  # the default AE's layer 2 on a training batch
+    (3, 32, (3, 3), "valid", (5, 5)),  # few input channels
+    (6, 5, (5, 3), "same", (11, 8)),
+    (6, 5, (3, 5), "valid", (11, 8)),
+    (7, 4, (1, 1), "same", (6, 9)),
+])
+def test_conv_input_gradient_equals_the_transposed_conv_oracle(monkeypatch, row_block_bytes,
+                                                                cin, cout, kernel, padding, hw):
+    # col2im sums each input pixel's taps in its own order: round-off of the scale
+    g = rng(26)
+    n = 16
+    x = g.normal(size=(n, cin, *hw))
+    w = g.normal(size=(cout, cin, *kernel))
+    half = [(k - 1) // 2 if padding == "same" else 0 for k in kernel]
+    gout = g.normal(size=(n, cout, hw[0] + 2 * half[0] - kernel[0] + 1,
+                          hw[1] + 2 * half[1] - kernel[1] + 1))
+    if row_block_bytes:
+        monkeypatch.setattr(ad, "_COLUMN_BLOCK_BYTES", row_block_bytes)
+    gx = _conv_and_grads(x, w, padding, gout)[1]
+    want = conv2d_input_grad_transposed(w, gout, padding)
+    assert gx.shape == x.shape
+    assert np.max(np.abs(gx - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_conv_input_gradient_holds_one_tap_block_and_the_gradient():
+    # the default AE's layer 2 on a training batch of 64 9x9 Samson windows:
+    # the transposed conv held 3.7 MB of columns of a 0.8 MB zero-padded g
+    # beside the gradient; col2im holds one block of taps (2.65 MB split
+    # into 1.8 and 0.9 MB) and the gradient it adds them into
+    g = rng(27)
+    x = ad.Tensor(g.normal(size=(64, 128, 5, 5)).astype(np.float32), requires_grad=True)
+    w = ad.Tensor(g.normal(size=(64, 128, 3, 3)).astype(np.float32), requires_grad=True)
+    out = ad.conv2d(x, w, None, "valid")
+    vjp_x = out._vjps[out._parents.index(x)]
+    # an [N,Cout,Ho,Wo] view of pixels-last memory, as a conv's output is
+    gout = g.normal(size=(64, 3, 3, 64)).astype(np.float32).transpose(3, 0, 1, 2)
+    peak = traced_peak(lambda: vjp_x(gout))
+    assert peak <= ad._COLUMN_BLOCK_BYTES + x.data.nbytes + 64 * 2**10, peak
 
 
 def _conv_whole_and_in_row_blocks(n, cin, cout, hw, kernel, padding, monkeypatch):

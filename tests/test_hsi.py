@@ -3,9 +3,6 @@ import math
 import os
 import re
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import aegem
 from aegem import hsi
 from aegem.hsi import (BadMagicError, DimensionError, GroundTruth, HsbFormatError,
                        HsiCube, SceneSpec, TruncatedPayloadError, gaussian_blur, load_cube,
@@ -24,7 +20,7 @@ from aegem.hsi import (BadMagicError, DimensionError, GroundTruth, HsbFormatErro
 from aegem.metrics import sad
 from oracles import (pixel_csv_text_per_value, read_table_per_row, save_cube_whole,
                      write_table_per_row)
-from page_faults import traced_peak
+from page_faults import fresh_interpreter, traced_peak
 
 
 def small_cube(seed=0, shape=(2, 2, 3)):
@@ -308,10 +304,7 @@ def test_import_aegem_leaves_scipy_ndimage_unloaded():
     # the scene blur is numpy: importing the package costs no scipy.ndimage
     code = ("import sys, aegem, aegem.cli; "
             "print(any(m.startswith('scipy.ndimage') for m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": str(Path(aegem.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert fresh_interpreter(code) == "False"
 
 
 def test_scene_noiseless_reconstruction_exact():
@@ -344,6 +337,25 @@ def test_scene_seed_reproducible_bitwise():
     assert np.array_equal(c1.reflectance, c2.reflectance)
     assert np.array_equal(g1.endmembers, g2.endmembers)
     assert np.array_equal(g1.abundances, g2.abundances)
+
+
+def test_finite_snr_scene_is_the_same_at_any_blas_thread_count():
+    # the noise gain is a ratio of norms: as OpenBLAS dots, split across its
+    # threads, they gave this scene other bytes at 2 threads than at 1
+    code = ("import hashlib\n"
+            "from aegem.hsi import SceneSpec, synthesize_scene\n"
+            "cube = synthesize_scene(SceneSpec(64, 64, 64, 3, snr_db=30.0, seed=7))[0]\n"
+            "print(hashlib.sha256(cube.reflectance.tobytes()).hexdigest())")
+    assert fresh_interpreter(code, blas_threads=1) == fresh_interpreter(code, blas_threads=2)
+
+
+@pytest.mark.parametrize("n", [1, 5, hsi._ROW_BLOCK_BYTES // 8, hsi._ROW_BLOCK_BYTES // 8 + 1,
+                               3 * hsi._ROW_BLOCK_BYTES // 8 + 7])
+def test_sum_of_squares_is_the_norm_squared_in_one_block_of_scratch(n):
+    a = np.random.default_rng(n).normal(size=n)
+    want = math.fsum(float(v) ** 2 for v in a)
+    assert abs(hsi._sum_of_squares(a) - want) <= 1e-13 * want
+    assert traced_peak(lambda: hsi._sum_of_squares(a)) <= hsi._ROW_BLOCK_BYTES + 16 * 2**10
 
 
 def test_scene_endmember_separation():
