@@ -12,6 +12,7 @@ max(x, alpha x), branch-free, with a boolean mask on its node.
 The recorded operation graph is single-owner and consumed by one
 :func:`backward` call; parameters are plain leaf tensors updated in
 place by :class:`Adam`, whose moments take each parameter's dtype.
+:func:`fit` is both models' training loop and states their float32 use.
 
 A tensor built from a float32 array stays float32; any other input
 becomes float64.  Ops compute in their inputs' dtype, so float32 inputs
@@ -64,20 +65,21 @@ Both thresholds start at 128 KiB.  Freeing a mapped chunk of at most
 twice that, and neither falls again.  Memory handed back is faulted in
 page by page when next used, so a loop that allocates and frees the same
 buffers keeps them resident only once the thresholds exceed them.
-`autoencoder._train_epochs` frees an untouched buffer of
-`_COLUMN_BLOCK_BYTES` before its first step.  That lifts the mmap
-threshold just above the cap, so every later column or tap block,
-training's and inference's alike, comes from the heap instead of being
-mapped fresh, and the trim threshold to twice the cap, above a step's
-temporaries: many arrays, 1.5 MiB at their traced peak at the
-`acceptance` benchmark's shapes, each too small for its free to raise
-the threshold above their sum.  The loop keeps each step's gradients
-until the next step's backward.  With a 4 MiB cap, inference's fresh
-4 MiB mappings stacked on top of the heap that training had left
-untrimmed and raised the AE stage's peak.  Any `mallopt` call or
-`MALLOC_*_` setting turns the dynamic thresholds off; the fixed ones
-tried cost more faults or a higher peak (ROADMAP's rejection "any
-`mallopt` call or `MALLOC_*_` variable").
+`fit` frees an untouched buffer of `_COLUMN_BLOCK_BYTES` before its
+first step.  That lifts the mmap threshold just above the cap, so every
+later column or tap block, training's and inference's alike, comes from
+the heap instead of being mapped fresh, and the trim threshold to twice
+the cap, above a step's temporaries: many arrays, 1.5 MiB at their
+traced peak at the `acceptance` benchmark's shapes, each too small for
+its free to raise the threshold above their sum.  The autoencoder's
+epoch keeps each step's gradients until the next step's backward.  In a
+run the GCN's free changes nothing: the autoencoder has already raised
+both thresholds.  With a 4 MiB cap, inference's fresh 4 MiB mappings
+stacked on top of the heap that training had left untrimmed and raised
+the AE stage's peak.  Any `mallopt` call or `MALLOC_*_` setting turns
+the dynamic thresholds off; the fixed ones tried cost more faults or a
+higher peak (ROADMAP's rejection "any `mallopt` call or `MALLOC_*_`
+variable").
 """
 from __future__ import annotations
 
@@ -106,10 +108,10 @@ class NonFiniteError(FloatingPointError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced non-finite values in an epoch."""
 
     def __init__(self, epoch: int):
-        super().__init__(f"training diverged (non-finite loss) at epoch {epoch}")
+        super().__init__(f"training diverged (non-finite values) at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -370,10 +372,10 @@ def scaled_softmax(x: Tensor, scale: float, axis: int = -1) -> Tensor:
 
 # Cap on one block of a conv's column matrix or of its input gradient's
 # taps, in bytes; a block holds at least one output row.  It is also the
-# size of the untouched buffer `autoencoder._train_epochs` frees before its
-# first step: that free lifts glibc's mmap threshold just above 2 MiB, so
-# every later block comes from the heap instead of being mapped fresh and
-# faulted in ("Memory" in the module docstring).  The default
+# size of the untouched buffer `fit` frees before its first step: that
+# free lifts glibc's mmap threshold just above 2 MiB, so every later block
+# comes from the heap instead of being mapped fresh and faulted in
+# ("Memory" in the module docstring).  The default
 # autoencoder's largest training blocks, layer 2's 2.65 MB of float32
 # columns and taps on a batch of 64 Samson windows, split into a 2-row
 # and a 1-row block; their Wo*N = 192 columns a row fill whole BLAS
@@ -699,18 +701,18 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     return result
 
 
-# -- optimizer ----------------------------------------------------------------
+# -- optimizer and training loop ----------------------------------------------
+
+# Adam's moment decay rates and its denominator's offset (Kingma & Ba 2015)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam with bias correction; updates parameter data in place."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -727,20 +729,60 @@ class Adam:
             g = grads.get(p)
             if g is None:
                 continue
-            tmp = np.multiply(g, 1 - self.beta1)
-            m *= self.beta1
+            tmp = np.multiply(g, 1 - _BETA1)
+            m *= _BETA1
             m += tmp
-            np.multiply(g, 1 - self.beta2, out=tmp)
+            np.multiply(g, 1 - _BETA2, out=tmp)
             tmp *= g
-            v *= self.beta2
+            v *= _BETA2
             v += tmp
-            denom = np.divide(v, 1 - self.beta2**t)
+            denom = np.divide(v, 1 - _BETA2**t)
             np.sqrt(denom, out=denom)
-            denom += self.eps
-            np.divide(m, 1 - self.beta1**t, out=tmp)
+            denom += _EPS
+            np.divide(m, 1 - _BETA1**t, out=tmp)
             tmp *= self.lr
             tmp /= denom
             p.data -= tmp
+
+
+def check_schedule(model: str, epochs: int, lr: float) -> None:
+    """Raise ValueError, naming `model`, unless epochs >= 0 and 0 < lr < inf."""
+    if epochs < 0:
+        raise ValueError(f"{model} epochs must be >= 0, got {epochs}")
+    if not lr > 0:
+        raise ValueError(f"{model} learning_rate must be > 0, got {lr!r}")
+    if lr == np.inf:
+        raise ValueError(f"{model} learning_rate must be finite, got inf")
+
+
+def fit(params: list[Tensor], epochs: int, lr: float, epoch_fn) -> list:
+    """`epochs` epochs of Adam at rate lr on params: the one training loop.
+
+    Calls `epoch_fn(epoch, optimizer)` once per epoch and returns what
+    each call returned.  A NonFiniteError raised in epoch e becomes
+    DivergenceError(e); only a forward checks values, so a non-finite
+    parameter after the last step raises DivergenceError(epochs - 1).
+
+    The autoencoder and the GCN train in float32 (mixed-precision
+    training, Micikevicius et al. 2018): `train_autoencoder` and
+    `train_gcn` cast their parameters and data down before `fit` and the
+    parameters back up after it, which is exact.  Training's GEMMs run
+    about 1.7x faster, and everything after it stays float64, so that an
+    abundance stack sums to one within 1e-8, which float32's 6e-8 would
+    miss.  `fit` runs in the dtype it is given: the tests' oracles use
+    float64.
+    """
+    optimizer = Adam(params, lr)
+    np.empty(_COLUMN_BLOCK_BYTES, dtype=np.uint8)  # the untouched warm-up ("Memory" above)
+    history = []
+    for epoch in range(epochs):
+        try:
+            history.append(epoch_fn(epoch, optimizer))
+        except NonFiniteError as exc:
+            raise DivergenceError(epoch) from exc
+    if epochs and not all(np.isfinite(p.data).all() for p in optimizer.params):
+        raise DivergenceError(epochs - 1)
+    return history
 
 
 def glorot_uniform(shape: tuple, fan_in: int, fan_out: int, rng) -> Tensor:

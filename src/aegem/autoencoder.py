@@ -47,14 +47,9 @@ step of VCA (Nascimento & Bioucas-Dias 2005) and HySime (Bioucas-Dias &
 Nascimento 2008).  The decoder, the loss, inference's input and the
 endmembers keep all L bands.
 
-The training steps run in float32 (mixed-precision training,
-Micikevicius et al. 2018): the image and the parameters are cast down for
-the epoch loop, whose GEMMs then run about 1.7x faster, and the trained
-parameters are cast back up, which is exact.  Everything after training
-stays float64: inference, the endmembers and the checkpoint.  So the
-abundance stack sums to one within 1e-8, which float32 rounding (6e-8
-relative) would miss, and it costs little: inference is about 1 % of a
-run.
+The training steps are `autodiff.fit`'s, in float32 as its docstring
+sets out; inference, the endmembers and the checkpoint stay float64,
+and inference is about 1 % of a run.
 
 Inference encodes the image zero-padded by the patch half-width in row
 strips with a halo as wide, through `same`-padded convs (see
@@ -138,15 +133,9 @@ class AutoencoderConfig:
         if not 0 < self.softmax_scale < math.inf:
             raise ValueError("softmax_scale must be positive and finite, "
                              f"got {self.softmax_scale!r}")
-        if self.epochs < 0:
-            raise ValueError(f"autoencoder epochs must be >= 0, got {self.epochs}")
+        ad.check_schedule("autoencoder", self.epochs, self.learning_rate)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ValueError("autoencoder learning_rate must be > 0, "
-                             f"got {self.learning_rate!r}")
-        if self.learning_rate == math.inf:
-            raise ValueError("autoencoder learning_rate must be finite, got inf")
         if not 0 <= self.mse_weight < math.inf:
             raise ValueError(f"mse_weight must be finite and >= 0, got {self.mse_weight!r}")
 
@@ -446,11 +435,9 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
                       ) -> tuple[np.ndarray, np.ndarray, list[float], ConvAutoencoder]:
     """Train on every pixel's receptive cone; returns endmembers, maps, loss history.
 
-    The epoch loop (`_train_epochs`) runs in float32: the image and the
-    parameters are cast down before it and the parameters cast back up
-    after it, which is exact, so the returned model, the abundance stack
-    assembled from its final-epoch weights and the endmembers are
-    float64.  Deterministic per config.seed.
+    The epoch loop (`_train_epochs`) runs in float32, as `autodiff.fit`
+    sets out; the returned model, the abundance stack from its final-epoch
+    weights and the endmembers are float64.  Deterministic per config.seed.
     """
     root = SplitMix64(config.seed)
     model = ConvAutoencoder(config, cube.bands, root.split(0))
@@ -466,18 +453,9 @@ def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
     return endmembers, stack, history, model
 
 
-# Bytes of the untouched buffer `_train_epochs` frees before its first step,
-# the conv block cap itself.  Mapped in a fresh process, its free lifts
-# glibc's mmap threshold just above it, so no conv block is mapped fresh,
-# and the trim threshold to twice it, above a step's traced peak (1.5 MiB
-# at the `acceptance` shapes); a 4 or 8 MiB buffer raised the peak RSS
-# (`autodiff`, "Memory").
-_MALLOC_WARMUP_BYTES = ad._COLUMN_BLOCK_BYTES
-
-
 def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
                   shuffle_rng: SplitMix64) -> list[float]:
-    """config.epochs of Adam on an (H, W, L) image; returns per-epoch mean losses.
+    """config.epochs of `ad.fit` on an (H, W, L) image; returns per-epoch mean losses.
 
     Each epoch visits the pixels in a shuffled order, in batches: a
     batch's `training_windows` run through `valid` convs down to their
@@ -497,33 +475,25 @@ def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
         raise ad.DivergenceError(0) from exc
     windows = training_windows(coords.transpose(1, 2, 0), config)
     n = len(centers)
-    optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
-    # allocated and freed at once, untouched: it raises malloc's thresholds so
-    # that no step hands its heap back to the OS and faults it in again
-    # (`autodiff`, "Memory")
-    np.empty(_MALLOC_WARMUP_BYTES, dtype=np.uint8)
-    history: list[float] = []
-    for epoch in range(config.epochs):
+
+    def epoch(_, optimizer: ad.Adam) -> float:
         order = shuffle_rng.permutation(n)
         batch_losses = []
-        try:
-            for start in range(0, n, config.batch_size):
-                r, c = centers[order[start : start + config.batch_size]].T
-                recon = model.decode(model.encode_subspace(windows[r, c], "valid"), "valid")
-                loss = reconstruction_loss(reflectance[r, c, :, None, None], recon,
-                                           config.mse_weight)
-                # the gradients live until the next step's backward: freed at
-                # once, they let malloc hand a Samson-shaped step's heap back to
-                # the OS, warm-up or not, and every step faults it in again
-                # (`autodiff`, "Memory")
-                grads = ad.backward(loss)
-                optimizer.step(grads)
-                model.clamp_decoder()
-                batch_losses.append(loss.item())
-        except ad.NonFiniteError as exc:
-            raise ad.DivergenceError(epoch) from exc
-        history.append(float(np.mean(batch_losses)))
-    return history
+        for start in range(0, n, config.batch_size):
+            r, c = centers[order[start : start + config.batch_size]].T
+            recon = model.decode(model.encode_subspace(windows[r, c], "valid"), "valid")
+            loss = reconstruction_loss(reflectance[r, c, :, None, None], recon,
+                                       config.mse_weight)
+            # the gradients live until the next step's backward: freed at once,
+            # they let malloc hand a Samson-shaped step's heap back to the OS,
+            # and every step faults it in again (`autodiff`, "Memory")
+            grads = ad.backward(loss)
+            optimizer.step(grads)
+            model.clamp_decoder()
+            batch_losses.append(loss.item())
+        return float(np.mean(batch_losses))
+
+    return ad.fit(model.parameters(), config.epochs, config.learning_rate, epoch)
 
 
 # -- checkpointing -------------------------------------------------------------

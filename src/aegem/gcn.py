@@ -17,13 +17,11 @@ The second product is taken as A (H W2), P wide instead of hidden wide.
 This is the same function of the weights as the full-graph forward, so
 only floating-point summation order differs.
 
-The epoch loop (`_train_epochs`) runs in float32, as the autoencoder's
-does: A X is computed in float64 and its rows N1, the weights and the
-targets are cast down for the loop, and the trained weights are cast
-back up, which is exact.  The final forward over all nodes, the
-checkpoint and the written maps stay float64.  The loss is one op,
-`bce_with_logits`, whose gradient is (sigmoid(z) - t)/n on the rows it
-reads.
+The epoch loop (`_train_epochs`) is `autodiff.fit`'s, in float32 as its
+docstring sets out, on A X's rows N1, computed in float64 and cast down.
+The final forward over all nodes, the checkpoint and the maps stay
+float64.  The loss is one op, `bce_with_logits`, whose gradient is
+(sigmoid(z) - t)/n on the rows it reads.
 
 The hidden layer is one fused op, `ad.relu_mlp(AX[N1], W1, W2)`, which
 walks the fixed rows of A X in row tiles that fit in L2 cache and takes
@@ -58,7 +56,6 @@ package reads one back (see `checkpoint`).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,12 +79,7 @@ class GcnConfig:
             raise ValueError("label_fraction must be in (0, 1]")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if self.epochs < 0:
-            raise ValueError(f"gcn epochs must be >= 0, got {self.epochs}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"gcn learning_rate must be > 0, got {self.learning_rate!r}")
-        if self.learning_rate == math.inf:
-            raise ValueError("gcn learning_rate must be finite, got inf")
+        ad.check_schedule("gcn", self.epochs, self.learning_rate)
 
 
 class Sparse:
@@ -257,10 +249,9 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
     feature anywhere raises ad.DivergenceError(0) as the full-graph forward
     would.  The operator is restricted once to the labeled rows over
     their receptive field, which `model.field` keeps.  The epoch loop
-    (`_train_epochs`) then runs in float32 on the rows of A X in that
-    field: those rows, the weights and the targets are cast down before
-    it and the weights cast back up after it, which is exact, so the
-    returned model is float64.
+    (`_train_epochs`) then runs on the rows of A X in that field, the
+    weights and the targets, all cast to float32, as `autodiff.fit` sets
+    out, so the returned model is float64.
     """
     if label_idx.size == 0:
         raise ValueError("labeled pixel set is empty")
@@ -285,7 +276,7 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
 def _train_epochs(model: GcnModel, rows_op: Sparse, ax_field: np.ndarray,
                   targets: np.ndarray, config: GcnConfig, split_rng: SplitMix64,
                   ) -> list[tuple[int, float, float]]:
-    """config.epochs of full-batch Adam; history rows are (epoch, train_bce, val_bce).
+    """config.epochs of full-batch `ad.fit`; history rows are (epoch, train_bce, val_bce).
 
     rows_op is the operator's labeled rows over the labels' receptive
     field, and ax_field the rows of A X at that field, as
@@ -302,19 +293,16 @@ def _train_epochs(model: GcnModel, rows_op: Sparse, ax_field: np.ndarray,
     n_val = max(1, n_lab // 10) if n_lab >= 2 else 0
     order = split_rng.permutation(n_lab)
     val_rows, train_rows = order[:n_val], order[n_val:]
-    optimizer = ad.Adam(model.parameters(), lr=config.learning_rate)
-    history: list[tuple[int, float, float]] = []
-    for epoch in range(config.epochs):
-        try:
-            z_lab = ad.sparse_matmul(rows_op, ad.relu_mlp(ax_field, model.w1, model.w2))
-            loss = bce_with_logits(z_lab, targets, train_rows)
-        except ad.NonFiniteError as exc:
-            raise ad.DivergenceError(epoch) from exc
+
+    def epoch(i: int, optimizer: ad.Adam) -> tuple[int, float, float]:
+        z_lab = ad.sparse_matmul(rows_op, ad.relu_mlp(ax_field, model.w1, model.w2))
+        loss = bce_with_logits(z_lab, targets, train_rows)
         train_bce = loss.item()
         val_bce = float(_bce(z_lab.data[val_rows], targets[val_rows])) if n_val else train_bce
         optimizer.step(ad.backward(loss))
-        history.append((epoch, train_bce, val_bce))
-    return history
+        return i, train_bce, val_bce
+
+    return ad.fit(model.parameters(), config.epochs, config.learning_rate, epoch)
 
 
 def save_gcn(model: GcnModel, path) -> None:

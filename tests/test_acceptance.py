@@ -3,7 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
+import json
 import os
+import textwrap
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +27,7 @@ from aegem.pipeline import RunConfig, run_pipeline, write_config
 from aegem.rng import SplitMix64
 
 from oracles import ellipse_offsets_bruteforce, fcls_abundances, gradcheck
+from page_faults import fresh_interpreter
 
 ACCEPTANCE_SCENE = SceneSpec(32, 32, 20, 3, snr_db=float("inf"), seed=0)
 ACCEPTANCE_AE = AutoencoderConfig(encoder_filters=(32, 16, 8, 3),
@@ -270,6 +273,36 @@ def test_criterion_6_run_determinism(tmp_path):
         blobs.append((tmp_path / sub / "metrics.csv").read_bytes())
     _line("criterion-6 determinism", blobs[0] == blobs[1],
           f"metrics CSVs identical over two seeded runs ({len(blobs[0])} bytes)")
+
+
+def test_run_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a finite-SNR run in fresh interpreters at 1 and 2 BLAS threads; the AE
+    # checkpoint is left out, since its basis moves by up to 7.2e-15 with the
+    # thread count, and config.ini, run.log and metrics.txt hold paths and times
+    def artifact_digests(threads: int) -> dict:
+        out = tmp_path / f"threads{threads}"
+        code = textwrap.dedent(f"""
+            import hashlib, json, pathlib
+            from aegem.autoencoder import AutoencoderConfig
+            from aegem.gcn import GcnConfig
+            from aegem.hsi import SceneSpec
+            from aegem.pipeline import RunConfig, run_pipeline
+            out = pathlib.Path({str(out)!r})
+            run_pipeline(RunConfig(
+                scene=SceneSpec(32, 32, 20, 3, snr_db=30.0),
+                ae=AutoencoderConfig(encoder_filters=(32, 16, 8, 3),
+                                     encoder_kernels=(5, 3, 3, 1), epochs=2),
+                gcn=GcnConfig(hidden=32, epochs=20), out_dir=str(out), seed=1), log=None)
+            files = sorted([*out.glob("*.csv"), *out.glob("maps/*")])
+            print(json.dumps({{f.relative_to(out).as_posix():
+                              hashlib.sha256(f.read_bytes()).hexdigest() for f in files}}))
+            """)
+        return json.loads(fresh_interpreter(code, blas_threads=threads))
+
+    one, two = artifact_digests(1), artifact_digests(2)
+    assert {"ae_abundances.csv", "gcn_abundances.csv", "final_abundances.csv",
+            "metrics.csv", "maps/abundances.csv", "maps/em0.pgm"} <= set(one)
+    assert one == two
 
 
 # -- criterion 7: optional benchmark ----------------------------------------------------

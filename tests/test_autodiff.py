@@ -719,6 +719,53 @@ def test_adam_step_in_place_matches_the_out_of_place_reference():
             assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])
 
 
+# -- the training loop -------------------------------------------------------------------
+
+def test_fit_reports_a_non_finite_value_as_divergence_at_its_epoch():
+    p = ad.Tensor(np.ones(2), requires_grad=True)
+    cause = ad.NonFiniteError("non-finite values produced by op 'conv2d'")
+    seen = []
+
+    def epoch(i, optimizer):
+        seen.append((i, optimizer, optimizer.step_count))
+        for _ in range(2):
+            optimizer.step(ad.backward((p * p).sum()))
+        if i == 2:
+            raise cause
+        return i
+
+    with pytest.raises(ad.DivergenceError) as err:
+        ad.fit([p], 5, 0.1, epoch)
+    assert err.value.epoch == 2 and err.value.__cause__ is cause
+    assert [i for i, _, _ in seen] == [0, 1, 2]
+    assert len({id(optimizer) for _, optimizer, _ in seen}) == 1
+    # one optimizer: its step count and moments carry across epochs
+    assert [count for *_, count in seen] == [0, 2, 4]
+    assert seen[0][1].step_count == 6
+
+
+def test_fit_returns_each_epochs_row_and_checks_the_last_step():
+    p = ad.Tensor(np.array([3.0, -1.0]), requires_grad=True)
+
+    def epoch(i, optimizer):
+        loss = ((p - 1.0) ** 2).sum()
+        optimizer.step(ad.backward(loss))
+        return i, loss.item()
+
+    rows = ad.fit([p], 3, 0.1, epoch)
+    assert [i for i, _ in rows] == [0, 1, 2] and rows[2][1] < rows[0][1]
+    assert ad.fit([p], 0, 0.1, epoch) == []
+
+    def poison_last(i, optimizer):
+        epoch(i, optimizer)
+        if i == 2:  # a non-finite weight that no later forward reads
+            p.data[1] = np.inf
+
+    with pytest.raises(ad.DivergenceError) as err:
+        ad.fit([p], 3, 0.1, poison_last)
+    assert err.value.epoch == 2 and err.value.__cause__ is None
+
+
 # -- determinism -----------------------------------------------------------------------
 
 def _tiny_training_run(seed):

@@ -292,6 +292,20 @@ def test_divergence_raises_with_epoch():
     assert err.value.epoch == 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
+def test_a_divergence_in_the_last_step_raises_with_its_epoch():
+    # one epoch of one batch: no training forward follows the step that
+    # makes the weights non-finite, and inference failed on them
+    cube, _ = synthesize_scene(SceneSpec(12, 12, 6, 3, seed=1))
+    bad = HsiCube(normalize(cube).reflectance * 1e3)
+    config = AutoencoderConfig(encoder_filters=(6, 4, 3), encoder_kernels=(3, 3, 1),
+                               patch_size=5, epochs=1, batch_size=256,
+                               learning_rate=3.3e38, seed=1)
+    with pytest.raises(ad.DivergenceError) as err:
+        train_autoencoder(bad, config)
+    assert err.value.epoch == 0
+
+
 @pytest.mark.parametrize("filters,kernels,patch", [((8, 4, 4, 3), (5, 3, 3, 1), 9),
                                                    ((6, 3), (3, 1), 5)])
 def test_abundance_stack_matches_per_patch_encode(filters, kernels, patch):

@@ -300,6 +300,19 @@ def test_train_gcn_divergence_reported():
     assert err.value.epoch == 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
+def test_train_gcn_reports_a_divergence_in_the_last_step():
+    # one epoch: no forward follows the step that makes the weights
+    # non-finite, and train_gcn returned them
+    cube, gt = synthesize_scene(SceneSpec(12, 12, 6, 3, seed=1))
+    graph = build_graph(normalize(cube), 2, 2)
+    idx, targets = sample_labels(gt.abundances, 0.2, SplitMix64(2))
+    config = GcnConfig(hidden=8, epochs=1, learning_rate=3.3e38, seed=1)
+    with pytest.raises(ad.DivergenceError) as err:
+        train_gcn(graph, gt.abundances.reshape(-1, 3) * 1e3, idx, targets, config)
+    assert err.value.epoch == 0
+
+
 def _initial_model(graph, features, idx, config):
     """`train_gcn`'s float64 model before its first step, its restricted
     operator, its rows of A X and its split generator."""
