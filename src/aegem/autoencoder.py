@@ -83,7 +83,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint
-from .hsi import HsiCube, row_norms
+from .hsi import HsiCube, pixel_coordinates, row_norms
 from .rng import SplitMix64
 
 
@@ -109,7 +109,6 @@ class AutoencoderConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     mse_weight: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         self.encoder_filters = tuple(int(v) for v in self.encoder_filters)
@@ -201,12 +200,6 @@ def spectral_basis(spectra: np.ndarray, endmembers: int) -> np.ndarray:
 
 
 # -- patch extraction ----------------------------------------------------------
-
-def patch_centers(height: int, width: int) -> np.ndarray:
-    """(H*W, 2) row-major coordinates of every pixel: each is a patch center."""
-    rows, cols = np.divmod(np.arange(height * width), width)
-    return np.stack([rows, cols], axis=1)
-
 
 def training_windows(reflectance: np.ndarray, config: AutoencoderConfig) -> np.ndarray:
     """(H, W, L, w, w) view of an (H, W, L) image, in its dtype: window
@@ -431,15 +424,15 @@ def endmembers_from_decoder(model: ConvAutoencoder) -> np.ndarray:
     return np.maximum(out.data[:, :, c, c].T, 0.0)
 
 
-def train_autoencoder(cube: HsiCube, config: AutoencoderConfig,
+def train_autoencoder(cube: HsiCube, config: AutoencoderConfig, seed: int,
                       ) -> tuple[np.ndarray, np.ndarray, list[float], ConvAutoencoder]:
     """Train on every pixel's receptive cone; returns endmembers, maps, loss history.
 
     The epoch loop (`_train_epochs`) runs in float32, as `autodiff.fit`
     sets out; the returned model, the abundance stack from its final-epoch
-    weights and the endmembers are float64.  Deterministic per config.seed.
+    weights and the endmembers are float64.  Deterministic per seed.
     """
-    root = SplitMix64(config.seed)
+    root = SplitMix64(seed)
     model = ConvAutoencoder(config, cube.bands, root.split(0))
     model.seed_from_spectra(cube.spectra())
     params = model.parameters()
@@ -468,7 +461,7 @@ def _train_epochs(model: ConvAutoencoder, reflectance: np.ndarray,
     """
     config = model.config
     height, width, _ = reflectance.shape
-    centers = patch_centers(height, width)
+    centers = pixel_coordinates(height, width)
     try:
         coords = model.project(reflectance.transpose(2, 0, 1)[None]).data[0]
     except ad.NonFiniteError as exc:

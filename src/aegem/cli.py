@@ -83,8 +83,8 @@ def _cmd_synth(args) -> int:
                       write_abundance_csv, write_endmember_csv)
 
     spec = SceneSpec(height=args.h, width=args.w, bands=args.l, endmembers=args.p,
-                     smoothness=args.smoothness, snr_db=args.snr, seed=args.seed)
-    cube, truth = synthesize_scene(spec)
+                     smoothness=args.smoothness, snr_db=args.snr)
+    cube, truth = synthesize_scene(spec, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_cube(cube, out / "cube.hsb")

@@ -72,7 +72,6 @@ class GcnConfig:
     epochs: int = 200
     learning_rate: float = 0.001
     label_fraction: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.label_fraction <= 1.0:
@@ -241,9 +240,9 @@ def sample_labels(abundances: np.ndarray, fraction: float,
 
 
 def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarray,
-              label_targets: np.ndarray, config: GcnConfig,
+              label_targets: np.ndarray, config: GcnConfig, seed: int,
               ) -> tuple[GcnModel, list[tuple[int, float, float]]]:
-    """Full-batch Adam on labeled-node BCE; deterministic per config.seed.
+    """Full-batch Adam on labeled-node BCE; deterministic per seed.
 
     A X is computed in float64 for every node first, so a non-finite
     feature anywhere raises ad.DivergenceError(0) as the full-graph forward
@@ -255,7 +254,7 @@ def train_gcn(graph: EllipticalGraph, features: np.ndarray, label_idx: np.ndarra
     """
     if label_idx.size == 0:
         raise ValueError("labeled pixel set is empty")
-    root = SplitMix64(config.seed)
+    root = SplitMix64(seed)
     model = GcnModel(normalized_operator(graph), features.shape[1], config.hidden,
                      label_targets.shape[1], root.split(0))
     try:

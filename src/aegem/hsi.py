@@ -196,7 +196,6 @@ class SceneSpec:
     endmembers: int
     smoothness: float = 2.0
     snr_db: float = math.inf
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.height, self.width, self.bands, self.endmembers) < 1:
@@ -354,8 +353,8 @@ def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]
     return ints, floats, header[k:]
 
 
-def _pixel_keys(height: int, width: int) -> np.ndarray:
-    """(H*W, 2) row,col pairs in row-major order."""
+def pixel_coordinates(height: int, width: int) -> np.ndarray:
+    """(H*W, 2) row,col pairs of every pixel in row-major order."""
     return np.indices((height, width)).reshape(2, -1).T
 
 
@@ -442,7 +441,7 @@ def _angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
-def synthesize_scene(spec: SceneSpec) -> tuple[HsiCube, GroundTruth]:
+def synthesize_scene(spec: SceneSpec, seed: int) -> tuple[HsiCube, GroundTruth]:
     """Generate a linear-mixture scene with known endmembers and abundances.
 
     Endmembers are redrawn until all pairwise spectral angles reach
@@ -452,7 +451,7 @@ def synthesize_scene(spec: SceneSpec) -> tuple[HsiCube, GroundTruth]:
     """
     if spec.endmembers > 6:
         raise ValueError("scene generator supports at most 6 endmembers")
-    root = SplitMix64(spec.seed)
+    root = SplitMix64(seed)
     em_rng, ab_rng, noise_rng = root.split(1), root.split(2), root.split(3)
 
     p, l = spec.endmembers, spec.bands
@@ -549,7 +548,7 @@ def write_abundance_csv(stack: np.ndarray, path, names: list[str] | None = None)
     h, w, p = stack.shape
     if names is None:
         names = [f"em{j}" for j in range(p)]
-    write_table(path, ["row", "col", *names], _pixel_keys(h, w), stack.reshape(h * w, p))
+    write_table(path, ["row", "col", *names], pixel_coordinates(h, w), stack.reshape(h * w, p))
 
 
 def read_abundance_csv(path) -> tuple[np.ndarray, list[str]]:

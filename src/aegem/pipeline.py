@@ -13,7 +13,9 @@ run its first stages (see `aegem.cli`).  A run directory receives the
 candidate and final abundance stacks, extracted endmembers, the graph
 edge list, labeled pixels, training logs, grayscale maps, checkpoints,
 and a metrics report.  Reports are always computed from the written CSV artifacts so
-that re-scoring a saved run reproduces them exactly.
+that re-scoring a saved run reproduces them exactly.  Every random stream is
+seeded from `RunConfig.seed` and `scene_seed` alone, as `RunConfig` lists,
+and config.ini records both, so that a run's config.ini reproduces it.
 """
 from __future__ import annotations
 
@@ -75,7 +77,8 @@ class RunConfig:
     stride_r: int | None = None
     stride_c: int | None = None
     out_dir: str = "out"
-    seed: int = 0
+    seed: int = 0  # the AE's is seed + 1, the GCN's seed + 2 and the labels' seed + 3
+    scene_seed: int | None = None  # the scene's, when not seed; for a scene input only
     repeat: int = 1
 
     def __post_init__(self):
@@ -87,10 +90,8 @@ class RunConfig:
                            ("stride_r", self.stride_r), ("stride_c", self.stride_c)):
             if value is not None and value < 1:
                 raise ValueError(f"kernel {key} must be >= 1, got {value}")
-        if self.scene is not None and self.scene.seed != 0:
-            # the run seed governs scene generation; the spec's own seed
-            # field is meaningful only for direct synthesize_scene calls
-            self.scene = replace(self.scene, seed=0)
+        if self.scene is None and self.scene_seed is not None:
+            raise ValueError("[run] scene_seed is set, but the input is a file, not a scene")
 
 
 # -- config file round-trip ------------------------------------------------------
@@ -99,7 +100,7 @@ class RunConfig:
 # RunConfig field it sets: `scene.`, `ae.` and `gcn.` name a field of
 # rc.scene, rc.ae and rc.gcn.  A value parses as its field's declared type.
 _KNOWN_KEYS = {
-    "run": {"seed": "seed", "repeat": "repeat", "out": "out_dir"},
+    "run": {"seed": "seed", "scene_seed": "scene_seed", "repeat": "repeat", "out": "out_dir"},
     "input": {**{k: f"scene.{k}" for k in ("height", "width", "bands", "endmembers",
                                            "smoothness", "snr_db")},
               "path": "input_path", "format": "input_format",
@@ -348,7 +349,6 @@ class RunState:
 
     rc: RunConfig
     out: Path
-    scene_seed: int | None = None  # pins the synthetic scene apart from the run seed
     started: float = field(default_factory=time.perf_counter)
     cube: HsiCube | None = None
     truth: GroundTruth | None = None
@@ -363,8 +363,8 @@ def _load(run: RunState) -> str:
     """The scene or input cube and its truth, written to the run directory."""
     rc, out = run.rc, run.out
     if rc.scene is not None:
-        scene = replace(rc.scene, seed=rc.seed if run.scene_seed is None else run.scene_seed)
-        run.cube, run.truth = synthesize_scene(scene)
+        run.cube, run.truth = synthesize_scene(
+            rc.scene, rc.seed if rc.scene_seed is None else rc.scene_seed)
         save_cube(run.cube, out / "cube.hsb")
     else:
         if not Path(rc.input_path).exists():
@@ -386,9 +386,9 @@ def _normalize(run: RunState) -> str:
 def _autoencoder(run: RunState) -> str:
     """Train the AE with one channel per truth endmember; stack in truth order."""
     rc, out, truth = run.rc, run.out, run.truth
-    ae_cfg = replace(rc.ae, seed=rc.seed + 1,
-                     encoder_filters=(*rc.ae.encoder_filters[:-1], truth.endmembers.shape[1]))
-    em_ae, ae_stack, ae_history, ae_model = train_autoencoder(run.cube, ae_cfg)
+    ae_cfg = replace(rc.ae, encoder_filters=(*rc.ae.encoder_filters[:-1],
+                                             truth.endmembers.shape[1]))
+    em_ae, ae_stack, ae_history, ae_model = train_autoencoder(run.cube, ae_cfg, rc.seed + 1)
     order = match_endmembers(em_ae, truth.endmembers).order
     run.ae_stack, em_ae = ae_stack[:, :, order], em_ae[:, order]
     save_autoencoder(ae_model, out / "checkpoint_ae.aew")
@@ -417,12 +417,11 @@ def _graph(run: RunState) -> str:
 def _gcn(run: RunState) -> str:
     """Refine the AE stack on the graph; writes the GCN stack and the labeled pixels."""
     rc, out, cube = run.rc, run.out, run.cube
-    gcn_cfg = replace(rc.gcn, seed=rc.seed + 2)
     features = run.ae_stack.reshape(-1, run.ae_stack.shape[2])
     run.label_idx, label_targets = gcn_mod.sample_labels(
-        run.truth.abundances, gcn_cfg.label_fraction, SplitMix64(rc.seed + 3))
+        run.truth.abundances, rc.gcn.label_fraction, SplitMix64(rc.seed + 3))
     model, gcn_history = gcn_mod.train_gcn(run.graph, features, run.label_idx,
-                                           label_targets, gcn_cfg)
+                                           label_targets, rc.gcn, rc.seed + 2)
     run.gcn_stack = gcn_mod.forward(model, features).reshape(cube.height, cube.width, -1)
     gcn_mod.save_gcn(model, out / "checkpoint_gcn.aew")
     history = np.reshape(gcn_history, (-1, 3))
@@ -430,7 +429,7 @@ def _gcn(run: RunState) -> str:
                 history[:, :1], history[:, 1:], fmt="%r")
     write_labels_csv(run.label_idx, cube.width, out / "labels.csv")
     write_abundance_csv(run.gcn_stack, out / "gcn_abundances.csv", run.truth.materials)
-    return (f"{features.shape[1]}-d node features, {gcn_cfg.epochs} epochs "
+    return (f"{features.shape[1]}-d node features, {rc.gcn.epochs} epochs "
             f"on {run.label_idx.size} labeled pixels (receptive field {model.field.size} of "
             f"{run.graph.n_pixels} nodes)")
 
@@ -507,7 +506,18 @@ def _clear_artifacts(rc: RunConfig, out: Path, first: str) -> None:
                     path.unlink()
 
 
-def run_stages(rc: RunConfig, stages, log=print, scene_seed: int | None = None) -> RunState:
+def _clear_run(rc: RunConfig, out: Path) -> None:
+    """Delete a finished run's files from out: every stage's artifacts but
+    the input files, config.ini and run.log, and maps/ if left empty."""
+    _clear_artifacts(rc, out, next(iter(STAGES)))
+    for name in ("config.ini", "run.log"):
+        (out / name).unlink(missing_ok=True)
+    maps = out / "maps"
+    if maps.is_dir() and not any(maps.iterdir()):
+        maps.rmdir()
+
+
+def run_stages(rc: RunConfig, stages, log=print) -> RunState:
     """Run the named stages in order in rc.out_dir, next to config.ini and run.log.
 
     First the artifacts of the first named stage and of every stage after
@@ -521,7 +531,7 @@ def run_stages(rc: RunConfig, stages, log=print, scene_seed: int | None = None) 
     if stages:
         _clear_artifacts(rc, out, next(iter(stages)))
     write_config(rc, out / "config.ini")
-    run = RunState(rc, out, scene_seed)
+    run = RunState(rc, out)
     lines: list[str] = []
     try:
         for name in stages:
@@ -540,32 +550,46 @@ def run_stages(rc: RunConfig, stages, log=print, scene_seed: int | None = None) 
     return run
 
 
-def run_pipeline(rc: RunConfig, log=print,
-                 scene_seed: int | None = None) -> tuple[MetricsReport, Path]:
-    """Run every stage; returns the metrics report and the run directory.
-
-    scene_seed pins the synthetic scene independently of the run seed
-    (repeat runs re-train on one fixed scene).
-    """
-    run = run_stages(rc, STAGES, log, scene_seed)
+def run_pipeline(rc: RunConfig, log=print) -> tuple[MetricsReport, Path]:
+    """Run every stage; returns the metrics report and the run directory."""
+    run = run_stages(rc, STAGES, log)
     return run.report, run.out
 
 
 def run_repeated(rc: RunConfig, log=print) -> list[MetricsReport]:
     """Repeat the pipeline with seeds seed..seed+N-1, then aggregate.
 
-    The scene (when synthetic) is held fixed at the base seed; training
-    and label sampling vary per run.  Aggregate rows report mean and std
-    of each metric per material.
+    Run i writes run_{i:03d}/ with seed + i.  A synthetic scene is drawn
+    from rc.scene_seed, or else the base seed, which each run's config.ini
+    records as its scene_seed, so that it reproduces the run.
+    metrics_runs.csv holds each run's metrics, then their mean and std per
+    material.  repeat = 1 is one `run_pipeline` in rc.out_dir itself.
+
+    First it deletes what an earlier run with another count left there:
+    metrics_runs.csv, the run_NNN/ dirs it will not write, and for
+    repeat > 1 the single run's files.  Only files a run writes go, never
+    its input files, and a run_NNN/ dir left empty is removed.
     """
-    if rc.repeat == 1:
-        return [run_pipeline(rc, log=log)[0]]
     base = Path(rc.out_dir)
+    runs = rc.repeat if rc.repeat > 1 else 0  # run_NNN/ dirs to write
+    if base.is_dir():
+        (base / "metrics_runs.csv").unlink(missing_ok=True)
+        if runs:
+            _clear_run(rc, base)
+        for sub in base.glob("run_*"):
+            if sub.is_dir() and sub.name[4:].isdigit() and int(sub.name[4:]) >= runs:
+                _clear_run(rc, sub)
+                if not any(sub.iterdir()):
+                    sub.rmdir()
+    if not runs:
+        return [run_pipeline(rc, log=log)[0]]
+    scene_seed = None if rc.scene is None else (
+        rc.seed if rc.scene_seed is None else rc.scene_seed)
     reports = []
-    for i in range(rc.repeat):
-        sub = replace(rc, seed=rc.seed + i, repeat=1, out_dir=str(base / f"run_{i:03d}"))
-        report, _ = run_pipeline(sub, log=log, scene_seed=rc.seed)
-        reports.append(report)
+    for i in range(runs):
+        sub = replace(rc, seed=rc.seed + i, scene_seed=scene_seed, repeat=1,
+                      out_dir=str(base / f"run_{i:03d}"))
+        reports.append(run_pipeline(sub, log=log)[0])
     _write_aggregate(reports, base / "metrics_runs.csv")
     return reports
 

@@ -305,7 +305,7 @@ def encode_full_band(model, x, padding: str = "same") -> tuple[ad.Tensor, ad.Ten
     return ad.scaled_softmax(out, model.config.softmax_scale, axis=1), full
 
 
-def train_autoencoder_per_patch(cube, config) -> tuple[list[float], ConvAutoencoder]:
+def train_autoencoder_per_patch(cube, config, seed) -> tuple[list[float], ConvAutoencoder]:
     """AE training on whole ps x ps patches through same-padded convs.
 
     The same seeds, shuffle, batches, loss and optimizer as
@@ -313,7 +313,7 @@ def train_autoencoder_per_patch(cube, config) -> tuple[list[float], ConvAutoenco
     center; training reads only the center's receptive cone instead.
     Returns the per-epoch mean losses and the trained model.
     """
-    root = SplitMix64(config.seed)
+    root = SplitMix64(seed)
     model = ConvAutoencoder(config, cube.bands, root.split(0))
     model.seed_from_spectra(cube.spectra())
     shuffle_rng = root.split(1)
@@ -417,7 +417,7 @@ def normalized_operator_scipy(graph) -> sp.csr_matrix:
     return (d @ a_hat @ d).tocsr()
 
 
-def train_gcn_full_graph(graph, features, label_idx, label_targets, config):
+def train_gcn_full_graph(graph, features, label_idx, label_targets, config, seed):
     """GCN training in float64 that computes every node's logits in every epoch.
 
     The same seeds, split, loss and optimizer as `gcn.train_gcn`, with
@@ -425,7 +425,7 @@ def train_gcn_full_graph(graph, features, label_idx, label_targets, config):
     the loss as the composite `(softplus(z) - t z).mean()` of the
     training rows.
     """
-    root = SplitMix64(config.seed)
+    root = SplitMix64(seed)
     op = normalized_operator(graph)
     model = GcnModel(op, features.shape[1], config.hidden, label_targets.shape[1],
                      root.split(0))

@@ -15,13 +15,13 @@ import pytest
 
 from aegem import autodiff as ad
 from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder,
-                               endmembers_from_decoder, patch_centers,
-                               reconstruction_loss, training_windows)
+                               endmembers_from_decoder, reconstruction_loss,
+                               training_windows)
 from aegem.cli import main
 from aegem.gcn import GcnConfig, GcnModel, bce_with_logits, forward, normalized_operator
 from aegem.graph import (build_graph, build_kernel, laplacian,
                          normalized_laplacian, rbf_adjacency)
-from aegem.hsi import HsiCube, SceneSpec, normalize, synthesize_scene
+from aegem.hsi import HsiCube, SceneSpec, normalize, pixel_coordinates, synthesize_scene
 from aegem.metrics import sad
 from aegem.pipeline import RunConfig, run_pipeline, write_config
 from aegem.rng import SplitMix64
@@ -29,7 +29,7 @@ from aegem.rng import SplitMix64
 from oracles import ellipse_offsets_bruteforce, fcls_abundances, gradcheck
 from page_faults import fresh_interpreter
 
-ACCEPTANCE_SCENE = SceneSpec(32, 32, 20, 3, snr_db=float("inf"), seed=0)
+ACCEPTANCE_SCENE = SceneSpec(32, 32, 20, 3, snr_db=float("inf"))
 ACCEPTANCE_AE = AutoencoderConfig(encoder_filters=(32, 16, 8, 3),
                                   encoder_kernels=(5, 3, 3, 1),
                                   epochs=20, batch_size=64, learning_rate=1e-3)
@@ -151,13 +151,13 @@ def test_criterion_2_constraint_suite():
         worst_gcn = max(worst_gcn, float(np.max(np.abs(out.sum(axis=1) - 1.0))))
 
     # endmember non-negativity after every epoch of a real training loop
-    cube, _ = synthesize_scene(SceneSpec(12, 12, 8, 3, smoothness=1.0, seed=5))
+    cube, _ = synthesize_scene(SceneSpec(12, 12, 8, 3, smoothness=1.0), 5)
     ncube = normalize(cube)
     cfg = AutoencoderConfig(encoder_filters=(6, 4, 4, 3), encoder_kernels=(5, 3, 3, 1),
-                            epochs=5, batch_size=64, seed=6)
+                            epochs=5, batch_size=64)
     model = ConvAutoencoder(cfg, 8, SplitMix64(6))
     model.seed_from_spectra(ncube.spectra())
-    centers = patch_centers(12, 12)
+    centers = pixel_coordinates(12, 12)
     win = training_windows(ncube.reflectance, cfg)
     opt = ad.Adam(model.parameters(), lr=cfg.learning_rate)
     shuffle = SplitMix64(7)
@@ -225,7 +225,7 @@ def test_criterion_3_graph_suite():
 def test_criterion_4_synthetic_recovery(pipeline_run):
     report, out_dir, elapsed = pipeline_run
     # solvability gate: least squares with the true endmembers
-    cube, truth = synthesize_scene(ACCEPTANCE_SCENE)
+    cube, truth = synthesize_scene(ACCEPTANCE_SCENE, 0)
     ncube = normalize(cube)
     scale = cube.reflectance.max()
     oracle = fcls_abundances(ncube.spectra(), truth.endmembers / scale)

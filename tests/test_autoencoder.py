@@ -9,10 +9,9 @@ from aegem import autodiff as ad
 from aegem import autoencoder
 from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder, _train_epochs,
                                assemble_abundance_stack, endmembers_from_decoder,
-                               extreme_pixel_indices, patch_centers, reconstruction_loss,
-                               save_autoencoder, spectral_basis, train_autoencoder,
-                               training_windows)
-from aegem.hsi import HsiCube, SceneSpec, normalize, synthesize_scene
+                               extreme_pixel_indices, reconstruction_loss, save_autoencoder,
+                               spectral_basis, train_autoencoder, training_windows)
+from aegem.hsi import HsiCube, SceneSpec, normalize, pixel_coordinates, synthesize_scene
 from aegem.metrics import match_endmembers, sad
 from aegem.rng import SplitMix64
 from oracles import (abundance_stack_per_patch, encode_full_band,
@@ -28,16 +27,15 @@ SMALL_CONFIG = AutoencoderConfig(
     epochs=40,
     batch_size=128,
     learning_rate=3e-3,
-    seed=5,
 )
 
 
 @pytest.fixture(scope="module")
 def trained():
     """One real training run on a small noiseless two-material scene."""
-    cube, gt = synthesize_scene(SceneSpec(16, 16, 12, 2, smoothness=1.2, seed=3))
+    cube, gt = synthesize_scene(SceneSpec(16, 16, 12, 2, smoothness=1.2), 3)
     ncube = normalize(cube)
-    endmembers, stack, history, model = train_autoencoder(ncube, SMALL_CONFIG)
+    endmembers, stack, history, model = train_autoencoder(ncube, SMALL_CONFIG, 5)
     return ncube, gt, endmembers, stack, history, model
 
 
@@ -63,7 +61,7 @@ def test_config_validation():
 def test_patch_count_exact_tiling():
     # the default encoder's receptive cone is 9x9
     cube = HsiCube(np.random.default_rng(0).uniform(size=(9, 9, 4)))
-    centers = patch_centers(9, 9)
+    centers = pixel_coordinates(9, 9)
     windows = training_windows(cube.reflectance, AutoencoderConfig())
     windows = windows[centers[:, 0], centers[:, 1]]
     assert windows.shape == (81, 4, 9, 9)
@@ -74,7 +72,7 @@ def test_patch_count_exact_tiling():
 
 def test_patch_count_dense_stride():
     cube = HsiCube(np.random.default_rng(1).uniform(size=(10, 10, 3)))
-    centers = patch_centers(10, 10)
+    centers = pixel_coordinates(10, 10)
     windows = training_windows(cube.reflectance, AutoencoderConfig())
     windows = windows[centers[:, 0], centers[:, 1]]
     assert windows.shape == (100, 3, 9, 9)
@@ -82,7 +80,7 @@ def test_patch_count_dense_stride():
 
 
 def test_patch_count_benchmark_shape():
-    centers = patch_centers(95, 95)
+    centers = pixel_coordinates(95, 95)
     assert len(centers) == 95 * 95
 
 
@@ -90,7 +88,7 @@ def test_patch_values_zero_padded():
     cube = HsiCube(np.arange(27.0).reshape(3, 3, 3))
     # one 3x3 encoder layer and a 1x1 decoder: a 3x3 receptive cone
     config = AutoencoderConfig(encoder_filters=(2,), encoder_kernels=(3,), patch_size=3)
-    centers = patch_centers(3, 3)
+    centers = pixel_coordinates(3, 3)
     patches = training_windows(cube.reflectance, config)[centers[:, 0], centers[:, 1]]
     corner = patches[0]  # centered at (0,0): top-left 2x2 of data, rest zeros
     assert corner.shape == (3, 3, 3)
@@ -100,7 +98,7 @@ def test_patch_values_zero_padded():
 
 
 def test_patch_centers_cover_all_pixels_at_stride_one():
-    centers = patch_centers(7, 5)
+    centers = pixel_coordinates(7, 5)
     assert {tuple(c) for c in centers} == {(r, c) for r in range(7) for c in range(5)}
 
 
@@ -177,10 +175,10 @@ def test_decoder_linearity_of_one_hot_responses():
 # -- training ---------------------------------------------------------------------------
 
 def test_zero_epoch_training_still_valid(tmp_path):
-    cube, gt = synthesize_scene(SceneSpec(12, 12, 8, 2, smoothness=1.0, seed=6))
+    cube, gt = synthesize_scene(SceneSpec(12, 12, 8, 2, smoothness=1.0), 6)
     config = AutoencoderConfig(encoder_filters=(8, 4, 4, 2), encoder_kernels=(5, 3, 3, 1),
-                               epochs=0, seed=7)
-    endmembers, stack, history, model = train_autoencoder(normalize(cube), config)
+                               epochs=0)
+    endmembers, stack, history, model = train_autoencoder(normalize(cube), config, 7)
     assert history == []
     assert np.max(np.abs(stack.sum(axis=2) - 1.0)) <= 1e-12
     assert stack.min() >= 0.0
@@ -195,12 +193,12 @@ def test_training_loss_decreases(trained):
 
 
 def test_training_deterministic():
-    cube, _ = synthesize_scene(SceneSpec(10, 10, 6, 2, smoothness=1.0, seed=8))
+    cube, _ = synthesize_scene(SceneSpec(10, 10, 6, 2, smoothness=1.0), 8)
     ncube = normalize(cube)
     config = AutoencoderConfig(encoder_filters=(8, 4, 4, 2), encoder_kernels=(5, 3, 3, 1),
-                               epochs=3, batch_size=64, seed=9)
-    _, s1, h1, _ = train_autoencoder(ncube, config)
-    _, s2, h2, _ = train_autoencoder(ncube, config)
+                               epochs=3, batch_size=64)
+    _, s1, h1, _ = train_autoencoder(ncube, config, 9)
+    _, s2, h2, _ = train_autoencoder(ncube, config, 9)
     assert h1 == h2
     assert np.array_equal(s1, s2)
 
@@ -227,11 +225,11 @@ def test_reconstruction_error_small_after_training():
     # here): float32 rounding alone moves this error across the bound at some
     # seeds.  Scored as training scores it: each center's reconstruction from
     # its receptive cone, at every third row and column
-    cube, _ = synthesize_scene(SceneSpec(16, 16, 12, 2, smoothness=1.2, seed=3))
+    cube, _ = synthesize_scene(SceneSpec(16, 16, 12, 2, smoothness=1.2), 3)
     ncube = normalize(cube)
-    model, shuffle_rng = _initial_model(ncube, SMALL_CONFIG)
+    model, shuffle_rng = _initial_model(ncube, SMALL_CONFIG, 5)
     _train_epochs(model, ncube.reflectance, shuffle_rng)
-    centers = patch_centers(ncube.height, ncube.width)
+    centers = pixel_coordinates(ncube.height, ncube.width)
     r, c = centers[(centers % 3 == 0).all(axis=1)].T
     with ad.no_grad():
         windows = training_windows(ncube.reflectance, model.config)[r, c]
@@ -248,10 +246,9 @@ def test_trained_endmembers_close_in_angle(trained):
 
 
 def test_gradient_flow_through_full_loss():
-    cube, _ = synthesize_scene(SceneSpec(10, 10, 6, 2, smoothness=1.0, seed=10))
+    cube, _ = synthesize_scene(SceneSpec(10, 10, 6, 2, smoothness=1.0), 10)
     ncube = normalize(cube)
-    config = AutoencoderConfig(encoder_filters=(6, 4, 4, 2), encoder_kernels=(5, 3, 3, 1),
-                               seed=11)
+    config = AutoencoderConfig(encoder_filters=(6, 4, 4, 2), encoder_kernels=(5, 3, 3, 1))
     model = ConvAutoencoder(config, 6, SplitMix64(11))
     rng = np.random.default_rng(12)
     for w in model.enc_weights:
@@ -283,12 +280,12 @@ def test_gradient_flow_through_full_loss():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
 def test_divergence_raises_with_epoch():
-    cube, _ = synthesize_scene(SceneSpec(10, 10, 6, 2, smoothness=1.0, seed=13))
+    cube, _ = synthesize_scene(SceneSpec(10, 10, 6, 2, smoothness=1.0), 13)
     bad = HsiCube(cube.reflectance * 1e150)  # finite input, overflowing activations
     config = AutoencoderConfig(encoder_filters=(6, 4, 4, 2), encoder_kernels=(5, 3, 3, 1),
-                               epochs=2, learning_rate=1e3, seed=14)
+                               epochs=2, learning_rate=1e3)
     with pytest.raises(ad.DivergenceError) as err:
-        train_autoencoder(bad, config)
+        train_autoencoder(bad, config, 14)
     assert err.value.epoch == 0
 
 
@@ -296,13 +293,13 @@ def test_divergence_raises_with_epoch():
 def test_a_divergence_in_the_last_step_raises_with_its_epoch():
     # one epoch of one batch: no training forward follows the step that
     # makes the weights non-finite, and inference failed on them
-    cube, _ = synthesize_scene(SceneSpec(12, 12, 6, 3, seed=1))
+    cube, _ = synthesize_scene(SceneSpec(12, 12, 6, 3), 1)
     bad = HsiCube(normalize(cube).reflectance * 1e3)
     config = AutoencoderConfig(encoder_filters=(6, 4, 3), encoder_kernels=(3, 3, 1),
                                patch_size=5, epochs=1, batch_size=256,
-                               learning_rate=3.3e38, seed=1)
+                               learning_rate=3.3e38)
     with pytest.raises(ad.DivergenceError) as err:
-        train_autoencoder(bad, config)
+        train_autoencoder(bad, config, 1)
     assert err.value.epoch == 0
 
 
@@ -344,7 +341,7 @@ def test_trained_abundance_stack_matches_per_patch_encode(trained):
 def _window_encode(model, cube):
     """Every pixel's abundances from its training window -> (H, W, P)."""
     win = training_windows(cube.reflectance, model.config)
-    r, c = patch_centers(cube.height, cube.width).T
+    r, c = pixel_coordinates(cube.height, cube.width).T
     k = model.config.decoder_kernel // 2
     with ad.no_grad():
         enc = model.encode(win[r, c], "valid").data[:, :, k, k]
@@ -375,9 +372,9 @@ def test_window_encode_on_an_image_smaller_than_the_patch(hw, ps, kernel):
     assert np.max(np.abs(_window_encode(model, cube) - stack)) <= 1e-12 * np.max(stack)
 
 
-def _initial_model(cube, config):
+def _initial_model(cube, config, seed):
     """`train_autoencoder`'s model before its first step, and its shuffle generator."""
-    root = SplitMix64(config.seed)
+    root = SplitMix64(seed)
     model = ConvAutoencoder(config, cube.bands, root.split(0))
     model.seed_from_spectra(cube.spectra())
     return model, root.split(1)
@@ -392,14 +389,14 @@ def test_training_matches_the_per_patch_conv_loop(filters, kernels, patch, decod
     # the epoch loop reads each center's receptive cone through valid convs;
     # run in float64, every weight and loss must stay within round-off of
     # convolving each whole patch same-padded and scoring its center, for 2 epochs
-    cube, _ = synthesize_scene(SceneSpec(13, 11, 7, 3, smoothness=1.2, seed=17))
+    cube, _ = synthesize_scene(SceneSpec(13, 11, 7, 3, smoothness=1.2), 17)
     config = AutoencoderConfig(encoder_filters=filters, encoder_kernels=kernels,
                                patch_size=patch, decoder_kernel=decoder, epochs=2,
-                               batch_size=batch, learning_rate=3e-3, seed=18)
+                               batch_size=batch, learning_rate=3e-3)
     ncube = normalize(cube)
-    model, shuffle_rng = _initial_model(ncube, config)
+    model, shuffle_rng = _initial_model(ncube, config, 18)
     history = _train_epochs(model, ncube.reflectance, shuffle_rng)
-    ref_history, ref_model = train_autoencoder_per_patch(ncube, config)
+    ref_history, ref_model = train_autoencoder_per_patch(ncube, config, 18)
     assert np.allclose(history, ref_history, rtol=1e-9, atol=0)
     for p, ref in zip(model.parameters(), ref_model.parameters()):
         assert p.data.dtype == np.float64
@@ -407,12 +404,12 @@ def test_training_matches_the_per_patch_conv_loop(filters, kernels, patch, decod
 
 
 def test_training_is_the_epoch_loop_in_float32_with_float64_weights_out():
-    cube, _ = synthesize_scene(SceneSpec(13, 11, 7, 3, smoothness=1.2, seed=17))
+    cube, _ = synthesize_scene(SceneSpec(13, 11, 7, 3, smoothness=1.2), 17)
     config = AutoencoderConfig(encoder_filters=(8, 6, 3), encoder_kernels=(5, 3, 1),
-                               epochs=2, batch_size=64, learning_rate=3e-3, seed=18)
+                               epochs=2, batch_size=64, learning_rate=3e-3)
     ncube = normalize(cube)
-    endmembers, stack, history, model = train_autoencoder(ncube, config)
-    ref, shuffle_rng = _initial_model(ncube, config)
+    endmembers, stack, history, model = train_autoencoder(ncube, config, 18)
+    ref, shuffle_rng = _initial_model(ncube, config, 18)
     for p in ref.parameters():
         p.data = p.data.astype(np.float32)
     assert history == _train_epochs(ref, ncube.reflectance.astype(np.float32), shuffle_rng)
@@ -447,7 +444,7 @@ def test_a_float32_training_step_makes_nothing_float64(monkeypatch):
         return out
 
     monkeypatch.setattr(ad.Tensor, "_from_op", classmethod(spy))
-    model, shuffle_rng = _initial_model(cube, config)
+    model, shuffle_rng = _initial_model(cube, config, 0)
     for p in model.parameters():
         p.data = p.data.astype(np.float32)
     assert len(_train_epochs(model, cube.reflectance.astype(np.float32), shuffle_rng)) == 1
@@ -500,12 +497,12 @@ def test_a_float32_epoch_is_bit_equal_to_the_composite_loss_and_masked_leaky_rel
     # one seeded epoch at the acceptance run's shapes: 16 steps of 64 9x9 cones of a
     # 32x32x20 scene through (32, 16, 8, 3) filters; the fused loss and the max-form
     # leaky ReLU must leave every weight and the loss where the unfused ops do
-    cube = normalize(synthesize_scene(SceneSpec(32, 32, 20, 3, snr_db=30.0, seed=42))[0])
+    cube = normalize(synthesize_scene(SceneSpec(32, 32, 20, 3, snr_db=30.0), 42)[0])
     config = AutoencoderConfig(encoder_filters=(32, 16, 8, 3), encoder_kernels=(5, 3, 3, 1),
-                               epochs=1, batch_size=64, learning_rate=1e-2, seed=43)
+                               epochs=1, batch_size=64, learning_rate=1e-2)
 
     def one_epoch():
-        model, shuffle_rng = _initial_model(cube, config)
+        model, shuffle_rng = _initial_model(cube, config, 43)
         for p in model.parameters():
             p.data = p.data.astype(np.float32)
         return _train_epochs(model, cube.reflectance.astype(np.float32), shuffle_rng), model
@@ -528,13 +525,13 @@ def _training_faults(setup: str, shape: tuple[int, int, int], epochs: int, **con
     setup += textwrap.dedent(f"""
         from aegem.autoencoder import AutoencoderConfig, train_autoencoder
         from aegem.hsi import SceneSpec, normalize, synthesize_scene
-        spec = SceneSpec(*{shape!r}, 3, snr_db=float("inf"), seed=1)
-        cube = normalize(synthesize_scene(spec)[0])
+        spec = SceneSpec(*{shape!r}, 3, snr_db=float("inf"))
+        cube = normalize(synthesize_scene(spec, 1)[0])
         """)
 
     def faults(n: int) -> int:
         return minor_faults(setup, f"train_autoencoder(cube, AutoencoderConfig(epochs={n}, "
-                                   f"**{config!r}))")
+                                   f"**{config!r}), 0)")
 
     return faults(epochs) - faults(0)
 
@@ -570,10 +567,10 @@ def test_samson_shaped_training_raises_the_peak_rss_by_little():
     setup = """
         from aegem.autoencoder import AutoencoderConfig, train_autoencoder
         from aegem.hsi import SceneSpec, normalize, synthesize_scene
-        cube = normalize(synthesize_scene(SceneSpec(24, 24, 156, 3, snr_db=float("inf"),
-                                                    seed=1))[0])
+        cube = normalize(synthesize_scene(SceneSpec(24, 24, 156, 3, snr_db=float("inf")),
+                                          1)[0])
         """
-    growth = peak_rss_growth(setup, "train_autoencoder(cube, AutoencoderConfig(epochs=1))")
+    growth = peak_rss_growth(setup, "train_autoencoder(cube, AutoencoderConfig(epochs=1), 0)")
     assert growth < 10.5 * 1024, growth
 
 
@@ -623,14 +620,14 @@ def test_spectral_basis_is_orthonormal_and_deterministic(bands, p):
 
 
 def test_a_noise_free_scene_lies_in_the_span_of_its_basis():
-    cube, _ = synthesize_scene(SceneSpec(32, 32, 20, 3, smoothness=1.2, seed=23))
+    cube, _ = synthesize_scene(SceneSpec(32, 32, 20, 3, smoothness=1.2), 23)
     x = normalize(cube).spectra()
     basis = spectral_basis(x, 3)
     assert np.max(np.abs(x - (x @ basis) @ basis.T)) <= 1e-13 * np.max(x)
 
 
 def test_seeding_maps_the_first_layer_onto_the_basis():
-    cube, _ = synthesize_scene(SceneSpec(16, 16, 12, 2, smoothness=1.2, seed=3))
+    cube, _ = synthesize_scene(SceneSpec(16, 16, 12, 2, smoothness=1.2), 3)
     cube = normalize(cube)
     draw = ConvAutoencoder(SMALL_CONFIG, cube.bands, SplitMix64(27)).enc_weights[0].data
     model = ConvAutoencoder(SMALL_CONFIG, cube.bands, SplitMix64(27))
@@ -647,11 +644,11 @@ def _one_full_band_and_one_subspace_step(cube):
     layer 1 on the basis coordinates (`encode`), and on every band with W = W' ×_band Vᵀ,
     W's gradient gW mapped onto the basis as gW ×_band V; and gW itself."""
     config = AutoencoderConfig(encoder_filters=(32, 16, 8, 3), encoder_kernels=(5, 3, 3, 1),
-                               batch_size=64, seed=24)
-    model, shuffle_rng = _initial_model(cube, config)
+                               batch_size=64)
+    model, shuffle_rng = _initial_model(cube, config, 24)
     rng = np.random.default_rng(25)
     model.enc_weights[-1].data = rng.normal(scale=0.5, size=model.enc_weights[-1].shape)
-    centers = patch_centers(cube.height, cube.width)
+    centers = pixel_coordinates(cube.height, cube.width)
     r, c = centers[shuffle_rng.permutation(len(centers))[:config.batch_size]].T
     windows = training_windows(cube.reflectance, config)[r, c]
     target = cube.reflectance[r, c, :, None, None]
@@ -679,7 +676,7 @@ def test_a_step_on_the_basis_equals_the_full_band_step_on_a_rank_p_scene():
     # the loss and the mapped gradient match on any image; on a rank-P scene
     # the full-band gradient also lies in span(V), so a gradient step on W'
     # is the full-band one
-    cube, _ = synthesize_scene(SceneSpec(32, 32, 20, 3, smoothness=1.2, seed=23))
+    cube, _ = synthesize_scene(SceneSpec(32, 32, 20, 3, smoothness=1.2), 23)
     cube = normalize(cube)
     ((loss, grads), (ref_loss, ref_grads)), full_grad, basis = \
         _one_full_band_and_one_subspace_step(cube)

@@ -15,17 +15,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import aegem
-from aegem.autoencoder import AutoencoderConfig
+from aegem.autoencoder import AutoencoderConfig, save_autoencoder, train_autoencoder
 from aegem.cli import main
-from aegem.gcn import GcnConfig
-from aegem.hsi import SceneSpec, load_cube, read_abundance_csv, read_endmember_csv
+from aegem.gcn import GcnConfig, sample_labels, save_gcn, train_gcn
+from aegem.graph import build_graph
+from aegem.hsi import (SceneSpec, load_cube, normalize, read_abundance_csv, read_endmember_csv,
+                       save_cube, synthesize_scene)
+from aegem.metrics import match_endmembers
 from aegem.pipeline import (_KNOWN_KEYS, RunConfig, _load_truth_files, parse_config,
-                            read_labels_csv, run_pipeline, score_artifacts, write_config)
+                            read_labels_csv, run_pipeline, run_repeated, score_artifacts,
+                            write_config, write_labels_csv)
+from aegem.rng import SplitMix64
 
 
 def tiny_run_config(out_dir, seed=0) -> RunConfig:
     return RunConfig(
-        scene=SceneSpec(16, 16, 10, 2, smoothness=1.2, snr_db=float("inf"), seed=seed),
+        scene=SceneSpec(16, 16, 10, 2, smoothness=1.2, snr_db=float("inf")),
         ae=AutoencoderConfig(encoder_filters=(8, 4, 4, 2), encoder_kernels=(5, 3, 3, 1),
                              epochs=6, batch_size=128, learning_rate=3e-3),
         gcn=GcnConfig(hidden=32, epochs=120, label_fraction=0.15),
@@ -82,11 +87,13 @@ def _written_keys(rc: RunConfig, path) -> dict:
 
 def _assert_round_trips_with_every_key_off_default(rc, default, tmp_path):
     written = _written_keys(rc, tmp_path / "c.ini")
-    # [input] holds the scene keys or the file keys; every other key is written
+    # [input] holds the scene keys or the file keys, and [run] scene_seed is
+    # a scene's only; every other key is written
     assert set(written) == {(section, key) for section, keys in _KNOWN_KEYS.items()
                             for key, field_path in keys.items()
-                            if section != "input"
-                            or field_path.startswith("scene.") == (rc.scene is not None)}
+                            if section != "input" and key != "scene_seed"
+                            or (field_path.startswith("scene.") or key == "scene_seed")
+                            == (rc.scene is not None)}
     defaults = _written_keys(default, tmp_path / "d.ini")
     assert [k for k in written if written[k] == defaults.get(k)] == []
     assert parse_config(tmp_path / "c.ini") == rc
@@ -106,15 +113,14 @@ def test_config_keys_name_every_config_field_once():
     # a knob added to a config dataclass without a config key fails here
     owners = {"": RunConfig, "scene.": SceneSpec, "ae.": AutoencoderConfig, "gcn.": GcnConfig}
     nested = {"scene", "ae", "gcn"}
-    derived = {"scene.seed", "ae.seed", "gcn.seed"}  # the pipeline sets these from the run seed
     config_fields = {prefix + f.name for prefix, cls in owners.items() for f in fields(cls)}
     keyed = [field_path for keys in _KNOWN_KEYS.values() for field_path in keys.values()]
     assert len(keyed) == len(set(keyed))
-    assert set(keyed) == config_fields - nested - derived
+    assert set(keyed) == config_fields - nested
 
 
 def test_config_roundtrip_scene(tmp_path):
-    rc = RunConfig(scene=SceneSpec(9, 7, 12, 4, smoothness=0.5, snr_db=30.0, seed=11),
+    rc = RunConfig(scene=SceneSpec(9, 7, 12, 4, smoothness=0.5, snr_db=30.0), scene_seed=11,
                    **_OFF_DEFAULT)
     _assert_round_trips_with_every_key_off_default(rc, RunConfig(scene=SceneSpec(8, 8, 6, 3)),
                                                    tmp_path)
@@ -715,13 +721,15 @@ def test_run_stage_failure_exit_code(tmp_path, capsys):
     assert "load" in capsys.readouterr().err
 
 
+def _quick_run_config(out_dir, seed) -> RunConfig:
+    return replace(tiny_run_config(out_dir, seed),
+                   ae=AutoencoderConfig(encoder_filters=(6, 4, 4, 2),
+                                        encoder_kernels=(5, 3, 3, 1), epochs=2, batch_size=256),
+                   gcn=GcnConfig(hidden=8, epochs=20, label_fraction=0.15))
+
+
 def test_run_repeat_aggregate(tmp_path):
-    rc = replace(tiny_run_config(tmp_path / "rep", seed=1),
-                 ae=AutoencoderConfig(encoder_filters=(6, 4, 4, 2),
-                                      encoder_kernels=(5, 3, 3, 1),
-                                      epochs=2, batch_size=256),
-                 gcn=GcnConfig(hidden=8, epochs=20, label_fraction=0.15),
-                 repeat=2)
+    rc = replace(_quick_run_config(tmp_path / "rep", seed=1), repeat=2)
     cfg = tmp_path / "c.ini"
     write_config(rc, cfg)
     assert main(["run", "--config", str(cfg)]) == 0
@@ -743,6 +751,81 @@ def test_run_repeat_aggregate(tmp_path):
     c0 = (base / "run_000" / "cube.hsb").read_bytes()
     c1 = (base / "run_001" / "cube.hsb").read_bytes()
     assert c0 == c1
+
+
+def _listing(root) -> list[str]:
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+
+def test_a_repeat_run_clears_what_an_earlier_count_left(tmp_path):
+    base = tmp_path / "rep"
+    rc = _quick_run_config(base, seed=1)
+    single = _listing(Path(run_pipeline(replace(rc, out_dir=str(tmp_path / "one")),
+                                        log=None)[1]))
+
+    def runs(n: int) -> list[str]:
+        return sorted(["metrics_runs.csv",
+                       *(name for i in range(n) for name in
+                         [f"run_{i:03d}", *(f"run_{i:03d}/{f}" for f in single)])])
+
+    run_repeated(replace(rc, repeat=3), log=None)
+    assert _listing(base) == runs(3)
+    for name in ("notes.txt", "run_002/notes.txt"):  # not a run's files: kept
+        (base / name).write_text("mine")
+    run_repeated(replace(rc, repeat=1), log=None)
+    assert _listing(base) == sorted([*single, "notes.txt", "run_002", "run_002/notes.txt"])
+    run_repeated(replace(rc, repeat=2), log=None)
+    assert _listing(base) == sorted([*runs(2), "notes.txt", "run_002", "run_002/notes.txt"])
+
+
+def test_a_repeat_runs_config_reproduces_it(tmp_path):
+    cfg = tmp_path / "c.ini"
+    write_config(replace(_quick_run_config(tmp_path / "rep", seed=1), repeat=2), cfg)
+    assert main(["run", "--config", str(cfg)]) == 0
+    sub, again = tmp_path / "rep" / "run_001", tmp_path / "again"
+    assert parse_config(sub / "config.ini").scene_seed == 1
+    assert main(["run", "--config", str(sub / "config.ini"), "--out", str(again)]) == 0
+    names = ["cube.hsb", *sorted(p.name for p in sub.glob("*.csv"))]
+    assert len(names) == 12
+    for name in names:
+        assert (again / name).read_bytes() == (sub / name).read_bytes(), name
+
+
+def test_each_random_stream_takes_its_seed_from_the_run_seed(tmp_path):
+    # the table in RunConfig's docstring: the scene from scene_seed or else
+    # seed, the AE from seed + 1, the GCN from seed + 2, the labels from seed + 3
+    rc = _quick_run_config(tmp_path / "a", seed=5)
+    out = run_pipeline(rc, log=None)[1]
+    assert "scene_seed" not in (out / "config.ini").read_text()
+    cube, truth = synthesize_scene(rc.scene, 5)
+    save_cube(cube, tmp_path / "cube.hsb")
+    assert (out / "cube.hsb").read_bytes() == (tmp_path / "cube.hsb").read_bytes()
+    cube = normalize(cube)
+    em, stack, _, model = train_autoencoder(cube, rc.ae, 6)
+    save_autoencoder(model, tmp_path / "ae.aew")
+    assert (out / "checkpoint_ae.aew").read_bytes() == (tmp_path / "ae.aew").read_bytes()
+    idx, targets = sample_labels(truth.abundances, rc.gcn.label_fraction, SplitMix64(8))
+    write_labels_csv(idx, cube.width, tmp_path / "labels.csv")
+    assert (out / "labels.csv").read_bytes() == (tmp_path / "labels.csv").read_bytes()
+    features = stack[:, :, match_endmembers(em, truth.endmembers).order].reshape(-1, 2)
+    model, _ = train_gcn(build_graph(cube, rc.kernel_a, rc.kernel_b), features, idx, targets,
+                         rc.gcn, 7)
+    save_gcn(model, tmp_path / "gcn.aew")
+    assert (out / "checkpoint_gcn.aew").read_bytes() == (tmp_path / "gcn.aew").read_bytes()
+
+    # scene_seed = 9 draws the scene from 9 and leaves the other streams
+    out = run_pipeline(replace(rc, scene_seed=9, out_dir=str(tmp_path / "b")), log=None)[1]
+    save_cube(synthesize_scene(rc.scene, 9)[0], tmp_path / "cube.hsb")
+    assert (out / "cube.hsb").read_bytes() == (tmp_path / "cube.hsb").read_bytes()
+    assert (out / "labels.csv").read_bytes() == (tmp_path / "labels.csv").read_bytes()
+
+
+def test_a_scene_seed_beside_an_input_path_fails_naming_the_key(tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[run]\nscene_seed = 3\n[input]\npath = cube.hsb\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(cfg))}: \[run\] scene_seed is set, "
+                                         "but the input is a file"):
+        parse_config(cfg)
 
 
 # -- eval ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def test_fused_bce_gradchecks_and_equals_the_composite_loss(rows):
 # -- training ----------------------------------------------------------------------------
 
 def _scene_setup(seed=0):
-    cube, gt = synthesize_scene(SceneSpec(12, 12, 8, 3, smoothness=1.0, seed=seed))
+    cube, gt = synthesize_scene(SceneSpec(12, 12, 8, 3, smoothness=1.0), seed)
     cube = normalize(cube)
     graph = build_graph(cube, 2, 2)
     features = gt.abundances.reshape(-1, 3) * 0.8 + 0.2 / 3  # blurred proxy features
@@ -254,8 +254,8 @@ def _scene_setup(seed=0):
 def test_train_gcn_loss_decreases():
     cube, gt, graph, features = _scene_setup()
     idx, targets = sample_labels(gt.abundances, 0.3, SplitMix64(1))
-    config = GcnConfig(hidden=16, epochs=200, seed=2)
-    model, history = train_gcn(graph, features, idx, targets, config)
+    config = GcnConfig(hidden=16, epochs=200)
+    model, history = train_gcn(graph, features, idx, targets, config, 2)
     assert history[-1][1] < history[0][1]
     assert len(history) == 200
 
@@ -267,11 +267,11 @@ def test_train_gcn_improves_on_held_out_labels():
     truth_rows = gt.abundances.reshape(-1, 3)
     features = 0.45 * truth_rows + 0.55 / 3 + rng.normal(0, 0.02, truth_rows.shape)
     idx, targets = sample_labels(gt.abundances, 0.3, SplitMix64(4))
-    config = GcnConfig(hidden=128, epochs=600, seed=5)
-    model, history = train_gcn(graph, features, idx, targets, config)
+    config = GcnConfig(hidden=128, epochs=600)
+    model, history = train_gcn(graph, features, idx, targets, config, 5)
     out = forward(model, features)
     n_val = idx.size // 10
-    val_rows = SplitMix64(config.seed).split(1).permutation(idx.size)[:n_val]
+    val_rows = SplitMix64(5).split(1).permutation(idx.size)[:n_val]
     val_idx = idx[val_rows]
     gcn_err = np.sqrt(np.mean((out[val_idx] - truth_rows[val_idx]) ** 2))
     ae_err = np.sqrt(np.mean((features[val_idx] - truth_rows[val_idx]) ** 2))
@@ -281,9 +281,9 @@ def test_train_gcn_improves_on_held_out_labels():
 def test_train_gcn_deterministic():
     cube, gt, graph, features = _scene_setup(seed=6)
     idx, targets = sample_labels(gt.abundances, 0.2, SplitMix64(7))
-    config = GcnConfig(hidden=8, epochs=50, seed=8)
-    m1, h1 = train_gcn(graph, features, idx, targets, config)
-    m2, h2 = train_gcn(graph, features, idx, targets, config)
+    config = GcnConfig(hidden=8, epochs=50)
+    m1, h1 = train_gcn(graph, features, idx, targets, config, 8)
+    m2, h2 = train_gcn(graph, features, idx, targets, config, 8)
     assert np.array_equal(m1.w1.data, m2.w1.data)
     assert np.array_equal(m1.w2.data, m2.w2.data)
     assert h1 == h2
@@ -294,9 +294,9 @@ def test_train_gcn_divergence_reported():
     idx, targets = sample_labels(gt.abundances, 0.2, SplitMix64(10))
     corrupted = features.copy()
     corrupted[3, 1] = np.nan  # upstream corruption surfaces as divergence
-    config = GcnConfig(hidden=8, epochs=100, seed=11)
+    config = GcnConfig(hidden=8, epochs=100)
     with pytest.raises(ad.DivergenceError) as err:
-        train_gcn(graph, corrupted, idx, targets, config)
+        train_gcn(graph, corrupted, idx, targets, config, 11)
     assert err.value.epoch == 0
 
 
@@ -304,28 +304,28 @@ def test_train_gcn_divergence_reported():
 def test_train_gcn_reports_a_divergence_in_the_last_step():
     # one epoch: no forward follows the step that makes the weights
     # non-finite, and train_gcn returned them
-    cube, gt = synthesize_scene(SceneSpec(12, 12, 6, 3, seed=1))
+    cube, gt = synthesize_scene(SceneSpec(12, 12, 6, 3), 1)
     graph = build_graph(normalize(cube), 2, 2)
     idx, targets = sample_labels(gt.abundances, 0.2, SplitMix64(2))
-    config = GcnConfig(hidden=8, epochs=1, learning_rate=3.3e38, seed=1)
+    config = GcnConfig(hidden=8, epochs=1, learning_rate=3.3e38)
     with pytest.raises(ad.DivergenceError) as err:
-        train_gcn(graph, gt.abundances.reshape(-1, 3) * 1e3, idx, targets, config)
+        train_gcn(graph, gt.abundances.reshape(-1, 3) * 1e3, idx, targets, config, 1)
     assert err.value.epoch == 0
 
 
-def _initial_model(graph, features, idx, config):
+def _initial_model(graph, features, idx, config, seed):
     """`train_gcn`'s float64 model before its first step, its restricted
     operator, its rows of A X and its split generator."""
-    root = SplitMix64(config.seed)
+    root = SplitMix64(seed)
     model = GcnModel(normalized_operator(graph), features.shape[1], config.hidden, 3,
                      root.split(0))
     rows_op, model.field = model.operator.restrict(idx)
     return model, rows_op, (model.operator @ features)[model.field], root.split(1)
 
 
-def _train_float64(graph, features, idx, targets, config):
+def _train_float64(graph, features, idx, targets, config, seed):
     """`train_gcn`'s epoch loop run in float64."""
-    model, rows_op, ax_field, split_rng = _initial_model(graph, features, idx, config)
+    model, rows_op, ax_field, split_rng = _initial_model(graph, features, idx, config, seed)
     return model, _train_epochs(model, rows_op, ax_field, targets, config, split_rng)
 
 
@@ -339,10 +339,11 @@ def _matches_full_graph_training(scene_seed, fraction):
     field = normalized_operator(graph).restrict(idx)[1]
     assert np.isin(idx, field).all()
     assert (field.size == 144) == (fraction == 1.0)
-    config = GcnConfig(hidden=16, epochs=40, learning_rate=0.01, seed=scene_seed + 2)
-    model, history = _train_float64(graph, features, idx, targets, config)
+    config = GcnConfig(hidden=16, epochs=40, learning_rate=0.01)
+    model, history = _train_float64(graph, features, idx, targets, config, scene_seed + 2)
     assert np.array_equal(model.field, field)
-    ref, ref_history = train_gcn_full_graph(graph, features, idx, targets, config)
+    ref, ref_history = train_gcn_full_graph(graph, features, idx, targets, config,
+                                            scene_seed + 2)
     assert np.max(np.abs(model.w1.data - ref.w1.data)) <= 1e-12
     assert np.max(np.abs(model.w2.data - ref.w2.data)) <= 1e-12
     assert np.max(np.abs(np.subtract(history, ref_history))) <= 1e-12
@@ -373,9 +374,9 @@ def test_train_gcn_matches_full_graph_training_across_hidden_tiles(monkeypatch):
 def test_train_gcn_is_the_epoch_loop_in_float32_with_float64_weights_out():
     cube, gt, graph, features = _scene_setup(seed=53)
     idx, targets = sample_labels(gt.abundances, 0.2, SplitMix64(54))
-    config = GcnConfig(hidden=8, epochs=20, seed=55)
-    model, history = train_gcn(graph, features, idx, targets, config)
-    ref, rows_op, ax_field, split_rng = _initial_model(graph, features, idx, config)
+    config = GcnConfig(hidden=8, epochs=20)
+    model, history = train_gcn(graph, features, idx, targets, config, 55)
+    ref, rows_op, ax_field, split_rng = _initial_model(graph, features, idx, config, 55)
     for p in ref.parameters():
         p.data = p.data.astype(np.float32)
     assert history == _train_epochs(ref, rows_op, ax_field.astype(np.float32),
@@ -393,9 +394,9 @@ def test_float32_training_stays_near_the_float64_loop():
     # scene seeds (60-71); the BCE history by 2.0e-7 here, 2.2e-7 at most
     cube, gt, graph, features = _scene_setup(seed=41)
     idx, targets = sample_labels(gt.abundances, 0.3, SplitMix64(42))
-    config = GcnConfig(hidden=16, epochs=200, seed=43)
-    model, history = train_gcn(graph, features, idx, targets, config)
-    ref, ref_history = _train_float64(graph, features, idx, targets, config)
+    config = GcnConfig(hidden=16, epochs=200)
+    model, history = train_gcn(graph, features, idx, targets, config, 43)
+    ref, ref_history = _train_float64(graph, features, idx, targets, config, 43)
     for p, q in zip(model.parameters(), ref.parameters()):
         assert np.max(np.abs(p.data - q.data)) <= 1e-5 * np.max(np.abs(q.data))
     assert np.max(np.abs(np.subtract(history, ref_history))) <= 2e-6
@@ -406,7 +407,7 @@ def test_a_float32_gcn_epoch_makes_nothing_float64(monkeypatch):
     # output must be float32, or a float64 constant or product has leaked in
     cube, gt, graph, features = _scene_setup(seed=56)
     idx, targets = sample_labels(gt.abundances, 0.2, SplitMix64(57))
-    config = GcnConfig(epochs=1, seed=58)
+    config = GcnConfig(epochs=1)
     dtypes = []
     record = ad.Tensor._from_op.__func__
 
@@ -422,7 +423,7 @@ def test_a_float32_gcn_epoch_makes_nothing_float64(monkeypatch):
         dtypes.append((op, out.data.dtype))
         return out
 
-    model, rows_op, ax_field, split_rng = _initial_model(graph, features, idx, config)
+    model, rows_op, ax_field, split_rng = _initial_model(graph, features, idx, config, 58)
     for p in model.parameters():
         p.data = p.data.astype(np.float32)
     monkeypatch.setattr(ad.Tensor, "_from_op", classmethod(spy))
@@ -445,7 +446,7 @@ def test_train_gcn_divergence_reported_outside_receptive_field():
     corrupted = features.copy()
     corrupted[outside[0], 0] = np.nan
     with pytest.raises(ad.DivergenceError) as err:
-        train_gcn(graph, corrupted, idx, targets, GcnConfig(hidden=8, epochs=5, seed=47))
+        train_gcn(graph, corrupted, idx, targets, GcnConfig(hidden=8, epochs=5), 47)
     assert err.value.epoch == 0
 
 
@@ -463,7 +464,7 @@ def test_train_gcn_reports_a_non_finite_weight_the_relu_would_hide(monkeypatch):
 
     monkeypatch.setattr(GcnModel, "__init__", init_with_inf)
     with pytest.raises(ad.DivergenceError) as err:
-        train_gcn(graph, features, idx, targets, GcnConfig(hidden=8, epochs=5, seed=50))
+        train_gcn(graph, features, idx, targets, GcnConfig(hidden=8, epochs=5), 50)
     assert err.value.epoch == 0
 
 
@@ -472,9 +473,9 @@ def test_train_gcn_holds_out_one_of_five_labels():
     cube, gt, graph, features = _scene_setup(seed=51)
     idx = np.array([5, 30, 77, 100, 140])
     targets = gt.abundances.reshape(-1, 3)[idx]
-    config = GcnConfig(hidden=8, epochs=1, seed=52)
-    _, history = _train_float64(graph, features, idx, targets, config)
-    root = SplitMix64(config.seed)
+    config = GcnConfig(hidden=8, epochs=1)
+    _, history = _train_float64(graph, features, idx, targets, config, 52)
+    root = SplitMix64(52)
     model = GcnModel(normalized_operator(graph), 3, 8, 3, root.split(0))
     z = model.logits(features).data[idx]
     order = root.split(1).permutation(5)
@@ -491,7 +492,7 @@ def test_train_gcn_empty_labels_error():
     cube, gt, graph, features = _scene_setup(seed=12)
     with pytest.raises(ValueError, match="empty"):
         train_gcn(graph, features, np.array([], dtype=np.int64),
-                  np.empty((0, 3)), GcnConfig(hidden=4, epochs=1))
+                  np.empty((0, 3)), GcnConfig(hidden=4, epochs=1), 0)
 
 
 def test_bce_at_initialization_finite_all_labels():
@@ -521,8 +522,7 @@ def test_gcn_checkpoint_roundtrip(tmp_path):
     # the file holds both weights, bit for bit, under their record names
     cube, gt, graph, features = _scene_setup(seed=32)
     idx, targets = sample_labels(gt.abundances, 0.2, SplitMix64(33))
-    model, _ = train_gcn(graph, features, idx, targets,
-                         GcnConfig(hidden=8, epochs=10, seed=34))
+    model, _ = train_gcn(graph, features, idx, targets, GcnConfig(hidden=8, epochs=10), 34)
     save_gcn(model, tmp_path / "g.aew")
     records = read_aew(tmp_path / "g.aew")
     assert list(records) == ["w1", "w2"]

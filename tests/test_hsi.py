@@ -308,21 +308,21 @@ def test_import_aegem_leaves_scipy_ndimage_unloaded():
 
 
 def test_scene_noiseless_reconstruction_exact():
-    cube, gt = synthesize_scene(SceneSpec(16, 16, 12, 3, seed=5))
+    cube, gt = synthesize_scene(SceneSpec(16, 16, 12, 3), 5)
     p = gt.endmembers.shape[1]
     recon = (gt.abundances.reshape(-1, p) @ gt.endmembers.T).reshape(cube.reflectance.shape)
     assert np.array_equal(recon, cube.reflectance)
 
 
 def test_scene_abundance_constraints():
-    _, gt = synthesize_scene(SceneSpec(16, 16, 12, 4, seed=6))
+    _, gt = synthesize_scene(SceneSpec(16, 16, 12, 4), 6)
     assert gt.abundances.min() >= 0.0
     assert np.max(np.abs(gt.abundances.sum(axis=2) - 1.0)) <= 1e-9
 
 
 def test_scene_snr_within_half_db():
-    spec = SceneSpec(16, 16, 12, 3, snr_db=30.0, seed=7)
-    cube, gt = synthesize_scene(spec)
+    spec = SceneSpec(16, 16, 12, 3, snr_db=30.0)
+    cube, gt = synthesize_scene(spec, 7)
     p = gt.endmembers.shape[1]
     signal = (gt.abundances.reshape(-1, p) @ gt.endmembers.T).reshape(cube.reflectance.shape)
     noise = cube.reflectance - signal
@@ -331,9 +331,9 @@ def test_scene_snr_within_half_db():
 
 
 def test_scene_seed_reproducible_bitwise():
-    spec = SceneSpec(12, 10, 8, 3, snr_db=25.0, seed=11)
-    c1, g1 = synthesize_scene(spec)
-    c2, g2 = synthesize_scene(spec)
+    spec = SceneSpec(12, 10, 8, 3, snr_db=25.0)
+    c1, g1 = synthesize_scene(spec, 11)
+    c2, g2 = synthesize_scene(spec, 11)
     assert np.array_equal(c1.reflectance, c2.reflectance)
     assert np.array_equal(g1.endmembers, g2.endmembers)
     assert np.array_equal(g1.abundances, g2.abundances)
@@ -344,7 +344,7 @@ def test_finite_snr_scene_is_the_same_at_any_blas_thread_count():
     # threads, they gave this scene other bytes at 2 threads than at 1
     code = ("import hashlib\n"
             "from aegem.hsi import SceneSpec, synthesize_scene\n"
-            "cube = synthesize_scene(SceneSpec(64, 64, 64, 3, snr_db=30.0, seed=7))[0]\n"
+            "cube = synthesize_scene(SceneSpec(64, 64, 64, 3, snr_db=30.0), 7)[0]\n"
             "print(hashlib.sha256(cube.reflectance.tobytes()).hexdigest())")
     assert fresh_interpreter(code, blas_threads=1) == fresh_interpreter(code, blas_threads=2)
 
@@ -360,7 +360,7 @@ def test_sum_of_squares_is_the_norm_squared_in_one_block_of_scratch(n):
 
 def test_scene_endmember_separation():
     for seed in range(5):
-        _, gt = synthesize_scene(SceneSpec(8, 8, 16, 4, seed=seed))
+        _, gt = synthesize_scene(SceneSpec(8, 8, 16, 4), seed)
         p = gt.endmembers.shape[1]
         for i in range(p):
             for j in range(i + 1, p):
@@ -376,15 +376,15 @@ def test_scene_property_sweep():
         l = int(rng.integers(p, 16))
         sm = float(rng.uniform(0.0, 2.5))
         snr = float(rng.choice([math.inf, 20.0, 35.0]))
-        _, gt = synthesize_scene(SceneSpec(int(h), int(w), l, p, smoothness=sm,
-                                           snr_db=snr, seed=int(rng.integers(0, 10000))))
+        _, gt = synthesize_scene(SceneSpec(int(h), int(w), l, p, smoothness=sm, snr_db=snr),
+                                 int(rng.integers(0, 10000)))
         assert gt.abundances.min() >= 0.0
         assert np.max(np.abs(gt.abundances.sum(axis=2) - 1.0)) <= 1e-9
 
 
 def test_scene_rejects_too_many_endmembers():
     with pytest.raises(ValueError, match="at most 6"):
-        synthesize_scene(SceneSpec(8, 8, 20, 7))
+        synthesize_scene(SceneSpec(8, 8, 20, 7), 0)
 
 
 # -- exports -------------------------------------------------------------------------
