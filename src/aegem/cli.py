@@ -10,11 +10,13 @@ Subcommands:
   eval    re-score saved run artifacts against a truth directory
 
 run, ae and graph go through one stage runner, so each run directory
-holds config.ini and a run.log with one timed line per stage.  Every
+holds config.ini and a run.log with one timed line per stage, and each
+first deletes what a run with another repeat count left there.  Every
 model setting is read from the config file alone; the flags of run,
 graph and ae override only the seed, the repeat count and the output
-directory.  Exit codes: 0 success, 1 usage, config or I/O error, 2
-pipeline-stage failure.
+directory.  eval reports the seed of the estimate directory's
+config.ini, if it holds one.  Exit codes: 0 success, 1 usage, config
+or I/O error, 2 pipeline-stage failure.
 
 The BLAS thread pool is sized when numpy loads, which `import aegem`
 does before any subcommand runs; to cap it, set OPENBLAS_NUM_THREADS
@@ -106,12 +108,13 @@ def _cmd_run(args) -> int:
 def _cmd_eval(args) -> int:
     from pathlib import Path
 
-    from .pipeline import score_artifacts
+    from .pipeline import parse_config, score_artifacts
 
-    truth = Path(args.truth_dir)
+    truth, config = Path(args.truth_dir), Path(args.estimate_dir) / "config.ini"
     report = score_artifacts(args.estimate_dir,
                              truth / "truth_endmembers.csv",
-                             truth / "truth_abundances.csv")
+                             truth / "truth_abundances.csv",
+                             seed=parse_config(config).seed if config.exists() else 0)
     print(report.to_text())
     if args.out:
         out = Path(args.out)
@@ -122,10 +125,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_stages(args) -> int:
     """`ae` and `graph`: load, normalize and the stage named."""
-    from .pipeline import run_stages
+    from .pipeline import clear_repeats, run_stages
 
     rc = _resolved_config(args)
     stages = ("load", "normalize", "autoencoder" if args.command == "ae" else "graph")
+    clear_repeats(rc)  # one run's files, so no repeat run's beside them
     run_stages(rc, stages)
     print(f"wrote the {args.command} artifacts to {rc.out_dir}")
     return 0

@@ -152,28 +152,50 @@ def normalized_operator(graph: EllipticalGraph) -> Sparse:
     normalization; self-loops guarantee positive degrees everywhere.
     An edge endpoint outside the graph's pixels raises ValueError
     naming the edge.
+
+    The entries come from one stable sort of the keys u * n + v of the E
+    edges one way, then the other way, then of the n self-loops.  A run
+    of equal keys is one entry, valued by its first edge, the one
+    np.unique would keep, plus 1 on the diagonal.
     """
-    n = graph.n_pixels
-    bad = np.flatnonzero(((graph.edges < 0) | (graph.edges >= n)).any(axis=1))
-    if bad.size:
-        u, v = graph.edges[bad[0]]
+    n, edges = graph.n_pixels, graph.edges
+    if edges.size and not 0 <= edges.min() <= edges.max() < n:
+        bad = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
+        u, v = edges[bad[0]]
         raise ValueError(f"edge {bad[0]} ({u}, {v}) has an endpoint outside "
                          f"the graph's pixels 0..{n - 1}")
-    both = np.vstack([graph.edges, graph.edges[:, ::-1]])
-    sim = np.exp(-np.concatenate([graph.edge_weights, graph.edge_weights]))
-    # each entry (u, v) is keyed u * n + v, which sorts as the pairs do since
-    # 0 <= v < n; np.unique's stable sort keeps the first index of each edge
-    edge_keys, keep = np.unique(both[:, 0] * np.int64(n) + both[:, 1], return_index=True)
-    # entries sorted by (row, column); a self-edge's entry and the
-    # self-loop add into one, as scipy's coo -> csr conversion adds them
-    keys, slot = np.unique(np.concatenate([edge_keys, np.arange(n) * (n + 1)]),
-                           return_inverse=True)
-    a_hat = np.bincount(slot, weights=np.concatenate([sim[keep], np.ones(n)]))
+    e, u, v = len(edges), edges[:, 0], edges[:, 1]
+    # entry k < 2e is edge k mod e, one way or the other, and entry 2e + i is
+    # self-loop i; the key u * n + v sorts as the pair (u, v) does, as 0 <= v < n
+    keys = np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u,
+                           np.arange(n) * np.int64(n + 1)])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # a run of equal keys is one entry: it starts where the key changes
+    starts = np.empty(keys.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    # the stable sort keeps a run in entry order, so its first member is its
+    # first edge, if it has one, and a self-loop comes after every edge
+    keys, first = keys[starts], order[starts]
+    del order, starts
+    edge = np.flatnonzero(first < 2 * e)
+    first = first[edge]
+    first[first >= e] -= e
+    a_hat = np.zeros(keys.size)
+    a_hat[edge] = np.exp(-graph.edge_weights[first])
+    del first, edge
     rows, cols = np.divmod(keys, n)
-    # every row holds its self-loop, so row i's entries start at row_starts[i]
-    row_starts = np.searchsorted(rows, np.arange(n))
-    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a_hat, row_starts))
-    return Sparse(rows, cols, (a_hat * inv_sqrt[rows]) * inv_sqrt[cols], (n, n))
+    del keys
+    # 0 + exp(-angle) + 1: a self-edge adds into its self-loop as scipy's
+    # coo -> csr conversion adds them
+    a_hat += rows == cols
+    # every row holds its self-loop, so row i's entries start where i first is
+    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a_hat, np.searchsorted(rows, np.arange(n))))
+    a_hat *= inv_sqrt[rows]
+    a_hat *= inv_sqrt[cols]
+    return Sparse(rows, cols, a_hat, (n, n))
 
 
 class GcnModel:

@@ -23,17 +23,21 @@ round-trip repr).  Every line, the last one included, ends in a
 newline, so a file cut inside its last line is told apart from a
 complete one.
 
-Both functions work on blocks of `_TABLE_BLOCK_ROWS` rows.  A block is
-written with one `%` call: the row template repeated once per row,
-applied to the block's cells flattened in row order, then one `write`.
-A block is read by checking every line's comma count, then joining the
-block with commas and splitting it once, so that column j is every
-width-th cell from j, parsed with `map(int, ...)` or `map(float, ...)`.
-Only when that fails is the block parsed again line by line, to name
-the first line that does not parse.
+Both functions work on blocks of `_TABLE_BLOCK_ROWS` rows, and hold the
+text of one block at a time.  A block is written with one `%` call: the
+row template repeated once per row, applied to the block's cells
+flattened in row order, then one `write`.  Reading first passes over
+the file's bytes in chunks of `_READ_CHUNK_BYTES`, to check the UTF-8,
+find a cut last line and count the rows.  Then each block's lines are
+read, every line's comma count is checked, and the block is joined with
+commas and split once, so that column j is every width-th cell from j,
+parsed with `map(int, ...)` or `map(float, ...)`.  Only when that fails
+is the block parsed again line by line, to name the first line that
+does not parse.
 """
 from __future__ import annotations
 
+import codecs
 import itertools
 import math
 import operator
@@ -260,9 +264,22 @@ def _load_hsb(path) -> HsiCube:
 
 # Rows a table is written or parsed in at a time: the Python lists of one
 # block, not of the whole file, are what a large edge list or raster holds.
-# A block is one `%` call on its cells in row order when written, and one
-# join and split into cells, parsed a column at a time, when read.
+# A block is one `%` call on its cells in row order when written; when
+# read, it is the only part of the file held as text, joined and split
+# into cells and parsed a column at a time.
 _TABLE_BLOCK_ROWS = 4096
+
+# Bytes of the file `read_table`'s first pass reads at a time.
+_READ_CHUNK_BYTES = 2**20
+
+
+def _utf8_error(path, exc: UnicodeDecodeError, newlines: int = 0,
+                offset: int = 0) -> ValueError:
+    """The error for a byte that is not UTF-8, naming the file, line and offset;
+    exc.object is the file's bytes from `offset` on, after `newlines` newlines."""
+    line = newlines + exc.object.count(b"\n", 0, exc.start) + 1
+    return ValueError(f"{path}: line {line} is not UTF-8 text (byte "
+                      f"{exc.object[exc.start]:#04x} at offset {offset + exc.start})")
 
 
 def read_utf8(path) -> str:
@@ -271,9 +288,43 @@ def read_utf8(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         # read_text decodes the whole file at once, so exc.object is its bytes
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {line} is not UTF-8 text (byte "
-                         f"{exc.object[exc.start]:#04x} at offset {exc.start})") from None
+        raise _utf8_error(path, exc) from None
+
+
+def _count_lines(path) -> int:
+    """The number of lines of a UTF-8 text file, read `_READ_CHUNK_BYTES` at a time.
+
+    A line ends in LF, CR LF or CR, the three ends a text-mode read turns
+    into LF.  A byte that is not UTF-8 fails as in `read_utf8`, and a
+    last line without its end (a cut file) fails naming the line.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lf = cr = crlf = offset = 0
+    tail = b""
+    with open(path, "rb") as f:
+        # one buffer, read into: a read would allocate the size it asks for
+        chunk = bytearray(min(_READ_CHUNK_BYTES, os.fstat(f.fileno()).st_size))
+        while True:
+            del chunk[f.readinto(chunk):]  # the last chunk is shorter
+            pending = decoder.getstate()[0]  # a character cut at the chunk before's end
+            if pending or not chunk.isascii():  # ASCII is UTF-8 as it stands
+                try:
+                    decoder.decode(chunk, final=not chunk)
+                except UnicodeDecodeError as exc:
+                    # exc.object is the pending bytes, then the chunk
+                    raise _utf8_error(path, exc, lf, offset - len(pending)) from None
+            if not chunk:
+                break
+            lf += chunk.count(b"\n")
+            if b"\r" in chunk or tail == b"\r":
+                cr += chunk.count(b"\r")
+                crlf += chunk.count(b"\r\n") + (tail == b"\r" and chunk[:1] == b"\n")
+            tail = chunk[-1:]
+            offset += len(chunk)
+    lines = lf + cr - crlf
+    if tail not in (b"", b"\n", b"\r"):
+        raise ValueError(f"{path}: line {lines + 1} does not end in a newline")
+    return lines
 
 
 def write_table(path, header: list[str], keys, values, fmt: str = "%.9g") -> None:
@@ -304,48 +355,54 @@ def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]
     The header must start with `keys`; row i is on line i + 2.  A line
     with the wrong field count, a field that does not parse, or a last
     line without its newline (a cut file) fails naming the file and line.
-    The cut last line is found first; then rows are checked in blocks of
-    `_TABLE_BLOCK_ROWS`, every line's field count before any value within
-    a block, so a line that does not parse is reported before a wrong
-    field count in a later block.  Once every line has parsed, a value
-    that is not finite (`nan`, `inf`) fails naming the file, its line and
-    its column.
+    A first pass over the bytes checks that the file is UTF-8 text, finds
+    a cut last line and counts the rows, so the arrays are allocated once
+    and the cut line is reported before any value is parsed.  Then the
+    rows are read and checked a block of `_TABLE_BLOCK_ROWS` lines at a
+    time, the only text held, every line's field count before any value
+    within a block, so a line that does not parse is reported before a
+    wrong field count in a later block.  Once every line has parsed, a
+    value that is not finite (`nan`, `inf`) fails naming the file, its
+    line and its column.  Lines end as in a text-mode read: LF, CR LF or
+    CR.
     """
-    lines = read_utf8(path).split("\n")
-    if lines.pop():
-        raise ValueError(f"{path}: line {len(lines) + 1} does not end in a newline")
-    header = lines[0].split(",") if lines else []
+    n_lines = _count_lines(path)
     k = len(keys)
-    if header[:k] != keys:
-        raise ValueError(f"{path}: expected header '{','.join(keys)},...'")
-    width, n = len(header), len(lines) - 1
-    ints = np.empty((n, k), dtype=np.int64)
-    floats = np.empty((n, width - k))
-    for b in range(0, n, _TABLE_BLOCK_ROWS):
-        block = lines[1 + b : 1 + b + _TABLE_BLOCK_ROWS]
-        commas = list(map(str.count, block, itertools.repeat(",", len(block))))
-        if commas.count(width - 1) != len(block):
-            i = next(i for i, c in enumerate(commas) if c != width - 1)
-            raise ValueError(f"{path}: line {b + i + 2} has {commas[i] + 1} fields, "
-                             f"expected {width}")
-        # every line holds `width` fields, so column j is every width-th cell from j
-        cells = ",".join(block).split(",")
-        rows = slice(b, b + len(block))
-        try:
-            for j in range(k):
-                ints[rows, j] = list(map(int, cells[j::width]))
-            for j in range(k, width):
-                floats[rows, j - k] = list(map(float, cells[j::width]))
-        except (ValueError, OverflowError):
-            # row by row, to name the first line that does not parse
-            for i, line in enumerate(block, start=b):
-                parts = line.split(",")
-                try:
-                    ints[i] = [int(v) for v in parts[:k]]
-                    floats[i] = [float(v) for v in parts[k:]]
-                except (ValueError, OverflowError):
-                    raise ValueError(f"{path}: line {i + 2} does not parse: "
-                                     f"{line!r}") from None
+    with open(path, encoding="utf-8") as f:
+        header = f.readline()[:-1].split(",") if n_lines else []
+        if header[:k] != keys:
+            raise ValueError(f"{path}: expected header '{','.join(keys)},...'")
+        width, n = len(header), n_lines - 1
+        ints = np.empty((n, k), dtype=np.int64)
+        floats = np.empty((n, width - k))
+        for b in range(0, n, _TABLE_BLOCK_ROWS):
+            # every line read ends in its newline, so the split ends in ""
+            block = "".join(itertools.islice(f, _TABLE_BLOCK_ROWS)).split("\n")
+            block.pop()
+            commas = list(map(str.count, block, itertools.repeat(",", len(block))))
+            if commas.count(width - 1) != len(block):
+                i = next(i for i, c in enumerate(commas) if c != width - 1)
+                raise ValueError(f"{path}: line {b + i + 2} has {commas[i] + 1} fields, "
+                                 f"expected {width}")
+            # every line holds `width` fields, so column j is every width-th cell from j
+            cells = ",".join(block).split(",")
+            rows = slice(b, b + len(block))
+            try:
+                for j in range(k):
+                    ints[rows, j] = list(map(int, cells[j::width]))
+                for j in range(k, width):
+                    floats[rows, j - k] = list(map(float, cells[j::width]))
+            except (ValueError, OverflowError):
+                # row by row, to name the first line that does not parse
+                for i, line in enumerate(block, start=b):
+                    parts = line.split(",")
+                    try:
+                        ints[i] = [int(v) for v in parts[:k]]
+                        floats[i] = [float(v) for v in parts[k:]]
+                    except (ValueError, OverflowError):
+                        raise ValueError(f"{path}: line {i + 2} does not parse: "
+                                         f"{line!r}") from None
+            del block, cells  # before the next block is read
     if not np.isfinite(floats).all():
         i, j = np.argwhere(~np.isfinite(floats))[0]
         raise ValueError(f"{path}: line {i + 2} holds {float(floats[i, j])!r} "

@@ -517,6 +517,27 @@ def _clear_run(rc: RunConfig, out: Path) -> None:
         maps.rmdir()
 
 
+def clear_repeats(rc: RunConfig, runs: int = 0) -> None:
+    """Delete from rc.out_dir what a run of another repeat count left, before
+    one that writes `runs` run_NNN/ dirs, or 0 for a single run there.
+
+    That is metrics_runs.csv, the run_NNN/ dirs from run_{runs:03d} on and,
+    when runs > 0, the single run's files.  Only files a run writes go,
+    never its input files, and a run_NNN/ dir left empty is removed.
+    """
+    base = Path(rc.out_dir)
+    if not base.is_dir():
+        return
+    (base / "metrics_runs.csv").unlink(missing_ok=True)
+    if runs:
+        _clear_run(rc, base)
+    for sub in base.glob("run_*"):
+        if sub.is_dir() and sub.name[4:].isdigit() and int(sub.name[4:]) >= runs:
+            _clear_run(rc, sub)
+            if not any(sub.iterdir()):
+                sub.rmdir()
+
+
 def run_stages(rc: RunConfig, stages, log=print) -> RunState:
     """Run the named stages in order in rc.out_dir, next to config.ini and run.log.
 
@@ -565,22 +586,12 @@ def run_repeated(rc: RunConfig, log=print) -> list[MetricsReport]:
     metrics_runs.csv holds each run's metrics, then their mean and std per
     material.  repeat = 1 is one `run_pipeline` in rc.out_dir itself.
 
-    First it deletes what an earlier run with another count left there:
-    metrics_runs.csv, the run_NNN/ dirs it will not write, and for
-    repeat > 1 the single run's files.  Only files a run writes go, never
-    its input files, and a run_NNN/ dir left empty is removed.
+    First `clear_repeats` deletes what an earlier run with another count
+    left there.
     """
     base = Path(rc.out_dir)
     runs = rc.repeat if rc.repeat > 1 else 0  # run_NNN/ dirs to write
-    if base.is_dir():
-        (base / "metrics_runs.csv").unlink(missing_ok=True)
-        if runs:
-            _clear_run(rc, base)
-        for sub in base.glob("run_*"):
-            if sub.is_dir() and sub.name[4:].isdigit() and int(sub.name[4:]) >= runs:
-                _clear_run(rc, sub)
-                if not any(sub.iterdir()):
-                    sub.rmdir()
+    clear_repeats(rc, runs)
     if not runs:
         return [run_pipeline(rc, log=log)[0]]
     scene_seed = None if rc.scene is None else (

@@ -22,7 +22,7 @@ from aegem.graph import build_graph
 from aegem.hsi import (SceneSpec, load_cube, normalize, read_abundance_csv, read_endmember_csv,
                        save_cube, synthesize_scene)
 from aegem.metrics import match_endmembers
-from aegem.pipeline import (_KNOWN_KEYS, RunConfig, _load_truth_files, parse_config,
+from aegem.pipeline import (_KNOWN_KEYS, ARTIFACTS, RunConfig, _load_truth_files, parse_config,
                             read_labels_csv, run_pipeline, run_repeated, score_artifacts,
                             write_config, write_labels_csv)
 from aegem.rng import SplitMix64
@@ -778,6 +778,18 @@ def test_a_repeat_run_clears_what_an_earlier_count_left(tmp_path):
     assert _listing(base) == sorted([*runs(2), "notes.txt", "run_002", "run_002/notes.txt"])
 
 
+@pytest.mark.parametrize("command", ["ae", "graph"])
+def test_a_stage_subcommand_clears_what_a_repeat_run_left(tmp_path, command):
+    rc = _quick_run_config(tmp_path / "rep", seed=1)
+    cfg = tmp_path / "c.ini"
+    write_config(replace(rc, repeat=2), cfg)
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main([command, "--config", str(cfg)]) == 0
+    stage = "autoencoder" if command == "ae" else "graph"
+    assert _listing(tmp_path / "rep") == sorted(
+        ["config.ini", "run.log", *ARTIFACTS["load"], *ARTIFACTS[stage]])
+
+
 def test_a_repeat_runs_config_reproduces_it(tmp_path):
     cfg = tmp_path / "c.ini"
     write_config(replace(_quick_run_config(tmp_path / "rep", seed=1), repeat=2), cfg)
@@ -859,6 +871,16 @@ def test_eval_reproduces_run_report(completed_run, tmp_path):
     code = main(["eval", str(run_dir), str(run_dir), "--out", str(out)])
     assert code == 0
     assert (out / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
+
+
+def test_eval_reports_the_seed_of_the_runs_config(tmp_path, capsys):
+    out = run_pipeline(_quick_run_config(tmp_path / "a", seed=5), log=None)[1]
+    capsys.readouterr()
+    assert main(["eval", str(out), str(out)]) == 0
+    assert "seed=5 " in capsys.readouterr().out
+    (out / "config.ini").unlink()  # artifacts alone: no seed to report
+    assert main(["eval", str(out), str(out)]) == 0
+    assert "seed=0 " in capsys.readouterr().out
 
 
 def test_eval_invariant_to_channel_permutation(completed_run, tmp_path):

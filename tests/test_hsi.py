@@ -614,6 +614,105 @@ def test_read_table_parses_literals_as_the_per_row_reader_does(tmp_path, text):
         assert outcome(read_table) == f"{path}: line 3 holds inf in column 'v'"
 
 
+def _table_outcome(read, path):
+    """A read's arrays and names as bytes, or the text of its ValueError."""
+    try:
+        ints, floats, names = read(path, ["band"])
+    except ValueError as exc:
+        return str(exc)
+    return ints.shape, ints.tobytes(), floats.shape, floats.tobytes(), names
+
+
+def _per_row_outcome(path):
+    """`read_table_per_row`'s outcome, with `read_utf8`'s error for a file
+    that is not UTF-8, as `read_table` gave it when it read the file whole."""
+    try:
+        hsi.read_utf8(path)
+    except ValueError as exc:
+        return str(exc)
+    return _table_outcome(read_table_per_row, path)
+
+
+_BLOCK_TWO_EDITS = {
+    # blocks of 4 rows are lines 2-5, 6-9, 10-11: each edit is to line 7,
+    # which starts at byte 13 + 5 * 10 = 63
+    "crlf": (b"5,0.5,0.5\r\n", None),
+    "lone-cr": (b"5,0.5,0.5\r", None),
+    "not-utf8": (b"5,0.5,0.\xe95\n", "line 7 is not UTF-8 text (byte 0xe9 at offset 71)"),
+    "field-count": (b"5,0.5\n", "line 7 has 2 fields, expected 3"),
+}
+
+
+@pytest.mark.parametrize("edit", list(_BLOCK_TWO_EDITS))
+def test_a_line_in_the_second_block_reads_as_the_whole_file_read_did(tmp_path, monkeypatch,
+                                                                      edit):
+    # a CR LF or a lone CR ends line 7 as a text-mode read of the whole
+    # file ended it; the line and offset of an error are the file's own
+    monkeypatch.setattr(hsi, "_TABLE_BLOCK_ROWS", 4)
+    line, message = _BLOCK_TWO_EDITS[edit]
+    lines = [b"band,em0,em1\n"] + [b"%d,0.5,0.5\n" % i for i in range(10)]
+    lines[6] = line
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"".join(lines))
+    got = _table_outcome(read_table, path)
+    assert got == _per_row_outcome(path)
+    if message:
+        assert got == f"{path}: {message}"
+    else:
+        assert np.frombuffer(got[1], dtype=np.int64).tolist() == list(range(10))
+
+
+def test_a_cut_last_line_of_a_table_of_several_blocks_names_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(hsi, "_TABLE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(hsi, "_READ_CHUNK_BYTES", 16)
+    text = "band,em0,em1\n" + "".join(f"{i},0.5,0.5\n" for i in range(10)) + "10,0.5,0."
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    assert _table_outcome(read_table, path) == _per_row_outcome(path)
+    assert _table_outcome(read_table, path) == f"{path}: line 12 does not end in a newline"
+
+
+_TEXT_PIECES = [b"0,0.5\n", b"1,-2e3\r\n", b"2,nan\r", b"0", b"7", b"0.5", b",", b"\n",
+                b"\r", b"\r\n", b"x", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80"]
+_NOT_UTF8 = [b"\xe9", b"\xe2\x82", b"\xc3", b"\x80", b"\xff", b"\xed\xa0\x80"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=st.sampled_from([b"band,v\n", b"band,v\r\n", b"band\r", b""]),
+       body=st.lists(st.sampled_from(_TEXT_PIECES), max_size=30),
+       bad=st.none() | st.tuples(st.integers(0, 30), st.sampled_from(_NOT_UTF8)),
+       chunk=st.integers(1, 9), block=st.integers(1, 4))
+def test_read_table_in_chunks_and_blocks_reads_as_the_whole_file_read_did(
+        tmp_path, monkeypatch, head, body, bad, chunk, block):
+    # line ends, characters cut between chunks, and a byte sequence that is
+    # not UTF-8 anywhere in the file, read in chunks and blocks of any size
+    monkeypatch.setattr(hsi, "_READ_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(hsi, "_TABLE_BLOCK_ROWS", block)
+    if bad:
+        body.insert(min(bad[0], len(body)), bad[1])
+    path = tmp_path / "t.csv"
+    path.write_bytes(head + b"".join(body))
+    assert _table_outcome(read_table, path) == _per_row_outcome(path)
+
+
+def test_read_table_scratch_does_not_grow_with_the_row_count(tmp_path):
+    # a large_scene abundance table's rows, 2 and 16 blocks of them: the
+    # whole-file read held the file's text and a string per line
+    rng = np.random.default_rng(14)
+    scratch = []
+    for blocks in (2, 16):
+        n = blocks * hsi._TABLE_BLOCK_ROWS
+        write_table(tmp_path / "a.csv", ["row", "col", "em0", "em1", "em2"],
+                    rng.integers(0, 112, (n, 2)), rng.uniform(size=(n, 3)))
+        got = []
+        peak = traced_peak(lambda: got.append(read_table(tmp_path / "a.csv", ["row", "col"])))
+        ints, floats, _ = got[0]
+        assert len(ints) == n
+        scratch.append(peak - ints.nbytes - floats.nbytes)
+    assert abs(scratch[1] - scratch[0]) <= 0.1 * scratch[0], scratch
+
+
 def test_endmember_csv_band_gap_names_the_line(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("band,em0,em1\n0,0.1,0.2\n5,0.3,0.4\n")
