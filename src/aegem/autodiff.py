@@ -553,12 +553,17 @@ def sparse_matmul(op, x: Tensor) -> Tensor:
 
 
 # Cap on one row tile of a fused ReLU MLP's hidden matrix, in bytes; a
-# tile holds at least one row.  512 KiB (512 float64 or 1024 float32 rows
-# of a 128-wide hidden layer) fits a 2 MiB L2 cache even twice over, as
-# the backward pass's pre-activation and its gradient tile do, so each
-# tile is written, rectified and multiplied while still cached instead of
-# streaming through memory.
-_HIDDEN_TILE_BYTES = 512 * 2**10
+# tile holds at least one row.  256 KiB is 256 float64 or 512 float32 rows
+# of a 128-wide hidden layer, so each tile is written, rectified or masked
+# and multiplied while still in L2 cache instead of streaming through
+# memory.  Measured sweep, fwd+bwd of relu_mlp at 4781x3 -> 128 -> 3
+# float32 (the large_scene GCN's layer) on a 2-core Xeon, medians of 3
+# runs after the malloc warm-up `fit` makes: 1.10-1.34 ms at 128 KiB,
+# 1.00-1.27 ms at 256 KiB, 0.98-1.14 ms at 384 KiB and 1.21-1.49 ms at
+# 512 KiB; 384 KiB is within the noise of 256 KiB, and the smaller tile
+# holds less.  At 349 rows, 128 KiB (two tiles) read 189-218 us and 256
+# to 512 KiB (one tile) 129-189 us.
+_HIDDEN_TILE_BYTES = 256 * 2**10
 
 
 def _row_tiles(n: int, hidden: int, itemsize: int):
@@ -573,41 +578,60 @@ def relu_mlp(x: np.ndarray, w1: Tensor, w2: Tensor) -> Tensor:
     """relu(x @ W1) @ W2 for a fixed (n, F) array x, one row tile at a time.
 
     The (n, hidden) hidden matrix is never built, only one row tile of
-    it at a time, at most `_HIDDEN_TILE_BYTES` in the output's dtype.
-    Each tile's pre-activation `x[t] @ W1` is checked for non-finite
-    values (a -inf that the ReLU would zero still raises
-    NonFiniteError), rectified in place and multiplied by W2 into the
-    (n, P) output.  The node holds x and the output only; the weight
-    gradients recompute each tile's pre-activation, so both are sums
-    over tiles of `h[t].T @ g[t]` and `x[t].T @ ((g[t] @ W2.T) *
-    (pre[t] > 0))`, taken in one pass.  x has no gradient.
+    it at a time, at most `_HIDDEN_TILE_BYTES` in the output's dtype, in
+    one buffer that every tile reuses.  Each tile's pre-activation
+    `x[t] @ W1` is checked for non-finite values (a -inf that the ReLU
+    would zero still raises NonFiniteError), rectified in place and
+    multiplied by W2 into the (n, P) output.  The node holds x and the
+    output only.  x has no gradient.
+
+    Both weight gradients come from one (F*P, hidden) sum.  With the mask
+    M = [x W1 > 0] and an output gradient g, let
+    T[(f, p), h] = sum_i x[i, f] g[i, p] M[i, h], the GEMM (x (x) g)^T M
+    of the n x F*P row-wise products x[i, f] g[i, p], built once per
+    call.  Then dW1[f, h] = sum_p W2[h, p] T[f, p, h] and
+    dW2[h, p] = sum_f W1[f, h] T[f, p, h], for any F and P.  A tile
+    makes 3 passes over its (rows, hidden) block: `x[t] @ W1` written
+    into the buffer, set to 0/1 in place, and read by one small GEMM
+    added into T.  Taking each gradient from its own product,
+    `x[t].T @ ((g[t] @ W2.T) * M[t])` and `relu(x[t] @ W1).T @ g[t]`,
+    makes 7: 2 GEMM writes, a mask, a masked multiply, a ReLU and 2
+    GEMM reads.
     """
     if x.ndim != 2 or w1.ndim != 2 or w2.ndim != 2:
         raise ValueError(f"relu_mlp expects 2-D arrays, got {x.shape}, {w1.shape}, {w2.shape}")
     if x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
         raise ValueError(f"shapes {x.shape}, {w1.shape}, {w2.shape} do not chain")
-    out = np.empty((x.shape[0], w2.shape[1]), dtype=np.result_type(x, w1.data, w2.data))
-    tiles = list(_row_tiles(x.shape[0], w1.shape[1], out.itemsize))
-    for t in tiles:
-        pre = _check(x[t] @ w1.data, "relu_mlp")
+    (n, f), hidden = x.shape, w1.shape[1]
+    out = np.empty((n, w2.shape[1]), dtype=np.result_type(x, w1.data, w2.data))
+    tiles = list(_row_tiles(n, hidden, out.itemsize))
+
+    def tile_buffers():
+        """Each tile with its pre-activation `x[t] @ W1`, written into one
+        buffer that every tile reuses."""
+        buf = np.empty((tiles[0].stop if tiles else 0, hidden), dtype=out.dtype)
+        for t in tiles:
+            yield t, np.matmul(x[t], w1.data, out=buf[: t.stop - t.start])
+
+    for t, pre in tile_buffers():
+        _check(pre, "relu_mlp")
         np.maximum(pre, 0.0, out=pre)
         np.matmul(pre, w2.data, out=out[t])
 
     grads: list[np.ndarray] = []
 
     def tile_grads(g):
-        # one pass for both weights, cached for whichever VJP backward calls
-        # second: 5-10 % faster than a pass each on the GCN's 4781x128 layer
+        # one pass for both weights, cached for whichever VJP backward calls second
         if not grads:
-            gw1, gw2 = np.zeros_like(w1.data), np.zeros_like(w2.data)
-            for t in tiles:
-                pre = x[t] @ w1.data
-                dpre = g[t] @ w2.data.T
-                dpre *= pre > 0
-                gw1 += x[t].T @ dpre
-                np.maximum(pre, 0.0, out=pre)
-                gw2 += pre.T @ g[t]
-            grads.extend((gw1, gw2))
+            p = g.shape[1]
+            xg = (x[:, :, None] * g[:, None, :]).reshape(n, f * p)
+            t_sum = np.zeros((f * p, hidden), dtype=out.dtype)
+            for t, mask in tile_buffers():
+                np.greater(mask, 0.0, out=mask)
+                t_sum += xg[t].T @ mask
+            t_sum = t_sum.reshape(f, p, hidden)
+            grads.extend((np.einsum("hp,fph->fh", w2.data, t_sum),
+                          np.einsum("fh,fph->hp", w1.data, t_sum)))
         return grads
 
     return Tensor._from_op(out, (w1, w2), (lambda g: tile_grads(g)[0],

@@ -28,8 +28,13 @@ walks the fixed rows of A X in row tiles that fit in L2 cache and takes
 each tile's `relu(AX W1) W2` there, as fused GNN kernels keep the wide
 intermediate in cache (FusedMM, Rahman, Sujon & Azad 2021).  The
 (N1, hidden) matrix H is never built, in training or in the final
-forward over all nodes: the backward pass recomputes each tile's
-pre-activation for both weight gradients.
+forward over all nodes.  The backward pass recomputes each tile's
+pre-activation as its ReLU mask M and takes both weight gradients from
+one sum T = (AX (x) g)^T M over the tiles, of the row-wise products of
+AX's F columns and the output gradient's P columns: dW1 contracts T
+with W2 over P, and dW2 contracts it with W1 over F.  A tile makes 3
+passes over its (rows, hidden) block (write, mask, one GEMM read), not
+the 7 of the two gradients composed apart.
 
 The operator is a `Sparse`: its entries as three numpy arrays (rows,
 columns, values) sorted by (row, column), so that importing the package

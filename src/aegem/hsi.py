@@ -23,10 +23,13 @@ round-trip repr).  Every line, the last one included, ends in a
 newline, so a file cut inside its last line is told apart from a
 complete one.
 
-Both functions work on blocks of `_TABLE_BLOCK_ROWS` rows, and hold the
-text of one block at a time.  A block is written with one `%` call: the
-row template repeated once per row, applied to the block's cells
-flattened in row order, then one `write`.  Reading first passes over
+Both functions work on blocks of at most `_TABLE_BLOCK_CELLS` cells
+(whole rows, at least one), and hold the text of one block at a time.
+A block is written with one `%` call: the row template repeated once
+per row, applied to one flat list of the block's cells in row order,
+then one `write`.  That list is filled a column at a time, column j
+into every width-th slot from j (`cells[j::width] = column.tolist()`),
+so no per-row list is built.  Reading first passes over
 the file's bytes in chunks of `_READ_CHUNK_BYTES`, to check the UTF-8,
 find a cut last line and count the rows.  Then each block's lines are
 read, every line's comma count is checked, and the block is joined with
@@ -40,7 +43,6 @@ from __future__ import annotations
 import codecs
 import itertools
 import math
-import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -262,12 +264,19 @@ def _load_hsb(path) -> HsiCube:
 
 # -- CSV tables ---------------------------------------------------------------
 
-# Rows a table is written or parsed in at a time: the Python lists of one
-# block, not of the whole file, are what a large edge list or raster holds.
-# A block is one `%` call on its cells in row order when written; when
-# read, it is the only part of the file held as text, joined and split
-# into cells and parsed a column at a time.
-_TABLE_BLOCK_ROWS = 4096
+# Cells a table is written or parsed in at a time, whatever its width: the
+# Python lists of one block, not of the whole file, are what a large edge
+# list or raster holds.  A block is one `%` call on its cells in row order
+# when written; when read, it is the only part of the file held as text,
+# joined and split into cells and parsed a column at a time.  4096 rows of
+# a 5-column abundance table; 129 rows of a 158-column Samson CSV cube.
+_TABLE_BLOCK_CELLS = 5 * 4096
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a `width`-column table in one block: at least one."""
+    return max(1, _TABLE_BLOCK_CELLS // max(1, width))
+
 
 # Bytes of the file `read_table`'s first pass reads at a time.
 _READ_CHUNK_BYTES = 2**20
@@ -332,14 +341,19 @@ def write_table(path, header: list[str], keys, values, fmt: str = "%.9g") -> Non
     integers, then `values` (N x V) with `fmt`."""
     keys = np.asarray(keys, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
+    width = keys.shape[1] + values.shape[1]
     line = ",".join(["%d"] * keys.shape[1] + [fmt] * values.shape[1]) + "\n"
+    step = _block_rows(width)
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for b in range(0, len(keys), _TABLE_BLOCK_ROWS):
-            k, v = keys[b : b + _TABLE_BLOCK_ROWS], values[b : b + _TABLE_BLOCK_ROWS]
-            # plain ints and floats: numpy 2 scalars would print as np.float64(...)
-            rows = map(operator.add, k.tolist(), v.tolist())
-            f.write(line * len(k) % tuple(itertools.chain.from_iterable(rows)))
+        for b in range(0, len(keys), step):
+            k, v = keys[b : b + step], values[b : b + step]
+            # the block's cells in row order, filled a column at a time; plain
+            # ints and floats: numpy 2 scalars would print as np.float64(...)
+            cells = [0] * (len(k) * width)
+            for j, column in enumerate(itertools.chain(k.T, v.T)):
+                cells[j::width] = column.tolist()
+            f.write(line * len(k) % tuple(cells))
 
 
 def retitle_table(src, dst, header: list[str]) -> None:
@@ -358,7 +372,7 @@ def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]
     A first pass over the bytes checks that the file is UTF-8 text, finds
     a cut last line and counts the rows, so the arrays are allocated once
     and the cut line is reported before any value is parsed.  Then the
-    rows are read and checked a block of `_TABLE_BLOCK_ROWS` lines at a
+    rows are read and checked a block of `_block_rows(width)` lines at a
     time, the only text held, every line's field count before any value
     within a block, so a line that does not parse is reported before a
     wrong field count in a later block.  Once every line has parsed, a
@@ -375,9 +389,10 @@ def read_table(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]
         width, n = len(header), n_lines - 1
         ints = np.empty((n, k), dtype=np.int64)
         floats = np.empty((n, width - k))
-        for b in range(0, n, _TABLE_BLOCK_ROWS):
+        step = _block_rows(width)
+        for b in range(0, n, step):
             # every line read ends in its newline, so the split ends in ""
-            block = "".join(itertools.islice(f, _TABLE_BLOCK_ROWS)).split("\n")
+            block = "".join(itertools.islice(f, step)).split("\n")
             block.pop()
             commas = list(map(str.count, block, itertools.repeat(",", len(block))))
             if commas.count(width - 1) != len(block):

@@ -6,7 +6,7 @@ to the reference signatures so maps and metrics compare like with like.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np

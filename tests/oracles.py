@@ -370,7 +370,7 @@ def write_table_per_row(path, header: list[str], keys, values, fmt: str = "%.9g"
 
 def read_table_per_row(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """`hsi.read_table` as it was: each line split and parsed on its own,
-    in blocks of `hsi._TABLE_BLOCK_ROWS` whose field counts are checked
+    in blocks of `hsi._block_rows(len(header))` rows whose field counts are checked
     before their values."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines.pop():
@@ -382,8 +382,9 @@ def read_table_per_row(path, keys: list[str]) -> tuple[np.ndarray, np.ndarray, l
     n = len(lines) - 1
     ints = np.empty((n, k), dtype=np.int64)
     floats = np.empty((n, len(header) - k))
-    for b in range(0, n, hsi._TABLE_BLOCK_ROWS):
-        rows = [line.split(",") for line in lines[1 + b : 1 + b + hsi._TABLE_BLOCK_ROWS]]
+    step = hsi._block_rows(len(header))
+    for b in range(0, n, step):
+        rows = [line.split(",") for line in lines[1 + b : 1 + b + step]]
         for i, parts in enumerate(rows, start=b):
             if len(parts) != len(header):
                 raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "

@@ -297,31 +297,40 @@ def _tile_rows(monkeypatch, rows, hidden):
     monkeypatch.setattr(ad, "_HIDDEN_TILE_BYTES", rows * hidden * 8)
 
 
-@pytest.mark.parametrize("n,hidden,tile_rows", [
+@pytest.mark.parametrize("n,hidden,tile_rows,f,dtype", [
     # tiles of 8 rows: one row, a tile less one, one tile, a tile plus one,
     # two whole tiles, and three tiles with a ragged last one of 5 rows
-    (1, 6, 8), (7, 6, 8), (8, 6, 8), (9, 6, 8), (16, 6, 8), (29, 6, 8),
+    *(pytest.param(n, 6, 8, 4, np.float64, id=f"{n}-6-8") for n in (1, 7, 8, 9, 16, 29)),
     # the GCN's width at the default tile: two whole tiles and a ragged one
-    (1200, 128, None),
+    pytest.param(600, 128, None, 4, np.float64, id="600-128-None"),
+    # six features: the weight gradients' identity holds for any F and P
+    pytest.param(29, 6, 8, 6, np.float64, id="29-6-8-f6"),
+    pytest.param(600, 128, None, 6, np.float64, id="600-128-None-f6"),
+    # float32, as the GCN trains, over the same three default tiles
+    pytest.param(1200, 128, None, 4, np.float32, id="1200-128-None-float32"),
 ])
-def test_relu_mlp_matches_unfused_composition(monkeypatch, n, hidden, tile_rows):
+def test_relu_mlp_matches_unfused_composition(monkeypatch, n, hidden, tile_rows, f, dtype):
     g = rng(25)
-    x = g.normal(size=(n, 4))
-    w1, w2 = g.normal(size=(4, hidden)), g.normal(size=(hidden, 3))
-    gout = g.normal(size=(n, 3))
+    x = g.normal(size=(n, f)).astype(dtype)
+    w1, w2 = g.normal(size=(f, hidden)).astype(dtype), g.normal(size=(hidden, 3)).astype(dtype)
+    gout = g.normal(size=(n, 3)).astype(dtype)
     if tile_rows is None:
-        assert 2 * ad._HIDDEN_TILE_BYTES < n * hidden * 8 < 3 * ad._HIDDEN_TILE_BYTES
+        assert 2 * ad._HIDDEN_TILE_BYTES < n * hidden * x.itemsize < 3 * ad._HIDDEN_TILE_BYTES
     else:
         _tile_rows(monkeypatch, tile_rows, hidden)
     got = _relu_mlp_and_grads(x, w1, w2, gout)
-    want = relu_mlp_unfused(x, w1, w2, gout)
+    # the oracle in float64 on the same inputs; in float32 the output and
+    # both gradients were at most 5.9e-7 of their largest value over eight
+    # seeds and F = 3, 4, 6, and the unfused float32 composition 1.2e-6
+    want = relu_mlp_unfused(*(a.astype(np.float64) for a in (x, w1, w2, gout)))
+    bound = 1e-12 if dtype == np.float64 else 1e-6
     assert 0 < np.count_nonzero(x @ w1 > 0) < n * hidden  # both sides of the kink
     for a, b in zip(got, want):
-        assert a.shape == b.shape
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        assert a.shape == b.shape and a.dtype == dtype
+        assert np.max(np.abs(a - b)) <= bound * np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("itemsize,rows", [(8, 512), (4, 1024)])
+@pytest.mark.parametrize("itemsize,rows", [(8, 256), (4, 512)])
 def test_relu_mlp_tiles_cap_the_bytes_of_their_dtype(itemsize, rows):
     tiles = list(ad._row_tiles(3000, 128, itemsize))
     assert rows * 128 * itemsize == ad._HIDDEN_TILE_BYTES
@@ -344,6 +353,22 @@ def test_relu_mlp_peak_memory_stays_below_one_hidden_matrix():
         tracemalloc.stop()
     assert peak < hidden_bytes
     assert grads[w1].shape == w1.shape and grads[w2].shape == w2.shape
+
+
+def test_relu_mlp_backward_holds_one_tile_and_the_products():
+    # 7 tiles of 256 rows and one of 208: the backward holds one tile
+    # buffer, the (n, F*P) products x[i, f] g[i, p] and the (n, P) output
+    # gradient, plus (F*P, hidden) sums; measured 21 KiB above the three
+    g = rng(27)
+    n = 2000
+    x = g.random((n, 3))
+    w1 = ad.Tensor(g.normal(size=(3, 128)), requires_grad=True)
+    w2 = ad.Tensor(g.normal(size=(128, 3)), requires_grad=True)
+    loss = ad.relu_mlp(x, w1, w2).sum()
+    tile_bytes = 256 * 128 * 8
+    assert tile_bytes == ad._HIDDEN_TILE_BYTES
+    peak = traced_peak(lambda: ad.backward(loss))
+    assert peak <= tile_bytes + n * 3 * 3 * 8 + n * 3 * 8 + 32 * 2**10, peak
 
 
 def test_relu_mlp_raises_on_a_non_finite_pre_activation_the_relu_would_zero(monkeypatch):

@@ -515,7 +515,7 @@ def test_tables_are_written_and_read_the_same_in_any_block_size(tmp_path, monkey
     # 65 x 65 = 4225 rows: one full block of 4096 and a ragged one, or 1409 of 3
     rng = np.random.default_rng(13)
     stack = rng.uniform(size=(65, 65, 2))
-    monkeypatch.setattr(hsi, "_TABLE_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(hsi, "_TABLE_BLOCK_CELLS", block_rows * 4)
     write_abundance_csv(stack, tmp_path / "a.csv", ["x", "y"])
     text = pixel_csv_text_per_value(stack, ["x", "y"])
     assert (tmp_path / "a.csv").read_text() == text
@@ -531,7 +531,7 @@ def test_tables_are_written_and_read_the_same_in_any_block_size(tmp_path, monkey
 def test_table_errors_are_reported_block_by_block(tmp_path, monkeypatch, short_line, message):
     # blocks of 4 rows are lines 2-5, 6-9, ...: within a block field counts
     # are checked first; a bad value in an earlier block comes before them
-    monkeypatch.setattr(hsi, "_TABLE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(hsi, "_TABLE_BLOCK_CELLS", 4 * 3)
     lines = ["band,em0,em1\n"] + [f"{i},0.5,0.5\n" for i in range(10)]
     lines[2] = "1,0.5,x\n"
     lines[short_line - 1] = f"{short_line - 2},0.5\n"
@@ -561,7 +561,7 @@ def _tables(draw):
 @given(table=_tables(), fmt=st.sampled_from(["%.9g", "%r"]))
 def test_write_table_writes_the_per_row_writers_bytes(tmp_path, monkeypatch, table, fmt):
     # under %r a numpy scalar among the cells would print as np.float64(...)
-    monkeypatch.setattr(hsi, "_TABLE_BLOCK_ROWS", 3)
+    monkeypatch.setattr(hsi, "_TABLE_BLOCK_CELLS", 3 * (table[0].shape[1] + table[1].shape[1]))
     keys, values = table
     header = [f"k{j}" for j in range(keys.shape[1])] + [f"v{j}" for j in range(values.shape[1])]
     write_table(tmp_path / "block.csv", header, keys, values, fmt)
@@ -648,7 +648,7 @@ def test_a_line_in_the_second_block_reads_as_the_whole_file_read_did(tmp_path, m
                                                                       edit):
     # a CR LF or a lone CR ends line 7 as a text-mode read of the whole
     # file ended it; the line and offset of an error are the file's own
-    monkeypatch.setattr(hsi, "_TABLE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(hsi, "_TABLE_BLOCK_CELLS", 4 * 3)
     line, message = _BLOCK_TWO_EDITS[edit]
     lines = [b"band,em0,em1\n"] + [b"%d,0.5,0.5\n" % i for i in range(10)]
     lines[6] = line
@@ -663,7 +663,7 @@ def test_a_line_in_the_second_block_reads_as_the_whole_file_read_did(tmp_path, m
 
 
 def test_a_cut_last_line_of_a_table_of_several_blocks_names_it(tmp_path, monkeypatch):
-    monkeypatch.setattr(hsi, "_TABLE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(hsi, "_TABLE_BLOCK_CELLS", 4 * 3)
     monkeypatch.setattr(hsi, "_READ_CHUNK_BYTES", 16)
     text = "band,em0,em1\n" + "".join(f"{i},0.5,0.5\n" for i in range(10)) + "10,0.5,0."
     path = tmp_path / "m.csv"
@@ -688,7 +688,7 @@ def test_read_table_in_chunks_and_blocks_reads_as_the_whole_file_read_did(
     # line ends, characters cut between chunks, and a byte sequence that is
     # not UTF-8 anywhere in the file, read in chunks and blocks of any size
     monkeypatch.setattr(hsi, "_READ_CHUNK_BYTES", chunk)
-    monkeypatch.setattr(hsi, "_TABLE_BLOCK_ROWS", block)
+    monkeypatch.setattr(hsi, "_TABLE_BLOCK_CELLS", 2 * block)
     if bad:
         body.insert(min(bad[0], len(body)), bad[1])
     path = tmp_path / "t.csv"
@@ -702,13 +702,31 @@ def test_read_table_scratch_does_not_grow_with_the_row_count(tmp_path):
     rng = np.random.default_rng(14)
     scratch = []
     for blocks in (2, 16):
-        n = blocks * hsi._TABLE_BLOCK_ROWS
+        n = blocks * hsi._block_rows(5)
         write_table(tmp_path / "a.csv", ["row", "col", "em0", "em1", "em2"],
                     rng.integers(0, 112, (n, 2)), rng.uniform(size=(n, 3)))
         got = []
         peak = traced_peak(lambda: got.append(read_table(tmp_path / "a.csv", ["row", "col"])))
         ints, floats, _ = got[0]
         assert len(ints) == n
+        scratch.append(peak - ints.nbytes - floats.nbytes)
+    assert abs(scratch[1] - scratch[0]) <= 0.1 * scratch[0], scratch
+
+
+def test_a_wide_tables_read_scratch_does_not_grow_with_the_row_count(tmp_path):
+    # a Samson-shape CSV cube's 158 columns, 2 and 8 blocks of rows: in
+    # blocks of 4096 rows whatever the width, both tables were one block
+    rng = np.random.default_rng(15)
+    header = ["row", "col"] + [f"b{j}" for j in range(156)]
+    scratch = []
+    for blocks in (2, 8):
+        n = blocks * hsi._block_rows(len(header))
+        write_table(tmp_path / "c.csv", header, rng.integers(0, 95, (n, 2)),
+                    rng.uniform(size=(n, 156)))
+        got = []
+        peak = traced_peak(lambda: got.append(read_table(tmp_path / "c.csv", ["row", "col"])))
+        ints, floats, _ = got[0]
+        assert floats.shape == (n, 156)
         scratch.append(peak - ints.nbytes - floats.nbytes)
     assert abs(scratch[1] - scratch[0]) <= 0.1 * scratch[0], scratch
 

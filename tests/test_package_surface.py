@@ -1,4 +1,5 @@
-"""Every function and class that `src/aegem` defines is named by the program.
+"""Every function and class that `src/aegem` defines is named by the program,
+and every name a package module imports is read in it.
 
 The check walks the syntax trees of `src/aegem/*.py` (not `__init__.py`,
 whose re-exports name every public function) and `perfbench/*.py`. It
@@ -13,6 +14,9 @@ name hide each other. A method `step` counts as named wherever any
 `.step` is read, and an uncalled function is missed whenever anything
 else of its name is used. Dunder methods, which Python calls itself, are
 not checked.
+
+A second walk fails for each name that a `src/aegem` module other than
+`__init__.py` imports and never reads (`from __future__` imports aside).
 """
 import ast
 from pathlib import Path
@@ -68,3 +72,22 @@ def test_every_definition_in_the_package_is_named_by_the_program():
     # a stale entry would let a later uncalled helper of its name through
     stale = sorted(name for name in ALLOWED if name not in defined or name in named)
     assert not stale, f"ALLOWED entries no longer needed: {stale}"
+
+
+def _unread_imports(tree: ast.AST) -> list[str]:
+    """Names a module imports (`from __future__` aside) that it never reads."""
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_name_a_package_module_imports_is_read_in_it():
+    # __init__.py imports to re-export, so its names are read elsewhere
+    unread = [f"{path.name}: {name}" for path in _program_files() if path.parent == PACKAGE
+              for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not unread, f"imported but never read; delete them: {unread}"
