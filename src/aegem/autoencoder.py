@@ -66,10 +66,11 @@ non-negative after every optimizer step: sum-to-one abundances span an
 affine subspace, so any normalization or bias hands the decoder an
 offset that can absorb one endmember outright and collapse a channel.
 Keeping the decoder offset-free anchors the mixing to its non-negative
-columns; its response to a constant one-hot abundance field, read at
-the patch center, defines the extracted endmember signatures.  Decoder
-columns start from spectra sampled across the scene so every channel
-begins with a distinct spectral role.
+columns; its response to a constant one-hot abundance field, which is
+each channel's taps summed, defines the extracted endmember signatures
+(`endmembers_from_decoder`).  Decoder columns start from spectra
+sampled across the scene so every channel begins with a distinct
+spectral role.
 
 `save_autoencoder` writes the trained parameters and V as an AEW1
 checkpoint; nothing in the package reads one back (see `checkpoint`).
@@ -405,23 +406,22 @@ def assemble_abundance_stack(model: ConvAutoencoder, cube: HsiCube,
 
 
 def endmembers_from_decoder(model: ConvAutoencoder) -> np.ndarray:
-    """Signature matrix (L x P): decoder response to one-hot abundances.
+    """Signature matrix (L x P): each decoder channel's taps summed.
 
-    Column j is the decoder output at the patch center for a spatially
-    constant field that is 1 in channel j and 0 elsewhere; with the
-    linear decoder this equals the summed taps of weight channel j (the
-    single tap for the default 1x1 decoder), so non-negativity is
-    inherited from the weight clamp.
+    Column j is the decoder's response to a spatially constant field
+    that is 1 in channel j and 0 elsewhere, read away from the field's
+    edge; with the linear decoder that is the sum of weight channel j's
+    taps (the single tap for the default 1x1 decoder), so non-negativity
+    is inherited from the weight clamp.  The taps are added one at a
+    time in (row, column) order, the order in which the decoder's conv
+    adds them, so the sum is that response to the bit.
     """
-    p = model.config.endmembers
-    ps = model.config.patch_size
-    fields = np.zeros((p, p, ps, ps))
-    for j in range(p):
-        fields[j, j] = 1.0
-    with ad.no_grad():
-        out = model.decode(fields)
-    c = ps // 2
-    return np.maximum(out.data[:, :, c, c].T, 0.0)
+    w = model.dec_weight.data
+    em = np.zeros(w.shape[:2])
+    for u in range(w.shape[2]):
+        for v in range(w.shape[3]):
+            em += w[:, :, u, v]
+    return np.maximum(em, 0.0)
 
 
 def train_autoencoder(cube: HsiCube, config: AutoencoderConfig, seed: int,

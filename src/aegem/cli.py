@@ -11,12 +11,13 @@ Subcommands:
 
 run, ae and graph go through one stage runner, so each run directory
 holds config.ini and a run.log with one timed line per stage, and each
-first deletes what a run with another repeat count left there.  Every
-model setting is read from the config file alone; the flags of run,
-graph and ae override only the seed, the repeat count and the output
-directory.  eval reports the seed of the estimate directory's
-config.ini, if it holds one.  Exit codes: 0 success, 1 usage, config
-or I/O error, 2 pipeline-stage failure.
+first deletes what any earlier run left there, but never its input
+files (see `aegem.pipeline.run_stages`).  Every model setting is read
+from the config file alone; the flags of run, graph and ae override
+only the seed, the repeat count and the output directory.  eval reports
+the seed of the estimate directory's config.ini, if it holds one.  Exit
+codes: 0 success, 1 usage, config or I/O error, 2 pipeline-stage
+failure.
 
 The BLAS thread pool is sized when numpy loads, which `import aegem`
 does before any subcommand runs; to cap it, set OPENBLAS_NUM_THREADS
@@ -125,11 +126,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_stages(args) -> int:
     """`ae` and `graph`: load, normalize and the stage named."""
-    from .pipeline import clear_repeats, run_stages
+    from .pipeline import run_stages
 
     rc = _resolved_config(args)
     stages = ("load", "normalize", "autoencoder" if args.command == "ae" else "graph")
-    clear_repeats(rc)  # one run's files, so no repeat run's beside them
     run_stages(rc, stages)
     print(f"wrote the {args.command} artifacts to {rc.out_dir}")
     return 0

@@ -1,9 +1,11 @@
 """Per-endmember ensemble decision between candidate abundance stacks.
 
 For every channel the source (autoencoder or GCN) with the smaller RMSE
-on the given pixels wins; ties go to the GCN.  Mixing winners can break
-the per-pixel sum-to-one constraint, so the assembled stack is
-renormalized by its channel sum.
+on the given pixels wins; ties go to the GCN.  Each RMSE is
+`metrics.channel_rmse` over those pixels, the function that scores the
+full maps in `score_artifacts`.  Mixing winners can break the per-pixel
+sum-to-one constraint, so the assembled stack is renormalized by its
+channel sum.
 
 The pipeline's `_ensemble` and `score_artifacts` pass every labeled
 pixel, and `gcn.train_gcn` took gradients on 90 % of those, so the
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import channel_rmse
+
 
 @dataclass
 class EnsembleSelection:
@@ -27,12 +31,6 @@ class EnsembleSelection:
     val_rmse_gcn: np.ndarray
     val_rmse_final: np.ndarray  # pre-renormalization, equals the per-channel min
     val_rmse_final_renorm: np.ndarray
-
-
-def _subset_rmse(stack: np.ndarray, truth: np.ndarray, rows: np.ndarray,
-                 cols: np.ndarray) -> np.ndarray:
-    diff = stack[rows, cols] - truth[rows, cols]
-    return np.sqrt(np.mean(diff**2, axis=0))
 
 
 def ensemble_select(ae_stack: np.ndarray, gcn_stack: np.ndarray,
@@ -48,11 +46,9 @@ def ensemble_select(ae_stack: np.ndarray, gcn_stack: np.ndarray,
         raise ValueError("stack shapes differ")
     if label_idx.size == 0:
         raise ValueError("validation subset is empty")
-    h, w, p = ae_stack.shape
-    rows, cols = np.divmod(np.asarray(label_idx, dtype=np.int64), w)
-    rmse_ae = _subset_rmse(ae_stack, truth_abundances, rows, cols)
-    rmse_gcn = _subset_rmse(gcn_stack, truth_abundances, rows, cols)
-    sources = ["gcn" if rmse_gcn[j] <= rmse_ae[j] else "ae" for j in range(p)]
+    rmse_ae = channel_rmse(ae_stack, truth_abundances, label_idx)
+    rmse_gcn = channel_rmse(gcn_stack, truth_abundances, label_idx)
+    sources = ["gcn" if g <= a else "ae" for a, g in zip(rmse_ae, rmse_gcn)]
     mixed = np.stack(
         [gcn_stack[:, :, j] if s == "gcn" else ae_stack[:, :, j]
          for j, s in enumerate(sources)],
@@ -60,5 +56,5 @@ def ensemble_select(ae_stack: np.ndarray, gcn_stack: np.ndarray,
     )
     rmse_final = np.minimum(rmse_ae, rmse_gcn)
     final = mixed / (mixed.sum(axis=2, keepdims=True) + 1e-12)
-    rmse_renorm = _subset_rmse(final, truth_abundances, rows, cols)
+    rmse_renorm = channel_rmse(final, truth_abundances, label_idx)
     return EnsembleSelection(final, sources, rmse_ae, rmse_gcn, rmse_final, rmse_renorm)

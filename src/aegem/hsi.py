@@ -430,38 +430,22 @@ def pixel_coordinates(height: int, width: int) -> np.ndarray:
     return np.indices((height, width)).reshape(2, -1).T
 
 
-def _read_pixel_csv(path) -> tuple[np.ndarray, list[str]]:
-    """(H, W, K) raster and value-column names from a `row,col,v0,...` CSV.
+def sorted_pixels(path, rc: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The flat pixel indices `flat` of a table's `row,col` lines rc, sorted.
 
-    H and W are one past the largest row and col.  Every pixel of that
-    raster must appear exactly once; a duplicate or a missing pixel fails
-    naming the file and the line or pixel instead of leaving a zero in
-    the raster.
+    A pixel on two lines fails naming the first line, in file order, whose
+    pixel an earlier line holds.  The check is one stable sort of the
+    lines' indices, so its memory goes with the line count, not with the
+    raster that the largest row and col name.
     """
-    rc, values, names = read_table(path, ["row", "col"])
-    if not names:
-        raise ValueError(f"{path}: expected header 'row,col,v0,...'")
-    if not len(rc):
-        raise ValueError(f"{path}: no pixel lines")
-    if rc.min() < 0:
-        bad = int(np.argmax(rc.min(axis=1) < 0))
-        raise ValueError(f"{path}: line {bad + 2} has a negative row or col")
-    h, w = (int(v) + 1 for v in rc.max(axis=0))
-    flat = rc[:, 0] * w + rc[:, 1]
-    counts = np.bincount(flat, minlength=h * w)
-    if counts.max() > 1:
-        first = flat[np.argmax(counts[flat] > 1)]
-        again = np.nonzero(flat == first)[0][1]
-        r, c = divmod(int(first), w)
-        raise ValueError(f"{path}: pixel ({r}, {c}) appears again on line {again + 2}")
-    missing = np.nonzero(counts == 0)[0]
-    if missing.size:
-        r, c = divmod(int(missing[0]), w)
-        raise ValueError(f"{path}: pixel ({r}, {c}) is missing "
-                         f"({missing.size} of {h}x{w} pixels have no line)")
-    raster = np.empty((h, w, len(names)))
-    raster[rc[:, 0], rc[:, 1]] = values
-    return raster, names
+    order = np.argsort(flat, kind="stable")
+    keys = flat[order]
+    again = order[1:][keys[1:] == keys[:-1]]  # a later line of an equal pixel
+    if again.size:
+        i = int(again.min())
+        raise ValueError(f"{path}: pixel ({rc[i, 0]}, {rc[i, 1]}) appears again "
+                         f"on line {i + 2}")
+    return keys
 
 
 def load_cube(path, format: str = "hsb") -> HsiCube:
@@ -469,7 +453,7 @@ def load_cube(path, format: str = "hsb") -> HsiCube:
     if format == "hsb":
         return _load_hsb(path)
     if format == "csv":
-        return HsiCube(_read_pixel_csv(path)[0])
+        return HsiCube(read_abundance_csv(path)[0])
     raise ValueError(f"unknown cube format {format!r}")
 
 
@@ -624,8 +608,35 @@ def write_abundance_csv(stack: np.ndarray, path, names: list[str] | None = None)
 
 
 def read_abundance_csv(path) -> tuple[np.ndarray, list[str]]:
-    """(H, W, P) stack and channel names; every pixel exactly once."""
-    return _read_pixel_csv(path)
+    """(H, W, K) raster and value-column names from a `row,col,v0,...` CSV:
+    an abundance stack, or a CSV cube (`load_cube`).
+
+    H and W are one past the largest row and col.  Every pixel of that
+    raster must appear exactly once; a duplicate or a missing pixel fails
+    naming the file and the line or pixel instead of leaving a zero in
+    the raster.  Both checks read the sorted pixels of the lines
+    (`sorted_pixels`), so a mistyped row or col fails before anything
+    the size of the raster it names is allocated.
+    """
+    rc, values, names = read_table(path, ["row", "col"])
+    if not names:
+        raise ValueError(f"{path}: expected header 'row,col,v0,...'")
+    if not len(rc):
+        raise ValueError(f"{path}: no pixel lines")
+    if rc.min() < 0:
+        bad = int(np.argmax(rc.min(axis=1) < 0))
+        raise ValueError(f"{path}: line {bad + 2} has a negative row or col")
+    h, w = (int(v) + 1 for v in rc.max(axis=0))
+    keys = sorted_pixels(path, rc, rc[:, 0] * w + rc[:, 1])
+    n = len(keys)
+    if n < h * w:  # distinct and below h * w: the first pixel missing is the first gap
+        gap = np.flatnonzero(keys != np.arange(n))
+        r, c = divmod(int(gap[0]) if gap.size else n, w)
+        raise ValueError(f"{path}: pixel ({r}, {c}) is missing "
+                         f"({h * w - n} of {h}x{w} pixels have no line)")
+    raster = np.empty((h, w, len(names)))
+    raster[rc[:, 0], rc[:, 1]] = values
+    return raster, names
 
 
 def write_endmember_csv(endmembers: np.ndarray, path, names: list[str] | None = None) -> None:

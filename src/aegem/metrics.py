@@ -38,6 +38,16 @@ def rmse(alpha: np.ndarray, alpha_hat: np.ndarray) -> float:
     return float(np.sqrt(np.mean((alpha - alpha_hat) ** 2)))
 
 
+def channel_rmse(stack: np.ndarray, truth: np.ndarray, pixels=slice(None)) -> np.ndarray:
+    """Per-channel `rmse` of an (H, W, P) stack against the truth's, over
+    the flat pixel indices `pixels`, every pixel by default."""
+    if stack.shape != truth.shape:
+        raise ValueError(f"stack shapes differ: {stack.shape} vs {truth.shape}")
+    est = stack.reshape(-1, stack.shape[2])[pixels]
+    ref = truth.reshape(-1, truth.shape[2])[pixels]
+    return np.array([rmse(ref[:, j], est[:, j]) for j in range(stack.shape[2])])
+
+
 @dataclass
 class PermutationMatch:
     """Bijection estimated-channel -> reference-channel with its mean SAD."""

@@ -4,18 +4,19 @@
 graph -> gcn -> ensemble -> score.  Each stage reads and fills one
 `RunState`, writes its own artifacts (`ARTIFACTS`) into the run directory
 and returns the text of its log line.  `run_stages` is the one runner: it
-creates the directory, deletes the artifacts an earlier run left there
-from the first stage it runs on, writes config.ini, logs a timed
-`[name] ... in N.Ns` line per stage, names the stage of any failure in a
-PipelineStageError and writes run.log even when a stage fails.
-`run_pipeline` runs the whole table; the `ae` and `graph` subcommands
-run its first stages (see `aegem.cli`).  A run directory receives the
-candidate and final abundance stacks, extracted endmembers, the graph
-edge list, labeled pixels, training logs, grayscale maps, checkpoints,
-and a metrics report.  Reports are always computed from the written CSV artifacts so
-that re-scoring a saved run reproduces them exactly.  Every random stream is
-seeded from `RunConfig.seed` and `scene_seed` alone, as `RunConfig` lists,
-and config.ini records both, so that a run's config.ini reproduces it.
+creates the directory, deletes what any earlier run left there (the
+files and run_NNN/ dirs a run writes, never its input files), writes
+config.ini, logs a timed `[name] ... in N.Ns` line per stage, names the
+stage of any failure in a PipelineStageError and writes run.log even
+when a stage fails.  `run_pipeline` runs the whole table; the `ae` and
+`graph` subcommands run its first stages (see `aegem.cli`).  A run
+directory receives the candidate and final abundance stacks, extracted
+endmembers, the graph edge list, labeled pixels, training logs,
+grayscale maps, checkpoints, and a metrics report.  Reports are always
+computed from the written CSV artifacts so that re-scoring a saved run
+reproduces them exactly.  Every random stream is seeded from
+`RunConfig.seed` and `scene_seed` alone, as `RunConfig` lists, and
+config.ini records both, so that a run's config.ini reproduces it.
 """
 from __future__ import annotations
 
@@ -30,14 +31,14 @@ import numpy as np
 
 from . import gcn as gcn_mod
 from .autoencoder import (AutoencoderConfig, save_autoencoder, train_autoencoder)
-from .ensemble import _subset_rmse, ensemble_select
+from .ensemble import ensemble_select
 from .gcn import GcnConfig
 from .graph import EllipticalGraph, build_graph, write_graph_csv
 from .hsi import (GroundTruth, HsiCube, SceneSpec, fmt9, load_cube, normalize,
                   read_abundance_csv, read_endmember_csv, read_table, read_utf8,
-                  retitle_table, save_abundance_maps, save_cube, synthesize_scene,
-                  write_abundance_csv, write_endmember_csv, write_table)
-from .metrics import MetricsReport, match_endmembers, rmse, sad
+                  retitle_table, save_abundance_maps, save_cube, sorted_pixels,
+                  synthesize_scene, write_abundance_csv, write_endmember_csv, write_table)
+from .metrics import MetricsReport, channel_rmse, match_endmembers, sad
 from .rng import SplitMix64
 
 # Published per-material targets for the 95x95x156 Samson benchmark,
@@ -231,11 +232,7 @@ def read_labels_csv(path, height: int, width: int) -> np.ndarray:
         raise ValueError(f"{path}: line {i + 2} has pixel ({rc[i, 0]}, {rc[i, 1]}) "
                          f"outside the {height}x{width} image")
     flat = rc[:, 0] * width + rc[:, 1]
-    _, first = np.unique(flat, return_index=True)
-    if first.size < flat.size:
-        again = int(np.setdiff1d(np.arange(flat.size), first)[0])
-        raise ValueError(f"{path}: pixel ({rc[again, 0]}, {rc[again, 1]}) appears again "
-                         f"on line {again + 2}")
+    sorted_pixels(path, rc, flat)
     return flat
 
 
@@ -271,27 +268,22 @@ def score_artifacts(est_dir, truth_endmembers_csv, truth_abundances_csv,
     ae_stack, gcn_stack, final_stack = (stack[:, :, order] for stack in stacks)
     est_em = est_em[:, order]
 
-    p = truth_em.shape[1]
-    rmse_ae = np.array([rmse(truth_ab[:, :, j], ae_stack[:, :, j]) for j in range(p)])
-    rmse_gcn = np.array([rmse(truth_ab[:, :, j], gcn_stack[:, :, j]) for j in range(p)])
-    rmse_final = np.array([rmse(truth_ab[:, :, j], final_stack[:, :, j]) for j in range(p)])
-    sad_values = np.array([sad(est_em[:, j], truth_em[:, j]) for j in range(p)])
+    sad_values = np.array([sad(est_em[:, j], truth_em[:, j]) for j in range(truth_em.shape[1])])
 
     # the renormalized figure is read off the written final stack, so that
     # re-scoring checks the artifact rather than recomputing it
     selection = ensemble_select(ae_stack, gcn_stack, truth_ab, label_idx)
-    rows, cols = np.divmod(label_idx, truth_ab.shape[1])
     return MetricsReport(
         materials=materials,
-        rmse_ae=rmse_ae,
-        rmse_gcn=rmse_gcn,
-        rmse_final=rmse_final,
+        rmse_ae=channel_rmse(ae_stack, truth_ab),
+        rmse_gcn=channel_rmse(gcn_stack, truth_ab),
+        rmse_final=channel_rmse(final_stack, truth_ab),
         sad_values=sad_values,
         sources=selection.sources,
         val_rmse_ae=selection.val_rmse_ae,
         val_rmse_gcn=selection.val_rmse_gcn,
         val_rmse_final=selection.val_rmse_final,
-        val_rmse_final_renorm=_subset_rmse(final_stack, truth_ab, rows, cols),
+        val_rmse_final_renorm=channel_rmse(final_stack, truth_ab, label_idx),
         seed=seed,
         elapsed_seconds=elapsed,
     )
@@ -490,50 +482,30 @@ ARTIFACTS = {
 }
 
 
-def _clear_artifacts(rc: RunConfig, out: Path, first: str) -> None:
-    """Delete what the stages from `first` on wrote, but not the run's input files.
+def _clear_artifacts(rc: RunConfig, out: Path, runs: int = 0) -> None:
+    """Delete from out what any earlier run left there, before a run writes
+    its files, or `runs` > 0 run_NNN/ dirs, into it.
 
-    A run into a used directory then leaves no earlier run's results
-    beside its own config.ini, even when it fails part way.
+    That is config.ini, run.log, metrics_runs.csv and every `ARTIFACTS`
+    match, never the run's input files; then maps/ once empty, and the
+    run_NNN/ dirs from run_{runs:03d} on, each cleared alike and removed
+    once empty.  A run into a used directory then leaves no earlier run's
+    results beside its own, even when it fails part way; files that no
+    run writes stay.
     """
     inputs = {Path(p).resolve() for p in (rc.input_path, rc.truth_endmembers,
                                            rc.truth_abundances) if p}
-    names = list(STAGES)
-    for name in names[names.index(first):]:
-        for pattern in ARTIFACTS[name]:
-            for path in out.glob(pattern):
-                if path.resolve() not in inputs:
-                    path.unlink()
-
-
-def _clear_run(rc: RunConfig, out: Path) -> None:
-    """Delete a finished run's files from out: every stage's artifacts but
-    the input files, config.ini and run.log, and maps/ if left empty."""
-    _clear_artifacts(rc, out, next(iter(STAGES)))
-    for name in ("config.ini", "run.log"):
-        (out / name).unlink(missing_ok=True)
+    for pattern in ("config.ini", "run.log", "metrics_runs.csv",
+                    *(p for patterns in ARTIFACTS.values() for p in patterns)):
+        for path in out.glob(pattern):
+            if path.resolve() not in inputs:
+                path.unlink()
     maps = out / "maps"
     if maps.is_dir() and not any(maps.iterdir()):
         maps.rmdir()
-
-
-def clear_repeats(rc: RunConfig, runs: int = 0) -> None:
-    """Delete from rc.out_dir what a run of another repeat count left, before
-    one that writes `runs` run_NNN/ dirs, or 0 for a single run there.
-
-    That is metrics_runs.csv, the run_NNN/ dirs from run_{runs:03d} on and,
-    when runs > 0, the single run's files.  Only files a run writes go,
-    never its input files, and a run_NNN/ dir left empty is removed.
-    """
-    base = Path(rc.out_dir)
-    if not base.is_dir():
-        return
-    (base / "metrics_runs.csv").unlink(missing_ok=True)
-    if runs:
-        _clear_run(rc, base)
-    for sub in base.glob("run_*"):
+    for sub in out.glob("run_*"):
         if sub.is_dir() and sub.name[4:].isdigit() and int(sub.name[4:]) >= runs:
-            _clear_run(rc, sub)
+            _clear_artifacts(rc, sub)
             if not any(sub.iterdir()):
                 sub.rmdir()
 
@@ -541,16 +513,15 @@ def clear_repeats(rc: RunConfig, runs: int = 0) -> None:
 def run_stages(rc: RunConfig, stages, log=print) -> RunState:
     """Run the named stages in order in rc.out_dir, next to config.ini and run.log.
 
-    First the artifacts of the first named stage and of every stage after
-    it are deleted from the directory.  Each stage logs one `[name] ...
-    in N.Ns` line.  Any failure but a missing file is re-raised as a
-    PipelineStageError naming the stage; run.log holds the lines of the
-    stages that finished either way.
+    First `_clear_artifacts` deletes what any earlier run left in the
+    directory.  Each stage logs one `[name] ... in N.Ns` line.  Any
+    failure but a missing file is re-raised as a PipelineStageError
+    naming the stage; run.log holds the lines of the stages that finished
+    either way.
     """
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if stages:
-        _clear_artifacts(rc, out, next(iter(stages)))
+    _clear_artifacts(rc, out)
     write_config(rc, out / "config.ini")
     run = RunState(rc, out)
     lines: list[str] = []
@@ -586,18 +557,18 @@ def run_repeated(rc: RunConfig, log=print) -> list[MetricsReport]:
     metrics_runs.csv holds each run's metrics, then their mean and std per
     material.  repeat = 1 is one `run_pipeline` in rc.out_dir itself.
 
-    First `clear_repeats` deletes what an earlier run with another count
-    left there.
+    Before N > 1 runs, `_clear_artifacts` deletes what any earlier run
+    left in rc.out_dir, the run_NNN/ dirs from run_{N:03d} on included;
+    each run's own `run_stages` clears its run_NNN/.
     """
-    base = Path(rc.out_dir)
-    runs = rc.repeat if rc.repeat > 1 else 0  # run_NNN/ dirs to write
-    clear_repeats(rc, runs)
-    if not runs:
+    if rc.repeat == 1:
         return [run_pipeline(rc, log=log)[0]]
+    base = Path(rc.out_dir)
+    _clear_artifacts(rc, base, rc.repeat)
     scene_seed = None if rc.scene is None else (
         rc.seed if rc.scene_seed is None else rc.scene_seed)
     reports = []
-    for i in range(runs):
+    for i in range(rc.repeat):
         sub = replace(rc, seed=rc.seed + i, scene_seed=scene_seed, repeat=1,
                       out_dir=str(base / f"run_{i:03d}"))
         reports.append(run_pipeline(sub, log=log)[0])

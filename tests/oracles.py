@@ -288,6 +288,19 @@ def abundance_stack_per_patch(model, cube) -> np.ndarray:
     return np.concatenate(rows).reshape(cube.height, cube.width, -1)
 
 
+def endmembers_conv_readout(model) -> np.ndarray:
+    """Signature matrix (L x P) read off the decoder's conv: the response at
+    the patch center to P one-hot fields, each 1 in one channel over the
+    whole patch."""
+    p, ps = model.config.endmembers, model.config.patch_size
+    fields = np.zeros((p, p, ps, ps))
+    for j in range(p):
+        fields[j, j] = 1.0
+    with ad.no_grad():
+        out = model.decode(fields)
+    return np.maximum(out.data[:, :, ps // 2, ps // 2].T, 0.0)
+
+
 def encode_full_band(model, x, padding: str = "same") -> tuple[ad.Tensor, ad.Tensor]:
     """`model.encode` with layer 1 convolving every band of x with W = W' ×_band Vᵀ.
 

@@ -14,7 +14,7 @@ from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder, _train_epochs
 from aegem.hsi import HsiCube, SceneSpec, normalize, pixel_coordinates, synthesize_scene
 from aegem.metrics import match_endmembers, sad
 from aegem.rng import SplitMix64
-from oracles import (abundance_stack_per_patch, encode_full_band,
+from oracles import (abundance_stack_per_patch, encode_full_band, endmembers_conv_readout,
                      extreme_pixel_indices_whole, leaky_relu_masked, read_aew,
                      reconstruction_loss_composite, train_autoencoder_per_patch)
 from page_faults import (glibc_only, minor_faults, peak_rss_growth, proc_status_only,
@@ -156,6 +156,20 @@ def test_endmember_readout_center_tap_decoder():
     model.dec_weight.data[:, :, c, c] = taps
     em = endmembers_from_decoder(model)
     assert np.allclose(em, taps, atol=1e-15)
+
+
+@pytest.mark.parametrize("kernel, patch", [(1, 9), (3, 5), (5, 9)])
+def test_endmembers_are_the_conv_readout_to_the_bit(kernel, patch):
+    # (3, 5) is large_scene's decoder; random non-negative taps over six decades
+    config = AutoencoderConfig(encoder_filters=(8, 3), encoder_kernels=(3, 1),
+                               patch_size=patch, decoder_kernel=kernel)
+    rng = np.random.default_rng(kernel)
+    for seed in range(5):
+        model = ConvAutoencoder(config, 20, SplitMix64(seed))
+        shape = model.dec_weight.data.shape
+        model.dec_weight.data[:] = (rng.uniform(size=shape)
+                                    * 10.0 ** rng.integers(-3, 3, size=shape))
+        assert np.array_equal(endmembers_from_decoder(model), endmembers_conv_readout(model))
 
 
 def test_decoder_linearity_of_one_hot_responses():

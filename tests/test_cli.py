@@ -778,6 +778,25 @@ def test_a_repeat_run_clears_what_an_earlier_count_left(tmp_path):
     assert _listing(base) == sorted([*runs(2), "notes.txt", "run_002", "run_002/notes.txt"])
 
 
+def test_run_pipeline_clears_what_a_repeat_run_left(tmp_path):
+    base = tmp_path / "rep"
+    rc = _quick_run_config(base, seed=1)
+    single = _listing(Path(run_pipeline(replace(rc, out_dir=str(tmp_path / "one")),
+                                        log=None)[1]))
+    run_repeated(replace(rc, repeat=2), log=None)
+    run_pipeline(rc, log=None)
+    assert _listing(base) == single
+
+
+def test_a_run_writes_only_config_ini_run_log_and_its_listed_artifacts(tmp_path):
+    # a file a stage writes but ARTIFACTS does not list would go uncleared
+    out = Path(run_pipeline(_quick_run_config(tmp_path / "run", seed=1), log=None)[1])
+    listed = {path for patterns in ARTIFACTS.values() for pattern in patterns
+              for path in out.glob(pattern)}
+    assert {path for path in out.rglob("*") if path.is_file()} == {
+        out / "config.ini", out / "run.log", *listed}
+
+
 @pytest.mark.parametrize("command", ["ae", "graph"])
 def test_a_stage_subcommand_clears_what_a_repeat_run_left(tmp_path, command):
     rc = _quick_run_config(tmp_path / "rep", seed=1)
@@ -914,6 +933,15 @@ def test_labels_outside_the_image_name_the_line(tmp_path):
         read_labels_csv(path, 4, 4)
     path.write_text("row,col\n3,1\n0,2\n")
     assert read_labels_csv(path, 4, 4).tolist() == [13, 2]
+
+
+def test_labels_name_the_first_line_that_repeats_a_pixel(tmp_path):
+    # pixel lines A, B, B, A: line 4 repeats B before line 5 repeats A
+    path = tmp_path / "labels.csv"
+    path.write_text("row,col\n0,0\n2,3\n2,3\n0,0\n")
+    with pytest.raises(ValueError, match=r"labels\.csv: pixel \(2, 3\) appears again "
+                                         r"on line 4"):
+        read_labels_csv(path, 4, 4)
 
 
 def _score_with_labels(run_dir, est, edit):

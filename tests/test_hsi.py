@@ -463,6 +463,34 @@ def test_pixel_csv_duplicated_line_names_the_pixel(tmp_path, write):
 
 
 @PIXEL_CSVS
+def test_pixel_csv_names_the_first_line_that_repeats_a_pixel(tmp_path, write):
+    # pixel lines A, B, B, A: line 4 repeats B before line 5 repeats A
+    read = write(tmp_path / "d.csv")
+    _edit_lines(tmp_path / "d.csv", lambda lines: [*lines[:3], lines[2], lines[1], *lines[3:]])
+    with pytest.raises(ValueError, match=r"d\.csv: pixel \(0, 1\) appears again on line 4"):
+        read()
+
+
+@pytest.mark.parametrize("row", [1_000_000, 4_000_000])
+def test_pixel_csv_check_is_sized_by_its_lines_not_the_raster_they_name(tmp_path, row):
+    # a mistyped row names a raster of millions of pixels; the check fails
+    # holding what three lines take, not one count per pixel of it
+    path = tmp_path / "a.csv"
+    path.write_text(f"row,col,em0\n0,0,1\n{row},0,1\n0,1,1\n")
+    errors = []
+
+    def read():
+        try:
+            read_abundance_csv(path)
+        except ValueError as exc:
+            errors.append(str(exc))
+
+    assert traced_peak(read) <= 64 * 2**10
+    assert errors == [f"{path}: pixel (1, 0) is missing "
+                      f"({2 * (row + 1) - 3} of {row + 1}x2 pixels have no line)"]
+
+
+@PIXEL_CSVS
 def test_pixel_csv_short_line_names_the_line(tmp_path, write):
     read = write(tmp_path / "s.csv")
     _edit_lines(tmp_path / "s.csv",

@@ -17,6 +17,9 @@ not checked.
 
 A second walk fails for each name that a `src/aegem` module other than
 `__init__.py` imports and never reads (`from __future__` imports aside).
+A third fails for each `_`-prefixed name that a `src/aegem` module
+imports from another package module: a name another module needs is
+public.
 """
 import ast
 from pathlib import Path
@@ -91,3 +94,12 @@ def test_every_name_a_package_module_imports_is_read_in_it():
     unread = [f"{path.name}: {name}" for path in _program_files() if path.parent == PACKAGE
               for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert not unread, f"imported but never read; delete them: {unread}"
+
+
+def test_no_package_module_imports_a_private_name_of_another():
+    private = [f"{path.name}: {alias.name}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "aegem")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"private names imported from another module; make them public: {private}"
