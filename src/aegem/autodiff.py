@@ -8,10 +8,17 @@ each one fused op in its own module (`autoencoder.reconstruction_loss`,
 `gcn.bce_with_logits`), bit-equal in value and gradient to the same
 loss composed of Tensor ops: on small batches a step's cost is mostly
 per-node interpreter overhead, not arithmetic.  The leaky ReLU is
-max(x, alpha x), branch-free, with a boolean mask on its node.
+max(x, alpha x), branch-free, with a boolean mask on its node; a conv
+followed by one takes it into its own node (`conv2d(..., leaky=alpha)`),
+computed in place on the GEMM output.  A training step of a four-layer
+autoencoder then records 7 nodes, not 10: three conv + leaky ReLU
+nodes, the last encoder conv, the softmax, the decoder's conv and the
+loss.
 The recorded operation graph is single-owner and consumed by one
 :func:`backward` call; parameters are plain leaf tensors updated in
-place by :class:`Adam`, whose moments take each parameter's dtype.
+place by :class:`Adam`, which makes each one a view of one flat buffer,
+and its moments views of two more, in the parameters' dtype, so that a
+step updates every parameter with one pass per operation.
 :func:`fit` is both models' training loop and states their float32 use.
 
 A tensor built from a float32 array stays float32; any other input
@@ -49,13 +56,23 @@ by about 5e-15).  The output stays pixels-last in memory behind an
 node holds only its unpadded input and its output until `backward`.
 The weight gradient sums `g[:, block] @ cols.T` over the rebuilt column
 blocks.  The input gradient is col2im, as in Caffe's backward (Jia et
-al. 2014): per block of output rows, `W.reshape(Cout, -1).T @ g[:, block]`
-gives the Cin*kh*kw taps of the block's Ho*Wo*N output pixels, and each
-of the kh*kw taps is added into a zero-filled padded gradient at its
-offset, which is then cropped to the unpadded input.  Its GEMM is
-output-sized, Cin*Cout*kh*kw*Ho*Wo*N multiply-adds: a transposed conv
-correlates the zero-padded g over all H*W input pixels instead, 118 M
-multiply-adds against col2im's 42.5 M on layer 2's training batch.
+al. 2014): per block of output rows, each output pixel's Cin*kh*kw taps
+are `W.reshape(Cout, -1).T` times its (Cout, N) gradient, one GEMM per
+pixel with the rows in (u, v, c) order, so the block of taps is laid out
+(pixel, u, v, Cin, N).  Each of the kh*kw taps is added at its offset
+into a zero-filled padded gradient laid out (H, W, Cin, N), a run of
+Cin*N contiguous values per pixel on both sides, and the crop of the
+padding copies the gradient back to (Cin, H, W, N).  Added as 4-D
+strided slices of a (Cin, H, W, N) gradient, a tap of the acceptance
+run's layer 2 ran in runs of Wo*N values: 12.4 us per tap against 6.5 us
+on a 2-core Xeon VM.
+A pixel's GEMM sums each tap over Cout as the block's one GEMM did, and
+each position adds its taps in the same order, so the gradient is the
+same to the bit (`tests/oracles.py` keeps the strided version).  Its
+GEMM work is output-sized, Cin*Cout*kh*kw*Ho*Wo*N multiply-adds: a
+transposed conv correlates the zero-padded g over all H*W input pixels
+instead, 118 M multiply-adds against col2im's 42.5 M on layer 2's
+training batch.
 
 Memory.  glibc malloc serves a request above its mmap threshold by mmap
 and unmaps it on free; smaller ones come from the heap, whose free top
@@ -69,10 +86,14 @@ buffers keeps them resident only once the thresholds exceed them.
 first step.  That lifts the mmap threshold just above the cap, so every
 later column or tap block, training's and inference's alike, comes from
 the heap instead of being mapped fresh, and the trim threshold to twice
-the cap, above a step's temporaries: many arrays, 1.5 MiB at their
+the cap, above a step's temporaries: many arrays, 1.3 MiB at their
 traced peak at the `acceptance` benchmark's shapes, each too small for
 its free to raise the threshold above their sum.  The autoencoder's
-epoch keeps each step's gradients until the next step's backward.  In a
+epoch keeps each step's gradients until the next step's backward.  The
+activation of a conv + leaky ReLU node overwrites its pre-activation,
+so the tape holds one activation per layer, not two, and Adam's flat
+gradient and its two temporaries are each one parameter set in size,
+0.4 MB of float32 for the default autoencoder on Samson's bands.  In a
 run the GCN's free changes nothing: the autoencoder has already raised
 both thresholds.  With a 4 MiB cap, inference's fresh 4 MiB mappings
 stacked on top of the heap that training had left untrimmed and raised
@@ -314,6 +335,23 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._from_op(np.where(mask, x.data, 0.0), (x,), (lambda g: g * mask,), "relu")
 
 
+def _check_slope(alpha: float) -> None:
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"leaky_relu needs 0 <= alpha <= 1, got alpha={alpha!r}")
+
+
+def _leaky_relu_forward(a: np.ndarray, alpha: float, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """max(a, alpha a) into `out` (a itself allowed) and its mask a > 0."""
+    y = np.maximum(a, a * alpha, out=out)
+    return y, y > 0
+
+
+def _leaky_relu_vjp(g: np.ndarray, mask: np.ndarray, alpha: float) -> np.ndarray:
+    """g times the slope max(mask, alpha), into an array in g's memory layout."""
+    slope = np.maximum(mask, g.dtype.type(alpha))  # in g's dtype: 1 or alpha
+    return np.multiply(g, slope, out=np.empty_like(g))
+
+
 def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     """max(x, alpha x), the leaky ReLU for 0 <= alpha <= 1.
 
@@ -323,18 +361,12 @@ def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     memory layout: a conv's bias gradient sums g in memory order, so a
     gradient in another layout would move its last bits.  Both passes
     are branch-free: a masked copy was about 10x slower on a (64, 32, 5, 5)
-    batch of random signs.
+    batch of random signs.  `conv2d(..., leaky=alpha)` applies the same two
+    kernels inside the conv's node.
     """
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"leaky_relu needs 0 <= alpha <= 1, got alpha={alpha!r}")
-    mask = x.data > 0
-
-    def vjp(g):
-        slope = mask.astype(g.dtype)
-        np.maximum(slope, alpha, out=slope)
-        return np.multiply(g, slope, out=np.empty_like(g))
-
-    return Tensor._from_op(np.maximum(x.data, x.data * alpha), (x,), (vjp,), "leaky_relu")
+    _check_slope(alpha)
+    y, mask = _leaky_relu_forward(x.data, alpha)
+    return Tensor._from_op(y, (x,), (lambda g: _leaky_relu_vjp(g, mask, alpha),), "leaky_relu")
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -458,28 +490,35 @@ def _input_gradient(g: np.ndarray, wmat: np.ndarray, kh: int, kw: int, ph: int, 
     """(C, H, W, N) gradient of `_correlate`'s unpadded input xt for its
     (Cout, Ho, Wo, N) output gradient g, by col2im.
 
-    Per block of output rows, `wmat.T @ g` gives the block's taps, C*kh*kw
-    rows over its Ho*Wo*N pixels, and tap (u, v) is added into a
-    zero-filled padded gradient shifted by (u, v); the padding is then
-    cropped off.  A block of taps is at most `_COLUMN_BLOCK_BYTES` (or one
-    row), and a 1x1 kernel's gradient is `wmat.T @ g` itself.
+    The taps are the C*kh*kw products of `wmat.T` with each output
+    pixel's (Cout, N) gradient, one GEMM per pixel with the rows taken in
+    (u, v, c) order, so that the block of taps is laid out (pixel, u, v,
+    C, N).  Tap (u, v) is added into a zero-filled padded gradient laid
+    out (H, W, C, N), shifted by (u, v): every add is a run of C*N
+    contiguous values on both sides.  A block of taps holds whole output
+    rows, at most `_COLUMN_BLOCK_BYTES` (or one row), and each position
+    adds its taps in (u, v) order within a block, blocks in row order.
+    The crop of the padding is the copy back to (C, H, W, N).  A 1x1
+    kernel's gradient is `wmat.T @ g` itself.
     """
     cout, ho, wo, n = g.shape
     c = wmat.shape[1] // (kh * kw)
-    gmat = g.reshape(cout, -1)
     if kh == kw == 1:
-        return (wmat.T @ gmat).reshape(c, ho, wo, n)
-    gx = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=np.result_type(g, wmat))
+        return (wmat.T @ g.reshape(cout, -1)).reshape(c, ho, wo, n)
+    wt = wmat.reshape(cout, c, kh * kw).transpose(2, 1, 0).reshape(kh * kw * c, cout)
+    gpix = g.reshape(cout, ho * wo, n).transpose(1, 0, 2)  # (pixel, Cout, N)
+    gx = np.zeros((h + 2 * ph, w + 2 * pw, c, n), dtype=np.result_type(g, wmat))
     for i0, i1 in _row_blocks(ho, c * kh * kw * wo * n * gx.itemsize):
-        taps = (wmat.T @ gmat[:, i0 * wo * n : i1 * wo * n]).reshape(c, kh, kw, i1 - i0, wo, n)
+        taps = np.matmul(wt, gpix[i0 * wo : i1 * wo]).reshape(i1 - i0, wo, kh, kw, c, n)
         for u in range(kh):
             for v in range(kw):
-                gx[:, i0 + u : i1 + u, v : v + wo] += taps[:, u, v]
+                gx[i0 + u : i1 + u, v : v + wo] += taps[:, :, u, v]
         del taps  # free this block before the next one is built
-    return np.ascontiguousarray(gx[:, ph : ph + h, pw : pw + w])
+    return np.ascontiguousarray(gx[ph : ph + h, pw : pw + w].transpose(2, 0, 1, 3))
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same") -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same",
+           leaky: float | None = None) -> Tensor:
     """Cross-correlation of [N,Cin,H,W] input with [Cout,Cin,kh,kw] weights.
 
     padding="same" zero-fills (k-1)/2 on each side; kernels must be odd.
@@ -495,13 +534,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
     1e-15 relative), so splitting rows of Wo*N = 1-4 (mod 8) columns
     into blocks moves the last bits.  The node holds only its unpadded
     input and its output: the weight gradient rebuilds the column
-    blocks, and the input gradient is col2im (`_input_gradient`),
-    `W.reshape(Cout, -1).T @ g` per block of output rows with each tap
-    added into place, GEMM work of the output's size.  The bias b, if
-    given, is added in place, the values a
-    separate add node gives without holding a second activation; its
-    gradient is g summed over batch and pixels.  The module docstring
-    gives the whole layout.
+    blocks, and the input gradient is col2im (`_input_gradient`), GEMM
+    work of the output's size with each tap added into place.  The bias
+    b, if given, is added in place, the values a separate add node gives
+    without holding a second activation; its gradient is g summed over
+    batch and pixels.
+
+    leaky=alpha applies `leaky_relu(., alpha)` to the output inside this
+    node, in place on the GEMM output: the values and gradients of a conv
+    node followed by a `leaky_relu` node, with one node's bookkeeping
+    instead of two and no pre-activation kept.  The node keeps the ReLU's
+    mask, and its VJPs share one masked gradient, taken by `leaky_relu`'s
+    own VJP kernel.  The one finiteness check, on the activation, is the
+    conv's too: max(x, alpha x) is finite exactly where x is.  The module
+    docstring gives the whole layout.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects 4-D input and weights, got {x.shape} and {w.shape}")
@@ -521,6 +567,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
         raise ValueError(f"input {h}x{wd} smaller than kernel {kh}x{kw}")
     if b is not None and b.shape != (cout,):
         raise ValueError(f"bias shape {b.shape} does not match {cout} output channels")
+    if leaky is not None:
+        _check_slope(leaky)
     wmat = w.data.reshape(cout, -1)
     out = _correlate(_pixels_last(x.data), wmat, kh, kw, ph, pw)
 
@@ -539,7 +587,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: str = "same")
     if b is not None:
         out += b.data[:, None, None, None]  # in place: no second activation
         parents, vjps = (x, w, b), (vjp_x, vjp_w, lambda g: g.sum(axis=(0, 2, 3)))
-    return Tensor._from_op(out.transpose(3, 0, 1, 2), parents, vjps, "conv2d")
+    if leaky is None:
+        return Tensor._from_op(out.transpose(3, 0, 1, 2), parents, vjps, "conv2d")
+    mask = _leaky_relu_forward(out, leaky, out)[1].transpose(3, 0, 1, 2)
+    masked: list[np.ndarray] = []
+
+    def through_mask(vjp):
+        def run(g):
+            if not masked:  # whichever VJP backward calls first takes it for all
+                masked.append(_leaky_relu_vjp(g, mask, leaky))
+            return vjp(masked[0])
+        return run
+
+    return Tensor._from_op(out.transpose(3, 0, 1, 2), parents, tuple(map(through_mask, vjps)),
+                           "conv2d_leaky_relu")
 
 
 def sparse_matmul(op, x: Tensor) -> Tensor:
@@ -732,41 +793,70 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam with bias correction; updates parameter data in place."""
+    """Adam with bias correction over one flat buffer of every parameter.
+
+    Each parameter's data becomes a view of one flat buffer, in the
+    order of `params`, and its moments `m[i]` and `v[i]` views of two
+    more.  A step with every gradient present copies them into one flat
+    gradient and updates all parameters with one pass per operation of
+    the formula; otherwise each parameter with a gradient is updated on
+    its own views, and one without is left as it is.  Every operation is
+    elementwise, so both give the same bits.  The parameters share one
+    dtype, which the moments take, and a parameter whose `data` is
+    assigned a new array leaves the buffer: update parameters in place
+    while the optimizer steps them.
+    """
 
     def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        dtypes = sorted({str(p.data.dtype) for p in self.params})
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam needs parameters of one dtype, got {dtypes}")
+        self._flat = np.concatenate([p.data for p in self.params], axis=None)
+        self._m, self._v = np.zeros_like(self._flat), np.zeros_like(self._flat)
+        self.m, self.v = [], []
+        start = 0
+        for p in self.params:
+            span, shape = slice(start, start + p.data.size), p.data.shape
+            p.data = self._flat[span].reshape(shape)
+            self.m.append(self._m[span].reshape(shape))
+            self.v.append(self._v[span].reshape(shape))
+            start = span.stop
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
+        """One step on the parameters with a gradient in `grads`."""
+        self.step_count += 1
+        present = [grads.get(p) for p in self.params]
+        if all(g is not None for g in present):
+            self._update(self._flat, self._m, self._v, np.concatenate(present, axis=None))
+            return
+        for p, m, v, g in zip(self.params, self.m, self.v, present):
+            if g is not None:
+                self._update(p.data, m, v, g)
+
+    def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
         """p -= lr m_hat / (sqrt(v_hat) + eps), in place with two temporaries.
 
         Each operation is the textbook formula's, in its order, so the
         update is the same to the bit as the out-of-place expression.
         """
-        self.step_count += 1
         t = self.step_count
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = grads.get(p)
-            if g is None:
-                continue
-            tmp = np.multiply(g, 1 - _BETA1)
-            m *= _BETA1
-            m += tmp
-            np.multiply(g, 1 - _BETA2, out=tmp)
-            tmp *= g
-            v *= _BETA2
-            v += tmp
-            denom = np.divide(v, 1 - _BETA2**t)
-            np.sqrt(denom, out=denom)
-            denom += _EPS
-            np.divide(m, 1 - _BETA1**t, out=tmp)
-            tmp *= self.lr
-            tmp /= denom
-            p.data -= tmp
+        tmp = np.multiply(g, 1 - _BETA1)
+        m *= _BETA1
+        m += tmp
+        np.multiply(g, 1 - _BETA2, out=tmp)
+        tmp *= g
+        v *= _BETA2
+        v += tmp
+        denom = np.divide(v, 1 - _BETA2**t)
+        np.sqrt(denom, out=denom)
+        denom += _EPS
+        np.divide(m, 1 - _BETA1**t, out=tmp)
+        tmp *= self.lr
+        tmp /= denom
+        p -= tmp
 
 
 def check_schedule(model: str, epochs: int, lr: float) -> None:
@@ -786,6 +876,9 @@ def fit(params: list[Tensor], epochs: int, lr: float, epoch_fn) -> list:
     each call returned.  A NonFiniteError raised in epoch e becomes
     DivergenceError(e); only a forward checks values, so a non-finite
     parameter after the last step raises DivergenceError(epochs - 1).
+    The optimizer makes every parameter a view of its flat buffer (see
+    `Adam`): while `fit` runs, the parameters are updated in place, and
+    an epoch that assigns a new array to one takes it out of training.
 
     The autoencoder and the GCN train in float32 (mixed-precision
     training, Micikevicius et al. 2018): `train_autoencoder` and

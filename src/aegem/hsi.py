@@ -616,7 +616,9 @@ def read_abundance_csv(path) -> tuple[np.ndarray, list[str]]:
     naming the file and the line or pixel instead of leaving a zero in
     the raster.  Both checks read the sorted pixels of the lines
     (`sorted_pixels`), so a mistyped row or col fails before anything
-    the size of the raster it names is allocated.
+    the size of the raster it names is allocated.  A raster of more than
+    2**63 - 1 pixels, whose int64 pixel keys would wrap, fails naming the
+    line with the largest row.
     """
     rc, values, names = read_table(path, ["row", "col"])
     if not names:
@@ -627,6 +629,10 @@ def read_abundance_csv(path) -> tuple[np.ndarray, list[str]]:
         bad = int(np.argmax(rc.min(axis=1) < 0))
         raise ValueError(f"{path}: line {bad + 2} has a negative row or col")
     h, w = (int(v) + 1 for v in rc.max(axis=0))
+    if h * w > np.iinfo(np.int64).max:  # the keys below would wrap
+        bad = int(np.argmax(rc[:, 0]))
+        raise ValueError(f"{path}: line {bad + 2} names row {rc[bad, 0]}: a {h}x{w} "
+                         "raster has more pixels than a 64-bit index can count")
     keys = sorted_pixels(path, rc, rc[:, 0] * w + rc[:, 1])
     n = len(keys)
     if n < h * w:  # distinct and below h * w: the first pixel missing is the first gap

@@ -78,6 +78,30 @@ def conv2d_input_grad_transposed(w: np.ndarray, g: np.ndarray, padding: str) -> 
     return ad.conv2d(ad.Tensor(gp), ad.Tensor(flipped), None, "valid").data
 
 
+def input_gradient_strided_taps(g: np.ndarray, wmat: np.ndarray, kh: int, kw: int, ph: int,
+                                pw: int, h: int, w: int) -> np.ndarray:
+    """`ad._input_gradient` as one GEMM per block of output rows and 4-D strided tap adds.
+
+    Per block of output rows (`ad._row_blocks`, so the blocks are the
+    library's), `wmat.T @ g` gives the taps in rows (c, u, v), and tap
+    (u, v) is added, for every channel at once, into a zero-filled
+    (C, H+2ph, W+2pw, N) gradient shifted by (u, v); the padding is then
+    cropped off.  Each position adds its taps in the library's order.
+    """
+    cout, ho, wo, n = g.shape
+    c = wmat.shape[1] // (kh * kw)
+    gmat = g.reshape(cout, -1)
+    if kh == kw == 1:
+        return (wmat.T @ gmat).reshape(c, ho, wo, n)
+    gx = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=np.result_type(g, wmat))
+    for i0, i1 in ad._row_blocks(ho, c * kh * kw * wo * n * gx.itemsize):
+        taps = (wmat.T @ gmat[:, i0 * wo * n : i1 * wo * n]).reshape(c, kh, kw, i1 - i0, wo, n)
+        for u in range(kh):
+            for v in range(kw):
+                gx[:, i0 + u : i1 + u, v : v + wo] += taps[:, u, v]
+    return np.ascontiguousarray(gx[:, ph : ph + h, pw : pw + w])
+
+
 def conv2d_plus_bias(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: str,
                      g: np.ndarray) -> tuple[np.ndarray, ...]:
     """A bias-free `ad.conv2d` followed by a separate broadcast add of b.
@@ -110,6 +134,17 @@ def leaky_relu_masked(x: ad.Tensor, alpha: float = 0.01) -> ad.Tensor:
         return out
 
     return ad.Tensor._from_op(scaled(x.data), (x,), (scaled,), "leaky_relu")
+
+
+_conv2d = ad.conv2d  # the library's, kept for tests that patch `ad.conv2d` with the next one
+
+
+def conv2d_leaky_relu_unfused(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor | None = None,
+                              padding: str = "same", leaky: float | None = None) -> ad.Tensor:
+    """`ad.conv2d` with its leaky ReLU as a node of its own: the conv without
+    `leaky`, then `leaky_relu_masked` of slope `leaky` if one is given."""
+    out = _conv2d(x, w, b, padding)
+    return out if leaky is None else leaky_relu_masked(out, leaky)
 
 
 def arccos_clamped(x: ad.Tensor, clip_eps: float = 1e-7) -> ad.Tensor:

@@ -10,7 +10,8 @@ from aegem.rng import SplitMix64
 
 from oracles import (adam_scalar_reference, adam_step_reference, arccos_clamped,
                      block_columns_windows, conv2d_einsum, conv2d_input_grad_transposed,
-                     conv2d_loops, conv2d_plus_bias, finite_diff_grads, gradcheck,
+                     conv2d_leaky_relu_unfused, conv2d_loops, conv2d_plus_bias,
+                     finite_diff_grads, gradcheck, input_gradient_strided_taps,
                      leaky_relu_masked, leaky_relu_slope, max_rel_err, relu_mlp_unfused)
 from page_faults import traced_peak
 
@@ -183,6 +184,35 @@ def test_conv_input_gradient_holds_one_tap_block_and_the_gradient():
     assert peak <= ad._COLUMN_BLOCK_BYTES + x.data.nbytes + 64 * 2**10, peak
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("row_block_bytes", [None, 1])
+@pytest.mark.parametrize("cin,cout,hw,padding", [
+    (32, 16, 5, "valid"),  # the acceptance run's layer 2 on a training batch
+    (16, 8, 3, "valid"),  # its layer 3
+    (128, 64, 5, "valid"),  # the default AE's layer 2 on a batch of Samson windows
+    (6, 5, 8, "same"),
+])
+def test_conv_input_gradient_is_bit_equal_to_the_strided_tap_adds(monkeypatch, dtype,
+                                                                   row_block_bytes, cin, cout,
+                                                                   hw, padding):
+    # the per-pixel GEMMs and the contiguous tap adds must keep every bit of one
+    # GEMM per block and 4-D strided adds, signed zeros included; a 1-byte cap
+    # splits every block to one output row
+    g = rng(28)
+    half = 1 if padding == "same" else 0
+    ho = hw + 2 * half - 2
+    gout = g.normal(size=(cout, ho, ho, 64)).astype(dtype)
+    gout[0, 0, 0, :4] = [0.0, -0.0, 0.0, -0.0]
+    wmat = g.normal(size=(cout, cin * 9)).astype(dtype)
+    wmat[:, :9] = -0.0  # channel 0 gets only -0.0 taps
+    if row_block_bytes:
+        monkeypatch.setattr(ad, "_COLUMN_BLOCK_BYTES", row_block_bytes)
+    got = ad._input_gradient(gout, wmat, 3, 3, half, half, hw, hw)
+    want = input_gradient_strided_taps(gout, wmat, 3, 3, half, half, hw, hw)
+    assert got.dtype == want.dtype == dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _conv_whole_and_in_row_blocks(n, cin, cout, hw, kernel, padding, monkeypatch):
     g = rng(24)
     x = g.normal(size=(n, cin, *hw))
@@ -282,6 +312,59 @@ def test_conv2d_bias_in_place_matches_conv_plus_add(kernel, hw):
             assert a.shape == ref.shape and np.array_equal(a, ref), padding
         # the output is the pixels-last view a bias-free conv returns
         assert out.data.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+def _fused_conv_and_grads(conv, x, w, b, padding, alpha, gout):
+    xt, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = conv(xt, wt, bt, padding, leaky=alpha)
+    grads = ad.backward((out * gout).sum())
+    return out.data, grads[xt], grads[wt], grads[bt]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+def test_conv2d_with_its_leaky_relu_is_bit_equal_to_the_conv_and_masked_leaky_relu(
+        dtype, alpha, kernel, padding):
+    # one node for conv, bias and leaky ReLU: its output and the gradients of
+    # x, w and b keep the bits of the conv followed by the masked-copy leaky
+    # ReLU node, signed zeros included; channel 0 has zero weights and a -0.0
+    # bias, so its outputs are zeros of either sign, and g holds signed zeros
+    g = rng(32)
+    x = g.normal(size=(40, 6, 7, 7)).astype(dtype)
+    w = g.normal(size=(5, 6, kernel, kernel)).astype(dtype)
+    w[0] = 0.0
+    b = g.normal(size=5).astype(dtype)
+    b[0] = -0.0
+    side = 7 if padding == "same" else 8 - kernel
+    gout = g.normal(size=(5, side, side, 40)).astype(dtype)
+    gout[1, 0, 0, :4] = [0.0, -0.0, 0.0, -0.0]
+    # the gradient a conv's input gradient hands on, pixels-last, and a C-ordered one
+    for grad_out in (gout.transpose(3, 0, 1, 2), np.ascontiguousarray(gout.transpose(3, 0, 1, 2))):
+        got = _fused_conv_and_grads(ad.conv2d, x, w, b, padding, alpha, grad_out)
+        want = _fused_conv_and_grads(conv2d_leaky_relu_unfused, x, w, b, padding, alpha, grad_out)
+        for a, ref in zip(got, want):
+            assert a.dtype == ref.dtype == dtype and a.strides == ref.strides
+            assert np.array_equal(a, ref) and np.array_equal(np.signbit(a), np.signbit(ref))
+
+
+def test_gradcheck_conv2d_with_its_leaky_relu():
+    g = rng(33)
+    for alpha in (0.01, 0.3):
+        x = g.uniform(-1, 1, size=(2, 3, 5, 5))
+        w = g.uniform(-1, 1, size=(4, 3, 3, 3))
+        b = g.uniform(-1, 1, size=4)
+        proj = g.normal(size=(2, 4, 5, 5))
+        gradcheck(lambda xt, wt, bt: (ad.conv2d(xt, wt, bt, "same", leaky=alpha) * proj).sum(),
+                  [x, w, b])
+
+
+@pytest.mark.parametrize("alpha", [-0.01, 1.5, float("nan")])
+def test_conv2d_rejects_a_leaky_slope_outside_zero_to_one(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        ad.conv2d(ad.Tensor(np.ones((1, 2, 3, 3))), ad.Tensor(np.ones((2, 2, 1, 1))),
+                  leaky=alpha)
 
 
 # -- fused ReLU MLP ----------------------------------------------------------------

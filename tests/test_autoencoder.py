@@ -14,8 +14,8 @@ from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder, _train_epochs
 from aegem.hsi import HsiCube, SceneSpec, normalize, pixel_coordinates, synthesize_scene
 from aegem.metrics import match_endmembers, sad
 from aegem.rng import SplitMix64
-from oracles import (abundance_stack_per_patch, encode_full_band, endmembers_conv_readout,
-                     extreme_pixel_indices_whole, leaky_relu_masked, read_aew,
+from oracles import (abundance_stack_per_patch, conv2d_leaky_relu_unfused, encode_full_band,
+                     endmembers_conv_readout, extreme_pixel_indices_whole, read_aew,
                      reconstruction_loss_composite, train_autoencoder_per_patch)
 from page_faults import (glibc_only, minor_faults, peak_rss_growth, proc_status_only,
                          traced_peak)
@@ -463,9 +463,32 @@ def test_a_float32_training_step_makes_nothing_float64(monkeypatch):
         p.data = p.data.astype(np.float32)
     assert len(_train_epochs(model, cube.reflectance.astype(np.float32), shuffle_rng)) == 1
     assert {"conv2d", "conv2d vjp", "scaled_softmax vjp", "reconstruction_loss vjp",
-            "leaky_relu vjp"} <= {d[0] for d in dtypes}
+            "conv2d_leaky_relu vjp"} <= {d[0] for d in dtypes}
     assert [d for d in dtypes if d[1] != np.float32] == []
     assert all(p.data.dtype == np.float32 for p in model.parameters())
+
+
+def test_an_acceptance_shaped_training_step_records_seven_nodes(monkeypatch):
+    # three conv nodes with their leaky ReLU inside, the last encoder conv, the
+    # softmax, the decoder's conv and the loss; with each leaky ReLU a node of
+    # its own a step recorded 10
+    config = AutoencoderConfig(encoder_filters=(32, 16, 8, 3), encoder_kernels=(5, 3, 3, 1),
+                               epochs=1, batch_size=64)
+    cube = HsiCube(np.random.default_rng(22).uniform(0.1, 1.0, size=(8, 8, 20)))
+    recorded = []
+    record = ad.Tensor._from_op.__func__
+
+    def spy(cls, data, parents, vjps, op):
+        out = record(cls, data, parents, vjps, op)
+        if out._parents:
+            recorded.append(op)
+        return out
+
+    monkeypatch.setattr(ad.Tensor, "_from_op", classmethod(spy))
+    model, shuffle_rng = _initial_model(cube, config, 0)
+    _train_epochs(model, cube.reflectance, shuffle_rng)  # one batch of all 64 pixels
+    assert recorded == ["conv2d_leaky_relu"] * 3 + ["conv2d", "scaled_softmax", "conv2d",
+                                                    "reconstruction_loss"]
 
 
 # -- the fused loss ------------------------------------------------------------------------
@@ -509,8 +532,9 @@ def test_the_fused_loss_raises_on_a_non_finite_recon(bad, mse_weight):
 
 def test_a_float32_epoch_is_bit_equal_to_the_composite_loss_and_masked_leaky_relu(monkeypatch):
     # one seeded epoch at the acceptance run's shapes: 16 steps of 64 9x9 cones of a
-    # 32x32x20 scene through (32, 16, 8, 3) filters; the fused loss and the max-form
-    # leaky ReLU must leave every weight and the loss where the unfused ops do
+    # 32x32x20 scene through (32, 16, 8, 3) filters; the fused loss and the leaky
+    # ReLU inside the conv node must leave every weight and the loss where the
+    # unfused ops, with the masked-copy leaky ReLU, do
     cube = normalize(synthesize_scene(SceneSpec(32, 32, 20, 3, snr_db=30.0), 42)[0])
     config = AutoencoderConfig(encoder_filters=(32, 16, 8, 3), encoder_kernels=(5, 3, 3, 1),
                                epochs=1, batch_size=64, learning_rate=1e-2)
@@ -522,9 +546,16 @@ def test_a_float32_epoch_is_bit_equal_to_the_composite_loss_and_masked_leaky_rel
         return _train_epochs(model, cube.reflectance.astype(np.float32), shuffle_rng), model
 
     history, model = one_epoch()
+    slopes = []
+
+    def unfused(*args, **kwargs):
+        slopes.append(kwargs.get("leaky"))
+        return conv2d_leaky_relu_unfused(*args, **kwargs)
+
     monkeypatch.setattr("aegem.autoencoder.reconstruction_loss", reconstruction_loss_composite)
-    monkeypatch.setattr(ad, "leaky_relu", leaky_relu_masked)
+    monkeypatch.setattr(ad, "conv2d", unfused)
     ref_history, ref_model = one_epoch()
+    assert slopes.count(0.01) == 16 * 3  # every step's three activations were unfused
     assert np.array_equal(history, ref_history)
     for p, ref in zip(model.parameters(), ref_model.parameters()):
         assert p.data.dtype == np.float32 and np.array_equal(p.data, ref.data)

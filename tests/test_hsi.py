@@ -490,6 +490,18 @@ def test_pixel_csv_check_is_sized_by_its_lines_not_the_raster_they_name(tmp_path
                       f"({2 * (row + 1) - 3} of {row + 1}x2 pixels have no line)"]
 
 
+def test_pixel_csv_whose_raster_overflows_int64_names_the_line_with_the_largest_row(tmp_path):
+    # 3074457345618258604 x 3 pixels is more than 2**63 - 1: the pixel keys
+    # row * 3 + col wrapped, and line 2's (0, 0) was reported missing
+    path = tmp_path / "a.csv"
+    path.write_text("row,col,em0\n0,0,1\n3074457345618258603,2,1\n0,1,1\n0,2,1\n")
+    with pytest.raises(ValueError) as err:
+        read_abundance_csv(path)
+    assert str(err.value) == (f"{path}: line 3 names row 3074457345618258603: a "
+                              "3074457345618258604x3 raster has more pixels than a 64-bit "
+                              "index can count")
+
+
 @PIXEL_CSVS
 def test_pixel_csv_short_line_names_the_line(tmp_path, write):
     read = write(tmp_path / "s.csv")

@@ -31,6 +31,8 @@ PACKAGE = ROOT / "src" / "aegem"
 ALLOWED = {
     "batch_norm": "acceptance criterion 1 gradchecks batch normalization",
     "relu": "acceptance criterion 1 gradchecks ReLU",
+    "leaky_relu": "acceptance criterion 1 gradchecks the leaky ReLU, whose kernels conv2d's "
+                  "leaky= applies inside the conv node",
     "rbf_adjacency": "acceptance criterion 3 checks the RBF adjacency",
     "laplacian": "acceptance criterion 3 checks the graph Laplacian",
     "normalized_laplacian": "acceptance criterion 3 checks the normalized Laplacian",
