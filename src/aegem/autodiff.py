@@ -16,9 +16,10 @@ nodes, the last encoder conv, the softmax, the decoder's conv and the
 loss.
 The recorded operation graph is single-owner and consumed by one
 :func:`backward` call; parameters are plain leaf tensors updated in
-place by :class:`Adam`, which makes each one a view of one flat buffer,
-and its moments views of two more, in the parameters' dtype, so that a
-step updates every parameter with one pass per operation.
+place by :class:`Adam`, which makes each one a view of one flat buffer
+and keeps its two moments as two more flat buffers in the parameters'
+dtype, so that a step, given every parameter's gradient, updates them
+all with one pass per operation.
 :func:`fit` is both models' training loop and states their float32 use.
 
 A tensor built from a float32 array stays float32; any other input
@@ -140,7 +141,8 @@ class TapeConsumedError(RuntimeError):
     """Raised when backward() is called twice on the same graph."""
 
 
-def _check(data: np.ndarray, op: str) -> np.ndarray:
+def check_finite(data: np.ndarray, op: str) -> np.ndarray:
+    """`data` itself, or NonFiniteError naming `op` if any value is not finite."""
     if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
     return data
@@ -180,7 +182,7 @@ class Tensor:
     @classmethod
     def _from_op(cls, data, parents, vjps, op: str) -> "Tensor":
         """Record an op: `vjps[i]` maps the output gradient to parent i's."""
-        out = cls(_check(np.asarray(data), op))
+        out = cls(check_finite(np.asarray(data), op))
         if not _GRAD_ENABLED:
             return out
         tracked = tuple((p, v) for p, v in zip(parents, vjps) if p.requires_grad or p._parents)
@@ -369,19 +371,27 @@ def leaky_relu(x: Tensor, alpha: float = 0.01) -> Tensor:
     return Tensor._from_op(y, (x,), (lambda g: _leaky_relu_vjp(g, mask, alpha),), "leaky_relu")
 
 
+def logistic(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)) of an array, in its dtype: the one logistic kernel.
+
+    With e = exp(-|a|) it is 1 / (1 + e) for a >= 0 and e / (1 + e) below,
+    so no exp overflows and no tail cancels: at a = -40 it gives 4.2e-18,
+    where 1 - 1 / (1 + e) gives exactly 0 in float64.
+    """
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    y = np.empty_like(x.data)
-    pos = x.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    """The logistic function, `logistic(x)`; its VJP is g y (1 - y)."""
+    y = logistic(x.data)
     return Tensor._from_op(y, (x,), (lambda g: g * y * (1.0 - y),), "sigmoid")
 
 
 def softplus(x: Tensor) -> Tensor:
+    """log(1 + exp(x)), as max(x, 0) + log1p(exp(-|x|)); its VJP is g logistic(x)."""
     y = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-    sig = 1.0 / (1.0 + np.exp(-np.abs(x.data)))
-    sig = np.where(x.data >= 0, sig, 1.0 - sig)
+    sig = logistic(x.data)
     return Tensor._from_op(y, (x,), (lambda g: g * sig,), "softplus")
 
 
@@ -675,7 +685,7 @@ def relu_mlp(x: np.ndarray, w1: Tensor, w2: Tensor) -> Tensor:
             yield t, np.matmul(x[t], w1.data, out=buf[: t.stop - t.start])
 
     for t, pre in tile_buffers():
-        _check(pre, "relu_mlp")
+        check_finite(pre, "relu_mlp")
         np.maximum(pre, 0.0, out=pre)
         np.matmul(pre, w2.data, out=out[t])
 
@@ -796,15 +806,13 @@ class Adam:
     """Adam with bias correction over one flat buffer of every parameter.
 
     Each parameter's data becomes a view of one flat buffer, in the
-    order of `params`, and its moments `m[i]` and `v[i]` views of two
-    more.  A step with every gradient present copies them into one flat
-    gradient and updates all parameters with one pass per operation of
-    the formula; otherwise each parameter with a gradient is updated on
-    its own views, and one without is left as it is.  Every operation is
-    elementwise, so both give the same bits.  The parameters share one
-    dtype, which the moments take, and a parameter whose `data` is
-    assigned a new array leaves the buffer: update parameters in place
-    while the optimizer steps them.
+    order of `params`, and the moments `m` and `v` are two more flat
+    buffers of the same length.  A step concatenates the gradients into
+    one flat gradient, so it needs every parameter's gradient, and
+    updates every parameter with one pass per operation of the formula.
+    The parameters share one dtype, which the moments take, and a
+    parameter whose `data` is assigned a new array leaves the buffer:
+    update parameters in place while the optimizer steps them.
     """
 
     def __init__(self, params: list[Tensor], lr: float):
@@ -815,34 +823,28 @@ class Adam:
         if len(dtypes) > 1:
             raise ValueError(f"Adam needs parameters of one dtype, got {dtypes}")
         self._flat = np.concatenate([p.data for p in self.params], axis=None)
-        self._m, self._v = np.zeros_like(self._flat), np.zeros_like(self._flat)
-        self.m, self.v = [], []
+        self.m, self.v = np.zeros_like(self._flat), np.zeros_like(self._flat)
         start = 0
         for p in self.params:
-            span, shape = slice(start, start + p.data.size), p.data.shape
-            p.data = self._flat[span].reshape(shape)
-            self.m.append(self._m[span].reshape(shape))
-            self.v.append(self._v[span].reshape(shape))
-            start = span.stop
+            p.data = self._flat[start : start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
-        """One step on the parameters with a gradient in `grads`."""
-        self.step_count += 1
-        present = [grads.get(p) for p in self.params]
-        if all(g is not None for g in present):
-            self._update(self._flat, self._m, self._v, np.concatenate(present, axis=None))
-            return
-        for p, m, v, g in zip(self.params, self.m, self.v, present):
-            if g is not None:
-                self._update(p.data, m, v, g)
-
-    def _update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray) -> None:
-        """p -= lr m_hat / (sqrt(v_hat) + eps), in place with two temporaries.
+        """p -= lr m_hat / (sqrt(v_hat) + eps) on every parameter, in place.
 
         Each operation is the textbook formula's, in its order, so the
-        update is the same to the bit as the out-of-place expression.
+        update is the same to the bit as the out-of-place expression.  A
+        parameter without a gradient in `grads` raises ValueError before
+        anything changes.
         """
-        t = self.step_count
+        present = [grads.get(p) for p in self.params]
+        missing = [i for i, g in enumerate(present) if g is None]
+        if missing:
+            raise ValueError(f"Adam step has no gradient for parameter {missing[0]} "
+                             f"of {len(self.params)}")
+        g = np.concatenate(present, axis=None)
+        self.step_count += 1
+        t, m, v = self.step_count, self.m, self.v
         tmp = np.multiply(g, 1 - _BETA1)
         m *= _BETA1
         m += tmp
@@ -856,7 +858,7 @@ class Adam:
         np.divide(m, 1 - _BETA1**t, out=tmp)
         tmp *= self.lr
         tmp /= denom
-        p -= tmp
+        self._flat -= tmp
 
 
 def check_schedule(model: str, epochs: int, lr: float) -> None:
@@ -877,8 +879,9 @@ def fit(params: list[Tensor], epochs: int, lr: float, epoch_fn) -> list:
     DivergenceError(e); only a forward checks values, so a non-finite
     parameter after the last step raises DivergenceError(epochs - 1).
     The optimizer makes every parameter a view of its flat buffer (see
-    `Adam`): while `fit` runs, the parameters are updated in place, and
-    an epoch that assigns a new array to one takes it out of training.
+    `Adam`): while `fit` runs, the parameters are updated in place, an
+    epoch that assigns a new array to one takes it out of training, and
+    every step needs every parameter's gradient.
 
     The autoencoder and the GCN train in float32 (mixed-precision
     training, Micikevicius et al. 2018): `train_autoencoder` and

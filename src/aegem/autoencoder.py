@@ -87,7 +87,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint
-from .hsi import HsiCube, pixel_coordinates, row_norms
+from .hsi import HsiCube, pixel_coordinates, row_blocks, row_norms
 from .rng import SplitMix64
 
 
@@ -152,11 +152,6 @@ class AutoencoderConfig:
         return sum((k - 1) // 2 for k in self.encoder_kernels)
 
 
-# Bytes of one row block of `extreme_pixel_indices`' rank-1 update: beyond
-# one float64 copy of the spectra and a few per-pixel vectors, its scratch.
-_SPA_BLOCK_BYTES = 2**20
-
-
 def extreme_pixel_indices(spectra: np.ndarray, count: int) -> list[int]:
     """Indices of successively most-extreme pixel spectra.
 
@@ -164,9 +159,9 @@ def extreme_pixel_indices(spectra: np.ndarray, count: int) -> list[int]:
     keep taking the pixel with the largest component orthogonal to the
     span of the selection so far.  The residual is one float64 copy of
     the spectra, updated in place: each rank-1 update is subtracted in
-    row blocks of `_SPA_BLOCK_BYTES`, and the row norms are `row_norms`'.
+    `row_blocks`, so its scratch is one block, and the row norms are
+    `row_norms`'.
     """
-    rows = max(1, _SPA_BLOCK_BYTES // (8 * spectra.shape[1]))
     idx = [int(np.argmax(row_norms(spectra)))]
     residual = spectra.astype(np.float64, copy=True)
     for _ in range(count - 1):
@@ -178,8 +173,8 @@ def extreme_pixel_indices(spectra: np.ndarray, count: int) -> list[int]:
         # one GEMV over every row: a product per row block rounds some rows
         # otherwise (seen with odd block sizes and a one-row last block)
         proj = residual @ v
-        for b in range(0, len(residual), rows):
-            residual[b : b + rows] -= np.outer(proj[b : b + rows], v)
+        for rows in row_blocks(len(residual), residual.shape[1] * residual.itemsize):
+            residual[rows] -= np.outer(proj[rows], v)
         idx.append(int(np.argmax(row_norms(residual))))
     while len(idx) < count:  # degenerate data: pad with the first pick
         idx.append(idx[0])
@@ -341,8 +336,8 @@ def reconstruction_loss(target, recon: ad.Tensor, mse_weight: float) -> ad.Tenso
     """
     ch, cw = recon.shape[2] // 2, recon.shape[3] // 2
     # a non-finite center fails here, as the composite's first op fails on it
-    a = ad._check(recon.data[:, :, ch, cw], "reconstruction_loss")
-    b = ad._check(ad.as_tensor(target).data[:, :, ch, cw], "reconstruction_loss")
+    a = ad.check_finite(recon.data[:, :, ch, cw], "reconstruction_loss")
+    b = ad.check_finite(ad.as_tensor(target).data[:, :, ch, cw], "reconstruction_loss")
     dot = (a * b).sum(axis=1)
     na = np.sqrt((a * a).sum(axis=1) + 1e-24)
     nb = np.sqrt((b * b).sum(axis=1) + 1e-24)

@@ -21,7 +21,7 @@ The epoch loop (`_train_epochs`) is `autodiff.fit`'s, in float32 as its
 docstring sets out, on A X's rows N1, computed in float64 and cast down.
 The final forward over all nodes, the checkpoint and the maps stay
 float64.  The loss is one op, `bce_with_logits`, whose gradient is
-(sigmoid(z) - t)/n on the rows it reads.
+(ad.logistic(z) - t)/n on the rows it reads.
 
 The hidden layer is one fused op, `ad.relu_mlp(AX[N1], W1, W2)`, which
 walks the fixed rows of A X in row tiles that fit in L2 cache and takes
@@ -235,16 +235,14 @@ def bce_with_logits(logits: ad.Tensor, targets: np.ndarray, rows=slice(None)) ->
 
     One op, in the logits' dtype: its value is `_bce`'s, the value of
     `(softplus(z) - t * z).mean()` to the bit, and its gradient is
-    (sigmoid(z) - t) / n written into the n rows it reads, zero in the
+    (ad.logistic(z) - t) / n written into the n rows it reads, zero in the
     others.  The rows must be distinct.
     """
     z, t = logits.data[rows], targets[rows]
 
     def vjp(g):
-        e = np.exp(-np.abs(z))
-        sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
         grad = np.zeros_like(logits.data)
-        grad[rows] = (sig - t) * (g / t.size)
+        grad[rows] = (ad.logistic(z) - t) * (g / t.size)
         return grad
 
     return ad.Tensor._from_op(_bce(z, t), (logits,), (vjp,), "bce_with_logits")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hsi import HsiCube, row_norms, write_table
+from .hsi import HsiCube, row_blocks, row_norms, write_table
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,8 @@ def build_star_edges(height: int, width: int, kernel: EllipseKernel,
 
     Receivers are the clipped-ellipse members around each centroid; any
     pixel left uncovered is attached to its nearest centroid under the
-    elliptical norm (ties broken by centroid order).
+    elliptical norm (ties broken by centroid order).  The leftovers'
+    distances to every centroid are taken in `row_blocks` of leftovers.
     """
     offsets = np.array([o for o in kernel.offsets if o != (0, 0)],
                        dtype=np.int64).reshape(-1, 2)
@@ -93,20 +94,14 @@ def build_star_edges(height: int, width: int, kernel: EllipseKernel,
     leftovers = np.nonzero(~covered)[0]
     nearest = np.empty(leftovers.size, dtype=np.int64)
     a2, b2 = float(kernel.a**2), float(kernel.b**2)
-    step = max(1, (1 << 16) // len(centroids))  # a distance block of 512 KiB
-    for start in range(0, leftovers.size, step):
-        r, c = np.divmod(leftovers[start:start + step, None], width)
+    for rows in row_blocks(leftovers.size, 8 * len(centroids)):  # float64 distance rows
+        r, c = np.divmod(leftovers[rows, None], width)
         d = (centroids[:, 0] - r) ** 2 / a2 + (centroids[:, 1] - c) ** 2 / b2
-        nearest[start:start + step] = np.argmin(d, axis=1)  # first minimum wins ties
+        nearest[rows] = np.argmin(d, axis=1)  # first minimum wins ties
     senders = np.concatenate([senders, send_flat[nearest]])
     receivers = np.concatenate([receivers, leftovers])
     order = np.lexsort((receivers, senders))
     return np.column_stack([senders[order], receivers[order]])
-
-
-# Cap on one edge block of sad_adjacency's (edges x bands) temporaries, in
-# bytes; a block holds at least one edge.
-_EDGE_BLOCK_BYTES = 2**20
 
 
 def sad_adjacency(cube: HsiCube, edges: np.ndarray) -> np.ndarray:
@@ -114,8 +109,8 @@ def sad_adjacency(cube: HsiCube, edges: np.ndarray) -> np.ndarray:
 
     The angle is taken in its half-angle form, 2 atan2(|a - b|, |a + b|)
     for unit spectra a and b: exact 0 for identical spectra.  Each edge's
-    angle depends on its own two spectra only, so edge blocks bound the
-    (edges x bands) temporaries.
+    angle depends on its own two spectra only, so `row_blocks` of edges
+    bound the (edges x bands) temporaries.
     """
     spectra = cube.spectra()
     norms = row_norms(spectra)
@@ -125,13 +120,12 @@ def sad_adjacency(cube: HsiCube, edges: np.ndarray) -> np.ndarray:
         raise ValueError(f"pixel ({r},{c}) has a zero spectrum; spectral angle undefined")
     s, r = edges[:, 0], edges[:, 1]
     weights = np.empty(len(s))
-    step = max(1, _EDGE_BLOCK_BYTES // (8 * spectra.shape[1]))
-    for e0 in range(0, len(s), step):
-        sb, rb = s[e0 : e0 + step], r[e0 : e0 + step]
+    for block in row_blocks(len(s), 8 * spectra.shape[1]):  # float64 (edges x bands)
+        sb, rb = s[block], r[block]
         a = spectra[sb] / norms[sb, None]
         b = spectra[rb] / norms[rb, None]
-        weights[e0 : e0 + step] = 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1),
-                                                   np.linalg.norm(a + b, axis=1))
+        weights[block] = 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1),
+                                          np.linalg.norm(a + b, axis=1))
     return weights
 
 

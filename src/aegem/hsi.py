@@ -82,29 +82,38 @@ def gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-# Bytes of one block of squares in `row_norms` and `_sum_of_squares`.
+# Bytes of one block of a row-wise pass's scratch (`row_blocks`).
 _ROW_BLOCK_BYTES = 2**20
 
 
+def row_blocks(n: int, row_bytes: int):
+    """Slices of rows 0..n-1 in order, each of at most `_ROW_BLOCK_BYTES` at
+    `row_bytes` a row, or of one row if a row is larger: the one block rule
+    of the row-wise passes whose scratch is one block (`row_norms`,
+    `_sum_of_squares`, SPA's rank-1 update, `sad_adjacency` and
+    `build_star_edges`' leftover pixels)."""
+    step = max(1, _ROW_BLOCK_BYTES // row_bytes)
+    for b in range(0, n, step):
+        yield slice(b, b + step)
+
+
 def row_norms(a: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(a, axis=1) of a 2-D array, bit for bit, taken in row
-    blocks of `_ROW_BLOCK_BYTES`: each row's sum of squares reads that row
-    alone, so the squares of one block, not of the whole array, are built."""
-    rows = max(1, _ROW_BLOCK_BYTES // (a.shape[1] * a.itemsize))
-    return np.concatenate([np.linalg.norm(a[b : b + rows], axis=1)
-                           for b in range(0, len(a), rows)])
+    """np.linalg.norm(a, axis=1) of a 2-D array, bit for bit, taken in
+    `row_blocks`: each row's sum of squares reads that row alone, so the
+    squares of one block, not of the whole array, are built."""
+    return np.concatenate([np.linalg.norm(a[rows], axis=1)
+                           for rows in row_blocks(len(a), a.shape[1] * a.itemsize)])
 
 
 def _sum_of_squares(a: np.ndarray) -> float:
     """Sum of a contiguous array's squared values, the same at any BLAS thread
-    count: numpy's pairwise sum of each block's squares, blocks of
-    `_ROW_BLOCK_BYTES` added in order.  `np.linalg.norm` takes a BLAS dot,
-    which OpenBLAS splits across its threads, each adding its own share."""
+    count: numpy's pairwise sum of each block's squares, `row_blocks` of its
+    values added in order.  `np.linalg.norm` takes a BLAS dot, which
+    OpenBLAS splits across its threads, each adding its own share."""
     flat = a.reshape(-1)
-    step = max(1, _ROW_BLOCK_BYTES // flat.itemsize)
     total = 0.0
-    for b in range(0, flat.size, step):
-        total += float(np.square(flat[b : b + step]).sum())
+    for values in row_blocks(flat.size, flat.itemsize):
+        total += float(np.square(flat[values]).sum())
     return total
 
 
@@ -570,8 +579,8 @@ def synthesize_scene(spec: SceneSpec, seed: int) -> tuple[HsiCube, GroundTruth]:
 
 # -- abundance / endmember exports ---------------------------------------------
 
-def save_abundance_maps(stack: np.ndarray, out_dir, names: list[str] | None = None) -> list[Path]:
-    """Write one 8-bit PGM per endmember plus a raw-value CSV.
+def save_abundance_maps(stack: np.ndarray, out_dir) -> list[Path]:
+    """Write one 8-bit PGM per endmember, `em{j}.pgm`, plus a raw-value CSV.
 
     Values must already lie in [0, 1], as the ensemble's renormalized
     final stack does.
@@ -583,18 +592,16 @@ def save_abundance_maps(stack: np.ndarray, out_dir, names: list[str] | None = No
     if stack.min() < 0.0 or stack.max() > 1.0:
         raise ValueError(f"abundance values outside [0, 1]: {stack.min():g} to {stack.max():g}")
     h, w, p = stack.shape
-    if names is None:
-        names = [f"em{j}" for j in range(p)]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for j in range(p):
         gray = np.floor(255.0 * stack[:, :, j] + 0.5).astype(np.uint8)
-        path = out_dir / f"{names[j]}.pgm"
+        path = out_dir / f"em{j}.pgm"
         path.write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + gray.tobytes())
         paths.append(path)
     csv_path = out_dir / "abundances.csv"
-    write_abundance_csv(stack, csv_path, names)
+    write_abundance_csv(stack, csv_path)
     paths.append(csv_path)
     return paths
 

@@ -268,17 +268,25 @@ def adam_step_reference(params: list[np.ndarray], grads: list, m: list, v: list,
                         eps: float = 1e-8) -> None:
     """One textbook Adam step, written out of place, on plain arrays.
 
-    Updates each params[i] in place and rebinds m[i] and v[i]; a None in
-    grads skips that parameter, as a missing gradient does.
+    Updates each params[i] in place and rebinds m[i] and v[i].
     """
     for i, (p, g) in enumerate(zip(params, grads)):
-        if g is None:
-            continue
         m[i] = beta1 * m[i] + (1 - beta1) * g
         v[i] = beta2 * v[i] + (1 - beta2) * g * g
         m_hat = m[i] / (1 - beta1**t)
         v_hat = v[i] / (1 - beta2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def logistic_masked(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)) written as masked copies: 1 / (1 + exp(-a)) where
+    a >= 0 and exp(a) / (1 + exp(a)) elsewhere (the earlier `ad.sigmoid`)."""
+    y = np.empty_like(a)
+    pos = a >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ex = np.exp(a[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
 
 
 def ellipse_offsets_bruteforce(a: int, b: int) -> set[tuple[int, int]]:

@@ -12,7 +12,8 @@ from oracles import (adam_scalar_reference, adam_step_reference, arccos_clamped,
                      block_columns_windows, conv2d_einsum, conv2d_input_grad_transposed,
                      conv2d_leaky_relu_unfused, conv2d_loops, conv2d_plus_bias,
                      finite_diff_grads, gradcheck, input_gradient_strided_taps,
-                     leaky_relu_masked, leaky_relu_slope, max_rel_err, relu_mlp_unfused)
+                     leaky_relu_masked, leaky_relu_slope, logistic_masked, max_rel_err,
+                     relu_mlp_unfused)
 from page_faults import traced_peak
 
 
@@ -523,6 +524,27 @@ def test_sigmoid_values():
     assert np.max(np.abs(s - 1.0)) < 1e-14
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_logistic_is_bit_equal_to_the_masked_sigmoid(dtype):
+    big = np.finfo(dtype).max
+    special = np.array([0.0, -0.0, np.inf, -np.inf, big, -big], dtype)
+    g = rng(40)
+    a = np.concatenate([special] + [(g.normal(size=20_000) * scale).astype(dtype)
+                                    for scale in (1e-3, 1.0, 10.0, 100.0, 1e4)])
+    want = logistic_masked(a)
+    for got in (ad.logistic(a), ad.sigmoid(ad.Tensor(a)).data):
+        assert got.dtype == dtype
+        assert np.array_equal(got, want) and not np.signbit(got).any()
+
+
+def test_softplus_gradient_does_not_cancel_far_below_zero():
+    # 1 - 1/(1 + e) is exactly 0 in float64 at x = -40; the gradient is 4.2e-18
+    x = ad.Tensor(np.array([-40.0]), requires_grad=True)
+    grad = ad.backward(ad.softplus(x).sum())[x]
+    e = np.exp(-40.0)
+    assert grad[0] == e / (1.0 + e) > 0
+
+
 def test_relu_gradient_at_zero_is_zero():
     x = ad.Tensor(np.array([0.0]), requires_grad=True)
     grads = ad.backward(ad.relu(x).sum())
@@ -816,15 +838,28 @@ def test_adam_step_in_place_matches_the_out_of_place_reference():
     v = [np.zeros(s) for s in shapes]
     opt = ad.Adam(params, lr=0.01)
     for t in range(1, 51):
-        # every parameter misses its gradient on some steps, each on its own
-        grads = [None if (t + i) % (3 + i) == 0
-                 else g.normal(size=s) * 10.0 ** g.integers(-6, 3)
-                 for i, s in enumerate(shapes)]
-        opt.step({p: gr for p, gr in zip(params, grads) if gr is not None})
+        grads = [g.normal(size=s) * 10.0 ** g.integers(-6, 3) for s in shapes]
+        opt.step(dict(zip(params, grads)))
         adam_step_reference(ref, grads, m, v, t, lr=0.01)
-        for i, p in enumerate(params):
-            assert np.array_equal(p.data, ref[i])
-            assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])
+        for p, want in zip(params, ref):
+            assert np.array_equal(p.data, want)
+        assert np.array_equal(opt.m, np.concatenate(m, axis=None))
+        assert np.array_equal(opt.v, np.concatenate(v, axis=None))
+
+
+def test_adam_step_without_every_gradient_raises_before_changing_anything():
+    g = rng(16)
+    params = [ad.Tensor(g.normal(size=s), requires_grad=True) for s in [(3,), (2, 2), (4,)]]
+    opt = ad.Adam(params, lr=0.01)
+    opt.step({p: g.normal(size=p.shape) for p in params})
+    data, m, v = [p.data.copy() for p in params], opt.m.copy(), opt.v.copy()
+    for missing in range(len(params)):
+        grads = {p: g.normal(size=p.shape) for i, p in enumerate(params) if i != missing}
+        with pytest.raises(ValueError, match=f"no gradient for parameter {missing} of 3"):
+            opt.step(grads)
+        assert opt.step_count == 1
+        assert all(np.array_equal(p.data, d) for p, d in zip(params, data))
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
 
 
 # -- the training loop -------------------------------------------------------------------
@@ -964,5 +999,5 @@ def test_adam_keeps_a_float32_parameter_float32():
     opt = ad.Adam([p], lr=1e-2)
     for _ in range(3):
         opt.step(ad.backward((p * p).sum()))
-    assert p.data.dtype == opt.m[0].dtype == opt.v[0].dtype == np.float32
+    assert p.data.dtype == opt.m.dtype == opt.v.dtype == np.float32
     assert np.all(p.data < 1)

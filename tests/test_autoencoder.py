@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aegem import autodiff as ad
-from aegem import autoencoder
+from aegem import hsi
 from aegem.autoencoder import (AutoencoderConfig, ConvAutoencoder, _train_epochs,
                                assemble_abundance_stack, endmembers_from_decoder,
                                extreme_pixel_indices, reconstruction_loss, save_autoencoder,
@@ -622,7 +622,7 @@ def test_samson_shaped_training_raises_the_peak_rss_by_little():
 # -- successive projections ---------------------------------------------------------------
 
 # rows of one rank-1 update block on 64 bands
-_SPA_ROWS = autoencoder._SPA_BLOCK_BYTES // (8 * 64)
+_SPA_ROWS = hsi._ROW_BLOCK_BYTES // (8 * 64)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, _SPA_ROWS - 1, _SPA_ROWS, _SPA_ROWS + 1,
@@ -645,7 +645,7 @@ def test_extreme_pixel_search_holds_one_copy_and_one_block():
     # is one, and beside it a block and a few per-pixel vectors
     n = 4 * _SPA_ROWS
     spectra = np.random.default_rng(24).uniform(size=(n, 64))
-    bound = spectra.nbytes + 2 * autoencoder._SPA_BLOCK_BYTES + 4 * 8 * n
+    bound = spectra.nbytes + 2 * hsi._ROW_BLOCK_BYTES + 4 * 8 * n
     assert traced_peak(lambda: extreme_pixel_indices(spectra, 4)) <= bound
 
 

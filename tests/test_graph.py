@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aegem import graph as graph_module
+from aegem import hsi
 from aegem.graph import (build_graph, build_kernel, build_star_edges, laplacian,
                          normalized_laplacian, rbf_adjacency, sad_adjacency,
                          tile_centroids, write_graph_csv)
@@ -137,6 +137,20 @@ def test_star_edges_match_the_loop_oracle(h, w, a, b, stride_r, stride_c):
     assert np.array_equal(edges, star_edges_loops(h, w, k, cents))
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_star_edges_in_leftover_blocks_match_the_loop_oracle(monkeypatch, rows):
+    # 112 leftover pixels against 6 centroids: blocks of one or of three
+    # leftovers (the last one holding one), each nearest centroid on its own
+    k = build_kernel(2, 1)
+    cents = tile_centroids(11, 14, k, 6, 5)
+    inside = {(r + dr, c + dc) for r, c in cents for dr, dc in k.offsets
+              if 0 <= r + dr < 11 and 0 <= c + dc < 14}
+    assert 11 * 14 - len(inside) == 112
+    monkeypatch.setattr(hsi, "_ROW_BLOCK_BYTES", rows * 8 * len(cents))
+    edges = build_star_edges(11, 14, k, cents)
+    assert np.array_equal(edges, star_edges_loops(11, 14, k, cents))
+
+
 def test_edges_sorted_and_unique():
     k = build_kernel(2, 2)
     cents = tile_centroids(11, 13, k)
@@ -179,7 +193,7 @@ def test_sad_adjacency_in_edge_blocks_equals_the_whole_edge_arrays(monkeypatch, 
     # its own row of the temporaries only, so the bits cannot move
     cube = random_cube(9, 11, 7, seed=6)
     g = build_graph(cube, 2, 3)
-    monkeypatch.setattr(graph_module, "_EDGE_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(hsi, "_ROW_BLOCK_BYTES", block_bytes)
     weights = sad_adjacency(cube, g.edges)
     assert len(g.edges) > 3 and weights.shape == (len(g.edges),)
     assert np.array_equal(weights, sad_weights_whole(cube.spectra(), g.edges))

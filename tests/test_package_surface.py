@@ -18,8 +18,11 @@ not checked.
 A second walk fails for each name that a `src/aegem` module other than
 `__init__.py` imports and never reads (`from __future__` imports aside).
 A third fails for each `_`-prefixed name that a `src/aegem` module
-imports from another package module: a name another module needs is
-public.
+imports from another package module, or reads as an attribute `alias._name`
+of a name bound to another package module (`from . import autodiff as ad`
+makes `ad._name` such a read): a name another module needs is public. A
+private member of another module's class, such as `ad.Tensor._from_op`,
+is outside this walk.
 """
 import ast
 from pathlib import Path
@@ -98,10 +101,32 @@ def test_every_name_a_package_module_imports_is_read_in_it():
     assert not unread, f"imported but never read; delete them: {unread}"
 
 
+def _module_aliases(tree: ast.AST) -> set[str]:
+    """Names a module binds to a package module: `from . import x [as y]`,
+    `from aegem import x [as y]` and `import aegem.x as y`."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "aegem"):
+            aliases.update(alias.asname or alias.name for alias in node.names
+                           if alias.name in modules)
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.split(".")[0] == "aegem"
+                           and alias.name.split(".")[-1] in modules)
+    return aliases
+
+
 def test_no_package_module_imports_a_private_name_of_another():
-    private = [f"{path.name}: {alias.name}" for path in sorted(PACKAGE.glob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, ast.ImportFrom)
-               and (node.level or (node.module or "").split(".")[0] == "aegem")
-               for alias in node.names if alias.name.startswith("_")]
-    assert not private, f"private names imported from another module; make them public: {private}"
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = _module_aliases(tree)
+        private += [f"{path.name}: {alias.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").split(".")[0] == "aegem")
+                    for alias in node.names if alias.name.startswith("_")]
+        private += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")]
+    assert not private, f"private names read from another module; make them public: {private}"
